@@ -192,24 +192,7 @@ class ComponentCodeSpec:
         self._exp_np = f.exp_np()
         self._bdd_cache: dict[tuple, tuple[int, ...] | None] = {}
         self._pcm: np.ndarray | None = None
-        self._contrib_np: np.ndarray | None = None
-        self._parity_np: np.ndarray | None = None
         self._contrib_packed_np: np.ndarray | None = None
-
-    @property
-    def contrib_np(self) -> np.ndarray:
-        """contrib_odd as an (n, t) int64 array for vectorized syndromes."""
-        if self._contrib_np is None:
-            self._contrib_np = np.array(self.contrib_odd, dtype=np.int64)
-        return self._contrib_np
-
-    @property
-    def parity_np(self) -> np.ndarray:
-        """parity_mask unpacked to an (n, e) 0/1 array."""
-        if self._parity_np is None:
-            masks = np.array(self.parity_mask, dtype=np.int64)[:, None]
-            self._parity_np = ((masks >> np.arange(self.e)) & 1).astype(np.uint8)
-        return self._parity_np
 
     @property
     def contrib_packed_np(self) -> np.ndarray:
@@ -233,13 +216,12 @@ class ComponentCodeSpec:
         msg = np.asarray(message, dtype=np.uint8)
         if msg.shape != (self.k,):
             raise ValueError(f"message must have length k={self.k}, got {msg.shape}")
-        poly = 0
-        for i in np.nonzero(msg)[0]:
-            poly |= 1 << (self.r0 + int(i))
+        poly = int.from_bytes(np.packbits(msg, bitorder="little").tobytes(), "little")
+        poly <<= self.r0
         cw_int = poly ^ _poly_mod(poly, self.gen_poly)
+        core = np.frombuffer(cw_int.to_bytes((self.n_core + 7) // 8, "little"), np.uint8)
         word = np.zeros(self.n, dtype=np.uint8)
-        for pos in range(self.n_core):
-            word[pos] = (cw_int >> pos) & 1
+        word[: self.n_core] = np.unpackbits(core, count=self.n_core, bitorder="little")
         if self.e == 1:
             word[self.n_core] = int(word[: self.n_core].sum()) & 1
         elif self.e == 2:
@@ -252,57 +234,109 @@ class ComponentCodeSpec:
     def syndrome_key(self, positions: Iterable[int]) -> tuple[tuple[int, ...], int]:
         """(odd syndromes, packed parity bits) of an error pattern given by
         its support. This is the engine-facing representation."""
-        odd = [0] * self.t
-        ext = 0
-        contrib = self.contrib_odd
-        pmask = self.parity_mask
-        for pos in positions:
-            for i, c in enumerate(contrib[pos]):
-                odd[i] ^= c
-            ext ^= pmask[pos]
-        return tuple(odd), ext
+        return self._split(self.syndrome_packed(positions))
+
+    def _split(self, packed: int) -> tuple[tuple[int, ...], int]:
+        """(odd syndromes, packed parity bits) of a packed syndrome."""
+        e, nu = self.e, self.nu
+        mask = (1 << nu) - 1
+        odd = tuple((packed >> (e + i * nu)) & mask for i in range(self.t))
+        return odd, packed & ((1 << e) - 1)
 
     def syndrome(self, word: Sequence[int]) -> Syndrome:
         w = np.asarray(word, dtype=np.uint8)
         if w.shape != (self.n,):
             raise ValueError(f"word must have length n={self.n}, got {w.shape}")
-        odd, ext = self.syndrome_key(int(p) for p in np.nonzero(w)[0])
+        odd, ext = self._split(self.syndrome_packed(np.flatnonzero(w).tolist()))
         return Syndrome(odd, tuple((ext >> i) & 1 for i in range(self.e)))
 
     # --- bounded-distance decoding --------------------------------------
 
     def _solve_core(self, odd: tuple[int, ...]) -> tuple[int, ...] | None:
         """Unique error pattern of weight <= t on the core positions matching
-        the odd-power syndromes, or None.  Shortened positions are rejected."""
+        the odd-power syndromes, or None.  Shortened positions are rejected.
+
+        t=2 and t=3 solve the error locator in closed form and find its
+        roots by table; larger t run Berlekamp-Massey and a Chien search."""
         if not any(odd):
             return ()
-        f = self.field
         if self.t == 2:
-            s1, s3 = odd
-            if s1 == 0:
-                return None  # lone S3: no weight<=2 pattern has S1=0, S3!=0
-            log = f.log_table
-            exp = f.exp_table
-            m = f.order - 1
-            l1 = log[s1]
-            if s3 == exp[l1 * 3 % m]:
-                pos = l1
-                return (pos,) if pos < self.n_core else None
-            # two errors X1, X2: X1+X2 = S1, X1*X2 = (S3 + S1^3)/S1
-            q_val = f.mul(s3 ^ exp[l1 * 3 % m], exp[(m - l1) % m])
-            c = f.mul(q_val, exp[(2 * (m - l1)) % m])  # q/S1^2
-            y = f.solve_quadratic(c)
-            if y < 0:
-                return None
-            x1 = f.mul(s1, y)
-            x2 = x1 ^ s1
-            if x1 == 0 or x2 == 0:
-                return None
-            p1, p2 = log[x1], log[x2]
-            if p1 >= self.n_core or p2 >= self.n_core:
-                return None
-            return (p1, p2) if p1 < p2 else (p2, p1)
+            return self._solve_core_t2(*odd)
+        if self.t == 3:
+            return self._solve_core_t3(*odd)
         return self._solve_core_bm(odd)
+
+    def _solve_core_t2(self, s1: int, s3: int) -> tuple[int, ...] | None:
+        if s1 == 0:
+            return None  # lone S3: no weight<=2 pattern has S1=0, S3!=0
+        f = self.field
+        log = f.log_table
+        exp = f.exp_table
+        m = f.order - 1
+        l1 = log[s1]
+        d = s3 ^ exp[l1 * 3 % m]
+        if d == 0:
+            return (l1,) if l1 < self.n_core else None
+        # two errors X1, X2: X1+X2 = S1, X1*X2 = (S3 + S1^3)/S1
+        return self._two_errors(s1, exp[(log[d] - l1) % m])
+
+    def _two_errors(self, s1: int, prod: int) -> tuple[int, ...] | None:
+        """Positions of the two roots of x^2 + s1*x + prod, or None when the
+        field holds no root or a root lies past the core positions.  Callers
+        pass s1, prod != 0, so the roots are distinct and nonzero: x = s1*y
+        with y^2 + y = prod/s1^2 != 0, hence y not in {0, 1}."""
+        f = self.field
+        log = f.log_table
+        exp = f.exp_table
+        m = f.order - 1
+        l1 = log[s1]
+        y = f.solve_quadratic(exp[(log[prod] - 2 * l1) % m])
+        if y < 0:
+            return None
+        x1 = exp[(l1 + log[y]) % m]
+        p1, p2 = log[x1], log[x1 ^ s1]
+        if p1 >= self.n_core or p2 >= self.n_core:
+            return None
+        return (p1, p2) if p1 < p2 else (p2, p1)
+
+    def _solve_core_t3(self, s1: int, s3: int, s5: int) -> tuple[int, ...] | None:
+        """Peterson's closed-form locator for t=3 plus table root finding.
+
+        With D = S1^3 + S3 the locator x^3 + g1 x^2 + g2 x + g3 has g1 = S1,
+        g2 = (S1^2 S3 + S5)/D and g3 = D + S1 g2.  D vanishes for at most
+        one error, since D = (X1+X2)(X1+X3)(X2+X3) for three errors and
+        X1 X2 (X1+X2) for two; g3 = X1 X2 X3 vanishes for two."""
+        f = self.field
+        log = f.log_table
+        exp = f.exp_table
+        m = f.order - 1
+        l1 = log[s1]
+        d = s3 ^ exp[3 * l1 % m] if s1 else s3
+        if d == 0:
+            if s1 and s5 == exp[5 * l1 % m] and l1 < self.n_core:
+                return (l1,)
+            return None
+        num = s5 ^ exp[(2 * l1 + log[s3]) % m] if s1 and s3 else s5
+        g2 = exp[(log[num] - log[d]) % m] if num else 0
+        if s1 and g2 and exp[(l1 + log[g2]) % m] == d:
+            return self._two_errors(s1, g2)  # g3 = 0
+        # x = y + g1 turns the locator into y^3 + p y + q with
+        # p = g1^2 + g2 and q = g1 g2 + g3 = D
+        p = g2 ^ exp[2 * l1 % m] if s1 else g2
+        if p:
+            # y = sqrt(p) z turns it into z^3 + z = D / p^(3/2)
+            lp = log[p]
+            lr = lp >> 1 if lp % 2 == 0 else (lp + m) >> 1  # log sqrt(p)
+            zs = f.solve_cubic(exp[(log[d] - 3 * lr) % m])
+            xs = [exp[(lr + log[z]) % m] ^ s1 for z in zs]
+        else:
+            xs = [y ^ s1 for y in f.cube_roots(d)]
+        if not xs or 0 in xs:
+            return None
+        pos = sorted(log[x] for x in xs)
+        if pos[2] >= self.n_core:
+            return None
+        return tuple(pos)
 
     def _solve_core_bm(self, odd: tuple[int, ...]) -> tuple[int, ...] | None:
         """Berlekamp-Massey over the 2t syndromes plus a vectorized root search."""
@@ -402,7 +436,7 @@ class ComponentCodeSpec:
         if hit is not _MISS:
             return hit
         e = self.e
-        ext = packed & ((1 << e) - 1)
+        ext = packed & ((1 << e) - 1)  # _split, inlined on the miss path
         mask = (1 << self.nu) - 1
         odd = tuple((packed >> (e + i * self.nu)) & mask for i in range(self.t))
         core = self._solve_core(odd)

@@ -211,10 +211,10 @@ def _build_code(parser, opts):
 
 
 def _build_layout(parser, opts, code):
-    if opts.get("kind", "product") == "product":
-        return build_product_layout(code)
     window = opts.get("window") or opts.get("num_blocks", 8)
     try:
+        if opts.get("kind", "product") == "product":
+            return build_product_layout(code)
         return build_staircase_layout(code, opts.get("num_blocks", 8), window)
     except ValueError as exc:
         parser.error(str(exc))

@@ -61,6 +61,7 @@ class FieldTable:
     exp_table: tuple[int, ...]
     log_table: tuple[int, ...]
     _quad_table: tuple[int, ...] = field(repr=False, default=())
+    _cubic_table: tuple[tuple[int, ...], ...] = field(repr=False, default=())
 
     @property
     def order(self) -> int:
@@ -108,6 +109,36 @@ class FieldTable:
             tbl = tuple(sol)
             object.__setattr__(self, "_quad_table", tbl)
         return tbl[c]
+
+    def solve_cubic(self, c: int) -> tuple[int, ...]:
+        """Return the three distinct z with z^3 + z = c, ascending, or ()
+        when the cubic has fewer than three distinct roots in the field.
+
+        Backed by a table built on first use.  c = 0 is the only value with
+        a repeated root (0 and 1 twice), so its entry is () as well.
+        """
+        tbl = self._cubic_table
+        if not tbl:
+            exp, log = self.exp_table, self.log_table
+            m = self.order - 1
+            roots: list[list[int]] = [[] for _ in range(self.order)]
+            for z in range(1, self.order):
+                roots[exp[3 * log[z] % m] ^ z].append(z)
+            tbl = tuple(tuple(r) if len(r) == 3 else () for r in roots)
+            object.__setattr__(self, "_cubic_table", tbl)
+        return tbl[c]
+
+    def cube_roots(self, a: int) -> tuple[int, ...]:
+        """Return the three distinct cube roots of a, ascending by log, or ()
+        when a has fewer than three.  Three exist only when 3 divides
+        2^nu - 1 and log a is a multiple of 3."""
+        m = self.order - 1
+        if a == 0 or m % 3:
+            return ()
+        la = self.log_table[a]
+        if la % 3:
+            return ()
+        return tuple(self.exp_table[la // 3 + k * (m // 3)] for k in range(3))
 
     def exp_np(self) -> np.ndarray:
         """Antilog table doubled to length 2*(2^nu - 1), for index arithmetic

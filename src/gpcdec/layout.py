@@ -86,6 +86,11 @@ class GpcLayout:
         counted: np.ndarray,
         window: int | None = None,
     ):
+        if code.packed_bits > 62:
+            raise ValueError(
+                f"component syndrome needs {code.packed_bits} bits "
+                "(nu*t + e); decoders support at most 62"
+            )
         self.kind = kind
         self.code = code
         self.num_types = num_types
@@ -97,9 +102,6 @@ class GpcLayout:
         self.pinned = pinned
         self.counted = counted
         self._build_incidence()
-        self.type_of_cw = np.repeat(
-            np.arange(1, num_types + 1, dtype=np.int32), per_type
-        )
         self._list_cache: dict[str, list] = {}
 
     def _as_lists(self, name: str) -> list:
@@ -112,28 +114,14 @@ class GpcLayout:
 
     def _build_incidence(self):
         n = self.code.n
-        bit_cw = np.full((self.n_bits, 2), -1, dtype=np.int32)
-        bit_pos = np.full((self.n_bits, 2), -1, dtype=np.int32)
-        fill = np.zeros(self.n_bits, dtype=np.int8)
-        for c in range(self.n_cw):
-            for p in range(n):
-                b = self.cw_bits[c, p]
-                k = fill[b]
-                if k >= 2:
-                    raise ValueError(f"bit {b} covered more than twice")
-                bit_cw[b, k] = c
-                bit_pos[b, k] = p
-                fill[b] = k + 1
-        if (fill == 0).any():
-            raise ValueError("uncovered bit in layout")
+        bit_cw, bit_pos = _bit_incidence(self.cw_bits, self.n_bits)
         self.bit_cw = bit_cw
         self.bit_pos = bit_pos
         # partner lookup: the other codeword through each position
         pc = np.full((self.n_cw, n), -1, dtype=np.int32)
         pp = np.full((self.n_cw, n), -1, dtype=np.int32)
-        both = fill == 2
         b0 = self.cw_bits  # (n_cw, n) bit at each slot
-        covered = both[b0]
+        covered = bit_cw[b0, 1] >= 0
         first_is_self = bit_cw[b0, 0] == np.arange(self.n_cw, dtype=np.int32)[:, None]
         other = np.where(first_is_self, bit_cw[b0, 1], bit_cw[b0, 0])
         other_pos = np.where(first_is_self, bit_pos[b0, 1], bit_pos[b0, 0])
@@ -238,6 +226,33 @@ class GpcLayout:
             f"GpcLayout({self.kind}, n={self.code.n}, types={self.num_types}, "
             f"bits={self.n_bits})"
         )
+
+
+def _bit_incidence(cw_bits: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """bit_cw and bit_pos of a codeword-to-bit map: the slots through each
+    bit in row-major order of ``cw_bits``, -1 where a bit has one owner."""
+    n = cw_bits.shape[1]
+    flat = cw_bits.ravel()
+    fill = np.bincount(flat, minlength=n_bits)
+    if fill.max(initial=0) > 2:
+        # name the bit whose third slot comes first, as a slot-by-slot scan would
+        order = np.argsort(flat, kind="stable")
+        third = order[(np.cumsum(fill) - fill)[fill > 2] + 2]
+        raise ValueError(f"bit {flat[third.min()]} covered more than twice")
+    if (fill == 0).any():
+        raise ValueError("uncovered bit in layout")
+    # with at most two slots per bit, the first and second are the min and max
+    slots = np.arange(flat.size, dtype=np.int32)
+    lo = np.full(n_bits, flat.size, dtype=np.int32)
+    hi = np.full(n_bits, -1, dtype=np.int32)
+    np.minimum.at(lo, flat, slots)
+    np.maximum.at(hi, flat, slots)
+    two = fill == 2
+    bit_cw = np.full((n_bits, 2), -1, dtype=np.int32)
+    bit_pos = np.full((n_bits, 2), -1, dtype=np.int32)
+    bit_cw[:, 0], bit_pos[:, 0] = np.divmod(lo, n)
+    bit_cw[two, 1], bit_pos[two, 1] = np.divmod(hi[two], n)
+    return bit_cw, bit_pos
 
 
 def build_product_layout(code: ComponentCodeSpec) -> GpcLayout:

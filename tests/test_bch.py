@@ -7,6 +7,7 @@ decoding is cross-checked against brute force over all completions.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -189,6 +190,22 @@ class TestSyndrome:
             wb[p] ^= 1
         assert syndrome(code, wa) ^ syndrome(code, wb) == syndrome(code, wa ^ wb)
 
+    @pytest.mark.parametrize("args", [(4, 2, 2, 0), (8, 3, 0, 0), (9, 7, 0, 0)])
+    def test_syndrome_matches_parity_check_matrix(self, args):
+        # (9,7,0,0) packs 63 bits, so its syndromes need Python ints
+        code = build_component_code(*args)
+        pcm = code.parity_check_matrix().astype(np.int64)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            word = rng.integers(0, 2, size=code.n).astype(np.uint8)
+            syn = syndrome(code, word)
+            bits = (pcm @ word) & 1
+            for i, v in enumerate(syn.odd):
+                assert v == sum(int(b) << j for j, b in enumerate(bits[i * code.nu : (i + 1) * code.nu]))
+            assert syn.ext == tuple(int(b) for b in bits[code.nu * code.t :])
+            msg = rng.integers(0, 2, size=code.k)
+            assert syndrome(code, encode(code, msg)).is_zero
+
     def test_zero_word_zero_syndrome(self):
         code = build_component_code(8, 3, 0, 0)
         assert syndrome(code, np.zeros(code.n, dtype=np.uint8)).is_zero
@@ -318,6 +335,47 @@ class TestBddRandomized:
         cold = [code.decode_key(odd, ext) for odd, ext in keys]
         warm = [code.decode_key(odd, ext) for odd, ext in keys]
         assert cold == warm
+
+
+class TestTripleErrorSolver:
+    """The t=3 closed-form solver against brute force and Berlekamp-Massey."""
+
+    @staticmethod
+    def brute_force_table(code):
+        """Packed syndrome -> support for every support of weight <= t over
+        all n positions, extension bits included."""
+        table = {}
+        for wgt in range(code.t + 1):
+            for pos in itertools.combinations(range(code.n), wgt):
+                table[code.syndrome_packed(pos)] = pos
+        assert len(table) == sum(comb(code.n, w) for w in range(code.t + 1))
+        return table
+
+    @pytest.mark.parametrize("args", [(5, 3, 0, 0), (6, 3, 0, 0), (6, 3, 1, 0), (6, 3, 0, 20)])
+    def test_every_syndrome_matches_brute_force(self, args):
+        code = build_component_code(*args)
+        table = self.brute_force_table(code)
+        for budget in (2, 3):
+            want = {k: v for k, v in table.items() if len(v) <= budget}
+            for start in range(0, 1 << code.packed_bits, 1 << 16):
+                code._bdd_cache.clear()  # bounds memory; results are not reused
+                for packed in range(start, min(start + (1 << 16), 1 << code.packed_bits)):
+                    assert code.decode_packed(packed, budget) == want.get(packed), packed
+
+    def test_random_syndromes_match_berlekamp_massey(self):
+        code = build_component_code(8, 3, 0, 0)
+        rng = np.random.default_rng(13)
+        odds = [tuple(int(v) for v in rng.integers(0, 256, size=3)) for _ in range(1500)]
+        for wgt in (1, 2, 3, 4):
+            for _ in range(300):
+                odd, _ = code.syndrome_key(rng.choice(code.n, size=wgt, replace=False).tolist())
+                odds.append(odd)
+        decoded = 0
+        for odd in odds:
+            got = code._solve_core(odd)
+            assert got == code._solve_core_bm(odd), odd
+            decoded += got is not None
+        assert decoded >= 900  # every planted weight <= 3 pattern, at least
 
 
 class TestIdealizedBdd:

@@ -125,6 +125,17 @@ class TestSimulate:
         usage_error(
             ["simulate", "--nu", "4", "--t", "2", "--p", "0.6"], capsys)
 
+    def test_overwide_syndrome_is_usage_error(self, capsys):
+        # (9,7,0,0) packs 63 syndrome bits; the analytic commands still work
+        err = usage_error(
+            ["simulate", "--nu", "9", "--t", "7", "--p", "0.01",
+             "--max-frames", "1"],
+            capsys,
+        )
+        assert "63 bits" in err
+        assert run(["mcprob", "--nu", "9", "--t", "7"], capsys)[0] == 0
+        assert run(["de", "--nu", "9", "--t", "7", "--p", "0.01"], capsys)[0] == 0
+
     def test_unwritable_output_is_runtime_failure(self, capsys):
         code, _, err = run(
             SIM_ARGS + ["--output", "/nonexistent-dir/out.csv"], capsys)

@@ -190,5 +190,36 @@ def test_solve_quadratic_exhaustive(nu):
             assert y == -1
 
 
+@pytest.mark.parametrize("nu", [4, 8])
+def test_solve_cubic_exhaustive(nu):
+    f = build_field(nu)
+    for c in range(f.order):
+        brute = [z for z in range(f.order) if f.mul(z, f.mul(z, z)) ^ z == c]
+        got = f.solve_cubic(c)
+        if len(brute) == 3:
+            assert got == tuple(brute)
+        else:
+            # a single root, none, or c = 0 with its repeated root
+            assert len(brute) in (0, 1) or c == 0
+            assert got == ()
+
+
+@pytest.mark.parametrize("nu", [4, 5, 8])
+def test_cube_roots_exhaustive(nu):
+    # 3 divides 2^nu - 1 for even nu only; for nu = 5 cubing is a bijection
+    f = build_field(nu)
+    roots = {a: [] for a in range(f.order)}
+    for y in range(1, f.order):
+        roots[f.pow(y, 3)].append(y)
+    for a in range(f.order):
+        got = f.cube_roots(a)
+        if len(roots[a]) == 3:
+            assert sorted(got) == roots[a]
+            assert f.log_table[a] % 3 == 0
+        else:
+            assert got == ()
+    assert any(len(r) == 3 for r in roots.values()) == (nu % 2 == 0)
+
+
 def test_build_field_cached():
     assert build_field(7) is build_field(7)

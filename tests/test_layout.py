@@ -6,12 +6,33 @@ import pytest
 from gpcdec.bch import build_component_code
 from gpcdec.layout import (
     CodewordId,
+    GpcLayout,
     bit_at,
     bits_of,
     build_product_layout,
     build_staircase_layout,
     incident_codewords,
 )
+
+
+def reference_incidence(cw_bits, n_bits):
+    """bit_cw/bit_pos by the per-slot loop: slots fill a bit's two columns
+    in row-major order of cw_bits."""
+    bit_cw = np.full((n_bits, 2), -1, dtype=np.int32)
+    bit_pos = np.full((n_bits, 2), -1, dtype=np.int32)
+    fill = np.zeros(n_bits, dtype=np.int8)
+    for c in range(cw_bits.shape[0]):
+        for p in range(cw_bits.shape[1]):
+            b = cw_bits[c, p]
+            k = fill[b]
+            if k >= 2:
+                raise ValueError(f"bit {b} covered more than twice")
+            bit_cw[b, k] = c
+            bit_pos[b, k] = p
+            fill[b] = k + 1
+    if (fill == 0).any():
+        raise ValueError("uncovered bit in layout")
+    return bit_cw, bit_pos
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +233,62 @@ class TestIterationPlan:
             list(pc.iteration_plan(0))
         with pytest.raises(ValueError):
             list(pc.iteration_plan(2, 3))
+
+
+class TestIncidence:
+    @pytest.mark.parametrize(
+        "args,blocks",
+        [((4, 2, 0, 0), None), ((4, 2, 1, 0), None), ((4, 2, 1, 0), 5),
+         ((4, 2, 1, 0), 3), ((5, 2, 1, 0), 7)],
+    )
+    def test_matches_reference_loop(self, args, blocks):
+        code = build_component_code(*args)
+        if blocks is None:
+            lay = build_product_layout(code)
+        else:
+            lay = build_staircase_layout(code, blocks, 3)
+        bit_cw, bit_pos = reference_incidence(lay.cw_bits, lay.n_bits)
+        assert np.array_equal(lay.bit_cw, bit_cw) and lay.bit_cw.dtype == np.int32
+        assert np.array_equal(lay.bit_pos, bit_pos) and lay.bit_pos.dtype == np.int32
+
+    def _layout(self, code, cw_bits, n_bits):
+        pinned = np.zeros(n_bits, dtype=bool)
+        return GpcLayout("product", code, 2, cw_bits.shape[0] // 2, n_bits,
+                         cw_bits, pinned, ~pinned)
+
+    def test_errors_match_reference_loop(self, code15):
+        n = code15.n
+        grid = np.arange(n * n).reshape(n, n)
+        good = np.concatenate([grid, grid.T])
+        triple = good.copy()
+        triple[5, 3] = good[0, 7]  # bit 7 gets a third owner, bit 78 none
+        late = good.copy()
+        late[29, 14] = good[0, 0]  # the third owner comes last in slot order
+        for cw_bits in (triple, late):
+            with pytest.raises(ValueError) as want:
+                reference_incidence(cw_bits, n * n)
+            with pytest.raises(ValueError) as got:
+                self._layout(code15, cw_bits, n * n)
+            assert str(got.value) == str(want.value)
+
+    def test_uncovered_bit(self, code15):
+        n = code15.n
+        with pytest.raises(ValueError, match="uncovered bit"):
+            self._layout(code15, np.arange(2 * n * n).reshape(2 * n, n) // 2, n * n + 1)
+
+
+class TestSyndromeWidth:
+    def test_overwide_syndrome_rejected(self):
+        # (9,7,0,0) packs 63 syndrome bits, one more than the decoders allow
+        code = build_component_code(9, 7, 0, 0)
+        assert code.packed_bits == 63
+        with pytest.raises(ValueError, match="63 bits"):
+            build_product_layout(code)
+
+    def test_widest_supported_syndrome(self):
+        # (10,6,2,900) packs exactly 62 bits; shortening keeps the frame small
+        code = build_component_code(10, 6, 2, 900)
+        assert code.packed_bits == 62
+        assert build_product_layout(code).n_bits == code.n * code.n
+        assert code.contrib_packed_np.tolist() == code.contrib_packed
+        assert code.decode_packed(code.syndrome_packed((3, 70))) == (3, 70)

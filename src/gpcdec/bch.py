@@ -14,9 +14,20 @@ Bounded-distance decoding (BDD) operates purely on syndromes: t odd-power
 syndromes S_1, S_3, ..., S_{2t-1} plus the e parity bits.  A pattern of
 weight <= t is unique for a given syndrome, so the decoder either returns
 exactly that pattern or fails.  Errors on the extension bits are correctable
-and count toward the weight budget: the decoder enumerates the 2^e
-extension-error hypotheses and keeps the unique candidate consistent with
-every parity check.
+and count toward the weight budget.
+
+Which method serves a code depends on its packed syndrome width nu*t + e:
+
+- at most 20 bits, e.g. (7,2,1,0) at 15 bits and (8,2,1,61) at 17: a
+  dense table over all 2^(nu*t+e) syndromes, built with numpy on the first
+  cache miss, names the unique support of weight <= t per syndrome
+- wider syndromes solve the error locator algebraically: closed form plus a
+  quadratic table at t=2, Peterson's locator plus a cubic table at t=3,
+  Berlekamp-Massey plus a Chien search at t >= 4; the decoder then
+  enumerates the 2^e extension-error hypotheses and keeps the unique
+  candidate consistent with every parity check
+
+Both paths sit behind one memo keyed by (budget, syndrome).
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ import numpy as np
 from .galois import FieldTable, build_field
 
 _BDD_CACHE_CAP = 1 << 21
+_TABLE_BITS = 20  # widest packed syndrome with a dense decode table (4 MiB)
 _MISS = object()
 
 
@@ -59,13 +71,6 @@ class DecodeOutcome:
 
 
 FAIL = DecodeOutcome(False, ())
-
-
-def _poly_mod(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a.bit_length() - 1 >= dm:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
 
 
 def _minimal_poly(f: FieldTable, exponent: int) -> tuple[int, frozenset[int]]:
@@ -184,12 +189,14 @@ class ComponentCodeSpec:
             for pos in range(self.n)
         ]
 
-        # Chien-search index matrix: entry [i-1, j] = exponent of alpha^{-j*i}
-        self._chien_idx = np.array(
-            [[(m_ord - (j * i) % m_ord) % m_ord for j in range(n0)] for i in range(1, t + 1)],
-            dtype=np.int64,
-        )
-        self._exp_np = f.exp_np()
+        # decode-table slots hold position+1 in fields this wide, ascending
+        self._slot_width = self.n.bit_length()
+
+        # built on first use: (doubled antilog, Chien index matrix) for
+        # Berlekamp-Massey, the dense decode table, the encoder's byte table
+        self._chien: tuple[np.ndarray, np.ndarray] | None = None
+        self._table: np.ndarray | None = None
+        self._rem_table: list[int] | None = None
         self._bdd_cache: dict[tuple, tuple[int, ...] | None] = {}
         self._pcm: np.ndarray | None = None
         self._contrib_packed_np: np.ndarray | None = None
@@ -216,18 +223,44 @@ class ComponentCodeSpec:
         msg = np.asarray(message, dtype=np.uint8)
         if msg.shape != (self.k,):
             raise ValueError(f"message must have length k={self.k}, got {msg.shape}")
-        poly = int.from_bytes(np.packbits(msg, bitorder="little").tobytes(), "little")
-        poly <<= self.r0
-        cw_int = poly ^ _poly_mod(poly, self.gen_poly)
-        core = np.frombuffer(cw_int.to_bytes((self.n_core + 7) // 8, "little"), np.uint8)
+        table = self._rem_table
+        if table is None:
+            table = self._rem_table = self._remainder_table()
+        # parity = m(x) x^r0 mod g(x), reduced a byte at a time from the top
+        # message byte down, as in a table-driven CRC
+        r0 = self.r0
+        low = (1 << r0) - 1
+        rem = 0
+        for byte in reversed(np.packbits(msg, bitorder="little").tobytes()):
+            s = rem << 8
+            rem = table[byte ^ (s >> r0)] ^ (s & low)
+        parity = np.frombuffer(rem.to_bytes((r0 + 7) // 8, "little"), np.uint8)
         word = np.zeros(self.n, dtype=np.uint8)
-        word[: self.n_core] = np.unpackbits(core, count=self.n_core, bitorder="little")
+        word[:r0] = np.unpackbits(parity, count=r0, bitorder="little")
+        word[r0 : self.n_core] = msg
         if self.e == 1:
             word[self.n_core] = int(word[: self.n_core].sum()) & 1
         elif self.e == 2:
             word[self.n_core] = int(word[1 : self.n_core : 2].sum()) & 1
             word[self.n_core + 1] = int(word[0 : self.n_core : 2].sum()) & 1
         return word
+
+    def _remainder_table(self) -> list[int]:
+        """rem[b] = b(x) x^r0 mod g(x) for every byte b, by linearity over
+        the bits of b."""
+        g, r0 = self.gen_poly, self.r0
+        by_bit = []
+        v = g ^ (1 << r0)  # x^r0 mod g
+        for _ in range(8):
+            by_bit.append(v)
+            v <<= 1
+            if v >> r0 & 1:
+                v ^= g
+        rem = [0] * 256
+        for b in range(1, 256):
+            low = b & -b
+            rem[b] = rem[b ^ low] ^ by_bit[low.bit_length() - 1]
+        return rem
 
     # --- syndromes -----------------------------------------------------
 
@@ -257,7 +290,10 @@ class ComponentCodeSpec:
         the odd-power syndromes, or None.  Shortened positions are rejected.
 
         t=2 and t=3 solve the error locator in closed form and find its
-        roots by table; larger t run Berlekamp-Massey and a Chien search."""
+        roots by table; larger t run Berlekamp-Massey and a Chien search.
+        decode_packed reaches this only for syndromes wider than 20 bits;
+        narrower ones read the dense decode table, for which this is the
+        test oracle."""
         if not any(odd):
             return ()
         if self.t == 2:
@@ -384,11 +420,17 @@ class ComponentCodeSpec:
             return None
 
         # evaluate lambda at alpha^{-j} for all j at once
-        log = self.field.log_table
+        if self._chien is None:
+            m = self.n0
+            # entry [i-1, j] = exponent of alpha^{-j*i}
+            idx = (m - np.outer(np.arange(1, t + 1), np.arange(m)) % m) % m
+            self._chien = (f.exp_np(), idx)
+        exp_np, chien_idx = self._chien
+        log = f.log_table
         vals = np.full(self.n0, lam[0], dtype=np.int64)
         for i in range(1, deg + 1):
             if lam[i]:
-                vals ^= self._exp_np[log[lam[i]] + self._chien_idx[i - 1]]
+                vals ^= exp_np[log[lam[i]] + chien_idx[i - 1]]
         roots = np.nonzero(vals == 0)[0]
         if len(roots) != deg:
             return None
@@ -426,7 +468,9 @@ class ComponentCodeSpec:
         """BDD on the single-int syndrome; the engine's hot path.
 
         Same contract as decode_key.  All decoding is memoized here, keyed
-        by (budget, packed syndrome).
+        by (budget, packed syndrome).  A miss reads the dense decode table
+        when the syndrome has at most 20 bits and solves the error locator
+        otherwise.
         """
         if budget is None:
             budget = self.t
@@ -435,33 +479,87 @@ class ComponentCodeSpec:
         hit = cache.get(key, _MISS)
         if hit is not _MISS:
             return hit
+        if not 0 <= packed < 1 << self.packed_bits:
+            raise ValueError(f"syndrome {packed} does not fit {self.packed_bits} bits")
+        if self.packed_bits <= _TABLE_BITS:
+            result = self._decode_table(packed, budget)
+        else:
+            result = self._decode_algebraic(packed, budget)
+        if len(cache) < _BDD_CACHE_CAP:
+            cache[key] = result
+        return result
+
+    def _decode_table(self, packed: int, budget: int) -> tuple[int, ...] | None:
+        """Miss path for syndromes of at most 20 bits: one table read."""
+        table = self._table
+        if table is None:
+            table = self._table = self._build_table()
+        v = int(table[packed])
+        if v < 0:
+            return None
+        width = self._slot_width
+        field_mask = (1 << width) - 1
+        out = []
+        while v:
+            out.append((v & field_mask) - 1)
+            v >>= width
+        return tuple(out) if len(out) <= budget else None
+
+    def _build_table(self) -> np.ndarray:
+        """Dense decode table: slot s holds the unique support of weight
+        <= t with packed syndrome s, as position+1 in ascending
+        ``_slot_width``-bit fields (0 for the empty support), or -1 when no
+        such support exists.  d_min >= 2t+1 makes the support unique, so no
+        slot is written twice.  An entry fits int32: n <= 2^nu + 1, so the
+        t fields take at most t(nu+1) <= 20 + t <= 26 bits (nu >= 3).
+        Supports of weight w+1 extend those of weight w by every position
+        above their last."""
+        n, width = self.n, self._slot_width
+        contrib = np.array(self.contrib_packed, dtype=np.intp)
+        table = np.full(1 << self.packed_bits, -1, dtype=np.int32)
+        table[0] = 0
+        last = np.arange(n)  # last position of each support
+        syn = contrib
+        entry = last + 1
+        for w in range(1, self.t + 1):
+            table[syn] = entry
+            if w == self.t:
+                break
+            grow = n - 1 - last  # positions above each support's last
+            start = np.cumsum(grow) - grow
+            last = np.arange(start[-1] + grow[-1]) - np.repeat(start - last - 1, grow)
+            syn = np.repeat(syn, grow) ^ contrib[last]
+            entry = np.repeat(entry, grow) | (last + 1) << (w * width)
+        return table
+
+    def _decode_algebraic(self, packed: int, budget: int) -> tuple[int, ...] | None:
+        """Miss path for wider syndromes, and the decode table's test
+        oracle: solve the core positions from the odd syndromes, then pick
+        the extension-error hypothesis that matches the parity bits within
+        the budget."""
         e = self.e
         ext = packed & ((1 << e) - 1)  # _split, inlined on the miss path
         mask = (1 << self.nu) - 1
         odd = tuple((packed >> (e + i * self.nu)) & mask for i in range(self.t))
         core = self._solve_core(odd)
-        result: tuple[int, ...] | None = None
-        if core is not None:
-            pmask = self.parity_mask
-            core_par = 0
-            for pos in core:
-                core_par ^= pmask[pos]
-            w = len(core)
-            for h in range(1 << e):
-                if w + bin(h).count("1") > budget:
-                    continue
-                par = core_par
-                if h & 1:
-                    par ^= pmask[self.n_core]
-                if h & 2:
-                    par ^= pmask[self.n_core + 1]
-                if par == ext:
-                    extra = tuple(self.n_core + i for i in range(e) if h >> i & 1)
-                    result = core + extra
-                    break
-        if len(cache) < _BDD_CACHE_CAP:
-            cache[key] = result
-        return result
+        if core is None:
+            return None
+        pmask = self.parity_mask
+        core_par = 0
+        for pos in core:
+            core_par ^= pmask[pos]
+        w = len(core)
+        for h in range(1 << e):
+            if w + bin(h).count("1") > budget:
+                continue
+            par = core_par
+            if h & 1:
+                par ^= pmask[self.n_core]
+            if h & 2:
+                par ^= pmask[self.n_core + 1]
+            if par == ext:
+                return core + tuple(self.n_core + i for i in range(e) if h >> i & 1)
+        return None
 
     def bdd_decode(self, syn: Syndrome, budget: int | None = None) -> DecodeOutcome:
         """Bounded-distance decoding from a syndrome alone."""

@@ -84,7 +84,7 @@ def frame_syndromes(layout: GpcLayout, frame: np.ndarray) -> list[int]:
 def _check_valid_frame(layout: GpcLayout, frame: np.ndarray) -> None:
     if frame.shape != (layout.n_bits,):
         raise ValueError(f"frame must have {layout.n_bits} bits")
-    if layout.pinned.any() and frame[layout.pinned].any():
+    if layout.has_pinned and frame[layout.pinned].any():
         raise ValueError("true_frame sets pinned (known-zero) bits")
     if any(frame_syndromes(layout, frame)):
         raise ValueError("true_frame is not a valid codeword of the GPC")
@@ -129,7 +129,7 @@ class DecoderState:
         self._partner_cw = layout._as_lists("partner_cw")
         self._partner_pos = layout._as_lists("partner_pos")
         self._bit = layout._as_lists("cw_bits")
-        self._cw_pinned = layout.cw_pinned if layout.pinned.any() else None
+        self._cw_pinned = layout.cw_pinned if layout.has_pinned else None
         self._cache = layout.code._bdd_cache
 
     # --- primitives --------------------------------------------------------
@@ -380,7 +380,7 @@ def iterative_bdd(
     bit = layout._as_lists("cw_bits")
     partner_cw = layout._as_lists("partner_cw")
     partner_pos = layout._as_lists("partner_pos")
-    cw_pinned = layout.cw_pinned if layout.pinned.any() else None
+    cw_pinned = layout.cw_pinned if layout.has_pinned else None
     contrib = code.contrib_packed
     decode = code.decode_packed
     cache = code._bdd_cache

@@ -72,6 +72,9 @@ class GpcLayout:
     ``counted[b]``
         True for bits included in error-rate accounting (all bits of a
         product code; the real data blocks of a staircase).
+
+    ``has_pinned`` and ``all_counted`` summarize the two masks once, so
+    per-frame code need not scan them.
     """
 
     def __init__(
@@ -101,8 +104,11 @@ class GpcLayout:
         self.cw_bits = np.ascontiguousarray(cw_bits, dtype=np.int32)
         self.pinned = pinned
         self.counted = counted
+        self.has_pinned = bool(pinned.any())
+        self.all_counted = bool(counted.all())
         self._build_incidence()
         self._list_cache: dict[str, list] = {}
+        self._plans: dict[tuple[int, int], tuple[tuple[HalfIteration, ...], ...]] = {}
 
     def _as_lists(self, name: str) -> list:
         """Cached list-of-lists view of an index array (hot-loop friendly)."""
@@ -148,7 +154,9 @@ class GpcLayout:
 
     def _type_cws(self, t: int) -> np.ndarray:
         start = (t - 1) * self.per_type
-        return np.arange(start, start + self.per_type, dtype=np.int32)
+        arr = np.arange(start, start + self.per_type, dtype=np.int32)
+        arr.flags.writeable = False  # shared by every cached plan
+        return arr
 
     def _window_types(self) -> list[list[int]]:
         """Decodable types per window position: a window anchored at block w0
@@ -164,7 +172,7 @@ class GpcLayout:
 
     def window_plans(
         self, ell: int, reduced_t_iters: int = 0
-    ) -> Iterator[list[HalfIteration]]:
+    ) -> tuple[tuple[HalfIteration, ...], ...]:
         """Half-iteration plans grouped by window position.
 
         A product code is a single window position holding ell sweeps of
@@ -175,21 +183,31 @@ class GpcLayout:
         carries ``reset_failed`` so the engine re-enables failed codewords.
         A decoder may abandon a plan early once a full sweep changes
         nothing, since the remaining sweeps would repeat it verbatim.
+
+        Plans are built once per (ell, reduced_t_iters) and shared by every
+        frame; their index arrays are read-only.
         """
+        key = (ell, reduced_t_iters)
+        plans = self._plans.get(key)
+        if plans is not None:
+            return plans
         if ell < 1:
             raise ValueError("ell must be >= 1")
         if not 0 <= reduced_t_iters <= ell:
             raise ValueError("reduced_t_iters must lie in [0, ell]")
         t = self.code.t
+        arrays = {ty: self._type_cws(ty) for ty in range(1, self.num_types + 1)}
+        out = []
         for types in self._window_types():
-            arrays = [self._type_cws(ty) for ty in types]
             plan = []
             for it in range(1, ell + 1):
                 budget = t - 1 if it <= reduced_t_iters else t
                 reset = it == reduced_t_iters + 1 and reduced_t_iters > 0
-                for k, arr in enumerate(arrays):
-                    plan.append(HalfIteration(arr, budget, reset and k == 0))
-            yield plan
+                for k, ty in enumerate(types):
+                    plan.append(HalfIteration(arrays[ty], budget, reset and k == 0))
+            out.append(tuple(plan))
+        plans = self._plans[key] = tuple(out)
+        return plans
 
     def iteration_plan(
         self, ell: int, reduced_t_iters: int = 0

@@ -159,7 +159,7 @@ def sample_bsc(rng: np.random.Generator, num_bits: int, p: float) -> np.ndarray:
 def _decode_frame(layout: GpcLayout, cfg: TrialConfig, index: int, collect: bool):
     rng = frame_rng(cfg.seed, index)
     frame = sample_bsc(rng, layout.n_bits, cfg.p)
-    if layout.pinned.any():
+    if layout.has_pinned:
         frame[layout.pinned] = 0  # known-zero bits are not transmitted
     state = None
     if cfg.variant == "anchor":
@@ -181,7 +181,7 @@ def _decode_frame(layout: GpcLayout, cfg: TrialConfig, index: int, collect: bool
         else:
             pp_res = erasure_pp(state, rng)
         out = pp_res.frame
-    if layout.counted.all():
+    if layout.all_counted:
         bit_errors = int(out.sum())
     else:
         bit_errors = int(out[layout.counted].sum())

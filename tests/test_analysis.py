@@ -212,12 +212,12 @@ class TestMiscorrectionProbability:
     def test_matches_exhaustive_decodable_count(self):
         # the numerator is exactly the number of decodable syndromes,
         # which can be counted by brute force for the (15, 7) code
+        # through the dense decode table and through the algebraic solver
         code = ComponentCodeSpec(4, 2, 0, 0)
-        decodable = sum(
-            code.decode_packed(s, 2) is not None for s in range(2**8)
-        )
         mp = miscorrection_probability(code)
-        assert mp == Fraction(decodable, 2**8)
+        for decode in (code.decode_packed, code._decode_algebraic):
+            decodable = sum(decode(s, 2) is not None for s in range(2**8))
+            assert mp == Fraction(decodable, 2**8), decode.__name__
 
     def test_extension_halves_probability(self):
         base = miscorrection_probability(ComponentCodeSpec(7, 2, 0, 0))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcdec.bch import (
+    _TABLE_BITS,
     FAIL,
     ComponentCodeSpec,
     Syndrome,
@@ -41,6 +42,25 @@ def enumerate_codebook(code: ComponentCodeSpec) -> np.ndarray:
 def codebook_min_distance(book: np.ndarray) -> int:
     weights = book.sum(axis=1)
     return int(weights[weights > 0].min())
+
+
+def decoder(code, path):
+    """decode(packed, budget) through one miss path of decode_packed: the
+    public decode_key, which reads the dense table behind the memo, or the
+    algebraic solver the table replaces for syndromes of at most 20 bits."""
+    if path == "table":
+        assert code.packed_bits <= _TABLE_BITS
+        return lambda packed, budget: code.decode_key(*code._split(packed), budget)
+    return code._decode_algebraic
+
+
+def reference_poly_mod(a: int, m: int) -> int:
+    """Bit-serial remainder of a(x) mod m(x), the encoder's former
+    reduction."""
+    dm = m.bit_length() - 1
+    while a.bit_length() - 1 >= dm:
+        a ^= m << (a.bit_length() - 1 - dm)
+    return a
 
 
 def brute_force_erasure(code, word, erasures):
@@ -157,6 +177,20 @@ class TestEncoder:
         book = enumerate_codebook(code)
         assert not ((pcm @ book.T) & 1).any()
 
+    @pytest.mark.parametrize("args", [(4, 2, 0, 0), (8, 2, 1, 61), (8, 3, 0, 0), (9, 7, 0, 0)])
+    def test_matches_bit_serial_reduction(self, args):
+        # the byte-table reduction must give the codewords of the
+        # bit-serial one; (9,7,0,0) has 63 parity bits, past one int64
+        code = build_component_code(*args)
+        rng = np.random.default_rng(4)
+        msgs = [np.zeros(code.k, np.uint8), np.ones(code.k, np.uint8)]
+        msgs += [rng.integers(0, 2, size=code.k).astype(np.uint8) for _ in range(50)]
+        for msg in msgs:
+            poly = sum(int(b) << i for i, b in enumerate(msg)) << code.r0
+            cw = poly ^ reference_poly_mod(poly, code.gen_poly)
+            want = [(cw >> i) & 1 for i in range(code.n_core)]
+            assert encode(code, msg)[: code.n_core].tolist() == want
+
     def test_encode_rejects_wrong_length(self):
         code = build_component_code(4, 2, 0, 0)
         with pytest.raises(ValueError):
@@ -216,31 +250,36 @@ class TestSyndrome:
 
 
 class TestBddExhaustive:
+    """Exhaustive BDD checks on (15,7)-based codes through the dense
+    decode table; TestBddExhaustiveAlgebraic reruns them on the solver."""
+
+    path = "table"
+
     @pytest.mark.parametrize("e", [0, 1, 2])
     def test_all_correctable_patterns_recovered(self, e):
         code = build_component_code(4, 2, e, 0)
+        decode = decoder(code, self.path)
         for wgt in range(code.t + 1):
             for pos in itertools.combinations(range(code.n), wgt):
-                odd, ext = code.syndrome_key(pos)
-                assert code.decode_key(odd, ext) == pos
+                assert decode(code.syndrome_packed(pos), code.t) == pos
 
     def test_weight_3_always_fails_when_extended(self):
         # with d_min = 6 a weight-3 error is never within t=2 of a codeword
         for e in (1, 2):
             code = build_component_code(4, 2, e, 0)
+            decode = decoder(code, self.path)
             for pos in itertools.combinations(range(code.n), 3):
-                odd, ext = code.syndrome_key(pos)
-                assert code.decode_key(odd, ext) is None
+                assert decode(code.syndrome_packed(pos), code.t) is None
 
     def test_weight_3_miscorrections_land_on_codebook(self):
         # for the unextended code (d_min = 5) some weight-3 patterns decode;
         # the output must then differ from the input by a weight-5 codeword
         code = build_component_code(4, 2, 0, 0)
+        decode = decoder(code, self.path)
         book_set = {tuple(c) for c in enumerate_codebook(code).tolist()}
         n_misses = 0
         for pos in itertools.combinations(range(code.n), 3):
-            odd, ext = code.syndrome_key(pos)
-            out = code.decode_key(odd, ext)
+            out = decode(code.syndrome_packed(pos), code.t)
             if out is None:
                 continue
             n_misses += 1
@@ -257,15 +296,13 @@ class TestBddExhaustive:
         # number of decodable syndromes equals the number of correctable
         # patterns: sum_i C(n, i) for i <= t (syndrome map is injective there)
         code = build_component_code(4, 2, 0, 0)
-        n_dec = sum(
-            code.decode_key((s1, s3), 0) is not None
-            for s1 in range(16)
-            for s3 in range(16)
-        )
+        decode = decoder(code, self.path)
+        n_dec = sum(decode(s, code.t) is not None for s in range(1 << code.packed_bits))
         assert n_dec == 1 + 15 + 105
 
     def test_reduced_budget(self):
         code = build_component_code(4, 2, 1, 0)
+        decode = decoder(code, self.path)
         one = (3,)
         two = (3, 9)
         for pos, budget, want in [
@@ -275,8 +312,11 @@ class TestBddExhaustive:
             ((), 0, ()),
             (one, 0, None),
         ]:
-            odd, ext = code.syndrome_key(pos)
-            assert code.decode_key(odd, ext, budget=budget) == want
+            assert decode(code.syndrome_packed(pos), budget) == want
+
+
+class TestBddExhaustiveAlgebraic(TestBddExhaustive):
+    path = "algebraic"
 
 
 class TestBddRandomized:
@@ -351,16 +391,26 @@ class TestTripleErrorSolver:
         assert len(table) == sum(comb(code.n, w) for w in range(code.t + 1))
         return table
 
-    @pytest.mark.parametrize("args", [(5, 3, 0, 0), (6, 3, 0, 0), (6, 3, 1, 0), (6, 3, 0, 20)])
-    def test_every_syndrome_matches_brute_force(self, args):
+    CODES = [(5, 3, 0, 0), (6, 3, 0, 0), (6, 3, 1, 0), (6, 3, 0, 20)]
+
+    def check_every_syndrome(self, args, path):
         code = build_component_code(*args)
+        decode = decoder(code, path)
         table = self.brute_force_table(code)
         for budget in (2, 3):
             want = {k: v for k, v in table.items() if len(v) <= budget}
-            for start in range(0, 1 << code.packed_bits, 1 << 16):
-                code._bdd_cache.clear()  # bounds memory; results are not reused
-                for packed in range(start, min(start + (1 << 16), 1 << code.packed_bits)):
-                    assert code.decode_packed(packed, budget) == want.get(packed), packed
+            for packed in range(1 << code.packed_bits):
+                if packed & 0xFFFF == 0:
+                    code._bdd_cache.clear()  # bounds memory; results are not reused
+                assert decode(packed, budget) == want.get(packed), packed
+
+    @pytest.mark.parametrize("args", CODES)
+    def test_every_syndrome_matches_brute_force(self, args):
+        self.check_every_syndrome(args, "table")
+
+    @pytest.mark.parametrize("args", CODES)
+    def test_every_syndrome_matches_brute_force_algebraic(self, args):
+        self.check_every_syndrome(args, "algebraic")
 
     def test_random_syndromes_match_berlekamp_massey(self):
         code = build_component_code(8, 3, 0, 0)
@@ -376,6 +426,63 @@ class TestTripleErrorSolver:
             assert got == code._solve_core_bm(odd), odd
             decoded += got is not None
         assert decoded >= 900  # every planted weight <= 3 pattern, at least
+
+
+class TestDecodeTable:
+    """The dense decode table against the algebraic solvers it replaces."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [(4, 2, 0, 0), (4, 2, 1, 0), (4, 2, 2, 0), (6, 2, 1, 20), (7, 2, 1, 0),
+         (8, 2, 1, 61), (5, 3, 0, 0), (7, 1, 1, 0)],
+    )
+    def test_every_syndrome_and_budget_matches_algebra(self, args):
+        code = build_component_code(*args)
+        for packed in range(1 << code.packed_bits):
+            for budget in range(code.t + 1):
+                got = code._decode_table(packed, budget)
+                assert got == code._decode_algebraic(packed, budget), (packed, budget)
+        # every support of weight <= t owns its own slot
+        filled = int((code._table >= 0).sum())
+        assert filled == sum(comb(code.n, w) for w in range(code.t + 1))
+
+    def test_built_once_on_first_miss(self, monkeypatch):
+        code = build_component_code(7, 2, 1, 0)
+        assert code._table is None
+        builds = []
+        build = code._build_table
+        monkeypatch.setattr(code, "_build_table", lambda: builds.append(1) or build())
+        assert code.decode_packed(code.syndrome_packed((3, 70))) == (3, 70)
+        assert code.decode_packed(code.syndrome_packed((5,)), 1) == (5,)
+        assert code.decode_packed(code.syndrome_packed((3, 70))) == (3, 70)
+        assert len(builds) == 1
+        assert code._table.nbytes == 4 << code.packed_bits
+
+    def test_wide_syndromes_never_build_a_table(self):
+        code = build_component_code(8, 3, 0, 0)  # 24-bit syndrome
+        assert code.packed_bits > _TABLE_BITS
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            pos = tuple(sorted(rng.choice(code.n, size=3, replace=False).tolist()))
+            assert code.decode_packed(code.syndrome_packed(pos)) == pos
+        assert code._table is None
+
+    @pytest.mark.parametrize("args", [(4, 2, 1, 0), (8, 3, 0, 0)])
+    def test_out_of_range_syndrome_rejected(self, args):
+        code = build_component_code(*args)
+        for packed in (-1, 1 << code.packed_bits):
+            with pytest.raises(ValueError, match="does not fit"):
+                code.decode_packed(packed)
+
+    def test_chien_tables_only_for_berlekamp_massey(self):
+        for args in [(7, 2, 1, 0), (8, 3, 0, 0)]:
+            code = build_component_code(*args)
+            code.decode_packed(code.syndrome_packed((1, 2)))
+            assert code._chien is None
+        code = build_component_code(8, 4, 2, 0)
+        assert code._chien is None
+        assert code.decode_packed(code.syndrome_packed((1, 2, 3, 4))) == (1, 2, 3, 4)
+        assert code._chien[1].shape == (code.t, code.n0)
 
 
 class TestIdealizedBdd:

@@ -234,6 +234,21 @@ class TestIterationPlan:
         with pytest.raises(ValueError):
             list(pc.iteration_plan(2, 3))
 
+    def test_plans_built_once_per_arguments(self, sc):
+        plans = sc.window_plans(3, 1)
+        assert sc.window_plans(3, 1) is plans
+        assert sc.window_plans(3) is not plans
+        assert all(not h.cw_indices.flags.writeable for plan in plans for h in plan)
+        # bad arguments are still refused after good ones were cached
+        with pytest.raises(ValueError):
+            sc.window_plans(0)
+        with pytest.raises(ValueError):
+            sc.window_plans(3, 4)
+
+    def test_mask_summaries(self, pc, sc):
+        assert (pc.has_pinned, pc.all_counted) == (False, True)
+        assert (sc.has_pinned, sc.all_counted) == (True, False)
+
 
 class TestIncidence:
     @pytest.mark.parametrize(

@@ -28,6 +28,13 @@ Which method serves a code depends on its packed syndrome width nu*t + e:
   candidate consistent with every parity check
 
 Both paths sit behind one memo keyed by (budget, syndrome).
+
+``decode_batch`` decodes an array of syndromes in one pass with the same
+results, for the engine's batched half-iterations: a gather from the dense
+table, or the t=2 and t=3 closed forms evaluated over arrays with the
+field's numpy tables (``FieldTable.arrays``).  At t >= 4 without a table
+it loops over the memoized scalar decoder.  ``prefetch`` uses it to fill
+the memo for a set of syndromes at once.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .galois import FieldTable, build_field
 
 _BDD_CACHE_CAP = 1 << 21
 _TABLE_BITS = 20  # widest packed syndrome with a dense decode table (4 MiB)
+_BUILD_BLOCK = 1 << 16  # entries of one temporary while the table is built
 _MISS = object()
 
 
@@ -191,8 +199,14 @@ class ComponentCodeSpec:
 
         # decode-table slots hold position+1 in fields this wide, ascending
         self._slot_width = self.n.bit_length()
+        self.has_table = self.packed_bits <= _TABLE_BITS
+        # decode_batch runs the t=2/t=3 closed forms over arrays; otherwise
+        # a code without a table loops over decode_packed
+        self.batch_closed_form = not self.has_table and t in (2, 3)
+        # parity_mask plus a 0 read by the -1 padding of batched supports
+        self._pmask_np = np.array(pmask + [0], dtype=np.int64)
 
-        # built on first use: (doubled antilog, Chien index matrix) for
+        # built on first use: (the field's antilog, Chien index matrix) for
         # Berlekamp-Massey, the dense decode table, the encoder's byte table
         self._chien: tuple[np.ndarray, np.ndarray] | None = None
         self._table: np.ndarray | None = None
@@ -424,7 +438,7 @@ class ComponentCodeSpec:
             m = self.n0
             # entry [i-1, j] = exponent of alpha^{-j*i}
             idx = (m - np.outer(np.arange(1, t + 1), np.arange(m)) % m) % m
-            self._chien = (f.exp_np(), idx)
+            self._chien = (f.arrays().exp, idx)
         exp_np, chien_idx = self._chien
         log = f.log_table
         vals = np.full(self.n0, lam[0], dtype=np.int64)
@@ -481,13 +495,61 @@ class ComponentCodeSpec:
             return hit
         if not 0 <= packed < 1 << self.packed_bits:
             raise ValueError(f"syndrome {packed} does not fit {self.packed_bits} bits")
-        if self.packed_bits <= _TABLE_BITS:
+        if self.has_table:
             result = self._decode_table(packed, budget)
         else:
             result = self._decode_algebraic(packed, budget)
         if len(cache) < _BDD_CACHE_CAP:
             cache[key] = result
         return result
+
+    def decode_batch(
+        self, packed: np.ndarray, budget: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """BDD of an array of packed syndromes, one row per syndrome.
+
+        Returns ``(pos, ok)``: ``ok[i]`` is False where decode_packed would
+        return None, and ``pos[i]`` is an int64 row of t ascending
+        positions padded with -1 holding what it would return otherwise
+        (all -1 on failure).  Codes with a dense table gather from it; wider
+        codes at t=2 and t=3 run the closed forms over arrays.  Both leave
+        the memo untouched.  Wider codes at t >= 4 loop over decode_packed.
+        """
+        if budget is None:
+            budget = self.t
+        packed = np.asarray(packed, dtype=np.int64)
+        if packed.size and (packed.min() < 0 or packed.max() >> self.packed_bits):
+            raise ValueError(f"syndromes do not fit {self.packed_bits} bits")
+        if self.has_table:
+            pos, ok = self._batch_table(packed)
+        elif self.batch_closed_form:
+            pos, ok = self._batch_solve(packed)
+        else:
+            pos = np.full((packed.size, self.t), -1, dtype=np.int64)
+            ok = np.zeros(packed.size, dtype=bool)
+            for i, syn in enumerate(packed.tolist()):
+                got = self.decode_packed(syn, budget)
+                if got is not None:
+                    pos[i, : len(got)] = got
+                    ok[i] = True
+            return pos, ok
+        if budget < self.t:
+            ok &= (pos >= 0).sum(axis=1) <= budget
+        pos[~ok] = -1
+        return pos, ok
+
+    def prefetch(self, packed: Iterable[int], budget: int) -> None:
+        """Memoize, in one decode_batch call, the decodes of the given
+        syndromes that miss the memo.  The memo's size cap still holds."""
+        cache = self._bdd_cache
+        miss = [syn for syn in set(packed) if (budget, syn) not in cache]
+        del miss[max(0, _BDD_CACHE_CAP - len(cache)) :]
+        if not miss:
+            return
+        pos, ok = self.decode_batch(np.array(miss, dtype=np.int64), budget)
+        weight = np.where(ok, (pos >= 0).sum(axis=1), -1).tolist()
+        for syn, row, w in zip(miss, pos.tolist(), weight):
+            cache[(budget, syn)] = tuple(row[:w]) if w >= 0 else None
 
     def _decode_table(self, packed: int, budget: int) -> tuple[int, ...] | None:
         """Miss path for syndromes of at most 20 bits: one table read."""
@@ -511,25 +573,40 @@ class ComponentCodeSpec:
         ``_slot_width``-bit fields (0 for the empty support), or -1 when no
         such support exists.  d_min >= 2t+1 makes the support unique, so no
         slot is written twice.  An entry fits int32: n <= 2^nu + 1, so the
-        t fields take at most t(nu+1) <= 20 + t <= 26 bits (nu >= 3).
-        Supports of weight w+1 extend those of weight w by every position
-        above their last."""
-        n, width = self.n, self._slot_width
-        contrib = np.array(self.contrib_packed, dtype=np.intp)
+        t fields take at most t(nu+1) <= 20 + t <= 26 bits (nu >= 3), and
+        so does every syndrome.
+
+        Supports of weight w, ordered by first position, come from those
+        of weight w-1 by putting a position j in front of every support
+        whose first position exceeds j.  A block of consecutive j against
+        the suffix of the lighter layer past the block's first j makes one
+        int32 matrix of at most ``_BUILD_BLOCK`` entries, so temporaries
+        stay small next to the table.  The widest layer is never kept."""
+        n, width, t = self.n, self._slot_width, self.t
+        contrib = np.array(self.contrib_packed, dtype=np.int32)
         table = np.full(1 << self.packed_bits, -1, dtype=np.int32)
         table[0] = 0
-        last = np.arange(n)  # last position of each support
-        syn = contrib
-        entry = last + 1
-        for w in range(1, self.t + 1):
-            table[syn] = entry
-            if w == self.t:
-                break
-            grow = n - 1 - last  # positions above each support's last
-            start = np.cumsum(grow) - grow
-            last = np.arange(start[-1] + grow[-1]) - np.repeat(start - last - 1, grow)
-            syn = np.repeat(syn, grow) ^ contrib[last]
-            entry = np.repeat(entry, grow) | (last + 1) << (w * width)
+        pos = np.arange(n, dtype=np.int32)
+        # one layer: syndrome, entry and first position of each support
+        syn, entry, first = contrib, pos + 1, pos
+        table[syn] = entry
+        for w in range(2, t + 1):
+            layer = []
+            j = 0
+            while j < n:
+                lo = int(np.searchsorted(first, j, "right"))
+                if lo == len(first):
+                    break
+                js = pos[j : j + max(1, _BUILD_BLOCK // (len(first) - lo))]
+                keep = first[lo:] > js[:, None]
+                s = (syn[lo:] ^ contrib[js, None])[keep]
+                v = ((entry[lo:] << width) | (js[:, None] + 1))[keep]
+                table[s] = v
+                if w < t:
+                    layer.append((s, v, np.broadcast_to(js[:, None], keep.shape)[keep]))
+                j += len(js)
+            if w < t:
+                syn, entry, first = (np.concatenate(parts) for parts in zip(*layer))
         return table
 
     def _decode_algebraic(self, packed: int, budget: int) -> tuple[int, ...] | None:
@@ -560,6 +637,102 @@ class ComponentCodeSpec:
             if par == ext:
                 return core + tuple(self.n_core + i for i in range(e) if h >> i & 1)
         return None
+
+    def _batch_table(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """decode_batch for syndromes of at most 20 bits: unpack the table's
+        fields; a field of 0 is padding and reads as position -1."""
+        table = self._table
+        if table is None:
+            table = self._table = self._build_table()
+        v = table[packed].astype(np.int64)
+        shifts = np.arange(self.t)[:, None] * self._slot_width
+        pos = ((v >> shifts) & ((1 << self._slot_width) - 1)) - 1
+        return pos.T, v >= 0
+
+    def _batch_solve(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """decode_batch for wider syndromes at t=2 and t=3: the closed forms
+        of _solve_core_t2/_solve_core_t3 over arrays, then the extension
+        bits.  Positions are built as (t, B), one contiguous row per
+        support slot.  A row is valid when every core position lies below
+        n_core; a missing root reads as the log of 0, the sentinel, which
+        does not."""
+        e, nu, t, n_core = self.e, self.nu, self.t, self.n_core
+        mask = (1 << nu) - 1
+        odd = [packed >> (e + i * nu) & mask for i in range(t)]
+        f = self.field.arrays()
+        core = self._batch_core_t2(f, *odd) if t == 2 else self._batch_core_t3(f, *odd)
+        ok = core.max(axis=0) < n_core
+        core[:, ~ok] = -1
+        if not e:
+            return core.T, ok
+        # the parity checks fix which extension bits are in error: with
+        # parity_mask 1 and 2 on them, hypothesis h matches iff h equals
+        # the parity bits XOR the core's parity contribution
+        h = packed & ((1 << e) - 1)
+        for row in core:
+            h ^= self._pmask_np[row]
+        pos = np.concatenate([core, np.full((e, packed.size), -1)])
+        col = (core >= 0).sum(axis=0)
+        for i in range(e):
+            hit = np.flatnonzero(h >> i & 1)
+            pos[col[hit], hit] = n_core + i
+            col[hit] += 1
+        return pos[:t].T, ok & (col <= t)
+
+    def _batch_two(self, f, s1: np.ndarray, l1: np.ndarray, c: np.ndarray):
+        """Positions, ascending, of the roots S1*y and S1*(y+1) of the
+        two-error locator, where y^2 + y = c; the sentinel where c has no
+        root (the table's 0), as in _two_errors."""
+        x1 = f.exp[l1 + f.log[f.quad[c]]]
+        a, b = f.log[x1], f.log[x1 ^ s1]
+        return np.minimum(a, b), np.maximum(a, b)
+
+    def _batch_core_t2(self, f, s1: np.ndarray, s3: np.ndarray) -> np.ndarray:
+        """_solve_core_t2 over arrays: (2, B) core positions, -1 padded."""
+        exp, log = f.exp, f.log
+        l1 = log[s1]
+        d = s3 ^ exp[3 * l1]
+        # two errors: x = S1 y with y^2 + y = D / S1^3
+        a, b = self._batch_two(f, s1, l1, exp[log[d] + 3 * f.nlog[s1]])
+        one = d == 0
+        core = np.array([np.where(one, l1, a), np.where(one, -1, b)])
+        core[:, (s1 | s3) == 0] = -1
+        return core
+
+    def _batch_core_t3(
+        self, f, s1: np.ndarray, s3: np.ndarray, s5: np.ndarray
+    ) -> np.ndarray:
+        """_solve_core_t3 over arrays: (3, B) core positions, -1 padded.
+        Every branch is evaluated for every row, then each row takes the
+        branch the scalar form would return from."""
+        exp, log = f.exp, f.log
+        l1 = log[s1]
+        d = s3 ^ exp[3 * l1]
+        g2 = exp[log[s5 ^ exp[2 * l1 + log[s3]]] + f.nlog[d]]
+        # three errors: y^3 + p y + D with x = y + S1, y = sqrt(p) z and
+        # z^3 + z = D / p^(3/2); when p = 0, y runs over the cube roots of D
+        p = g2 ^ exp[2 * l1]
+        r = f.sqrt[p]
+        c, lr, dp = exp[log[d] + 3 * f.nlog[r]], log[r], d * (p == 0)
+        y = [exp[lr + log[zk[c]]] | rk[dp] for zk, rk in zip(f.cubic, f.cbrt)]
+        x0, x1, x2 = (log[yk ^ s1] for yk in y)
+        x0, x1 = np.minimum(x0, x1), np.maximum(x0, x1)
+        x1, x2 = np.minimum(x1, x2), np.maximum(x1, x2)
+        x0, x1 = np.minimum(x0, x1), np.maximum(x0, x1)
+        x0[y[0] == 0] = f.zero  # fewer than three roots
+        # g3 = D + S1 g2 = 0: two errors
+        a, b = self._batch_two(f, s1, l1, exp[log[g2] + 2 * f.nlog[s1]])
+        two = exp[l1 + log[g2]] == d
+        # D = 0: at most one error, and then S5 = S1^5
+        one = d == 0
+        single = np.where(s5 == exp[5 * l1], l1, f.zero)
+        core = np.array([
+            np.where(one, single, np.where(two, a, x0)),
+            np.where(one | two, np.where(one, -1, b), x1),
+            np.where(one | two, -1, x2),
+        ])
+        core[:, (s1 | s3 | s5) == 0] = -1
+        return core
 
     def bdd_decode(self, syn: Syndrome, budget: int | None = None) -> DecodeOutcome:
         """Bounded-distance decoding from a syndrome alone."""

@@ -4,7 +4,11 @@ Three decoders share the layout abstraction:
 
 * ``iterative_bdd``: conventional iterative bounded-distance decoding.
   Every scheduled codeword is BDD-decoded and corrections are applied
-  immediately.  Miscorrections propagate freely.
+  immediately.  Miscorrections propagate freely.  Codewords of one type
+  share no bit, so a half-iteration is one batched decode
+  (``ComponentCodeSpec.decode_batch``) of the type's nonzero syndromes,
+  then one scatter of all accepted flips into the frame and the int64
+  syndrome vector.
 * ``genie_decode``: idealized iterative BDD.  Each component decode
   succeeds only when the received word is within distance t of the true
   codeword, so miscorrections never happen.  Used as a performance bound.
@@ -12,6 +16,12 @@ Three decoders share the layout abstraction:
   codewords become anchors; later decodes whose implied bit flips touch a
   reliable anchor are frozen instead of applied, and anchors accumulating
   ``delta`` or more conflicts are backtracked (their flips reversed).
+  Its visits stay sequential, since a visit can backtrack an anchor and
+  change later syndromes of the same type.  Where decode_batch solves
+  misses in closed form (no dense decode table, t = 2 or 3), each
+  half-iteration first decodes the eligible codewords' syndromes that
+  miss the BDD memo in one batch (``ComponentCodeSpec.prefetch``); a
+  syndrome changed mid-sweep is decoded when visited, as before.
 
 Per-codeword status values: 0 = anchor, 1 = eligible for decoding,
 2 = decoding failed, 3 = frozen.  The only status transitions are
@@ -71,14 +81,24 @@ class DecodeStats:
 def frame_syndromes(layout: GpcLayout, frame: np.ndarray) -> list[int]:
     """Single-int syndrome of every codeword (see bch.syndrome_packed),
     computed by scattering the contributions of the set bits."""
-    code = layout.code
-    bits = np.nonzero(frame)[0]
-    acc = np.zeros(layout.n_cw + 1, dtype=np.int64)  # slot n_cw swallows -1
+    return _syndrome_vector(layout, frame)[: layout.n_cw].tolist()
+
+
+def _syndrome_vector(layout: GpcLayout, frame: np.ndarray) -> np.ndarray:
+    """frame_syndromes as int64, plus a last slot that swallows the -1
+    owner of single-owner bits."""
+    acc = np.zeros(layout.n_cw + 1, dtype=np.int64)
+    _fold_bits(layout, acc, np.flatnonzero(frame))
+    return acc
+
+
+def _fold_bits(layout: GpcLayout, acc: np.ndarray, bits: np.ndarray) -> None:
+    """XOR the syndrome contributions of the given bits into both owners'
+    slots of ``acc``."""
     if bits.size:
         owners = layout.bit_cw[bits]  # (m, 2), -1 for absent partners
-        contribs = code.contrib_packed_np[layout.bit_pos[bits]]
+        contribs = layout.code.contrib_packed_np[layout.bit_pos[bits]]
         np.bitwise_xor.at(acc, owners.ravel(), contribs.ravel())
-    return acc[: layout.n_cw].tolist()
 
 
 def _check_valid_frame(layout: GpcLayout, frame: np.ndarray) -> None:
@@ -321,7 +341,8 @@ def anchor_decode_state(
     """Like anchor_decode but returns the full decoder state, for callers
     that need the anchor bookkeeping afterwards (post-processing)."""
     state = DecoderState(layout, frame, delta, record_transitions)
-    status = state.status
+    status, syn = state.status, state.syn
+    prefetch = layout.code.batch_closed_form
     sweep = layout.sweep_len
     done = False
     for plan in layout.window_plans(ell, reduced_t_iters):
@@ -334,9 +355,14 @@ def anchor_decode_state(
                 for c in range(layout.n_cw):
                     if status[c] == FAILED:
                         state._set_status(c, ELIGIBLE)
+            if prefetch:
+                lo, hi = cws.start, cws.stop
+                layout.code.prefetch(
+                    [s for s, st in zip(syn[lo:hi], status[lo:hi]) if s and st == ELIGIBLE],
+                    budget,
+                )
             before = state.change_counter
-            # contiguous per-type index range; a range beats a tolist here
-            for c in range(int(cws[0]), int(cws[-1]) + 1):
+            for c in cws:
                 if status[c] == ELIGIBLE:
                     state.visit(c, budget)
             state.stats.half_iterations += 1
@@ -357,47 +383,24 @@ def iterative_bdd(
 ):
     """Conventional iterative BDD of one frame.
 
-    Corrections are applied as soon as a component decode succeeds; failed
-    codewords are retried only once their syndrome (or the budget) changes,
-    which is outcome-equivalent to retrying every iteration because BDD is
-    a pure function of the syndrome.
+    A half-iteration decodes every codeword of its type whose syndrome is
+    nonzero in one batch and applies every correction at once.  Codewords
+    of one type share no bit, so their syndromes cannot change within the
+    half-iteration, and the result equals visiting them one by one in
+    index order.  A codeword that failed is decoded again in later
+    half-iterations; BDD is a pure function of the syndrome and the
+    budget, so it fails again unless either changed.  A correction that
+    flips a pinned (known-zero) bit is refused as a failure.
     """
     if frame.shape != (layout.n_bits,):
         raise ValueError(f"frame must have {layout.n_bits} bits")
     code = layout.code
     work = frame.astype(np.uint8, copy=True)
-    syn = frame_syndromes(layout, work)
-    nonzero_count = sum(1 for s in syn if s)
-    per_type = layout.per_type
-    num_types = layout.num_types
-    # pending[ty] = codewords whose syndrome changed since their last decode
-    # attempt.  Failures stay out of the set until a partner flips one of
-    # their bits (or a budget reset re-arms everything).
-    pending = [
-        {c for c in range(ty * per_type, (ty + 1) * per_type) if syn[c]}
-        for ty in range(num_types)
-    ]
-    bit = layout._as_lists("cw_bits")
-    partner_cw = layout._as_lists("partner_cw")
-    partner_pos = layout._as_lists("partner_pos")
+    acc = _syndrome_vector(layout, work)
+    syn = acc[: layout.n_cw]
+    cw_bits = layout.cw_bits
     cw_pinned = layout.cw_pinned if layout.has_pinned else None
-    contrib = code.contrib_packed
-    decode = code.decode_packed
-    cache = code._bdd_cache
     stats = DecodeStats()
-
-    def update(c: int, pos: int):
-        nonlocal nonzero_count
-        old = syn[c]
-        new = old ^ contrib[pos]
-        syn[c] = new
-        if new:
-            if old == 0:
-                nonzero_count += 1
-            pending[c // per_type].add(c)
-        elif old:
-            nonzero_count -= 1
-
     sweep = layout.sweep_len
     done = False
     for plan in layout.window_plans(ell, reduced_t_iters):
@@ -405,43 +408,35 @@ def iterative_bdd(
             (i for i, h in enumerate(plan) if h.reset_failed), default=-1
         )
         stuck = 0
-        for i, (cws, budget, reset) in enumerate(plan):
-            if reset:
-                for ty in range(num_types):
-                    lo = ty * per_type
-                    pending[ty] = {
-                        c for c in range(lo, lo + per_type) if syn[c]
-                    }
-            todo = sorted(pending[int(cws[0]) // per_type])
-            pending[int(cws[0]) // per_type].clear()
-            flips_before = stats.corrections
-            for c in todo:
-                s = syn[c]
-                if s == 0:
-                    continue
-                out = cache.get((budget, s), _MISS)
-                if out is _MISS:
-                    out = decode(s, budget)
-                if out is not None and cw_pinned is not None:
-                    if any(cw_pinned[c, p] for p in out):
-                        out = None
-                if out is None:
-                    continue
-                for pos in out:
-                    work[bit[c][pos]] ^= 1
-                    update(c, pos)
-                    update(partner_cw[c][pos], partner_pos[c][pos])
-                    stats.corrections += 1
+        for i, (cws, budget, _reset) in enumerate(plan):
+            seg = syn[cws.start : cws.stop]
+            rows = np.flatnonzero(seg)
+            flips = 0
+            if rows.size:
+                pos, _ = code.decode_batch(seg[rows], budget)
+                r, k = np.nonzero(pos >= 0)  # failed rows are all -1
+                c = rows[r] + cws.start
+                p = pos[r, k]
+                if cw_pinned is not None:
+                    refuted = np.zeros(rows.size, dtype=bool)
+                    refuted[r[cw_pinned[c, p]]] = True
+                    keep = ~refuted[r]
+                    c, p = c[keep], p[keep]
+                bits = cw_bits[c, p]
+                work[bits] ^= 1
+                _fold_bits(layout, acc, bits)
+                flips = bits.size
+                stats.corrections += flips
             stats.half_iterations += 1
-            if nonzero_count == 0:
+            if not syn.any():
                 done = True
                 break
-            stuck = stuck + 1 if stats.corrections == flips_before else 0
+            stuck = stuck + 1 if flips == 0 else 0
             if stuck >= sweep and i > last_reset:
                 break  # syndrome fixpoint within this window position
         if done:
             break
-    stats.syndromes_zero = nonzero_count == 0
+    stats.syndromes_zero = not syn.any()
     return work, stats
 
 
@@ -479,8 +474,7 @@ def genie_decode(
             if bits.size == 0:
                 done = True
                 break
-            lo = int(cws[0])
-            hi = lo + per_type
+            lo, hi = cws.start, cws.stop
             owners = bit_cw[bits]  # (m, 2)
             in_type = (owners >= lo) & (owners < hi)
             rows = np.where(in_type[:, 0], owners[:, 0], owners[:, 1])

@@ -10,12 +10,14 @@ polynomials with nonzero constant term.  For reference, the search yields
 
 Field elements are plain Python ints in [0, 2^nu): the integer's bits are the
 polynomial coefficients.  Addition is XOR; multiplication and inversion go
-through the tables.
+through the tables.  ``FieldTable.arrays`` holds numpy copies of the tables
+for arithmetic over arrays of elements, built once per field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +49,34 @@ def _is_primitive(poly: int, nu: int) -> bool:
     return False
 
 
+# widest log combination the batched decoders index the antilog table with:
+# a sum of at most this many logs (counted with multiplicity), e.g. S1^5
+LOG_TERMS = 5
+
+
+class FieldArrays(NamedTuple):
+    """numpy tables for arithmetic over arrays of field elements.
+
+    ``log[0]`` and ``nlog[0]`` hold the sentinel ``zero``, and ``exp`` is
+    alpha^(i mod (2^nu - 1)) below ``zero`` and 0 from ``zero`` on.  A sum
+    of at most ``LOG_TERMS`` logs of nonzero elements stays below ``zero``,
+    and one sentinel term lifts it to ``zero`` or above, so a product or
+    quotient of arrays is one ``exp[...]`` read with neither a modulo nor a
+    select for zero operands: a product with 0, or a quotient by 0, reads 0.
+    Tables of roots hold 0 where no root exists; the three roots of one
+    value share a column, so a gather yields one row per root.
+    """
+
+    zero: int
+    log: np.ndarray  # (2^nu,) log a
+    nlog: np.ndarray  # (2^nu,) log 1/a
+    exp: np.ndarray  # (LOG_TERMS * zero + 1,) antilog, periodic below zero
+    sqrt: np.ndarray  # (2^nu,) the square root of a
+    quad: np.ndarray  # (2^nu,) one y with y^2 + y = c, or 0
+    cubic: np.ndarray  # (3, 2^nu) solve_cubic(c) down column c, or zeros
+    cbrt: np.ndarray  # (3, 2^nu) cube_roots(a) down column a, or zeros
+
+
 @dataclass(frozen=True)
 class FieldTable:
     """GF(2^nu) with antilog/log tables.
@@ -62,6 +92,7 @@ class FieldTable:
     log_table: tuple[int, ...]
     _quad_table: tuple[int, ...] = field(repr=False, default=())
     _cubic_table: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    _arrays: FieldArrays | None = field(repr=False, default=None, compare=False)
 
     @property
     def order(self) -> int:
@@ -140,10 +171,40 @@ class FieldTable:
             return ()
         return tuple(self.exp_table[la // 3 + k * (m // 3)] for k in range(3))
 
-    def exp_np(self) -> np.ndarray:
-        """Antilog table doubled to length 2*(2^nu - 1), for index arithmetic
-        without a modulo in vectorized root searches."""
-        return np.array(self.exp_table + self.exp_table, dtype=np.int64)
+    def arrays(self) -> FieldArrays:
+        """The field's numpy tables, built on first use and shared by every
+        code over this field."""
+        got = self._arrays
+        if got is None:
+            got = self._build_arrays()
+            object.__setattr__(self, "_arrays", got)
+        return got
+
+    def _build_arrays(self) -> FieldArrays:
+        q = self.order
+        m = q - 1
+        zero = LOG_TERMS * m
+        log = np.array(self.log_table, dtype=np.int64)
+        log[0] = zero
+        nlog = (m - log) % m
+        nlog[0] = zero
+        exp = np.zeros(LOG_TERMS * zero + 1, dtype=np.int64)
+        exp[:zero] = np.tile(self.exp_table, LOG_TERMS)
+        # sqrt(a) = a^(2^(nu-1)): halve an even log, or log + m when odd
+        half = np.where(log % 2 == 0, log, log + m) // 2
+        sqrt = exp[half % m]
+        sqrt[0] = 0
+        self.solve_quadratic(0)  # builds the tuple tables read below
+        self.solve_cubic(0)
+        quad = np.maximum(np.array(self._quad_table, dtype=np.int64), 0)
+        cubic = np.zeros((3, q), dtype=np.int64)
+        three = [c for c, roots in enumerate(self._cubic_table) if roots]
+        cubic[:, three] = np.array([self._cubic_table[c] for c in three]).T
+        cbrt = np.zeros((3, q), dtype=np.int64)
+        if m % 3 == 0:  # as in cube_roots: log a a multiple of 3
+            a = np.flatnonzero(log[1:] % 3 == 0) + 1
+            cbrt[:, a] = exp[log[a] // 3 + np.arange(3)[:, None] * (m // 3)]
+        return FieldArrays(zero, log, nlog, exp, sqrt, quad, cubic, cbrt)
 
 
 _FIELD_CACHE: dict[int, FieldTable] = {}

@@ -44,10 +44,11 @@ class CodewordId(NamedTuple):
 
 
 class HalfIteration(NamedTuple):
-    """One scheduled pass: codeword indices to visit (ascending), the BDD
-    budget to use, and whether failed statuses reset before the pass."""
+    """One scheduled pass: the contiguous, ascending range of codeword
+    indices of one type, the BDD budget to use, and whether failed
+    statuses reset before the pass."""
 
-    cw_indices: np.ndarray
+    cw_indices: range
     budget: int
     reset_failed: bool
 
@@ -152,12 +153,6 @@ class GpcLayout:
 
     # --- schedule ------------------------------------------------------------
 
-    def _type_cws(self, t: int) -> np.ndarray:
-        start = (t - 1) * self.per_type
-        arr = np.arange(start, start + self.per_type, dtype=np.int32)
-        arr.flags.writeable = False  # shared by every cached plan
-        return arr
-
     def _window_types(self) -> list[list[int]]:
         """Decodable types per window position: a window anchored at block w0
         spans blocks w0 .. w0+window-1 and can decode exactly the types whose
@@ -185,7 +180,7 @@ class GpcLayout:
         nothing, since the remaining sweeps would repeat it verbatim.
 
         Plans are built once per (ell, reduced_t_iters) and shared by every
-        frame; their index arrays are read-only.
+        frame; each type's index range is one shared ``range``.
         """
         key = (ell, reduced_t_iters)
         plans = self._plans.get(key)
@@ -196,7 +191,8 @@ class GpcLayout:
         if not 0 <= reduced_t_iters <= ell:
             raise ValueError("reduced_t_iters must lie in [0, ell]")
         t = self.code.t
-        arrays = {ty: self._type_cws(ty) for ty in range(1, self.num_types + 1)}
+        per = self.per_type
+        ranges = {ty: range((ty - 1) * per, ty * per) for ty in range(1, self.num_types + 1)}
         out = []
         for types in self._window_types():
             plan = []
@@ -204,7 +200,7 @@ class GpcLayout:
                 budget = t - 1 if it <= reduced_t_iters else t
                 reset = it == reduced_t_iters + 1 and reduced_t_iters > 0
                 for k, ty in enumerate(types):
-                    plan.append(HalfIteration(arrays[ty], budget, reset and k == 0))
+                    plan.append(HalfIteration(ranges[ty], budget, reset and k == 0))
             out.append(tuple(plan))
         plans = self._plans[key] = tuple(out)
         return plans
@@ -223,8 +219,9 @@ class GpcLayout:
 
     @property
     def schedule(self) -> list[np.ndarray]:
-        """Codeword sets per half-iteration for a single sweep (ell = 1)."""
-        return [h.cw_indices for h in self.iteration_plan(1)]
+        """Codeword sets per half-iteration for a single sweep (ell = 1),
+        as index arrays."""
+        return [np.array(h.cw_indices) for h in self.iteration_plan(1)]
 
     # --- bookkeeping ---------------------------------------------------------
 

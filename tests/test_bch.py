@@ -63,6 +63,41 @@ def reference_poly_mod(a: int, m: int) -> int:
     return a
 
 
+def reference_build_table(code) -> np.ndarray:
+    """The decode table's former builder: every support of weight w+1
+    extends one of weight w by a position above its last, grown with
+    np.repeat over intp index arrays."""
+    n, width = code.n, code._slot_width
+    contrib = np.array(code.contrib_packed, dtype=np.intp)
+    table = np.full(1 << code.packed_bits, -1, dtype=np.int32)
+    table[0] = 0
+    last = np.arange(n)  # last position of each support
+    syn = contrib
+    entry = last + 1
+    for w in range(1, code.t + 1):
+        table[syn] = entry
+        if w == code.t:
+            break
+        grow = n - 1 - last  # positions above each support's last
+        start = np.cumsum(grow) - grow
+        last = np.arange(start[-1] + grow[-1]) - np.repeat(start - last - 1, grow)
+        syn = np.repeat(syn, grow) ^ contrib[last]
+        entry = np.repeat(entry, grow) | (last + 1) << (w * width)
+    return table
+
+
+def batch_rows(decode, packed, t):
+    """decode_batch's (pos, ok) built from a scalar decoder, row by row."""
+    pos = np.full((len(packed), t), -1, dtype=np.int64)
+    ok = np.zeros(len(packed), dtype=bool)
+    for i, syn in enumerate(packed):
+        got = decode(syn)
+        if got is not None:
+            pos[i, : len(got)] = got
+            ok[i] = True
+    return pos, ok
+
+
 def brute_force_erasure(code, word, erasures):
     """Try all completions of the erased positions; return the unique one
     that satisfies every check, or None."""
@@ -474,6 +509,13 @@ class TestDecodeTable:
             with pytest.raises(ValueError, match="does not fit"):
                 code.decode_packed(packed)
 
+    @pytest.mark.parametrize("args", [(10, 2, 0, 0), (6, 3, 2, 0), (8, 2, 1, 61)])
+    def test_builder_matches_reference(self, args):
+        code = build_component_code(*args)
+        got = code._build_table()
+        assert got.dtype == np.int32
+        assert np.array_equal(got, reference_build_table(code))
+
     def test_chien_tables_only_for_berlekamp_massey(self):
         for args in [(7, 2, 1, 0), (8, 3, 0, 0)]:
             code = build_component_code(*args)
@@ -483,6 +525,108 @@ class TestDecodeTable:
         assert code._chien is None
         assert code.decode_packed(code.syndrome_packed((1, 2, 3, 4))) == (1, 2, 3, 4)
         assert code._chien[1].shape == (code.t, code.n0)
+
+
+class TestDecodeBatch:
+    """decode_batch against the scalar decoders, row by row."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [(4, 2, 0, 0), (4, 2, 1, 0), (4, 2, 2, 0), (6, 2, 1, 20), (7, 2, 1, 0),
+         (8, 2, 1, 61), (5, 3, 0, 0), (7, 1, 1, 0)],
+    )
+    def test_every_syndrome_and_budget_matches_decode_packed(self, args):
+        code = build_component_code(*args)
+        packed = np.arange(1 << code.packed_bits)
+        for budget in range(code.t + 1):
+            pos, ok = code.decode_batch(packed, budget)
+            want_pos, want_ok = batch_rows(
+                lambda s: code.decode_packed(s, budget), packed.tolist(), code.t
+            )
+            assert np.array_equal(ok, want_ok)
+            assert np.array_equal(pos, want_pos)
+            code._bdd_cache.clear()  # bounds memory; results are not reused
+
+    @pytest.mark.parametrize(
+        "args",
+        [(7, 3, 0, 0), (7, 3, 1, 0), (6, 3, 0, 0), (6, 3, 2, 0), (4, 2, 2, 0),
+         (7, 2, 1, 0)],
+    )
+    def test_closed_forms_match_table_on_every_syndrome(self, args):
+        # the closed forms run on a code told to use them; the oracle is
+        # the same code reading the dense table, built at any width.
+        # (7,3,*) are wider than 20 bits; nu = 6 has cube roots, so the
+        # p = 0 branch there finds three roots
+        code = build_component_code(*args)
+        oracle = build_component_code(*args)
+        code.has_table, code.batch_closed_form = False, True
+        oracle.has_table = True
+        for lo in range(0, 1 << code.packed_bits, 1 << 16):
+            chunk = np.arange(lo, min(lo + (1 << 16), 1 << code.packed_bits))
+            for budget in (code.t, code.t - 1):
+                got = code.decode_batch(chunk, budget)
+                want = oracle.decode_batch(chunk, budget)
+                assert np.array_equal(got[1], want[1]), lo
+                assert np.array_equal(got[0], want[0]), lo
+        assert code._table is None and not code._bdd_cache
+
+    @pytest.mark.parametrize(
+        "args", [(8, 3, 0, 0), (8, 3, 2, 0), (10, 2, 1, 0), (8, 4, 2, 0)]
+    )
+    def test_random_and_planted_syndromes_match_algebra(self, args):
+        code = build_component_code(*args)
+        assert code.packed_bits > _TABLE_BITS
+        rng = np.random.default_rng(sum(args))
+        size = 300 if code.t >= 4 else 3000
+        planted = [
+            code.syndrome_packed(rng.choice(code.n, int(w), replace=False).tolist())
+            for w in rng.integers(0, code.t + 1, size)
+        ]
+        packed = np.concatenate(
+            [rng.integers(0, 1 << code.packed_bits, size), planted]
+        )
+        for budget in range(code.t + 1):
+            pos, ok = code.decode_batch(packed, budget)
+            want_pos, want_ok = batch_rows(
+                lambda s: code._decode_algebraic(s, budget), packed.tolist(), code.t
+            )
+            assert np.array_equal(ok, want_ok)
+            assert np.array_equal(pos, want_pos)
+            assert ok[size:].all() or budget < code.t
+
+    def test_pure_below_t4(self):
+        for args in [(7, 2, 1, 0), (8, 3, 0, 0)]:
+            code = build_component_code(*args)
+            code.decode_batch(np.arange(1000), code.t)
+            assert not code._bdd_cache
+
+    @pytest.mark.parametrize("args", [(4, 2, 1, 0), (8, 3, 0, 0), (8, 4, 2, 0)])
+    def test_shapes_and_range_check(self, args):
+        code = build_component_code(*args)
+        pos, ok = code.decode_batch(np.zeros(0, dtype=np.int64))
+        assert pos.shape == (0, code.t) and ok.shape == (0,)
+        pos, ok = code.decode_batch(np.array([0]))
+        assert pos.tolist() == [[-1] * code.t] and ok.tolist() == [True]
+        for packed in (-1, 1 << code.packed_bits):
+            with pytest.raises(ValueError, match="do not fit"):
+                code.decode_batch(np.array([0, packed]))
+
+    @pytest.mark.parametrize("args", [(8, 3, 0, 0), (8, 3, 2, 0)])
+    def test_prefetch_fills_memo(self, args, monkeypatch):
+        code = build_component_code(*args)
+        rng = np.random.default_rng(15)
+        packed = rng.integers(0, 1 << code.packed_bits, 400).tolist()
+        code.decode_packed(packed[0], 2)  # a hit is left alone
+        code.prefetch(packed + packed[:50], 2)
+        assert set(code._bdd_cache) == {(2, s) for s in packed}
+        for (budget, s), got in code._bdd_cache.items():
+            assert got == code._decode_algebraic(s, budget)
+        # the memo's size cap holds: only the room left is filled
+        monkeypatch.setattr("gpcdec.bch._BDD_CACHE_CAP", len(code._bdd_cache) + 7)
+        code.prefetch(packed, 3)
+        assert sum(b == 3 for b, _ in code._bdd_cache) == 7
+        code.prefetch(packed, 1)
+        assert not any(b == 1 for b, _ in code._bdd_cache)
 
 
 class TestIdealizedBdd:

@@ -9,21 +9,28 @@ on {2,4,5,10,12,14} (implied flips at positions 4 and 12).
 
 iterative_bdd and genie_decode are additionally checked against naive
 reference implementations that rescan every codeword each half-iteration
-and recompute syndromes from scratch.
+and recompute syndromes from scratch, and the batched iterative_bdd
+against the per-codeword loop it replaced.
 """
+
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpcdec.bch import ComponentCodeSpec
-from gpcdec.layout import CodewordId, build_product_layout, build_staircase_layout
+from gpcdec.bch import _MISS, ComponentCodeSpec
+from gpcdec.layout import CodewordId, GpcLayout, build_product_layout, build_staircase_layout
 from gpcdec.engine import (
     ANCHOR,
     ELIGIBLE,
     FAILED,
     FROZEN,
     DecoderState,
+    DecodeStats,
     anchor_decode,
+    anchor_decode_state,
     backtrack_anchor,
     error_correction_step,
     frame_syndromes,
@@ -64,7 +71,7 @@ def naive_iterative(layout, frame, ell, reduced_t_iters=0):
     pinned = layout.pinned.any()
     for plan in layout.window_plans(ell, reduced_t_iters):
         for cws, budget, _reset in plan:
-            for c in cws.tolist():
+            for c in cws:
                 bits = layout.cw_bits[c]
                 positions = [p for p in range(code.n) if work[bits[p]]]
                 out = code.decode_packed(code.syndrome_packed(positions), budget)
@@ -82,12 +89,120 @@ def naive_genie(layout, frame, ell):
     err = frame.astype(bool, copy=True)
     for plan in layout.window_plans(ell):
         for cws, _budget, _reset in plan:
-            for c in cws.tolist():
+            for c in cws:
                 idx = layout.cw_bits[c]
                 w = int(err[idx].sum())
                 if 0 < w <= t:
                     err[idx] = False
     return err.astype(np.uint8)
+
+
+def reference_iterative_bdd(
+    layout: GpcLayout, frame: np.ndarray, ell: int, reduced_t_iters: int = 0
+):
+    """The former iterative_bdd: visits one codeword at a time and
+    re-decodes a codeword only after its syndrome (or the budget)
+    changed."""
+    if frame.shape != (layout.n_bits,):
+        raise ValueError(f"frame must have {layout.n_bits} bits")
+    code = layout.code
+    work = frame.astype(np.uint8, copy=True)
+    syn = frame_syndromes(layout, work)
+    nonzero_count = sum(1 for s in syn if s)
+    per_type = layout.per_type
+    num_types = layout.num_types
+    # pending[ty] = codewords whose syndrome changed since their last decode
+    # attempt.  Failures stay out of the set until a partner flips one of
+    # their bits (or a budget reset re-arms everything).
+    pending = [
+        {c for c in range(ty * per_type, (ty + 1) * per_type) if syn[c]}
+        for ty in range(num_types)
+    ]
+    bit = layout._as_lists("cw_bits")
+    partner_cw = layout._as_lists("partner_cw")
+    partner_pos = layout._as_lists("partner_pos")
+    cw_pinned = layout.cw_pinned if layout.has_pinned else None
+    contrib = code.contrib_packed
+    decode = code.decode_packed
+    cache = code._bdd_cache
+    stats = DecodeStats()
+
+    def update(c: int, pos: int):
+        nonlocal nonzero_count
+        old = syn[c]
+        new = old ^ contrib[pos]
+        syn[c] = new
+        if new:
+            if old == 0:
+                nonzero_count += 1
+            pending[c // per_type].add(c)
+        elif old:
+            nonzero_count -= 1
+
+    sweep = layout.sweep_len
+    done = False
+    for plan in layout.window_plans(ell, reduced_t_iters):
+        last_reset = max(
+            (i for i, h in enumerate(plan) if h.reset_failed), default=-1
+        )
+        stuck = 0
+        for i, (cws, budget, reset) in enumerate(plan):
+            if reset:
+                for ty in range(num_types):
+                    lo = ty * per_type
+                    pending[ty] = {
+                        c for c in range(lo, lo + per_type) if syn[c]
+                    }
+            todo = sorted(pending[int(cws[0]) // per_type])
+            pending[int(cws[0]) // per_type].clear()
+            flips_before = stats.corrections
+            for c in todo:
+                s = syn[c]
+                if s == 0:
+                    continue
+                out = cache.get((budget, s), _MISS)
+                if out is _MISS:
+                    out = decode(s, budget)
+                if out is not None and cw_pinned is not None:
+                    if any(cw_pinned[c, p] for p in out):
+                        out = None
+                if out is None:
+                    continue
+                for pos in out:
+                    work[bit[c][pos]] ^= 1
+                    update(c, pos)
+                    update(partner_cw[c][pos], partner_pos[c][pos])
+                    stats.corrections += 1
+            stats.half_iterations += 1
+            if nonzero_count == 0:
+                done = True
+                break
+            stuck = stuck + 1 if stats.corrections == flips_before else 0
+            if stuck >= sweep and i > last_reset:
+                break  # syndrome fixpoint within this window position
+        if done:
+            break
+    stats.syndromes_zero = nonzero_count == 0
+    return work, stats
+
+
+def build_wide_layout(kind):
+    """t = 3 layouts whose 24- and 25-bit syndromes have no decode table,
+    each on a new code, so its memo starts empty."""
+    if kind == "product":
+        return build_product_layout(ComponentCodeSpec(8, 3, 0, 0))
+    return build_staircase_layout(ComponentCodeSpec(8, 3, 0, 1), num_blocks=5, window=3)
+
+
+wide_layout = cache(build_wide_layout)
+
+
+def noisy_frame(layout, rng, p, pins=False):
+    """BSC(p) errors, off the pinned bits unless ``pins``."""
+    frame = rng.random(layout.n_bits) < p
+    if not pins:
+        frame &= ~layout.pinned
+    return frame.astype(np.uint8)
 
 
 class TestFrameSyndromes:
@@ -279,6 +394,87 @@ class TestAgainstNaiveReference:
             assert np.array_equal(fast, naive_iterative(sc16, frame, 4, reduced))
             gfast, _ = genie_decode(sc16, frame, None, 4)
             assert np.array_equal(gfast, naive_genie(sc16, frame, 4))
+
+
+class TestBatchedIterative:
+    """iterative_bdd against reference_iterative_bdd: equal frames and
+    DecodeStats."""
+
+    @staticmethod
+    def check(layout, frame, ell, reduced):
+        got_frame, got = iterative_bdd(layout, frame, ell, reduced)
+        want_frame, want = reference_iterative_bdd(layout, frame, ell, reduced)
+        assert np.array_equal(got_frame, want_frame)
+        assert got == want
+
+    @pytest.mark.parametrize("reduced", [0, 1, 2])
+    def test_product_and_staircase(self, pc15, sc16, reduced):
+        rng = np.random.default_rng(50 + reduced)
+        for _ in range(15):
+            self.check(pc15, noisy_frame(pc15, rng, rng.uniform(0.03, 0.2)), 6, reduced)
+            self.check(sc16, noisy_frame(sc16, rng, rng.uniform(0.01, 0.08)), 4, reduced)
+
+    @pytest.mark.parametrize("reduced", [0, 1, 2])
+    def test_wide_staircase(self, reduced):
+        layout = wide_layout("staircase")
+        rng = np.random.default_rng(53 + reduced)
+        for _ in range(3):
+            self.check(layout, noisy_frame(layout, rng, rng.uniform(0.01, 0.025)), 4, reduced)
+
+    @given(
+        kind=st.sampled_from(["pc15", "sc16", "product", "staircase"]),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        ell=st.integers(1, 6),
+        reduced=st.integers(0, 6),
+        pins=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fuzz(self, kind, p, seed, ell, reduced, pins):
+        if kind == "pc15":
+            layout, p_max = build_product_layout(CODE15), 0.25
+        elif kind == "sc16":
+            layout, p_max = build_staircase_layout(CODE16, 6, 3), 0.1
+        else:
+            layout, p_max = wide_layout(kind), 0.025
+        frame = noisy_frame(layout, np.random.default_rng(seed), p * p_max, pins)
+        self.check(layout, frame, ell, min(reduced, ell))
+
+
+class TestAnchorPrefetch:
+    """Anchor decoding on wide t = 3 codes memoizes each half-iteration's
+    eligible syndromes in one batch up front; the outcome must not depend
+    on it."""
+
+    @staticmethod
+    def run(kind):
+        layout = build_wide_layout(kind)
+        rng = np.random.default_rng(61)
+        states = []
+        for reduced in (0, 1, 2):
+            frame = noisy_frame(layout, rng, 0.02)
+            states.append(anchor_decode_state(layout, frame, 5, 1, reduced, True))
+        return layout.code, states
+
+    @pytest.mark.parametrize("kind", ["product", "staircase"])
+    def test_prefetch_is_transparent(self, kind, monkeypatch):
+        code, states = self.run(kind)
+        assert len(code._bdd_cache) > 1000
+        for (budget, syn), got in code._bdd_cache.items():
+            assert got == code._decode_algebraic(syn, budget)
+        for state in states:
+            state.validate()
+        assert any(s.stats.backtracks for s in states)
+
+        def nothing(self, packed, budget=None):
+            return np.full((0, self.t), -1), np.zeros(0, dtype=bool)
+
+        monkeypatch.setattr(ComponentCodeSpec, "decode_batch", nothing)
+        code, unfetched = self.run(kind)
+        for state, plain in zip(states, unfetched):
+            assert state.stats == plain.stats  # transitions included
+            assert np.array_equal(state.frame, plain.frame)
+            assert state.status == plain.status
 
 
 class TestDecodingBehaviour:

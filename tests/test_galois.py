@@ -8,11 +8,12 @@ library's table construction.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcdec.galois import build_field, gf_inv, gf_mul
+from gpcdec.galois import LOG_TERMS, build_field, gf_inv, gf_mul
 
 # --- oracle: polynomial arithmetic over GF(2) -------------------------------
 
@@ -219,6 +220,28 @@ def test_cube_roots_exhaustive(nu):
         else:
             assert got == ()
     assert any(len(r) == 3 for r in roots.values()) == (nu % 2 == 0)
+
+
+@pytest.mark.parametrize("nu", [4, 5, 8])
+def test_arrays_match_scalar_arithmetic(nu):
+    f = build_field(nu)
+    a = f.arrays()
+    assert build_field(nu).arrays() is a  # built once, shared by the field
+    q = f.order
+    x, y = np.arange(q)[:, None], np.arange(q)[None, :]
+    # a zero operand reads 0 through the sentinel, with no select
+    prod = a.exp[a.log[x] + a.log[y]]
+    quot = a.exp[a.log[x] + a.nlog[y]]
+    for i in range(q):
+        assert prod[i].tolist() == [f.mul(i, j) for j in range(q)]
+        assert quot[i].tolist() == [f.div(i, j) if j else 0 for j in range(q)]
+        # the widest log combination the decoders form
+        assert a.exp[LOG_TERMS * a.log[i]] == f.pow(i, LOG_TERMS)
+        assert f.mul(int(a.sqrt[i]), int(a.sqrt[i])) == i
+        assert a.quad[i] == max(f.solve_quadratic(i), 0)
+        assert tuple(a.cubic[:, i][a.cubic[:, i] > 0]) == f.solve_cubic(i)
+        assert tuple(a.cbrt[:, i][a.cbrt[:, i] > 0]) == f.cube_roots(i)
+    assert a.exp.size == LOG_TERMS * a.zero + 1 and a.exp[-1] == 0
 
 
 def test_build_field_cached():

@@ -238,7 +238,14 @@ class TestIterationPlan:
         plans = sc.window_plans(3, 1)
         assert sc.window_plans(3, 1) is plans
         assert sc.window_plans(3) is not plans
-        assert all(not h.cw_indices.flags.writeable for plan in plans for h in plan)
+        # every plan visits one type through one shared, contiguous range
+        per = sc.per_type
+        ranges = {h.cw_indices for plan in plans for h in plan}
+        assert ranges == {range(ty * per, (ty + 1) * per) for ty in range(sc.num_types)}
+        by_start = {}
+        for plan in plans:
+            for h in plan:
+                assert by_start.setdefault(h.cw_indices.start, h.cw_indices) is h.cw_indices
         # bad arguments are still refused after good ones were cached
         with pytest.raises(ValueError):
             sc.window_plans(0)

@@ -48,7 +48,6 @@ from .galois import FieldTable, build_field
 
 _BDD_CACHE_CAP = 1 << 21
 _TABLE_BITS = 20  # widest packed syndrome with a dense decode table (4 MiB)
-_BUILD_BLOCK = 1 << 16  # entries of one temporary while the table is built
 _MISS = object()
 
 
@@ -574,39 +573,27 @@ class ComponentCodeSpec:
         such support exists.  d_min >= 2t+1 makes the support unique, so no
         slot is written twice.  An entry fits int32: n <= 2^nu + 1, so the
         t fields take at most t(nu+1) <= 20 + t <= 26 bits (nu >= 3), and
-        so does every syndrome.
-
-        Supports of weight w, ordered by first position, come from those
-        of weight w-1 by putting a position j in front of every support
-        whose first position exceeds j.  A block of consecutive j against
-        the suffix of the lighter layer past the block's first j makes one
-        int32 matrix of at most ``_BUILD_BLOCK`` entries, so temporaries
-        stay small next to the table.  The widest layer is never kept."""
-        n, width, t = self.n, self._slot_width, self.t
+        so does every syndrome, so the growth runs in int32 throughout.
+        Supports of weight w+1 extend those of weight w by every position
+        above their last."""
+        n, width = self.n, self._slot_width
         contrib = np.array(self.contrib_packed, dtype=np.int32)
         table = np.full(1 << self.packed_bits, -1, dtype=np.int32)
         table[0] = 0
-        pos = np.arange(n, dtype=np.int32)
-        # one layer: syndrome, entry and first position of each support
-        syn, entry, first = contrib, pos + 1, pos
-        table[syn] = entry
-        for w in range(2, t + 1):
-            layer = []
-            j = 0
-            while j < n:
-                lo = int(np.searchsorted(first, j, "right"))
-                if lo == len(first):
-                    break
-                js = pos[j : j + max(1, _BUILD_BLOCK // (len(first) - lo))]
-                keep = first[lo:] > js[:, None]
-                s = (syn[lo:] ^ contrib[js, None])[keep]
-                v = ((entry[lo:] << width) | (js[:, None] + 1))[keep]
-                table[s] = v
-                if w < t:
-                    layer.append((s, v, np.broadcast_to(js[:, None], keep.shape)[keep]))
-                j += len(js)
-            if w < t:
-                syn, entry, first = (np.concatenate(parts) for parts in zip(*layer))
+        last = np.arange(n, dtype=np.int32)  # last position of each support
+        syn = contrib
+        entry = last + 1
+        for w in range(1, self.t + 1):
+            table[syn] = entry
+            if w == self.t:
+                break
+            grow = n - 1 - last  # positions above each support's last
+            start = np.cumsum(grow, dtype=np.int32) - grow
+            last = np.arange(start[-1] + grow[-1], dtype=np.int32) - np.repeat(
+                start - last - 1, grow
+            )
+            syn = np.repeat(syn, grow) ^ contrib[last]
+            entry = np.repeat(entry, grow) | (last + 1) << (w * width)
         return table
 
     def _decode_algebraic(self, packed: int, budget: int) -> tuple[int, ...] | None:

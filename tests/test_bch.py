@@ -64,9 +64,9 @@ def reference_poly_mod(a: int, m: int) -> int:
 
 
 def reference_build_table(code) -> np.ndarray:
-    """The decode table's former builder: every support of weight w+1
-    extends one of weight w by a position above its last, grown with
-    np.repeat over intp index arrays."""
+    """The decode table's builder over intp index arrays: every support
+    of weight w+1 extends one of weight w by a position above its last.
+    The library grows the same supports in int32."""
     n, width = code.n, code._slot_width
     contrib = np.array(code.contrib_packed, dtype=np.intp)
     table = np.full(1 << code.packed_bits, -1, dtype=np.int32)

@@ -187,10 +187,13 @@ def reference_iterative_bdd(
 
 
 def build_wide_layout(kind):
-    """t = 3 layouts whose 24- and 25-bit syndromes have no decode table,
-    each on a new code, so its memo starts empty."""
+    """Layouts whose syndromes are too wide for a decode table, each on a
+    new code, so its memo starts empty: t = 3 at 24 and 25 bits, and the
+    t = 4 product, where decode_batch loops over decode_packed."""
     if kind == "product":
         return build_product_layout(ComponentCodeSpec(8, 3, 0, 0))
+    if kind == "t4":
+        return build_product_layout(ComponentCodeSpec(8, 4, 2, 0))
     return build_staircase_layout(ComponentCodeSpec(8, 3, 0, 1), num_blocks=5, window=3)
 
 
@@ -421,8 +424,15 @@ class TestBatchedIterative:
         for _ in range(3):
             self.check(layout, noisy_frame(layout, rng, rng.uniform(0.01, 0.025)), 4, reduced)
 
+    @pytest.mark.parametrize("reduced", [0, 2])
+    def test_wide_t4(self, reduced):
+        layout = wide_layout("t4")
+        rng = np.random.default_rng(56 + reduced)
+        for _ in range(3):
+            self.check(layout, noisy_frame(layout, rng, rng.uniform(0.015, 0.03)), 4, reduced)
+
     @given(
-        kind=st.sampled_from(["pc15", "sc16", "product", "staircase"]),
+        kind=st.sampled_from(["pc15", "sc16", "product", "staircase", "t4"]),
         p=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
         ell=st.integers(1, 6),

@@ -3,7 +3,7 @@
 Library layout:
 
 - galois: GF(2^nu) tables
-- bch: component BCH codes (build/encode/syndrome/BDD/idealized BDD/erasures)
+- bch: component BCH codes (build/encode/packed syndrome/BDD/erasures)
 - layout: product and staircase code geometry and schedules
 - engine: iterative, genie (idealized) and anchor-based decoders
 - postprocess: stall-pattern post-processing (bit-flip and algebraic-erasure)
@@ -29,37 +29,20 @@ from .analysis import (
     qfunc_inv,
     stall_floor_model,
 )
-from .bch import (
-    FAIL,
-    ComponentCodeSpec,
-    DecodeOutcome,
-    Syndrome,
-    bdd_decode,
-    build_component_code,
-    encode,
-    erasure_decode,
-    idealized_bdd_decode,
-    syndrome,
-)
+from .bch import ComponentCodeSpec, build_component_code
 from .engine import (
     DecoderState,
     DecodeStats,
     anchor_decode,
     anchor_decode_state,
-    backtrack_anchor,
-    error_correction_step,
     genie_decode,
     iterative_bdd,
 )
-from .galois import FieldTable, build_field, gf_inv, gf_mul
 from .layout import (
     CodewordId,
     GpcLayout,
-    bit_at,
-    bits_of,
     build_product_layout,
     build_staircase_layout,
-    incident_codewords,
 )
 from .postprocess import (
     FailureReport,
@@ -68,45 +51,21 @@ from .postprocess import (
     build_failure_report,
     erasure_pp,
 )
-from .sim import (
-    BerRecord,
-    TrialConfig,
-    frame_rng,
-    paired_records,
-    run_trials,
-    sample_bsc,
-)
+from .sim import BerRecord, TrialConfig, paired_records, run_trials
 
 __all__ = [
-    "FieldTable",
-    "build_field",
-    "gf_mul",
-    "gf_inv",
     "ComponentCodeSpec",
-    "Syndrome",
-    "DecodeOutcome",
-    "FAIL",
     "build_component_code",
-    "encode",
-    "syndrome",
-    "bdd_decode",
-    "idealized_bdd_decode",
-    "erasure_decode",
     "CodewordId",
     "GpcLayout",
     "build_product_layout",
     "build_staircase_layout",
-    "incident_codewords",
-    "bits_of",
-    "bit_at",
     "DecoderState",
     "DecodeStats",
     "iterative_bdd",
     "genie_decode",
     "anchor_decode",
     "anchor_decode_state",
-    "backtrack_anchor",
-    "error_correction_step",
     "FailureReport",
     "PpResult",
     "build_failure_report",
@@ -114,8 +73,6 @@ __all__ = [
     "erasure_pp",
     "TrialConfig",
     "BerRecord",
-    "frame_rng",
-    "sample_bsc",
     "run_trials",
     "paired_records",
     "DeModel",

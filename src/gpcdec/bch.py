@@ -16,6 +16,13 @@ weight <= t is unique for a given syndrome, so the decoder either returns
 exactly that pattern or fails.  Errors on the extension bits are correctable
 and count toward the weight budget.
 
+A syndrome has one form, the packed int of ``syndrome_packed``: the e
+parity bits in the low bits, then S_1, S_3, ... in nu-bit lanes.  BDD has
+one result form: ``decode_packed`` returns the error support as a tuple
+of ascending positions, or None on failure, and ``decode_batch`` returns
+the same supports as rows of an array.  Both refuse a budget outside
+[0, t].
+
 Which method serves a code depends on its packed syndrome width nu*t + e:
 
 - at most 20 bits, e.g. (7,2,1,0) at 15 bits and (8,2,1,61) at 17: a
@@ -39,7 +46,6 @@ the memo for a set of syndromes at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,35 +55,6 @@ from .galois import FieldTable, build_field
 _BDD_CACHE_CAP = 1 << 21
 _TABLE_BITS = 20  # widest packed syndrome with a dense decode table (4 MiB)
 _MISS = object()
-
-
-@dataclass(frozen=True)
-class Syndrome:
-    """Component syndrome: t odd-power field elements plus e parity bits."""
-
-    odd: tuple[int, ...]
-    ext: tuple[int, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.odd) and not any(self.ext)
-
-    def __xor__(self, other: "Syndrome") -> "Syndrome":
-        return Syndrome(
-            tuple(a ^ b for a, b in zip(self.odd, other.odd)),
-            tuple(a ^ b for a, b in zip(self.ext, other.ext)),
-        )
-
-
-@dataclass(frozen=True)
-class DecodeOutcome:
-    """BDD result: either a definite error pattern or failure."""
-
-    corrected: bool
-    error_positions: tuple[int, ...] = ()
-
-
-FAIL = DecodeOutcome(False, ())
 
 
 def _minimal_poly(f: FieldTable, exponent: int) -> tuple[int, frozenset[int]]:
@@ -277,24 +254,12 @@ class ComponentCodeSpec:
 
     # --- syndromes -----------------------------------------------------
 
-    def syndrome_key(self, positions: Iterable[int]) -> tuple[tuple[int, ...], int]:
-        """(odd syndromes, packed parity bits) of an error pattern given by
-        its support. This is the engine-facing representation."""
-        return self._split(self.syndrome_packed(positions))
-
-    def _split(self, packed: int) -> tuple[tuple[int, ...], int]:
-        """(odd syndromes, packed parity bits) of a packed syndrome."""
-        e, nu = self.e, self.nu
-        mask = (1 << nu) - 1
-        odd = tuple((packed >> (e + i * nu)) & mask for i in range(self.t))
-        return odd, packed & ((1 << e) - 1)
-
-    def syndrome(self, word: Sequence[int]) -> Syndrome:
+    def syndrome(self, word: Sequence[int]) -> int:
+        """Packed syndrome of a received word (see syndrome_packed)."""
         w = np.asarray(word, dtype=np.uint8)
         if w.shape != (self.n,):
             raise ValueError(f"word must have length n={self.n}, got {w.shape}")
-        odd, ext = self._split(self.syndrome_packed(np.flatnonzero(w).tolist()))
-        return Syndrome(odd, tuple((ext >> i) & 1 for i in range(self.e)))
+        return self.syndrome_packed(np.flatnonzero(w).tolist())
 
     # --- bounded-distance decoding --------------------------------------
 
@@ -451,24 +416,6 @@ class ComponentCodeSpec:
             return None
         return tuple(int(r) for r in roots)
 
-    def decode_key(
-        self, odd: tuple[int, ...], ext: int, budget: int | None = None
-    ) -> tuple[int, ...] | None:
-        """BDD on the packed syndrome representation.
-
-        Returns the unique error support of total weight <= budget (default t)
-        consistent with all syndromes and parity checks, or None on failure.
-        Results are memoized; the decoder is a pure function of the syndrome.
-        """
-        if budget is None:
-            budget = self.t
-        packed = ext
-        shift = self.e
-        for v in odd:
-            packed |= v << shift
-            shift += self.nu
-        return self.decode_packed(packed, budget)
-
     def syndrome_packed(self, positions: Iterable[int]) -> int:
         """Single-int syndrome of an error pattern given by its support."""
         acc = 0
@@ -477,13 +424,17 @@ class ComponentCodeSpec:
             acc ^= contrib[pos]
         return acc
 
-    def decode_packed(self, packed: int, budget: int | None = None):
-        """BDD on the single-int syndrome; the engine's hot path.
+    def decode_packed(
+        self, packed: int, budget: int | None = None
+    ) -> tuple[int, ...] | None:
+        """BDD on the packed syndrome; the engine's hot path.
 
-        Same contract as decode_key.  All decoding is memoized here, keyed
-        by (budget, packed syndrome).  A miss reads the dense decode table
-        when the syndrome has at most 20 bits and solves the error locator
-        otherwise.
+        Returns the unique error support, ascending, of total weight <=
+        budget (default t, at most t) consistent with all syndromes and
+        parity checks, or None on failure.  All decoding is memoized here,
+        keyed by (budget, packed syndrome).  A miss reads the dense decode
+        table when the syndrome has at most 20 bits and solves the error
+        locator otherwise.
         """
         if budget is None:
             budget = self.t
@@ -494,6 +445,8 @@ class ComponentCodeSpec:
             return hit
         if not 0 <= packed < 1 << self.packed_bits:
             raise ValueError(f"syndrome {packed} does not fit {self.packed_bits} bits")
+        if not 0 <= budget <= self.t:
+            raise ValueError(f"budget {budget} outside [0, t={self.t}]")
         if self.has_table:
             result = self._decode_table(packed, budget)
         else:
@@ -516,6 +469,8 @@ class ComponentCodeSpec:
         """
         if budget is None:
             budget = self.t
+        if not 0 <= budget <= self.t:
+            raise ValueError(f"budget {budget} outside [0, t={self.t}]")
         packed = np.asarray(packed, dtype=np.int64)
         if packed.size and (packed.min() < 0 or packed.max() >> self.packed_bits):
             raise ValueError(f"syndromes do not fit {self.packed_bits} bits")
@@ -721,32 +676,6 @@ class ComponentCodeSpec:
         core[:, (s1 | s3 | s5) == 0] = -1
         return core
 
-    def bdd_decode(self, syn: Syndrome, budget: int | None = None) -> DecodeOutcome:
-        """Bounded-distance decoding from a syndrome alone."""
-        ext = 0
-        for i, bit in enumerate(syn.ext):
-            ext |= (bit & 1) << i
-        got = self.decode_key(syn.odd, ext, budget)
-        if got is None:
-            return FAIL
-        return DecodeOutcome(True, got)
-
-    def idealized_bdd_decode(
-        self, received: Sequence[int], true_codeword: Sequence[int]
-    ) -> DecodeOutcome:
-        """Genie-aided BDD: corrects iff the received word is within distance t
-        of the true codeword; never miscorrects."""
-        r = np.asarray(received, dtype=np.uint8)
-        c = np.asarray(true_codeword, dtype=np.uint8)
-        if r.shape != (self.n,) or c.shape != (self.n,):
-            raise ValueError(f"words must have length n={self.n}")
-        if not self.syndrome(c).is_zero:
-            raise ValueError("true_codeword is not a codeword")
-        diff = np.nonzero(r ^ c)[0]
-        if len(diff) > self.t:
-            return FAIL
-        return DecodeOutcome(True, tuple(int(p) for p in diff))
-
     # --- erasure decoding ------------------------------------------------
 
     def parity_check_matrix(self) -> np.ndarray:
@@ -815,27 +744,3 @@ class ComponentCodeSpec:
 def build_component_code(nu: int, t: int, e: int = 0, s: int = 0) -> ComponentCodeSpec:
     """Construct a component code; raises ValueError on unsupported parameters."""
     return ComponentCodeSpec(nu, t, e, s)
-
-
-def encode(code: ComponentCodeSpec, message: Sequence[int]) -> np.ndarray:
-    return code.encode(message)
-
-
-def syndrome(code: ComponentCodeSpec, word: Sequence[int]) -> Syndrome:
-    return code.syndrome(word)
-
-
-def bdd_decode(code: ComponentCodeSpec, syn: Syndrome) -> DecodeOutcome:
-    return code.bdd_decode(syn)
-
-
-def idealized_bdd_decode(
-    code: ComponentCodeSpec, received: Sequence[int], true_codeword: Sequence[int]
-) -> DecodeOutcome:
-    return code.idealized_bdd_decode(received, true_codeword)
-
-
-def erasure_decode(
-    code: ComponentCodeSpec, word: Sequence[int], erasures: Iterable[int]
-) -> np.ndarray | None:
-    return code.erasure_decode(word, erasures)

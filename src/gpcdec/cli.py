@@ -36,7 +36,14 @@ from .analysis import (
 )
 from .bch import build_component_code
 from .layout import build_product_layout, build_staircase_layout
-from .sim import CSV_HEADER, PP_MODES, VARIANTS, TrialConfig, run_trials
+from .sim import (
+    CSV_HEADER,
+    PP_MODES,
+    VARIANTS,
+    TrialConfig,
+    format_csv_row,
+    run_trials,
+)
 
 _SIM_DEFAULTS = {
     "e": 0,
@@ -501,16 +508,14 @@ def _cmd_repro(ns, parser):
                     seed=ns.seed,
                     workers=workers,
                 )
-                row = run_trials(cfg).csv_row().split(",")
-                row[0] = label
-                rows.append(",".join(row))
+                rows.append(run_trials(cfg).csv_row(label))
         if fig["de"]:
             model = de_product_model(code)
             for p in grid:
                 ber = density_evolution(model, p, fig["ell"])
-                rows.append(
-                    f"de,{p!r},0,0,0,{ber!r},0.0,{fig['ell']},{fig['delta']},0"
-                )
+                rows.append(format_csv_row(
+                    "de", p, 0, 0, 0, ber, 0.0, fig["ell"], fig["delta"], 0,
+                ))
         for floor_kind in fig["floors"]:
             model = (
                 stall_floor_model(code.n, code.t)
@@ -518,10 +523,10 @@ def _cmd_repro(ns, parser):
                 else pp_floor_model(code.n)
             )
             for p in grid:
-                rows.append(
-                    f"{floor_kind}-floor,{p!r},0,0,0,{error_floor(model, p)!r},"
-                    f"0.0,{fig['ell']},{fig['delta']},0"
-                )
+                rows.append(format_csv_row(
+                    f"{floor_kind}-floor", p, 0, 0, 0, error_floor(model, p), 0.0,
+                    fig["ell"], fig["delta"], 0,
+                ))
         csv_path = outdir / f"{key}.csv"
         csv_path.write_text("\n".join(rows) + "\n")
         manifest["figures"][key] = {

@@ -1,6 +1,12 @@
 """Frame decoders for generalized product codes.
 
-Three decoders share the layout abstraction:
+The three decoders differ only in what one half-iteration does.  One
+driver, ``_run_schedule``, walks the layout's ``window_plans`` for all
+three: it calls the decoder's half-iteration on each scheduled codeword
+type, counts half-iterations, ends the frame once the decoder reports it
+finished (every syndrome zero; for the genie, no error left), and leaves
+a window position once a full sweep changed nothing and no budget reset
+is still ahead.  The half-iterations:
 
 * ``iterative_bdd``: conventional iterative bounded-distance decoding.
   Every scheduled codeword is BDD-decoded and corrections are applied
@@ -16,8 +22,9 @@ Three decoders share the layout abstraction:
   codewords become anchors; later decodes whose implied bit flips touch a
   reliable anchor are frozen instead of applied, and anchors accumulating
   ``delta`` or more conflicts are backtracked (their flips reversed).
-  Its visits stay sequential, since a visit can backtrack an anchor and
-  change later syndromes of the same type.  Where decode_batch solves
+  Its half-iteration runs the per-codeword status machine of
+  ``DecoderState``, visit by visit, since a visit can backtrack an anchor
+  and change later syndromes of the same type.  Where decode_batch solves
   misses in closed form (no dense decode table, t = 2 or 3), each
   half-iteration first decodes the eligible codewords' syndromes that
   miss the BDD memo in one batch (``ComponentCodeSpec.prefetch``); a
@@ -32,11 +39,12 @@ order per half-iteration and every tie-break is fixed.
 """
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .bch import _MISS
-from .layout import CodewordId, GpcLayout
+from .layout import GpcLayout
 
 __all__ = [
     "ANCHOR",
@@ -50,8 +58,6 @@ __all__ = [
     "genie_decode",
     "anchor_decode",
     "anchor_decode_state",
-    "backtrack_anchor",
-    "error_correction_step",
 ]
 
 ANCHOR, ELIGIBLE, FAILED, FROZEN = 0, 1, 2, 3
@@ -145,7 +151,6 @@ class DecoderState:
         self._record = record_transitions
         # local views for the hot loop
         self._contrib = layout.code.contrib_packed
-        self._cw_bits = layout.cw_bits
         self._partner_cw = layout._as_lists("partner_cw")
         self._partner_pos = layout._as_lists("partner_pos")
         self._bit = layout._as_lists("cw_bits")
@@ -343,37 +348,28 @@ def anchor_decode_state(
     state = DecoderState(layout, frame, delta, record_transitions)
     status, syn = state.status, state.syn
     prefetch = layout.code.batch_closed_form
-    sweep = layout.sweep_len
-    done = False
-    for plan in layout.window_plans(ell, reduced_t_iters):
-        last_reset = max(
-            (i for i, h in enumerate(plan) if h.reset_failed), default=-1
-        )
-        stuck = 0
-        for i, (cws, budget, reset) in enumerate(plan):
-            if reset:
-                for c in range(layout.n_cw):
-                    if status[c] == FAILED:
-                        state._set_status(c, ELIGIBLE)
-            if prefetch:
-                lo, hi = cws.start, cws.stop
-                layout.code.prefetch(
-                    [s for s, st in zip(syn[lo:hi], status[lo:hi]) if s and st == ELIGIBLE],
-                    budget,
-                )
-            before = state.change_counter
-            for c in cws:
-                if status[c] == ELIGIBLE:
-                    state.visit(c, budget)
-            state.stats.half_iterations += 1
-            if state.all_syndromes_zero():
-                done = True
-                break
-            stuck = stuck + 1 if state.change_counter == before else 0
-            if stuck >= sweep and i > last_reset:
-                break  # state fixpoint: further sweeps would repeat it
-        if done:
-            break
+
+    def half_iteration(cws: range, budget: int, reset: bool) -> bool:
+        if reset:
+            for c in range(layout.n_cw):
+                if status[c] == FAILED:
+                    state._set_status(c, ELIGIBLE)
+        if prefetch:
+            lo, hi = cws.start, cws.stop
+            layout.code.prefetch(
+                [s for s, st in zip(syn[lo:hi], status[lo:hi]) if s and st == ELIGIBLE],
+                budget,
+            )
+        before = state.change_counter
+        for c in cws:
+            if status[c] == ELIGIBLE:
+                state.visit(c, budget)
+        return state.change_counter != before
+
+    _run_schedule(
+        layout, ell, reduced_t_iters, state.stats, half_iteration,
+        state.all_syndromes_zero,
+    )
     state.stats.syndromes_zero = state.all_syndromes_zero()
     return state
 
@@ -401,41 +397,30 @@ def iterative_bdd(
     cw_bits = layout.cw_bits
     cw_pinned = layout.cw_pinned if layout.has_pinned else None
     stats = DecodeStats()
-    sweep = layout.sweep_len
-    done = False
-    for plan in layout.window_plans(ell, reduced_t_iters):
-        last_reset = max(
-            (i for i, h in enumerate(plan) if h.reset_failed), default=-1
-        )
-        stuck = 0
-        for i, (cws, budget, _reset) in enumerate(plan):
-            seg = syn[cws.start : cws.stop]
-            rows = np.flatnonzero(seg)
-            flips = 0
-            if rows.size:
-                pos, _ = code.decode_batch(seg[rows], budget)
-                r, k = np.nonzero(pos >= 0)  # failed rows are all -1
-                c = rows[r] + cws.start
-                p = pos[r, k]
-                if cw_pinned is not None:
-                    refuted = np.zeros(rows.size, dtype=bool)
-                    refuted[r[cw_pinned[c, p]]] = True
-                    keep = ~refuted[r]
-                    c, p = c[keep], p[keep]
-                bits = cw_bits[c, p]
-                work[bits] ^= 1
-                _fold_bits(layout, acc, bits)
-                flips = bits.size
-                stats.corrections += flips
-            stats.half_iterations += 1
-            if not syn.any():
-                done = True
-                break
-            stuck = stuck + 1 if flips == 0 else 0
-            if stuck >= sweep and i > last_reset:
-                break  # syndrome fixpoint within this window position
-        if done:
-            break
+
+    def half_iteration(cws: range, budget: int, _reset: bool) -> bool:
+        seg = syn[cws.start : cws.stop]
+        rows = np.flatnonzero(seg)
+        if not rows.size:
+            return False
+        pos, _ = code.decode_batch(seg[rows], budget)
+        r, k = np.nonzero(pos >= 0)  # failed rows are all -1
+        c = rows[r] + cws.start
+        p = pos[r, k]
+        if cw_pinned is not None:
+            refuted = np.zeros(rows.size, dtype=bool)
+            refuted[r[cw_pinned[c, p]]] = True
+            keep = ~refuted[r]
+            c, p = c[keep], p[keep]
+        bits = cw_bits[c, p]
+        work[bits] ^= 1
+        _fold_bits(layout, acc, bits)
+        stats.corrections += bits.size
+        return bits.size > 0
+
+    _run_schedule(
+        layout, ell, reduced_t_iters, stats, half_iteration, lambda: not syn.any()
+    )
     stats.syndromes_zero = not syn.any()
     return work, stats
 
@@ -452,6 +437,7 @@ def genie_decode(
 
     ``true_frame`` may be None for the all-zero codeword.  Any other
     reference is validated as a GPC codeword unless ``check`` is False.
+    A frame without errors runs no half-iteration.
     """
     if frame.shape != (layout.n_bits,):
         raise ValueError(f"frame must have {layout.n_bits} bits")
@@ -463,38 +449,30 @@ def genie_decode(
             _check_valid_frame(layout, np.asarray(true_frame, dtype=np.uint8))
         err = (frame ^ true_frame).astype(bool)
     bit_cw = layout.bit_cw
-    stats = DecodeStats()
     per_type = layout.per_type
-    sweep = layout.sweep_len
-    done = False
-    for plan in layout.window_plans(ell):
-        stuck = 0
-        for cws, _budget, _reset in plan:
-            bits = np.nonzero(err)[0]
-            if bits.size == 0:
-                done = True
-                break
-            lo, hi = cws.start, cws.stop
-            owners = bit_cw[bits]  # (m, 2)
-            in_type = (owners >= lo) & (owners < hi)
-            rows = np.where(in_type[:, 0], owners[:, 0], owners[:, 1])
-            sel = in_type.any(axis=1)
-            rows = rows[sel]
-            tbits = bits[sel]
-            cnt = np.bincount(rows - lo, minlength=per_type)
-            fix = (cnt[rows - lo] <= t).nonzero()[0]
-            if fix.size:
-                err[tbits[fix]] = False
-                stats.corrections += int(fix.size)
-                stuck = 0
-            else:
-                stuck += 1
-            stats.half_iterations += 1
-            if stuck >= sweep:
-                break  # no codeword in the window can progress
-        if done:
-            break
-    stats.syndromes_zero = not err.any()
+    stats = DecodeStats()
+    left = int(np.count_nonzero(err))  # errors left, kept by half_iteration
+
+    def half_iteration(cws: range, _budget: int, _reset: bool) -> bool:
+        nonlocal left
+        bits = np.nonzero(err)[0]
+        lo, hi = cws.start, cws.stop
+        owners = bit_cw[bits]  # (m, 2)
+        in_type = (owners >= lo) & (owners < hi)
+        rows = np.where(in_type[:, 0], owners[:, 0], owners[:, 1])
+        sel = in_type.any(axis=1)
+        rows = rows[sel]
+        tbits = bits[sel]
+        cnt = np.bincount(rows - lo, minlength=per_type)
+        fix = (cnt[rows - lo] <= t).nonzero()[0]
+        err[tbits[fix]] = False
+        stats.corrections += int(fix.size)
+        left = bits.size - fix.size
+        return fix.size > 0
+
+    if left:
+        _run_schedule(layout, ell, 0, stats, half_iteration, lambda: left == 0)
+    stats.syndromes_zero = left == 0
     if true_frame is None:
         return err.astype(np.uint8), stats
     out = np.asarray(true_frame, dtype=np.uint8).copy()
@@ -502,20 +480,33 @@ def genie_decode(
     return out, stats
 
 
-# ---------------------------------------------------------------------------
-# CodewordId-level wrappers (spec-facing conveniences)
-
-
-def backtrack_anchor(state: DecoderState, anchor: CodewordId) -> None:
-    state.backtrack(state.layout.cw_index(anchor))
-
-
-def error_correction_step(
-    state: DecoderState, initiator: CodewordId, affected: CodewordId
+def _run_schedule(
+    layout: GpcLayout,
+    ell: int,
+    reduced_t_iters: int,
+    stats: DecodeStats,
+    half_iteration: Callable[[range, int, bool], bool],
+    finished: Callable[[], bool],
 ) -> None:
-    ci = state.layout.cw_index(initiator)
-    ki = state.layout.cw_index(affected)
-    positions = np.nonzero(state.layout.partner_cw[ci] == ki)[0]
-    if positions.size != 1:
-        raise ValueError(f"{initiator} and {affected} do not share a bit")
-    state.error_correction(ci, int(positions[0]))
+    """Run ``half_iteration(cw_indices, budget, reset_failed)`` over the
+    schedule, counting half-iterations in ``stats``.
+
+    The schedule ends once ``finished()`` holds after a half-iteration.  A
+    window position ends early once a full sweep reports no change and no
+    budget reset is still ahead in its plan: the remaining sweeps would
+    repeat that sweep verbatim.
+    """
+    sweep = layout.sweep_len
+    for plan in layout.window_plans(ell, reduced_t_iters):
+        last_reset = max(
+            (i for i, h in enumerate(plan) if h.reset_failed), default=-1
+        )
+        stuck = 0
+        for i, (cws, budget, reset) in enumerate(plan):
+            changed = half_iteration(cws, budget, reset)
+            stats.half_iterations += 1
+            if finished():
+                return
+            stuck = 0 if changed else stuck + 1
+            if stuck >= sweep and i > last_reset:
+                break  # fixpoint within this window position

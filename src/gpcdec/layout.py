@@ -19,7 +19,7 @@ The layout is immutable after construction and holds only index arrays, so
 it can be shared freely between decoding processes.
 """
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,23 +205,10 @@ class GpcLayout:
         plans = self._plans[key] = tuple(out)
         return plans
 
-    def iteration_plan(
-        self, ell: int, reduced_t_iters: int = 0
-    ) -> Iterator[HalfIteration]:
-        """Flat view of ``window_plans``: one entry per half-iteration."""
-        for plan in self.window_plans(ell, reduced_t_iters):
-            yield from plan
-
     @property
     def sweep_len(self) -> int:
         """Half-iterations per sweep: types decoded together in one pass."""
         return 2 if self.kind == "product" else self.window - 1
-
-    @property
-    def schedule(self) -> list[np.ndarray]:
-        """Codeword sets per half-iteration for a single sweep (ell = 1),
-        as index arrays."""
-        return [np.array(h.cw_indices) for h in self.iteration_plan(1)]
 
     # --- bookkeeping ---------------------------------------------------------
 

@@ -31,6 +31,7 @@ __all__ = [
     "TrialConfig",
     "BerRecord",
     "CSV_HEADER",
+    "format_csv_row",
     "frame_rng",
     "sample_bsc",
     "run_trials",
@@ -123,20 +124,22 @@ class BerRecord:
     def fer(self) -> float:
         return self.frame_errors / self.frames
 
-    def csv_row(self) -> str:
-        cells = (
-            self.variant,
-            repr(self.p),
-            self.frames,
-            self.bit_errors,
-            self.frame_errors,
-            repr(self.ber),
-            repr(self.fer),
-            self.ell,
-            self.delta,
-            self.seed,
+    def csv_row(self, variant: str | None = None) -> str:
+        """This record as a CSV row, labelled ``variant`` if given."""
+        return format_csv_row(
+            self.variant if variant is None else variant, self.p, self.frames,
+            self.bit_errors, self.frame_errors, self.ber, self.fer, self.ell,
+            self.delta, self.seed,
         )
-        return ",".join(str(c) for c in cells)
+
+
+def format_csv_row(variant: str, p: float, frames: int, bit_errors: int,
+                   frame_errors: int, ber: float, fer: float, ell: int,
+                   delta: int, seed: int) -> str:
+    """One row of the CSV_HEADER schema; floats are written by repr."""
+    cells = (variant, repr(p), frames, bit_errors, frame_errors, repr(ber),
+             repr(fer), ell, delta, seed)
+    return ",".join(str(c) for c in cells)
 
 
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:

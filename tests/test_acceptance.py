@@ -70,9 +70,8 @@ def test_01_bdd_correctness(capsys):
             support = rng.choice(code.n, size=rng.integers(0, code.t + 1),
                                  replace=False)
             word[support] ^= 1
-            got = code.bdd_decode(code.syndrome(word))
-            if not got.corrected or set(got.error_positions) != set(
-                    int(x) for x in support):
+            got = code.decode_packed(code.syndrome(word))
+            if got is None or set(got) != set(int(x) for x in support):
                 failures += 1
     elapsed = time.perf_counter() - t0
     ok = failures == 0 and elapsed < 60

@@ -14,18 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcdec.bch import (
-    _TABLE_BITS,
-    FAIL,
-    ComponentCodeSpec,
-    Syndrome,
-    bdd_decode,
-    build_component_code,
-    encode,
-    erasure_decode,
-    idealized_bdd_decode,
-    syndrome,
-)
+from gpcdec.bch import _TABLE_BITS, ComponentCodeSpec, build_component_code
+from gpcdec.engine import genie_decode
+from gpcdec.layout import build_product_layout
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +27,7 @@ def enumerate_codebook(code: ComponentCodeSpec) -> np.ndarray:
     """All 2^k codewords as a (2^k, n) uint8 array, via the encoder."""
     assert code.k <= 16, "exhaustive oracle only for small codes"
     msgs = ((np.arange(1 << code.k)[:, None] >> np.arange(code.k)) & 1).astype(np.uint8)
-    return np.array([encode(code, m) for m in msgs], dtype=np.uint8)
+    return np.array([code.encode(m) for m in msgs], dtype=np.uint8)
 
 
 def codebook_min_distance(book: np.ndarray) -> int:
@@ -46,12 +37,24 @@ def codebook_min_distance(book: np.ndarray) -> int:
 
 def decoder(code, path):
     """decode(packed, budget) through one miss path of decode_packed: the
-    public decode_key, which reads the dense table behind the memo, or the
-    algebraic solver the table replaces for syndromes of at most 20 bits."""
+    public decode_packed, which reads the dense table behind the memo, or
+    the algebraic solver the table replaces for syndromes of at most 20
+    bits."""
     if path == "table":
         assert code.packed_bits <= _TABLE_BITS
-        return lambda packed, budget: code.decode_key(*code._split(packed), budget)
+        return code.decode_packed
     return code._decode_algebraic
+
+
+def odd_syndromes(code, packed):
+    """The odd-power syndromes S_1, S_3, ... held in a packed syndrome."""
+    mask = (1 << code.nu) - 1
+    return tuple(packed >> (code.e + i * code.nu) & mask for i in range(code.t))
+
+
+def pack(code, odd, ext):
+    """Packed syndrome of odd-power syndromes and parity bits."""
+    return ext | sum(v << (code.e + i * code.nu) for i, v in enumerate(odd))
 
 
 def reference_poly_mod(a: int, m: int) -> int:
@@ -107,7 +110,7 @@ def brute_force_erasure(code, word, erasures):
         cand = word.copy()
         for pos, b in zip(erasures, bits):
             cand[pos] = b
-        if syndrome(code, cand).is_zero:
+        if code.syndrome(cand) == 0:
             hits.append(cand)
     return hits[0] if len(hits) == 1 else None
 
@@ -193,7 +196,7 @@ class TestEncoder:
         code = build_component_code(4, 2, 0, 0)
         rng = np.random.default_rng(1)
         msg = rng.integers(0, 2, size=code.k).astype(np.uint8)
-        word = encode(code, msg)
+        word = code.encode(msg)
         assert np.array_equal(word[code.r0 : code.r0 + code.k], msg)
 
     def test_all_codewords_have_zero_syndrome(self):
@@ -202,8 +205,7 @@ class TestEncoder:
             rng = np.random.default_rng(2)
             for _ in range(20):
                 msg = rng.integers(0, 2, size=code.k).astype(np.uint8)
-                syn = syndrome(code, encode(code, msg))
-                assert syn.is_zero
+                assert code.syndrome(code.encode(msg)) == 0
 
     def test_parity_check_matrix_annihilates_codewords(self):
         code = build_component_code(4, 2, 2, 0)
@@ -224,12 +226,12 @@ class TestEncoder:
             poly = sum(int(b) << i for i, b in enumerate(msg)) << code.r0
             cw = poly ^ reference_poly_mod(poly, code.gen_poly)
             want = [(cw >> i) & 1 for i in range(code.n_core)]
-            assert encode(code, msg)[: code.n_core].tolist() == want
+            assert code.encode(msg)[: code.n_core].tolist() == want
 
     def test_encode_rejects_wrong_length(self):
         code = build_component_code(4, 2, 0, 0)
         with pytest.raises(ValueError):
-            encode(code, np.zeros(code.k + 1, dtype=np.uint8))
+            code.encode(np.zeros(code.k + 1, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +243,7 @@ class TestSyndrome:
         code = build_component_code(7, 2, 1, 0)
         seen = set()
         for pos in range(code.n):
-            key = code.syndrome_key((pos,))
+            key = code.syndrome_packed((pos,))
             assert key not in seen
             seen.add(key)
 
@@ -257,7 +259,7 @@ class TestSyndrome:
             wa[p] ^= 1
         for p in b:
             wb[p] ^= 1
-        assert syndrome(code, wa) ^ syndrome(code, wb) == syndrome(code, wa ^ wb)
+        assert code.syndrome(wa) ^ code.syndrome(wb) == code.syndrome(wa ^ wb)
 
     @pytest.mark.parametrize("args", [(4, 2, 2, 0), (8, 3, 0, 0), (9, 7, 0, 0)])
     def test_syndrome_matches_parity_check_matrix(self, args):
@@ -267,17 +269,18 @@ class TestSyndrome:
         rng = np.random.default_rng(3)
         for _ in range(20):
             word = rng.integers(0, 2, size=code.n).astype(np.uint8)
-            syn = syndrome(code, word)
+            syn = code.syndrome(word)
             bits = (pcm @ word) & 1
-            for i, v in enumerate(syn.odd):
+            for i, v in enumerate(odd_syndromes(code, syn)):
                 assert v == sum(int(b) << j for j, b in enumerate(bits[i * code.nu : (i + 1) * code.nu]))
-            assert syn.ext == tuple(int(b) for b in bits[code.nu * code.t :])
+            ext = [int(b) for b in bits[code.nu * code.t :]]
+            assert syn & ((1 << code.e) - 1) == sum(b << i for i, b in enumerate(ext))
             msg = rng.integers(0, 2, size=code.k)
-            assert syndrome(code, encode(code, msg)).is_zero
+            assert code.syndrome(code.encode(msg)) == 0
 
     def test_zero_word_zero_syndrome(self):
         code = build_component_code(8, 3, 0, 0)
-        assert syndrome(code, np.zeros(code.n, dtype=np.uint8)).is_zero
+        assert code.syndrome(np.zeros(code.n, dtype=np.uint8)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +364,15 @@ class TestBddRandomized:
         rng = np.random.default_rng(hash(args) % 2**32)
         for _ in range(40):
             msg = rng.integers(0, 2, size=code.k).astype(np.uint8)
-            word = encode(code, msg)
+            word = code.encode(msg)
             wgt = int(rng.integers(0, code.t + 1))
             pos = rng.choice(code.n, size=wgt, replace=False)
             rcv = word.copy()
             rcv[pos] ^= 1
-            out = bdd_decode(code, syndrome(code, rcv))
-            assert out is not FAIL
-            assert out.error_positions == tuple(sorted(pos.tolist()))
+            out = code.decode_packed(code.syndrome(rcv))
+            assert out == tuple(sorted(pos.tolist()))
             fixed = rcv.copy()
-            for p in out.error_positions:
+            for p in out:
                 fixed[p] ^= 1
             assert np.array_equal(fixed, word)
 
@@ -396,7 +398,7 @@ class TestBddRandomized:
         for _ in range(3000):
             odd = (int(rng.integers(0, 256)), int(rng.integers(0, 256)))
             ext = int(rng.integers(0, 2))
-            out = code.decode_key(odd, ext)
+            out = code.decode_packed(pack(code, odd, ext))
             if out is not None:
                 assert all(0 <= p < code.n for p in out)
 
@@ -407,8 +409,8 @@ class TestBddRandomized:
             ((int(rng.integers(0, 128)), int(rng.integers(0, 128))), int(rng.integers(0, 2)))
             for _ in range(200)
         ]
-        cold = [code.decode_key(odd, ext) for odd, ext in keys]
-        warm = [code.decode_key(odd, ext) for odd, ext in keys]
+        cold = [code.decode_packed(pack(code, odd, ext)) for odd, ext in keys]
+        warm = [code.decode_packed(pack(code, odd, ext)) for odd, ext in keys]
         assert cold == warm
 
 
@@ -453,8 +455,8 @@ class TestTripleErrorSolver:
         odds = [tuple(int(v) for v in rng.integers(0, 256, size=3)) for _ in range(1500)]
         for wgt in (1, 2, 3, 4):
             for _ in range(300):
-                odd, _ = code.syndrome_key(rng.choice(code.n, size=wgt, replace=False).tolist())
-                odds.append(odd)
+                packed = code.syndrome_packed(rng.choice(code.n, size=wgt, replace=False).tolist())
+                odds.append(odd_syndromes(code, packed))
         decoded = 0
         for odd in odds:
             got = code._solve_core(odd)
@@ -508,6 +510,21 @@ class TestDecodeTable:
         for packed in (-1, 1 << code.packed_bits):
             with pytest.raises(ValueError, match="does not fit"):
                 code.decode_packed(packed)
+
+    @pytest.mark.parametrize(
+        "args,budgets", [((8, 3, 1, 0), (4, -1)), ((7, 2, 1, 0), (3,))]
+    )
+    def test_budget_outside_range_rejected(self, args, budgets):
+        # a weight-(t+1) pattern with an extension error, which the
+        # algebraic path of (8,3,1,0) would return under budget t+1
+        code = build_component_code(*args)
+        packed = code.syndrome_packed([3, 17, 40, code.n_core])
+        for budget in budgets:
+            with pytest.raises(ValueError, match="budget"):
+                code.decode_packed(packed, budget)
+            with pytest.raises(ValueError, match="budget"):
+                code.decode_batch(np.array([packed]), budget)
+        assert (code.t + 1, packed) not in code._bdd_cache
 
     @pytest.mark.parametrize("args", [(10, 2, 0, 0), (6, 3, 2, 0), (8, 2, 1, 61)])
     def test_builder_matches_reference(self, args):
@@ -630,37 +647,56 @@ class TestDecodeBatch:
 
 
 class TestIdealizedBdd:
+    """The genie, component BDD that corrects only within distance t of
+    the truth, as genie_decode runs it on a product layout."""
+
+    @staticmethod
+    def product_codeword(code, rng):
+        """A random codeword of the n x n product of ``code``."""
+        msg = rng.integers(0, 2, size=(code.k, code.k)).astype(np.uint8)
+        rows = np.array([code.encode(m) for m in msg])
+        return np.array([code.encode(rows[:, j]) for j in range(code.n)]).T.ravel()
+
     def test_corrects_within_radius_flags_beyond(self):
         code = build_component_code(4, 2, 1, 0)
-        word = encode(code, np.ones(code.k, dtype=np.uint8))
+        lay = build_product_layout(code)
+        word = self.product_codeword(code, np.random.default_rng(16))
         rcv = word.copy()
-        rcv[[1, 5]] ^= 1
-        out = idealized_bdd_decode(code, rcv, word)
-        assert out is not FAIL and sorted(out.error_positions) == [1, 5]
+        rcv[[3 * code.n + 1, 3 * code.n + 5]] ^= 1  # row 3, columns 1 and 5
+        out, stats = genie_decode(lay, rcv, word, 4)
+        assert np.array_equal(out, word) and stats.syndromes_zero
+        assert stats.corrections == 2
 
-        rcv[10] ^= 1  # now weight 3 from the truth: genie refuses
-        assert idealized_bdd_decode(code, rcv, word) is FAIL
+        # weight 3 from the truth in every touched row and column: the
+        # genie refuses every component decode
+        grid = [r * code.n + c for r in (1, 5, 10) for c in (1, 5, 10)]
+        rcv = word.copy()
+        rcv[grid] ^= 1
+        out, stats = genie_decode(lay, rcv, word, 4)
+        assert np.array_equal(out, rcv) and not stats.syndromes_zero
+        assert stats.corrections == 0
 
     def test_never_miscorrects(self):
-        # patterns that fool plain BDD are flagged by the idealized decoder
+        # patterns that fool plain BDD are left alone by the genie
         code = build_component_code(4, 2, 0, 0)
-        word = np.zeros(code.n, dtype=np.uint8)
+        lay = build_product_layout(code)
         for pos in itertools.combinations(range(code.n), 3):
-            odd, ext = code.syndrome_key(pos)
-            if code.decode_key(odd, ext) is not None:
-                rcv = word.copy()
-                rcv[list(pos)] ^= 1
-                assert idealized_bdd_decode(code, rcv, word) is FAIL
+            if code.decode_packed(code.syndrome_packed(pos)) is not None:
                 break
         else:
             pytest.fail("no miscorrecting pattern found")
+        rcv = np.zeros(lay.n_bits, dtype=np.uint8)
+        rcv[[r * code.n + c for r in pos for c in pos]] = 1
+        out, stats = genie_decode(lay, rcv, None, 4)
+        assert np.array_equal(out, rcv) and stats.corrections == 0
 
     def test_rejects_non_codeword_reference(self):
         code = build_component_code(4, 2, 0, 0)
-        bad = np.zeros(code.n, dtype=np.uint8)
+        lay = build_product_layout(code)
+        bad = np.zeros(lay.n_bits, dtype=np.uint8)
         bad[0] = 1
         with pytest.raises(ValueError):
-            idealized_bdd_decode(code, bad, bad)
+            genie_decode(lay, bad, bad, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +710,12 @@ class TestErasureDecode:
         rng = np.random.default_rng(11)
         for _ in range(60):
             msg = rng.integers(0, 2, size=code.k).astype(np.uint8)
-            word = encode(code, msg)
+            word = code.encode(msg)
             n_er = int(rng.integers(0, 9))
             erasures = sorted(rng.choice(code.n, size=n_er, replace=False).tolist())
             rcv = word.copy()
             rcv[erasures] = rng.integers(0, 2, size=n_er).astype(np.uint8)
-            got = erasure_decode(code, rcv, erasures)
+            got = code.erasure_decode(rcv, erasures)
             want = brute_force_erasure(code, rcv, erasures)
             if want is None:
                 assert got is None
@@ -688,45 +724,29 @@ class TestErasureDecode:
 
     def test_up_to_dmin_minus_1_erasures_always_recoverable(self):
         code = build_component_code(4, 2, 1, 0)
-        word = encode(code, np.arange(code.k, dtype=np.uint8) % 2)
+        word = code.encode(np.arange(code.k, dtype=np.uint8) % 2)
         rng = np.random.default_rng(12)
         for _ in range(100):
             erasures = sorted(rng.choice(code.n, size=code.d_min - 1, replace=False).tolist())
             rcv = word.copy()
             rcv[erasures] = 0
-            got = erasure_decode(code, rcv, erasures)
+            got = code.erasure_decode(rcv, erasures)
             assert got is not None and np.array_equal(got, word)
 
     def test_errors_outside_erasures_are_detected(self):
         code = build_component_code(4, 2, 1, 0)
-        word = encode(code, np.ones(code.k, dtype=np.uint8))
+        word = code.encode(np.ones(code.k, dtype=np.uint8))
         rcv = word.copy()
         rcv[0] ^= 1  # unerased error makes the system inconsistent
         erasures = [4, 7]
-        got = erasure_decode(code, rcv, erasures)
+        got = code.erasure_decode(rcv, erasures)
         # either inconsistent (None) or a valid codeword different from word
         if got is not None:
-            assert syndrome(code, got).is_zero
+            assert code.syndrome(got) == 0
 
     def test_no_erasures_is_a_syndrome_check(self):
         code = build_component_code(4, 2, 0, 0)
-        word = encode(code, np.zeros(code.k, dtype=np.uint8))
-        assert erasure_decode(code, word, []) is not None
+        word = code.encode(np.zeros(code.k, dtype=np.uint8))
+        assert code.erasure_decode(word, []) is not None
         word[3] ^= 1
-        assert erasure_decode(code, word, []) is None
-
-
-# ---------------------------------------------------------------------------
-# syndrome value semantics
-
-
-class TestSyndromeObject:
-    def test_xor_and_zero(self):
-        a = Syndrome((1, 2), (1,))
-        b = Syndrome((1, 2), (1,))
-        assert (a ^ b).is_zero
-        assert not a.is_zero
-
-    def test_hashable(self):
-        syns = {Syndrome((0, 1), ()), Syndrome((0, 1), ()), Syndrome((0, 2), ())}
-        assert len(syns) == 2
+        assert code.erasure_decode(word, []) is None

@@ -31,8 +31,6 @@ from gpcdec.engine import (
     DecodeStats,
     anchor_decode,
     anchor_decode_state,
-    backtrack_anchor,
-    error_correction_step,
     frame_syndromes,
     genie_decode,
     iterative_bdd,
@@ -522,6 +520,23 @@ class TestDecodingBehaviour:
         assert st_i.half_iterations < 16
         assert st_a.half_iterations < 16
 
+    def test_stop_rule_half_iteration_counts(self, pc15):
+        # exact counts pin the shared stop rule: a clean frame ends after
+        # one half-iteration (genie: before any), a stall after one sweep
+        # without change, and the reduced phase runs to the budget reset
+        # before the stall can end the plan
+        clean = np.zeros(pc15.n_bits, dtype=np.uint8)
+        T = (0, 1, 3)
+        stall = grid_frame(pc15, [(r, c) for r in T for c in T])
+        for frame, want in ((clean, (1, 1, 0)), (stall, (2, 4, 2))):
+            got = (iterative_bdd(pc15, frame, 8)[1].half_iterations,
+                   anchor_decode(pc15, frame, 8)[1].half_iterations,
+                   genie_decode(pc15, frame, None, 8)[1].half_iterations)
+            assert got == want
+        got = (iterative_bdd(pc15, stall, 8, 2)[1].half_iterations,
+               anchor_decode(pc15, stall, 8, reduced_t_iters=2)[1].half_iterations)
+        assert got == (6, 8)
+
     def test_transitions_stay_in_allowed_graph(self, pc15):
         rng = np.random.default_rng(31)
         allowed = {(ELIGIBLE, ANCHOR), (ELIGIBLE, FAILED), (ELIGIBLE, FROZEN),
@@ -662,32 +677,32 @@ class TestStaircaseDecoding:
 
 
 class TestCodewordIdWrappers:
+    """Alg. 3 and Alg. 4 on codewords addressed by CodewordId."""
+
     def test_error_correction_step_flips_shared_bit(self, pc15):
         frame = np.zeros(pc15.n_bits, dtype=np.uint8)
         state = DecoderState(pc15, frame)
-        error_correction_step(state, CodewordId(1, 4), CodewordId(2, 13))
+        row = pc15.cw_index(CodewordId(1, 4))
+        assert pc15.partner_cw[row, 13 - 1] == pc15.cw_index(CodewordId(2, 13))
+        state.error_correction(row, 13 - 1)
         assert state.frame[3 * 15 + 12] == 1
         assert state.stats.corrections == 1
         state.validate()
 
-    def test_error_correction_step_requires_shared_bit(self, pc15):
-        state = DecoderState(pc15, np.zeros(pc15.n_bits, np.uint8))
-        with pytest.raises(ValueError):
-            error_correction_step(state, CodewordId(1, 1), CodewordId(1, 2))
-
     def test_flip_between_two_anchors_is_skipped(self, pc15):
         state = DecoderState(pc15, np.zeros(pc15.n_bits, np.uint8))
-        state.visit(pc15.cw_index(CodewordId(1, 1)))
+        row = pc15.cw_index(CodewordId(1, 1))
+        state.visit(row)
         state.visit(pc15.cw_index(CodewordId(2, 1)))
-        assert state.status[pc15.cw_index(CodewordId(1, 1))] == ANCHOR
-        error_correction_step(state, CodewordId(1, 1), CodewordId(2, 1))
+        assert state.status[row] == ANCHOR
+        state.error_correction(row, 0)  # the bit shared with column 1
         assert state.frame.sum() == 0
         assert state.stats.corrections == 0
 
     def test_backtrack_requires_anchor(self, pc15):
         state = DecoderState(pc15, np.zeros(pc15.n_bits, np.uint8))
         with pytest.raises(RuntimeError):
-            backtrack_anchor(state, CodewordId(1, 1))
+            state.backtrack(pc15.cw_index(CodewordId(1, 1)))
 
     def test_backtrack_restores_frame(self, pc15):
         frame = grid_frame(pc15, [(3, c) for c in (2, 5, 10, 14)])
@@ -695,7 +710,7 @@ class TestCodewordIdWrappers:
         row = pc15.cw_index(CodewordId(1, 4))
         state.visit(row)  # miscorrects and anchors
         assert state.stats.corrections == 2
-        backtrack_anchor(state, CodewordId(1, 4))
+        state.backtrack(row)
         assert np.array_equal(state.frame, frame)
         assert state.status[row] == FROZEN
         assert state.stats.backtracks == 1

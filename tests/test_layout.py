@@ -35,6 +35,11 @@ def reference_incidence(cw_bits, n_bits):
     return bit_cw, bit_pos
 
 
+def flat_plan(layout, ell, reduced_t_iters=0):
+    """window_plans flattened: one entry per half-iteration."""
+    return [h for plan in layout.window_plans(ell, reduced_t_iters) for h in plan]
+
+
 @pytest.fixture(scope="module")
 def code15():
     return build_component_code(4, 2, 0, 0)
@@ -96,10 +101,10 @@ class TestProductLayout:
                 assert pc.cw_bits[q, qp] == pc.cw_bits[c, p]
 
     def test_schedule_alternates_types(self, pc):
-        sched = pc.schedule
+        (sched,) = pc.window_plans(1)
         assert len(sched) == 2
-        assert sched[0].tolist() == list(range(15))
-        assert sched[1].tolist() == list(range(15, 30))
+        assert list(sched[0].cw_indices) == list(range(15))
+        assert list(sched[1].cw_indices) == list(range(15, 30))
 
     def test_rate(self, pc):
         assert pc.rate == pytest.approx((7 / 15) ** 2)
@@ -167,10 +172,10 @@ class TestStaircaseLayout:
     def test_window_schedule(self, sc):
         # 5 blocks, window 3: positions cover types (1,2), (2,3), (3,4)
         assert sc._window_types() == [[1, 2], [2, 3], [3, 4]]
-        sched = sc.schedule
+        sched = flat_plan(sc, 1)
         assert len(sched) == 6
-        seen = np.concatenate(sched)
-        assert set(seen.tolist()) == set(range(sc.n_cw))
+        seen = [c for h in sched for c in h.cw_indices]
+        assert set(seen) == set(range(sc.n_cw))
 
     def test_degenerate_window_is_product_like(self, code16):
         lay = build_staircase_layout(code16, num_blocks=3, window=3)
@@ -202,7 +207,7 @@ class TestStaircaseLayout:
 
 class TestIterationPlan:
     def test_product_plan_budgets_and_reset(self, pc):
-        plan = list(pc.iteration_plan(ell=4, reduced_t_iters=2))
+        plan = list(pc.window_plans(ell=4, reduced_t_iters=2)[0])
         assert len(plan) == 8
         budgets = [h.budget for h in plan]
         assert budgets == [1, 1, 1, 1, 2, 2, 2, 2]
@@ -210,12 +215,12 @@ class TestIterationPlan:
         assert resets == [False] * 4 + [True] + [False] * 3
 
     def test_no_reduced_phase_no_reset(self, pc):
-        plan = list(pc.iteration_plan(ell=3))
+        plan = flat_plan(pc, 3)
         assert all(h.budget == 2 for h in plan)
         assert not any(h.reset_failed for h in plan)
 
     def test_staircase_plan_structure(self, sc):
-        plan = list(sc.iteration_plan(ell=2, reduced_t_iters=1))
+        plan = flat_plan(sc, 2, 1)
         # 3 window positions x 2 iterations x 2 types
         assert len(plan) == 12
         # window position boundaries restart the reduced phase
@@ -225,14 +230,14 @@ class TestIterationPlan:
         assert resets == [False, False, True, False] * 3
 
     def test_visit_order_ascending(self, sc):
-        for h in sc.iteration_plan(3, 1):
+        for h in flat_plan(sc, 3, 1):
             assert (np.diff(h.cw_indices) > 0).all()
 
     def test_bad_arguments(self, pc):
         with pytest.raises(ValueError):
-            list(pc.iteration_plan(0))
+            pc.window_plans(0)
         with pytest.raises(ValueError):
-            list(pc.iteration_plan(2, 3))
+            pc.window_plans(2, 3)
 
     def test_plans_built_once_per_arguments(self, sc):
         plans = sc.window_plans(3, 1)

@@ -24,6 +24,7 @@ from gpcdec.sim import (
     CSV_HEADER,
     BerRecord,
     TrialConfig,
+    format_csv_row,
     frame_rng,
     paired_records,
     run_trials,
@@ -135,6 +136,11 @@ class TestRunTrials:
         assert rec.frame_errors == 33
         assert rec.frame_errors >= cfg.min_frame_errors
         assert rec.csv_row() == "iterative,0.14,192,810,33,0.01875,0.171875,6,1,7"
+        assert rec.csv_row("x+pp") == "x+pp,0.14,192,810,33,0.01875,0.171875,6,1,7"
+        # the analytic rows of ``gpcdec repro`` share the schema
+        assert format_csv_row("de", 0.02, 0, 0, 0, 1e-3, 0.0, 10, 1, 0) == (
+            "de,0.02,0,0,0,0.001,0.0,10,1,0"
+        )
         assert CSV_HEADER == (
             "variant,p,frames,bit_errors,frame_errors,ber,fer,ell,delta,seed"
         )

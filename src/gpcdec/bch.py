@@ -42,10 +42,16 @@ table, or the t=2 and t=3 closed forms evaluated over arrays with the
 field's numpy tables (``FieldTable.arrays``).  At t >= 4 without a table
 it loops over the memoized scalar decoder.  ``prefetch`` uses it to fill
 the memo for a set of syndromes at once.
+
+The erasure solver takes the packed syndrome too: ``erasure_decode``
+eliminates over GF(2) on the packed columns ``contrib_packed`` and returns
+the erased positions to flip, ascending.  ``parity_check_matrix`` builds
+the same checks as a binary matrix for code outside the decoders.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -697,48 +703,50 @@ class ComponentCodeSpec:
         return self._pcm
 
     def erasure_decode(
-        self, word: Sequence[int], erasures: Iterable[int]
-    ) -> np.ndarray | None:
-        """Fill in the erased positions assuming all other bits are correct.
+        self, syndrome: int, erasures: Iterable[int]
+    ) -> tuple[int, ...] | None:
+        """Solve for erased positions, assuming all other bits are correct.
 
-        Returns the completed codeword when the restricted parity system has a
-        unique solution; None when the system is inconsistent or
-        underdetermined.  Guaranteed unique for fewer than d_min erasures.
+        ``syndrome`` is the word's packed syndrome.  Returns the erased
+        positions, ascending, whose flip clears it, when the restricted
+        parity system has a unique solution; None when the system is
+        inconsistent or underdetermined.  Guaranteed unique for fewer than
+        d_min erasures.
+
+        Gaussian elimination over GF(2) on the packed columns
+        ``contrib_packed[pos]``: an XOR basis keyed by leading bit, each
+        entry carrying the bitmask of erased columns it combines.
         """
-        w = np.asarray(word, dtype=np.uint8).copy()
-        if w.shape != (self.n,):
-            raise ValueError(f"word must have length n={self.n}")
-        idx = sorted(set(int(p) for p in erasures))
-        if idx and not 0 <= idx[0] <= idx[-1] < self.n:
+        syndrome = operator.index(syndrome)  # numpy ints have no bit_length
+        if not 0 <= syndrome < 1 << self.packed_bits:
+            raise ValueError(f"syndrome {syndrome} does not fit {self.packed_bits} bits")
+        erased = set(erasures)
+        if erased and not 0 <= min(erased) <= max(erased) < self.n:
             raise ValueError("erasure position out of range")
-        h = self.parity_check_matrix()
-        rhs = (h @ w) % 2
-        if not idx:
-            return w if not rhs.any() else None
-        aug = np.concatenate([h[:, idx], rhs[:, None]], axis=1).astype(np.uint8)
-        nrows, ncols = aug.shape
-        r = 0
-        for c in range(ncols - 1):
-            piv = None
-            for i in range(r, nrows):
-                if aug[i, c]:
-                    piv = i
-                    break
-            if piv is None:
-                return None  # free variable: multiple completions
-            if piv != r:
-                aug[[r, piv]] = aug[[piv, r]]
-            mask = aug[:, c].copy()
-            mask[r] = 0
-            aug[mask == 1] ^= aug[r]
-            r += 1
-        if aug[r:, -1].any():
-            return None  # inconsistent
-        # full column rank: pivot row j corresponds to erased position idx[j]
+        if len(erased) > self.packed_bits:
+            return None  # more unknowns than checks: dependent columns
+        idx = sorted(map(int, erased))
+        contrib = self.contrib_packed
+        basis: dict[int, tuple[int, int]] = {}
         for j, pos in enumerate(idx):
-            if aug[j, -1]:
-                w[pos] ^= 1
-        return w
+            v, mask = contrib[pos], 1 << j
+            while v:
+                lead = basis.get(v.bit_length())
+                if lead is None:
+                    break
+                v ^= lead[0]
+                mask ^= lead[1]
+            if not v:
+                return None  # dependent column: multiple completions
+            basis[v.bit_length()] = (v, mask)
+        chosen = 0
+        while syndrome:
+            lead = basis.get(syndrome.bit_length())
+            if lead is None:
+                return None  # inconsistent
+            syndrome ^= lead[0]
+            chosen ^= lead[1]
+        return tuple(pos for j, pos in enumerate(idx) if chosen >> j & 1)
 
 
 def build_component_code(nu: int, t: int, e: int = 0, s: int = 0) -> ComponentCodeSpec:

@@ -244,12 +244,3 @@ def build_field(nu: int) -> FieldTable:
     _FIELD_CACHE[nu] = table
     return table
 
-
-def gf_mul(f: FieldTable, a: int, b: int) -> int:
-    """Product of two field elements."""
-    return f.mul(a, b)
-
-
-def gf_inv(f: FieldTable, a: int) -> int:
-    """Multiplicative inverse; raises ZeroDivisionError for 0."""
-    return f.inv(a)

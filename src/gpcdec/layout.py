@@ -30,9 +30,6 @@ __all__ = [
     "GpcLayout",
     "build_product_layout",
     "build_staircase_layout",
-    "incident_codewords",
-    "bits_of",
-    "bit_at",
 ]
 
 
@@ -308,30 +305,3 @@ def build_staircase_layout(
         window=window,
     )
 
-
-# --- module-level conveniences -------------------------------------------
-
-
-def bit_at(layout: GpcLayout, cid: CodewordId, position: int) -> int:
-    """Global index of the bit at ``position`` (0-based) of a codeword."""
-    c = layout.cw_index(cid)
-    if not 0 <= position < layout.code.n:
-        raise ValueError(f"position {position} out of range")
-    return int(layout.cw_bits[c, position])
-
-
-def incident_codewords(layout: GpcLayout, bit: int) -> tuple[CodewordId, ...]:
-    """The codewords covering a bit; two for every regular bit, one for
-    termination-block bits of a staircase."""
-    if not 0 <= bit < layout.n_bits:
-        raise ValueError(f"bit {bit} out of range")
-    out = []
-    for c in layout.bit_cw[bit]:
-        if c >= 0:
-            out.append(layout.cw_id(int(c)))
-    return tuple(out)
-
-
-def bits_of(layout: GpcLayout, cid: CodewordId) -> np.ndarray:
-    """Global bit indices of a codeword, ordered by position."""
-    return layout.cw_bits[layout.cw_index(cid)].copy()

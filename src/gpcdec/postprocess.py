@@ -17,10 +17,20 @@ Two strategies operate on the terminal decoder state:
 
 Both helpers leave the input state untouched and return a ``PpResult``
 holding the rescued frame plus the counters the sim harness serializes.
+
+Everything works on the decoder state's packed syndromes and the layout's
+index arrays.  ``build_failure_report`` takes the failed mask from the
+syndromes in one numpy op and the intersection from the failed codewords'
+``partner_cw`` rows.  The erasure solver, ``ComponentCodeSpec.erasure_decode``,
+takes a codeword's packed syndrome plus its erased positions and returns
+the positions to flip, so no codeword is gathered from the frame.  A
+codeword with more erased positions than syndrome bits has dependent
+columns and is skipped at once, which is the common case when the failed
+sets are large.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
@@ -95,25 +105,32 @@ def build_failure_report(state: DecoderState) -> FailureReport:
     """
     layout = state.layout
     t = layout.code.t
-    failed = np.array([s != 0 for s in state.syn], dtype=bool)
-    by_type: dict[int, tuple[CodewordId, ...]] = {}
-    for ty in range(1, layout.num_types + 1):
-        lo = (ty - 1) * layout.per_type
-        members = np.nonzero(failed[lo : lo + layout.per_type])[0] + lo
-        by_type[ty] = tuple(layout.cw_id(int(c)) for c in members)
+    per_type = layout.per_type
+    failed = np.array(state.syn, dtype=np.int64) != 0
     guard = np.append(failed, False)  # index -1 = absent partner, never failed
-    inter = np.nonzero(guard[layout.bit_cw[:, 0]] & guard[layout.bit_cw[:, 1]])[0]
-    partner = layout._as_lists("partner_cw")
-    suspicious = []
-    for c in range(layout.n_cw):
-        if state.status[c] != ANCHOR:
-            continue
-        pos = state.anchor_pos[c]
-        if pos is None or len(pos) != t:
-            continue
-        if all(guard[partner[c][p]] for p in pos):
-            suspicious.append(layout.cw_id(c))
-    return FailureReport(by_type, inter.astype(np.int64), tuple(suspicious))
+    cws = np.flatnonzero(failed)
+    type_of, index_of = np.divmod(cws, per_type)
+    ids = list(map(CodewordId, (type_of + 1).tolist(), (index_of + 1).tolist()))
+    n_types = layout.num_types
+    bounds = np.searchsorted(cws, np.arange(n_types + 1) * per_type).tolist()
+    by_type = {ty: tuple(ids[bounds[ty - 1] : bounds[ty]]) for ty in range(1, n_types + 1)}
+    # every bit of a failed codeword whose partner failed too, taken once,
+    # from the lower-index codeword of the two
+    partner = layout.partner_cw[cws]
+    shared = guard[partner] & (partner > cws[:, None])
+    inter = np.sort(layout.cw_bits[cws][shared]).astype(np.int64)
+    # anchors holding exactly t stored corrections, all in failed partners
+    full = [
+        c
+        for c, (st, pos) in enumerate(zip(state.status, state.anchor_pos))
+        if st == ANCHOR and pos is not None and len(pos) == t
+    ]
+    suspicious = ()
+    if full:
+        pos = np.array([state.anchor_pos[c] for c in full])
+        hit = guard[layout.partner_cw[np.array(full)[:, None], pos]].all(axis=1)
+        suspicious = tuple(layout.cw_id(c) for c, h in zip(full, hit.tolist()) if h)
+    return FailureReport(by_type, inter, suspicious)
 
 
 def bitflip_iterate_pp(
@@ -226,19 +243,19 @@ def _erasure_fixpoint(work: DecoderState, failed: list[int]) -> bool:
     """Alternately erasure-decode the failed codewords until nothing moves.
 
     A member's erased positions are its bits shared with another member.
-    Only members whose current syndrome is nonzero are solved; augmented
-    anchors start at zero and join once partner corrections disturb them.
+    Only members whose current syndrome is nonzero are solved, on that
+    syndrome, and the returned positions are flipped in ascending order.
+    Augmented anchors start at zero and join once partner corrections
+    disturb them.
     For two-type layouts the smaller failed set goes first; the pass count
     is capped so adversarial oscillating patterns still terminate.
     """
     layout = work.layout
     code = layout.code
-    fset = set(failed)
-    partner = layout._as_lists("partner_cw")
-    bits = layout._as_lists("cw_bits")
-    erased = {
-        c: [p for p in range(code.n) if partner[c][p] in fset] for c in failed
-    }
+    member = np.zeros(layout.n_cw + 1, dtype=bool)  # last slot: absent partner
+    member[failed] = True
+    shared = member[layout.partner_cw[failed]]
+    erased = {c: row.nonzero()[0].tolist() for c, row in zip(failed, shared)}
     if layout.num_types == 2:
         per_type = layout.per_type
         groups = [
@@ -257,13 +274,13 @@ def _erasure_fixpoint(work: DecoderState, failed: list[int]) -> bool:
                 pos = erased[c]
                 if not pos:
                     continue
-                word = work.frame[layout.cw_bits[c]]
-                out = code.erasure_decode(word, pos)
-                if out is None:
+                out = code.erasure_decode(work.syn[c], pos)
+                if not out:
                     continue
-                for p in np.nonzero(out != word)[0]:
-                    work.flip_bit(bits[c][int(p)])
-                    changed = True
+                bits = layout.cw_bits[c]
+                for p in out:
+                    work.flip_bit(int(bits[p]))
+                changed = True
         if work.all_syndromes_zero():
             return True
         if not changed:
@@ -279,24 +296,19 @@ def _erasure_exhaustive(
 ) -> PpResult:
     """Try candidate subsets by increasing size; first full success wins."""
     layout = state.layout
-    d_min = layout.code.d_min
     per_type = layout.per_type
     base = [0, 0]
     if candidates:  # capacity filter only arises for two-type layouts
         for c in failed:
             base[c // per_type] += 1
+    room = [layout.code.d_min - 1 - b for b in base]
     f1_size, f2_size = len(report.f1), len(report.f2)
     isize = int(report.intersection.size)
     attempts = 0
     first_frame = None
     for k in range(len(candidates) + 1):
-        for sub in combinations(candidates, k):
-            if k:
-                sizes = base.copy()
-                for c in sub:
-                    sizes[c // per_type] += 1
-                if min(sizes) >= d_min:
-                    continue  # insertion capacity exceeded
+        subsets = _fitting_subsets(candidates, k, room, per_type) if k else [()]
+        for sub in subsets:
             work = DecoderState(layout, state.frame)
             ok = _erasure_fixpoint(work, sorted(set(failed) | set(sub)))
             attempts += 1
@@ -310,3 +322,45 @@ def _erasure_exhaustive(
             break
     out = state.frame.copy() if first_frame is None else first_frame
     return PpResult(out, False, f1_size, f2_size, isize, 0)
+
+
+def _fitting_subsets(
+    candidates: list[int], k: int, room: list[int], per_type: int
+) -> Iterator[tuple[int, ...]]:
+    """The size-k subsets of ``combinations(candidates, k)``, in its order,
+    that insert at most ``room[ty]`` codewords into some type ty.
+
+    A prefix is extended only while some completion still fits, so every
+    branch ends in a yielded subset and the cost stays proportional to
+    the subsets actually tried, however many are filtered out.
+    """
+    types = [c // per_type for c in candidates]
+    left = [[0, 0] for _ in range(len(candidates) + 1)]  # types in candidates[i:]
+    for i in range(len(candidates) - 1, -1, -1):
+        left[i] = left[i + 1].copy()
+        left[i][types[i]] += 1
+    picked: list[int] = []
+    counts = [0, 0]
+
+    def completable(i: int) -> bool:
+        need = k - len(picked)
+        for ty in (0, 1):
+            free = room[ty] - counts[ty]
+            if free >= 0 and left[i][1 - ty] + min(free, left[i][ty]) >= need:
+                return True
+        return False
+
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
+        if len(picked) == k:
+            yield tuple(picked)
+            return
+        for j in range(i, len(candidates)):
+            picked.append(candidates[j])
+            counts[types[j]] += 1
+            if completable(j + 1):
+                yield from extend(j + 1)
+            picked.pop()
+            counts[types[j]] -= 1
+
+    if completable(0):
+        yield from extend(0)

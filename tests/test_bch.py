@@ -6,6 +6,7 @@ distances are measured rather than asserted from formulas, and erasure
 decoding is cross-checked against brute force over all completions.
 """
 
+import functools
 import itertools
 from math import comb
 
@@ -113,6 +114,53 @@ def brute_force_erasure(code, word, erasures):
         if code.syndrome(cand) == 0:
             hits.append(cand)
     return hits[0] if len(hits) == 1 else None
+
+
+def reference_erasure_decode(code, word, erasures):
+    """The erasure solver's former numpy form: Gaussian elimination on
+    the binary parity-check matrix restricted to the erased columns.
+    Returns the completed word, or None when the system is inconsistent
+    or underdetermined."""
+    w = np.asarray(word, dtype=np.uint8).copy()
+    idx = sorted(set(int(p) for p in erasures))
+    h = code.parity_check_matrix()
+    rhs = (h @ w) % 2
+    if not idx:
+        return w if not rhs.any() else None
+    aug = np.concatenate([h[:, idx], rhs[:, None]], axis=1).astype(np.uint8)
+    nrows, ncols = aug.shape
+    r = 0
+    for c in range(ncols - 1):
+        piv = None
+        for i in range(r, nrows):
+            if aug[i, c]:
+                piv = i
+                break
+        if piv is None:
+            return None  # free variable: multiple completions
+        if piv != r:
+            aug[[r, piv]] = aug[[piv, r]]
+        mask = aug[:, c].copy()
+        mask[r] = 0
+        aug[mask == 1] ^= aug[r]
+        r += 1
+    if aug[r:, -1].any():
+        return None  # inconsistent
+    # full column rank: pivot row j corresponds to erased position idx[j]
+    for j, pos in enumerate(idx):
+        if aug[j, -1]:
+            w[pos] ^= 1
+    return w
+
+
+def erasure_complete(code, word, erasures):
+    """The word completed by erasure_decode on its packed syndrome, or None."""
+    flips = code.erasure_decode(code.syndrome(word), erasures)
+    if flips is None:
+        return None
+    out = np.array(word, dtype=np.uint8)
+    out[list(flips)] ^= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +751,64 @@ class TestIdealizedBdd:
 # erasure decoding
 
 
+# codes of the differential tests: every extension, table and algebraic
+# decoders, t = 2..4
+ERASURE_CODES = [
+    (4, 2, 0, 0), (4, 2, 1, 0), (4, 2, 2, 0),
+    (7, 2, 1, 0), (8, 2, 1, 61), (8, 3, 0, 0), (8, 4, 2, 0),
+]
+
+
+@functools.cache
+def erasure_code(args):
+    return build_component_code(*args)
+
+
+def low_weight_codeword(code, rng):
+    """Support of a nonzero codeword of weight at most d_min + t - 1:
+    d_min - t random positions XOR the support BDD decodes their syndrome
+    to."""
+    while True:
+        probe = rng.choice(code.n, size=code.d_min - code.t, replace=False).tolist()
+        out = code.decode_packed(code.syndrome_packed(probe))
+        if out is not None:
+            return sorted(set(probe) ^ set(out))
+
+
+def erasure_problem(code, rng, n_er, kind):
+    """A word and n_er erasures.  ``planted``: a codeword with random bits
+    written into the erasures.  ``inconsistent``: the same plus one error
+    outside them.  ``dependent``: the erasures cover the support of a
+    nonzero codeword, so their columns are dependent.  ``random``: any
+    word."""
+    n_er = min(n_er, code.n)
+    msg = rng.integers(0, 2, size=code.k).astype(np.uint8)
+    word = code.encode(msg)
+    if kind == "dependent":
+        supp = low_weight_codeword(code, rng)
+        rest = np.setdiff1d(np.arange(code.n), supp)
+        extra = rng.choice(rest, size=max(n_er - len(supp), 0), replace=False)
+        erasures = sorted(supp + extra.tolist())
+    else:
+        erasures = sorted(rng.choice(code.n, size=n_er, replace=False).tolist())
+    if kind == "random":
+        word = rng.integers(0, 2, size=code.n).astype(np.uint8)
+    word[erasures] = rng.integers(0, 2, size=len(erasures)).astype(np.uint8)
+    if kind == "inconsistent" and len(erasures) < code.n:
+        outside = np.setdiff1d(np.arange(code.n), erasures)
+        word[rng.choice(outside)] ^= 1
+    return word, erasures
+
+
+def assert_matches_reference(code, word, erasures):
+    got = code.erasure_decode(code.syndrome(word), erasures)
+    want = reference_erasure_decode(code, word, erasures)
+    if want is None:
+        assert got is None
+    else:
+        assert got == tuple(np.flatnonzero(want != word).tolist())
+
+
 class TestErasureDecode:
     @pytest.mark.parametrize("args", [(4, 2, 0, 0), (4, 2, 1, 0), (4, 2, 2, 0)])
     def test_matches_brute_force(self, args):
@@ -715,7 +821,7 @@ class TestErasureDecode:
             erasures = sorted(rng.choice(code.n, size=n_er, replace=False).tolist())
             rcv = word.copy()
             rcv[erasures] = rng.integers(0, 2, size=n_er).astype(np.uint8)
-            got = code.erasure_decode(rcv, erasures)
+            got = erasure_complete(code, rcv, erasures)
             want = brute_force_erasure(code, rcv, erasures)
             if want is None:
                 assert got is None
@@ -730,7 +836,7 @@ class TestErasureDecode:
             erasures = sorted(rng.choice(code.n, size=code.d_min - 1, replace=False).tolist())
             rcv = word.copy()
             rcv[erasures] = 0
-            got = code.erasure_decode(rcv, erasures)
+            got = erasure_complete(code, rcv, erasures)
             assert got is not None and np.array_equal(got, word)
 
     def test_errors_outside_erasures_are_detected(self):
@@ -739,7 +845,7 @@ class TestErasureDecode:
         rcv = word.copy()
         rcv[0] ^= 1  # unerased error makes the system inconsistent
         erasures = [4, 7]
-        got = code.erasure_decode(rcv, erasures)
+        got = erasure_complete(code, rcv, erasures)
         # either inconsistent (None) or a valid codeword different from word
         if got is not None:
             assert code.syndrome(got) == 0
@@ -747,6 +853,61 @@ class TestErasureDecode:
     def test_no_erasures_is_a_syndrome_check(self):
         code = build_component_code(4, 2, 0, 0)
         word = code.encode(np.zeros(code.k, dtype=np.uint8))
-        assert code.erasure_decode(word, []) is not None
+        assert code.erasure_decode(code.syndrome(word), []) == ()
         word[3] ^= 1
-        assert code.erasure_decode(word, []) is None
+        assert code.erasure_decode(code.syndrome(word), []) is None
+
+    @pytest.mark.parametrize("args", ERASURE_CODES)
+    def test_matches_reference(self, args):
+        """Every erasure count from 0 to packed_bits + 3, on planted,
+        inconsistent, dependent and random problems."""
+        code = erasure_code(args)
+        rng = np.random.default_rng(sum(args))
+        flipped = 0
+        for n_er in range(code.packed_bits + 4):
+            for kind in ("planted", "inconsistent", "dependent", "random"):
+                for _ in range(6):
+                    word, erasures = erasure_problem(code, rng, n_er, kind)
+                    assert_matches_reference(code, word, erasures)
+                    flipped += bool(code.erasure_decode(code.syndrome(word), erasures))
+        # planted problems below d_min erasures always solve, most by flips
+        assert flipped >= 3 * (code.d_min - 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        args=st.sampled_from(ERASURE_CODES),
+        seed=st.integers(0, 2**32 - 1),
+        extra=st.integers(0, 3),
+        frac=st.floats(0, 1),
+        kind=st.sampled_from(["planted", "inconsistent", "dependent", "random"]),
+    )
+    def test_fuzz_matches_reference(self, args, seed, extra, frac, kind):
+        code = erasure_code(args)
+        n_er = round(frac * code.packed_bits) + extra
+        word, erasures = erasure_problem(code, np.random.default_rng(seed), n_er, kind)
+        assert_matches_reference(code, word, erasures)
+
+    def test_dependent_columns_have_no_unique_completion(self):
+        code = erasure_code((8, 2, 1, 61))
+        rng = np.random.default_rng(3)
+        word = code.encode(np.zeros(code.k, dtype=np.uint8))
+        supp = low_weight_codeword(code, rng)
+        assert code.erasure_decode(0, supp) is None
+        # more erasures than parity checks: dependent before any elimination
+        wide = list(range(code.packed_bits + 1))
+        assert code.erasure_decode(code.syndrome(word), wide) is None
+        assert reference_erasure_decode(code, word, wide) is None
+
+    def test_syndrome_out_of_range_rejected(self):
+        code = erasure_code((4, 2, 1, 0))
+        top = (1 << code.packed_bits) - 1
+        code.erasure_decode(top, [0, 1])  # widest valid syndrome
+        syn = code.syndrome_packed([0, 1])
+        assert code.erasure_decode(np.int64(syn), [0, 1]) == (0, 1)
+        with pytest.raises(TypeError):
+            code.erasure_decode(float(syn), [0, 1])
+        for bad in (-1, -top, 1 << code.packed_bits):
+            with pytest.raises(ValueError):
+                code.erasure_decode(bad, [0, 1])
+        with pytest.raises(ValueError):
+            code.erasure_decode(0, [code.n])

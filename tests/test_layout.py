@@ -7,12 +7,14 @@ from gpcdec.bch import build_component_code
 from gpcdec.layout import (
     CodewordId,
     GpcLayout,
-    bit_at,
-    bits_of,
     build_product_layout,
     build_staircase_layout,
-    incident_codewords,
 )
+
+
+def incident(layout, bit):
+    """The codewords covering a bit, read from bit_cw."""
+    return tuple(layout.cw_id(int(c)) for c in layout.bit_cw[bit] if c >= 0)
 
 
 def reference_incidence(cw_bits, n_bits):
@@ -71,9 +73,9 @@ class TestProductLayout:
 
     def test_intersection_example(self, pc):
         # row 4 and column 13 cross at exactly one bit
-        b = bit_at(pc, CodewordId(1, 4), 13 - 1)
-        assert b == bit_at(pc, CodewordId(2, 13), 4 - 1)
-        assert incident_codewords(pc, b) == (CodewordId(1, 4), CodewordId(2, 13))
+        b = pc.cw_bits[pc.cw_index(CodewordId(1, 4)), 13 - 1]
+        assert b == pc.cw_bits[pc.cw_index(CodewordId(2, 13)), 4 - 1]
+        assert incident(pc, b) == (CodewordId(1, 4), CodewordId(2, 13))
 
     def test_every_bit_degree_two(self, pc):
         assert (pc.bit_cw >= 0).all()
@@ -84,8 +86,8 @@ class TestProductLayout:
         for _ in range(20):
             j = int(rng.integers(1, 16))
             l = int(rng.integers(1, 16))
-            row = set(bits_of(pc, CodewordId(1, j)).tolist())
-            col = set(bits_of(pc, CodewordId(2, l)).tolist())
+            row = set(pc.cw_bits[pc.cw_index(CodewordId(1, j))].tolist())
+            col = set(pc.cw_bits[pc.cw_index(CodewordId(2, l))].tolist())
             assert len(row & col) == 1
 
     def test_incidence_roundtrip(self, pc):
@@ -115,9 +117,9 @@ class TestProductLayout:
         with pytest.raises(ValueError):
             pc.cw_index(CodewordId(1, 16))
         with pytest.raises(ValueError):
-            incident_codewords(pc, 225)
+            pc.cw_id(30)
         with pytest.raises(ValueError):
-            bit_at(pc, CodewordId(1, 1), 15)
+            pc.cw_id(-1)
 
 
 class TestStaircaseLayout:
@@ -141,18 +143,18 @@ class TestStaircaseLayout:
             r = int(rng.integers(0, a))
             c = int(rng.integers(0, a))
             b = m * a * a + r * a + c
-            assert bit_at(sc, CodewordId(m, r + 1), a + c) == b
-            assert bit_at(sc, CodewordId(m + 1, c + 1), r) == b
-            assert incident_codewords(sc, b) == (
+            assert sc.cw_bits[sc.cw_index(CodewordId(m, r + 1)), a + c] == b
+            assert sc.cw_bits[sc.cw_index(CodewordId(m + 1, c + 1)), r] == b
+            assert incident(sc, b) == (
                 CodewordId(m, r + 1),
                 CodewordId(m + 1, c + 1),
             )
 
     def test_termination_bits_degree_one_and_pinned(self, sc):
         a = 8
-        first = incident_codewords(sc, 0)  # bit (0,0) of block 0
+        first = incident(sc, 0)  # bit (0,0) of block 0
         assert len(first) == 1 and first[0].type_i == 1
-        last = incident_codewords(sc, sc.n_bits - 1)
+        last = incident(sc, sc.n_bits - 1)
         assert len(last) == 1 and last[0].type_i == sc.num_types
         assert sc.pinned[: a * a].all() and sc.pinned[-a * a :].all()
         # codeword pinned masks match: type 1 first half, last type second half
@@ -184,7 +186,7 @@ class TestStaircaseLayout:
         # one real block: every data bit covered by one type-1 and one type-2
         data = np.nonzero(~lay.pinned)[0]
         types = {
-            tuple(sorted(cid.type_i for cid in incident_codewords(lay, int(b))))
+            tuple(sorted(cid.type_i for cid in incident(lay, int(b))))
             for b in data
         }
         assert types == {(1, 2)}

@@ -17,6 +17,8 @@ Oracle constructions used below, all deterministic:
   all row/column sums 3; every touched codeword holds 3 > t errors.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,10 @@ from gpcdec import (
     erasure_pp,
     genie_decode,
 )
-from gpcdec.engine import frame_syndromes
-from gpcdec.postprocess import _greedy_augment
+from gpcdec import postprocess
+from gpcdec.engine import ANCHOR, frame_syndromes
+from gpcdec.postprocess import _fitting_subsets, _greedy_augment
+from test_bch import reference_erasure_decode
 
 # frozen: weight-5 codeword support of the (15, 7) component code and
 # weight-6 codeword support of the (195, 178) code, both re-derived in
@@ -91,6 +95,92 @@ def sample_regular_pattern(rng, side=6, weight=3):
             m[r, rng.choice(side, weight, replace=False)] = 1
         if (m.sum(axis=0) == weight).all():
             return m
+
+
+def reference_erasure_fixpoint(work, failed):
+    """The erasure fixpoint's former word-gather form: each solve reads
+    the codeword's bits from the frame and completes them with the numpy
+    elimination, then flips the positions that changed."""
+    layout = work.layout
+    code = layout.code
+    fset = set(failed)
+    partner = layout._as_lists("partner_cw")
+    bits = layout._as_lists("cw_bits")
+    erased = {
+        c: [p for p in range(code.n) if partner[c][p] in fset] for c in failed
+    }
+    if layout.num_types == 2:
+        per_type = layout.per_type
+        groups = [
+            [c for c in failed if c < per_type],
+            [c for c in failed if c >= per_type],
+        ]
+        groups.sort(key=len)
+    else:
+        groups = [failed]
+    for _ in range(max(2 * len(failed), 8)):
+        changed = False
+        for group in groups:
+            for c in group:
+                if work.syn[c] == 0:
+                    continue
+                pos = erased[c]
+                if not pos:
+                    continue
+                word = work.frame[layout.cw_bits[c]]
+                out = reference_erasure_decode(code, word, pos)
+                if out is None:
+                    continue
+                for p in np.nonzero(out != word)[0]:
+                    work.flip_bit(bits[c][int(p)])
+                    changed = True
+        if work.all_syndromes_zero():
+            return True
+        if not changed:
+            return False
+    return work.all_syndromes_zero()
+
+
+def reference_failure_report(state):
+    """build_failure_report's former loops: the failed mask from a list,
+    the intersection from every bit's two codewords, and the suspicious
+    anchors from the list view of partner_cw."""
+    layout = state.layout
+    t = layout.code.t
+    failed = np.array([s != 0 for s in state.syn], dtype=bool)
+    by_type = {}
+    for ty in range(1, layout.num_types + 1):
+        lo = (ty - 1) * layout.per_type
+        members = np.nonzero(failed[lo : lo + layout.per_type])[0] + lo
+        by_type[ty] = tuple(layout.cw_id(int(c)) for c in members)
+    guard = np.append(failed, False)
+    inter = np.nonzero(guard[layout.bit_cw[:, 0]] & guard[layout.bit_cw[:, 1]])[0]
+    partner = layout._as_lists("partner_cw")
+    suspicious = []
+    for c in range(layout.n_cw):
+        if state.status[c] != ANCHOR:
+            continue
+        pos = state.anchor_pos[c]
+        if pos is None or len(pos) != t:
+            continue
+        if all(guard[partner[c][p]] for p in pos):
+            suspicious.append(layout.cw_id(c))
+    return FailureReport(by_type, inter.astype(np.int64), tuple(suspicious))
+
+
+def assert_same_report(state):
+    got, want = build_failure_report(state), reference_failure_report(state)
+    assert got.failed_by_type == want.failed_by_type
+    assert got.intersection.dtype == want.intersection.dtype
+    assert np.array_equal(got.intersection, want.intersection)
+    assert got.suspicious_anchors == want.suspicious_anchors
+
+
+def pp_fields(res):
+    return (
+        res.frame.tobytes(), res.success, res.f1_size, res.f2_size,
+        res.intersection_size, res.augmented,
+    )
 
 
 def test_supports_are_codewords(pc15, pc195):
@@ -299,6 +389,82 @@ class TestErasurePp:
             res = erasure_pp(st, **kwargs)
             assert res.success
             assert not res.frame.any()
+
+
+class TestErasureFixpointMatchesReference:
+    """erasure_pp with the packed-syndrome fixpoint returns exactly what
+    the word-gather fixpoint returns, greedy and exhaustive."""
+
+    @staticmethod
+    def assert_same(monkeypatch, state, seed):
+        runs = (
+            lambda: erasure_pp(state, np.random.default_rng(seed)),
+            lambda: erasure_pp(state, exhaustive=True),
+        )
+        for run in runs:
+            got = pp_fields(run())
+            with monkeypatch.context() as m:
+                m.setattr(postprocess, "_erasure_fixpoint", reference_erasure_fixpoint)
+                want = pp_fields(run())
+            assert got == want
+
+    def test_anchor_stalls_at_operating_point(self, monkeypatch, pc195):
+        rng = np.random.default_rng(8261)
+        stalls = rescued = 0
+        while stalls < 32:
+            frame = (rng.random(pc195.n_bits) < 0.016).astype(np.uint8)
+            st = anchor_decode_state(pc195, frame, 10)
+            if st.stats.syndromes_zero:
+                continue
+            stalls += 1
+            assert_same_report(st)
+            self.assert_same(monkeypatch, st, stalls)
+            rescued += erasure_pp(st, np.random.default_rng(stalls)).success
+        assert 0 < rescued < stalls
+
+    def test_staircase_stall(self, monkeypatch):
+        code = build_component_code(4, 2, 1, 0)
+        sc = build_staircase_layout(code, 6, 3)
+        a = code.n // 2
+        # block 2 as in test_staircase_frame_recovered; blocks 1 and 4 put
+        # the stall on codewords that reach into a termination block
+        for block in (2, 1, 4):
+            frame = np.zeros(sc.n_bits, dtype=np.uint8)
+            for r in STALL3:
+                for c in STALL3:
+                    frame[block * a * a + r * a + c] = 1
+            st = stalled_state(sc, frame, 4)
+            assert_same_report(st)
+            self.assert_same(monkeypatch, st, block)
+            assert_same_report(anchor_decode_state(sc, frame, 4))
+        assert_same_report(DecoderState(sc, np.zeros(sc.n_bits, dtype=np.uint8)))
+
+    def test_miscorrected_anchor_event(self, monkeypatch, event):
+        # three suspicious anchors: the exhaustive search augments
+        assert_same_report(event[0])
+        self.assert_same(monkeypatch, event[0], 5)
+
+
+def test_fitting_subsets_match_filtered_combinations():
+    """The pruned enumeration yields exactly the capacity-respecting
+    subsets of combinations(), in its order."""
+    rng = np.random.default_rng(64)
+    per_type = 10
+    for _ in range(300):
+        candidates = sorted(rng.choice(2 * per_type, int(rng.integers(0, 9)), replace=False).tolist())
+        room = rng.integers(-2, 5, size=2).tolist()
+        for k in range(1, len(candidates) + 1):
+            want = [
+                sub for sub in combinations(candidates, k)
+                if any(
+                    sum(c // per_type == ty for c in sub) <= room[ty] for ty in (0, 1)
+                )
+            ]
+            assert list(_fitting_subsets(candidates, k, room, per_type)) == want
+    # no room in either type: nothing is enumerated, at any size
+    many = list(range(2 * per_type))
+    for k in range(1, len(many) + 1):
+        assert next(_fitting_subsets(many, k, [-1, -1], per_type), None) is None
 
 
 MISCORRECTED_ROWS = (2, 7, 11)

@@ -22,13 +22,17 @@ is still ahead.  The half-iterations:
   codewords become anchors; later decodes whose implied bit flips touch a
   reliable anchor are frozen instead of applied, and anchors accumulating
   ``delta`` or more conflicts are backtracked (their flips reversed).
-  Its half-iteration runs the per-codeword status machine of
-  ``DecoderState``, visit by visit, since a visit can backtrack an anchor
-  and change later syndromes of the same type.  Where decode_batch solves
-  misses in closed form (no dense decode table, t = 2 or 3), each
-  half-iteration first decodes the eligible codewords' syndromes that
-  miss the BDD memo in one batch (``ComponentCodeSpec.prefetch``); a
-  syndrome changed mid-sweep is decoded when visited, as before.
+  Its half-iteration is one call of ``DecoderState.visit_all``, the
+  per-codeword status machine, visit by visit, since a visit can
+  backtrack an anchor and change later syndromes of the same type.  The
+  flips of a decode are applied inline on Python lists, a bytearray and
+  the layout's flat ``array('i')`` views; only a decode whose flips
+  reach an anchor calls the freeze check and, for marked anchors,
+  ``backtrack``.  Where decode_batch solves misses in closed form (no
+  dense decode table, t = 2 or 3), each half-iteration first decodes the
+  eligible codewords' syndromes that miss the BDD memo in one batch
+  (``ComponentCodeSpec.prefetch``); a syndrome changed mid-sweep is
+  decoded when visited, as before.
 
 Per-codeword status values: 0 = anchor, 1 = eligible for decoding,
 2 = decoding failed, 3 = frozen.  The only status transitions are
@@ -94,8 +98,16 @@ def _syndrome_vector(layout: GpcLayout, frame: np.ndarray) -> np.ndarray:
     """frame_syndromes as int64, plus a last slot that swallows the -1
     owner of single-owner bits."""
     acc = np.zeros(layout.n_cw + 1, dtype=np.int64)
-    _fold_bits(layout, acc, np.flatnonzero(frame))
+    _fold_bits(layout, acc, _set_bits(frame))
     return acc
+
+
+def _set_bits(frame: np.ndarray) -> np.ndarray:
+    """Indices of the set bits of a frame, which must hold only 0 and 1."""
+    bits = np.flatnonzero(frame)
+    if bits.size and (frame[bits] != 1).any():
+        raise ValueError("frame bits must be 0 or 1")
+    return bits
 
 
 def _fold_bits(layout: GpcLayout, acc: np.ndarray, bits: np.ndarray) -> None:
@@ -116,14 +128,37 @@ def _check_valid_frame(layout: GpcLayout, frame: np.ndarray) -> None:
         raise ValueError("true_frame is not a valid codeword of the GPC")
 
 
+class _ConflictSets(dict):
+    """Conflict sets L by codeword.  Only non-empty sets are stored; any
+    other codeword reads as an empty frozenset."""
+
+    def __missing__(self, c: int) -> frozenset:
+        return frozenset()
+
+
 class DecoderState:
     """Mutable per-frame state of the anchor decoding machine.
 
-    Owns the working frame copy, incrementally-maintained syndromes, the
-    per-codeword status array, symmetric conflict sets L, and the stored
-    error locations E of every anchor.  ``visit`` runs the main per-codeword
-    routine; ``backtrack`` and ``error_correction`` implement the two
-    subroutines it delegates to.
+    Owns the working frame copy, the syndromes (kept up to date flip by
+    flip, with ``nonzero_count``), the per-codeword status list, the
+    symmetric conflict sets L and the stored error locations E of every
+    anchor.
+
+    ``visit_all`` is the status machine of Alg. 2: it visits the eligible
+    codewords of a range in ascending order, each with one ``decode_cw``
+    call.  The flips of a successful decode are applied inline: frame
+    bit, both syndromes, ``nonzero_count`` and the partner's return to
+    eligibility.  Only a decode whose flips reach an anchor -- the rare
+    case -- first goes through ``_check_anchors``, which freezes the
+    codeword (no flip is applied) or marks anchors; marked anchors are
+    backtracked after the flips (``backtrack``, Alg. 3, which reverses
+    an anchor's flips through ``error_correction``, Alg. 4).  ``visit``
+    runs one codeword.
+
+    The frame is a numpy view over a bytearray, which the loop indexes
+    directly, and the layout's index arrays are read through its flat
+    ``array('i')`` views.  The syndromes come from ``frame_syndromes``,
+    which rejects a frame holding anything but 0 and 1.
     """
 
     def __init__(
@@ -139,23 +174,18 @@ class DecoderState:
             raise ValueError("delta must be >= 0")
         self.layout = layout
         self.code = layout.code
-        self.frame = frame.astype(np.uint8, copy=True)
         self.delta = delta
-        self.syn = frame_syndromes(layout, self.frame)
-        self.nonzero_count = sum(1 for s in self.syn if s)
+        self.syn = frame_syndromes(layout, frame)
+        self.nonzero_count = len(self.syn) - self.syn.count(0)
+        self._buf = bytearray(np.ascontiguousarray(frame, dtype=np.uint8))
+        self.frame = np.frombuffer(self._buf, dtype=np.uint8)
         self.status = [ELIGIBLE] * layout.n_cw
-        self.conflicts: list[set[int]] = [set() for _ in range(layout.n_cw)]
+        self.conflicts = _ConflictSets()
         self.anchor_pos: list[tuple[int, ...] | None] = [None] * layout.n_cw
         self.stats = DecodeStats()
-        self.change_counter = 0
         self._record = record_transitions
-        # local views for the hot loop
-        self._contrib = layout.code.contrib_packed
-        self._partner_cw = layout._as_lists("partner_cw")
-        self._partner_pos = layout._as_lists("partner_pos")
-        self._bit = layout._as_lists("cw_bits")
-        self._cw_pinned = layout.cw_pinned if layout.has_pinned else None
         self._cache = layout.code._bdd_cache
+        self._pin_masks = layout.pin_masks
 
     # --- primitives --------------------------------------------------------
 
@@ -166,15 +196,27 @@ class DecoderState:
         if self._record:
             self.stats.transitions.append((c, old, value))
         self.status[c] = value
-        self.change_counter += 1
 
     def _update_syndrome(self, c: int, pos: int) -> None:
         """Fold the flip of position ``pos`` into codeword c's syndrome."""
         old = self.syn[c]
-        new = old ^ self._contrib[pos]
+        new = old ^ self.code.contrib_packed[pos]
         self.syn[c] = new
         if (old == 0) != (new == 0):
             self.nonzero_count += 1 if old == 0 else -1
+
+    def _dissolve(self, c: int) -> list[int]:
+        """Drop codeword c's conflicts on both sides; returns, ascending,
+        the codewords this leaves without any conflict."""
+        conflicts = self.conflicts
+        freed = []
+        for k in sorted(conflicts.pop(c, ())):
+            theirs = conflicts[k]
+            theirs.discard(c)
+            if not theirs:
+                del conflicts[k]
+                freed.append(k)
+        return freed
 
     def all_syndromes_zero(self) -> bool:
         return self.nonzero_count == 0
@@ -182,10 +224,11 @@ class DecoderState:
     def flip_bit(self, bit: int) -> None:
         """Toggle one frame bit and fold it into the incident syndromes,
         bypassing the status machine (post-processing primitive)."""
-        self.frame[bit] ^= 1
-        for c, pos in zip(self.layout.bit_cw[bit], self.layout.bit_pos[bit]):
+        self._buf[bit] ^= 1
+        layout = self.layout
+        for c, pos in zip(layout.bit_cw[bit].tolist(), layout.bit_pos[bit].tolist()):
             if c >= 0:
-                self._update_syndrome(int(c), int(pos))
+                self._update_syndrome(c, pos)
 
     def decode_cw(self, c: int, budget: int):
         """BDD on codeword c's current syndrome; None signals failure.
@@ -197,10 +240,9 @@ class DecoderState:
         out = self._cache.get((budget, s), _MISS)
         if out is _MISS:
             out = self.code.decode_packed(s, budget)
-        if out is not None and self._cw_pinned is not None:
-            pin = self._cw_pinned[c]
-            if any(pin[p] for p in out):
-                return None
+        pin = self._pin_masks[c]
+        if pin and out and any(pin >> p & 1 for p in out):
+            return None
         return out
 
     # --- Alg. 4: error-correction step for bit (c, pos) ---------------------
@@ -209,22 +251,21 @@ class DecoderState:
         """Flip the bit at position ``pos`` of codeword ``c`` unless both
         incident codewords are anchors (an anchor's decision is trusted
         against a backtracked one)."""
-        k = self._partner_cw[c][pos]
+        layout = self.layout
+        i = c * self.code.n + pos
+        k = layout.flat_partner_cw[i]
         if self.status[c] == ANCHOR and self.status[k] == ANCHOR:
             return
-        self.frame[self._bit[c][pos]] ^= 1
+        self._buf[layout.flat_cw_bits[i]] ^= 1
         self._update_syndrome(c, pos)
-        self._update_syndrome(k, self._partner_pos[c][pos])
+        self._update_syndrome(k, layout.flat_partner_pos[i])
         self.stats.corrections += 1
-        self.change_counter += 1
         st = self.status[k]
         if st == FAILED:
             self._set_status(k, ELIGIBLE)
         elif st == FROZEN:
             self._set_status(k, ELIGIBLE)
-            for k2 in self.conflicts[k]:
-                self.conflicts[k2].discard(k)
-            self.conflicts[k].clear()
+            self._dissolve(k)
 
     # --- Alg. 3: backtrack an anchor ----------------------------------------
 
@@ -233,11 +274,8 @@ class DecoderState:
         freeze it (backtracked anchors are likely miscorrected)."""
         if self.status[c] != ANCHOR:
             raise RuntimeError(f"backtrack called on non-anchor {c}")
-        for k in sorted(self.conflicts[c]):
-            self.conflicts[k].discard(c)
-            if not self.conflicts[k]:
-                self._set_status(k, ELIGIBLE)
-        self.conflicts[c].clear()
+        for k in self._dissolve(c):
+            self._set_status(k, ELIGIBLE)
         for pos in self.anchor_pos[c]:
             self.error_correction(c, pos)
         self._set_status(c, FROZEN)
@@ -247,46 +285,118 @@ class DecoderState:
     # --- Alg. 2: per-codeword main routine -----------------------------------
 
     def visit(self, c: int, budget: int | None = None) -> None:
-        """Process one scheduled codeword: decode, consistency-check the
+        """Process codeword c alone if it is eligible (see visit_all)."""
+        self.visit_all(range(c, c + 1), self.code.t if budget is None else budget)
+
+    def visit_all(self, cws: range, budget: int) -> bool:
+        """Visit, in ascending order, every codeword of ``cws`` that is
+        eligible when its turn comes: decode, consistency-check the
         implied flips against anchors, then either freeze, or apply the
-        corrections, anchor the codeword, and backtrack marked anchors."""
-        if self.status[c] != ELIGIBLE:
-            return
-        if self.syn[c] == 0:
-            # decodes to itself: an anchor with no stored error locations
-            self._set_status(c, ANCHOR)
-            self.anchor_pos[c] = ()
-            return
-        if budget is None:
-            budget = self.code.t
-        out = self.decode_cw(c, budget)
-        if out is None:
-            self._set_status(c, FAILED)
-            return
+        corrections, anchor the codeword, and backtrack marked anchors.
+
+        Returns whether any codeword was visited; a visit always changes
+        the status of its codeword.
+        """
+        n = self.code.n
+        contrib = self.code.contrib_packed
+        layout = self.layout
+        partner_cw = layout.flat_partner_cw
+        partner_pos = layout.flat_partner_pos
+        cw_bits = layout.flat_cw_bits
+        buf = self._buf
+        syn, status, anchor_pos = self.syn, self.status, self.anchor_pos
+        record, transitions = self._record, self.stats.transitions
+        decode_cw = self.decode_cw
+        nonzero = self.nonzero_count
+        corrections = 0
+        visited = False
+        for c in cws:
+            if status[c] != ELIGIBLE:
+                continue
+            visited = True
+            s = syn[c]
+            if not s:
+                # decodes to itself: an anchor with no stored error locations
+                status[c] = ANCHOR
+                anchor_pos[c] = ()
+                if record:
+                    transitions.append((c, ELIGIBLE, ANCHOR))
+                continue
+            out = decode_cw(c, budget)
+            if out is None:
+                status[c] = FAILED
+                if record:
+                    transitions.append((c, ELIGIBLE, FAILED))
+                continue
+            base = c * n
+            marked = ()
+            for p in out:
+                if status[partner_cw[base + p]] == ANCHOR:
+                    marked = self._check_anchors(c, out)
+                    break
+            if marked is None:
+                continue  # frozen: flips withheld, marked anchors spared
+            # apply every flip (an anchor partner keeps its status), anchor c
+            for p in out:
+                i = base + p
+                buf[cw_bits[i]] ^= 1
+                s ^= contrib[p]
+                k = partner_cw[i]
+                old = syn[k]
+                new = syn[k] = old ^ contrib[partner_pos[i]]
+                nonzero += (not old) - (not new)
+                st = status[k]
+                if st >= FAILED:  # FAILED or FROZEN: eligible again
+                    status[k] = ELIGIBLE
+                    if record:
+                        transitions.append((k, st, ELIGIBLE))
+                    if st == FROZEN:
+                        self._dissolve(k)
+            syn[c] = s
+            if not s:
+                nonzero -= 1
+            corrections += len(out)
+            status[c] = ANCHOR
+            anchor_pos[c] = out
+            if record:
+                transitions.append((c, ELIGIBLE, ANCHOR))
+            if marked:
+                self.nonzero_count = nonzero
+                self.stats.corrections += corrections
+                corrections = 0
+                for k in marked:
+                    self.backtrack(k)
+                nonzero = self.nonzero_count
+        self.nonzero_count = nonzero
+        self.stats.corrections += corrections
+        return visited
+
+    def _check_anchors(self, c: int, out: tuple[int, ...]) -> list[int] | None:
+        """Consistency check of eligible codeword c's decode ``out``
+        against the anchors its flips reach.  An anchor with fewer than
+        ``delta`` conflicts freezes c (returns None: every flip is
+        withheld); an anchor with more is marked for backtracking.
+        Returns the marked anchors, in first-reached order, unless c
+        froze."""
+        partner_cw = self.layout.flat_partner_cw
+        base = c * self.code.n
+        status, conflicts = self.status, self.conflicts
         marked: list[int] = []
         for pos in out:
-            k = self._partner_cw[c][pos]
-            if self.status[k] != ANCHOR:
+            k = partner_cw[base + pos]
+            if status[k] != ANCHOR:
                 continue
-            if len(self.conflicts[k]) >= self.delta:
+            if len(conflicts[k]) >= self.delta:
                 if k not in marked:
                     marked.append(k)  # mark for backtracking
             else:
-                if self.status[c] != FROZEN:
+                if status[c] != FROZEN:
                     self._set_status(c, FROZEN)
                     self.stats.frozen_events += 1
-                if k not in self.conflicts[c]:
-                    self.conflicts[c].add(k)
-                    self.conflicts[k].add(c)
-                    self.change_counter += 1
-        if self.status[c] != ELIGIBLE:
-            return  # frozen: flips withheld, marked anchors spared
-        for pos in out:
-            self.error_correction(c, pos)
-        self._set_status(c, ANCHOR)
-        self.anchor_pos[c] = out
-        for k in marked:
-            self.backtrack(k)
+                if k not in conflicts[c]:
+                    conflicts.setdefault(c, set()).add(k)
+                    conflicts.setdefault(k, set()).add(c)
+        return None if status[c] == FROZEN else marked
 
     # --- invariants -----------------------------------------------------------
 
@@ -295,7 +405,8 @@ class DecoderState:
         syn = frame_syndromes(self.layout, self.frame)
         assert syn == self.syn, "stale syndromes"
         assert self.nonzero_count == sum(1 for s in syn if s)
-        for c, l in enumerate(self.conflicts):
+        for c, l in self.conflicts.items():
+            assert l, "empty conflict set kept"
             for k in l:
                 assert c in self.conflicts[k], "conflict symmetry broken"
                 pair = {self.status[c], self.status[k]}
@@ -360,11 +471,7 @@ def anchor_decode_state(
                 [s for s, st in zip(syn[lo:hi], status[lo:hi]) if s and st == ELIGIBLE],
                 budget,
             )
-        before = state.change_counter
-        for c in cws:
-            if status[c] == ELIGIBLE:
-                state.visit(c, budget)
-        return state.change_counter != before
+        return state.visit_all(cws, budget)
 
     _run_schedule(
         layout, ell, reduced_t_iters, state.stats, half_iteration,
@@ -391,8 +498,8 @@ def iterative_bdd(
     if frame.shape != (layout.n_bits,):
         raise ValueError(f"frame must have {layout.n_bits} bits")
     code = layout.code
+    acc = _syndrome_vector(layout, frame)
     work = frame.astype(np.uint8, copy=True)
-    acc = _syndrome_vector(layout, work)
     syn = acc[: layout.n_cw]
     cw_bits = layout.cw_bits
     cw_pinned = layout.cw_pinned if layout.has_pinned else None
@@ -452,6 +559,8 @@ def genie_decode(
     per_type = layout.per_type
     stats = DecodeStats()
     left = int(np.count_nonzero(err))  # errors left, kept by half_iteration
+    if left:
+        _set_bits(frame)  # rejects values other than 0 and 1
 
     def half_iteration(cws: range, _budget: int, _reset: bool) -> bool:
         nonlocal left

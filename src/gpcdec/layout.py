@@ -19,6 +19,7 @@ The layout is immutable after construction and holds only index arrays, so
 it can be shared freely between decoding processes.
 """
 
+from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -73,6 +74,12 @@ class GpcLayout:
 
     ``has_pinned`` and ``all_counted`` summarize the two masks once, so
     per-frame code need not scan them.
+
+    The anchor status machine reads scalar items, which numpy serves
+    slowly, so the layout also holds ``flat_cw_bits``, ``flat_partner_cw``
+    and ``flat_partner_pos``: flat ``array('i')`` copies of the three index
+    arrays, indexed ``c * n + p``, and ``pin_masks[c]``, the int whose bit
+    p is set when position p of codeword c is pinned.
     """
 
     def __init__(
@@ -105,16 +112,7 @@ class GpcLayout:
         self.has_pinned = bool(pinned.any())
         self.all_counted = bool(counted.all())
         self._build_incidence()
-        self._list_cache: dict[str, list] = {}
         self._plans: dict[tuple[int, int], tuple[tuple[HalfIteration, ...], ...]] = {}
-
-    def _as_lists(self, name: str) -> list:
-        """Cached list-of-lists view of an index array (hot-loop friendly)."""
-        got = self._list_cache.get(name)
-        if got is None:
-            got = getattr(self, name).tolist()
-            self._list_cache[name] = got
-        return got
 
     def _build_incidence(self):
         n = self.code.n
@@ -134,6 +132,10 @@ class GpcLayout:
         self.partner_cw = pc
         self.partner_pos = pp
         self.cw_pinned = self.pinned[self.cw_bits]
+        self.flat_cw_bits = _flat_ints(self.cw_bits)
+        self.flat_partner_cw = _flat_ints(pc)
+        self.flat_partner_pos = _flat_ints(pp)
+        self.pin_masks = _pin_masks(self.cw_pinned)
 
     # --- id translation ----------------------------------------------------
 
@@ -225,6 +227,21 @@ class GpcLayout:
             f"GpcLayout({self.kind}, n={self.code.n}, types={self.num_types}, "
             f"bits={self.n_bits})"
         )
+
+
+def _flat_ints(a: np.ndarray) -> array:
+    """Row-major copy of an int array as a flat ``array('i')``, whose items
+    read back as Python ints."""
+    return array("i", np.ascontiguousarray(a, dtype=np.intc).tobytes())
+
+
+def _pin_masks(cw_pinned: np.ndarray) -> list[int]:
+    """Per codeword, the int whose bit p is set when position p is pinned."""
+    masks = [0] * cw_pinned.shape[0]
+    packed = np.packbits(cw_pinned, axis=1, bitorder="little")
+    for c in np.flatnonzero(cw_pinned.any(axis=1)).tolist():
+        masks[c] = int.from_bytes(packed[c].tobytes(), "little")
+    return masks
 
 
 def _bit_incidence(cw_bits: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.ndarray]:

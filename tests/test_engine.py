@@ -10,7 +10,9 @@ on {2,4,5,10,12,14} (implied flips at positions 4 and 12).
 iterative_bdd and genie_decode are additionally checked against naive
 reference implementations that rescan every codeword each half-iteration
 and recompute syndromes from scratch, and the batched iterative_bdd
-against the per-codeword loop it replaced.
+against the per-codeword loop it replaced.  anchor_decode_state is
+checked against reference_anchor_decode_state, the status machine it
+replaced, which routes every flip through the method primitives.
 """
 
 from functools import cache
@@ -116,9 +118,9 @@ def reference_iterative_bdd(
         {c for c in range(ty * per_type, (ty + 1) * per_type) if syn[c]}
         for ty in range(num_types)
     ]
-    bit = layout._as_lists("cw_bits")
-    partner_cw = layout._as_lists("partner_cw")
-    partner_pos = layout._as_lists("partner_pos")
+    bit = layout.cw_bits.tolist()
+    partner_cw = layout.partner_cw.tolist()
+    partner_pos = layout.partner_pos.tolist()
     cw_pinned = layout.cw_pinned if layout.has_pinned else None
     contrib = code.contrib_packed
     decode = code.decode_packed
@@ -182,6 +184,154 @@ def reference_iterative_bdd(
             break
     stats.syndromes_zero = nonzero_count == 0
     return work, stats
+
+
+class ReferenceState:
+    """The former DecoderState: list-of-lists views of the layout, a set
+    per codeword for its conflicts, and every flip through
+    error_correction, _update_syndrome and _set_status."""
+
+    def __init__(self, layout, frame, delta, record_transitions):
+        self.layout = layout
+        self.code = layout.code
+        self.frame = frame.astype(np.uint8, copy=True)
+        self.delta = delta
+        self.syn = frame_syndromes(layout, self.frame)
+        self.nonzero_count = sum(1 for s in self.syn if s)
+        self.status = [ELIGIBLE] * layout.n_cw
+        self.conflicts = [set() for _ in range(layout.n_cw)]
+        self.anchor_pos = [None] * layout.n_cw
+        self.stats = DecodeStats()
+        self.change_counter = 0
+        self._record = record_transitions
+        self._contrib = layout.code.contrib_packed
+        self._partner_cw = layout.partner_cw.tolist()
+        self._partner_pos = layout.partner_pos.tolist()
+        self._bit = layout.cw_bits.tolist()
+        self._cw_pinned = layout.cw_pinned if layout.has_pinned else None
+
+    def _set_status(self, c, value):
+        old = self.status[c]
+        if old == value:
+            return
+        if self._record:
+            self.stats.transitions.append((c, old, value))
+        self.status[c] = value
+        self.change_counter += 1
+
+    def _update_syndrome(self, c, pos):
+        old = self.syn[c]
+        new = old ^ self._contrib[pos]
+        self.syn[c] = new
+        if (old == 0) != (new == 0):
+            self.nonzero_count += 1 if old == 0 else -1
+
+    def decode_cw(self, c, budget):
+        s = self.syn[c]
+        out = self.code._bdd_cache.get((budget, s), _MISS)
+        if out is _MISS:
+            out = self.code.decode_packed(s, budget)
+        if out is not None and self._cw_pinned is not None:
+            if any(self._cw_pinned[c][p] for p in out):
+                return None
+        return out
+
+    def error_correction(self, c, pos):
+        k = self._partner_cw[c][pos]
+        if self.status[c] == ANCHOR and self.status[k] == ANCHOR:
+            return
+        self.frame[self._bit[c][pos]] ^= 1
+        self._update_syndrome(c, pos)
+        self._update_syndrome(k, self._partner_pos[c][pos])
+        self.stats.corrections += 1
+        self.change_counter += 1
+        st = self.status[k]
+        if st == FAILED:
+            self._set_status(k, ELIGIBLE)
+        elif st == FROZEN:
+            self._set_status(k, ELIGIBLE)
+            for k2 in self.conflicts[k]:
+                self.conflicts[k2].discard(k)
+            self.conflicts[k].clear()
+
+    def backtrack(self, c):
+        for k in sorted(self.conflicts[c]):
+            self.conflicts[k].discard(c)
+            if not self.conflicts[k]:
+                self._set_status(k, ELIGIBLE)
+        self.conflicts[c].clear()
+        for pos in self.anchor_pos[c]:
+            self.error_correction(c, pos)
+        self._set_status(c, FROZEN)
+        self.anchor_pos[c] = None
+        self.stats.backtracks += 1
+
+    def visit(self, c, budget):
+        if self.status[c] != ELIGIBLE:
+            return
+        if self.syn[c] == 0:
+            self._set_status(c, ANCHOR)
+            self.anchor_pos[c] = ()
+            return
+        out = self.decode_cw(c, budget)
+        if out is None:
+            self._set_status(c, FAILED)
+            return
+        marked = []
+        for pos in out:
+            k = self._partner_cw[c][pos]
+            if self.status[k] != ANCHOR:
+                continue
+            if len(self.conflicts[k]) >= self.delta:
+                if k not in marked:
+                    marked.append(k)
+            else:
+                if self.status[c] != FROZEN:
+                    self._set_status(c, FROZEN)
+                    self.stats.frozen_events += 1
+                if k not in self.conflicts[c]:
+                    self.conflicts[c].add(k)
+                    self.conflicts[k].add(c)
+                    self.change_counter += 1
+        if self.status[c] != ELIGIBLE:
+            return
+        for pos in out:
+            self.error_correction(c, pos)
+        self._set_status(c, ANCHOR)
+        self.anchor_pos[c] = out
+        for k in marked:
+            self.backtrack(k)
+
+
+def reference_anchor_decode_state(
+    layout, frame, ell, delta=1, reduced_t_iters=0, record_transitions=False
+):
+    """The former anchor_decode_state: ReferenceState visited codeword by
+    codeword, a half-iteration counting as a change when any status,
+    conflict or frame bit changed."""
+    state = ReferenceState(layout, frame, delta, record_transitions)
+    sweep = layout.sweep_len
+    for plan in layout.window_plans(ell, reduced_t_iters):
+        last_reset = max(
+            (i for i, h in enumerate(plan) if h.reset_failed), default=-1
+        )
+        stuck = 0
+        for i, (cws, budget, reset) in enumerate(plan):
+            if reset:
+                for c in range(layout.n_cw):
+                    if state.status[c] == FAILED:
+                        state._set_status(c, ELIGIBLE)
+            before = state.change_counter
+            for c in cws:
+                state.visit(c, budget)
+            state.stats.half_iterations += 1
+            if state.nonzero_count == 0:
+                state.stats.syndromes_zero = True
+                return state
+            stuck = 0 if state.change_counter != before else stuck + 1
+            if stuck >= sweep and i > last_reset:
+                break
+    return state
 
 
 def build_wide_layout(kind):
@@ -485,6 +635,57 @@ class TestAnchorPrefetch:
             assert state.status == plain.status
 
 
+class TestAnchorAgainstReference:
+    """anchor_decode_state against reference_anchor_decode_state: equal
+    frames, DecodeStats (transitions included), statuses, anchors,
+    conflicts and syndromes, with transitions recorded and not."""
+
+    @staticmethod
+    def check(layout, frame, ell, delta, reduced):
+        for record in (False, True):
+            got = anchor_decode_state(layout, frame, ell, delta, reduced, record)
+            want = reference_anchor_decode_state(layout, frame, ell, delta, reduced, record)
+            assert np.array_equal(got.frame, want.frame)
+            assert got.stats == want.stats
+            assert got.status == want.status
+            assert got.anchor_pos == want.anchor_pos
+            assert got.syn == want.syn
+            got_conflicts = {c: set(got.conflicts[c]) for c in range(layout.n_cw) if got.conflicts[c]}
+            assert got_conflicts == {c: l for c, l in enumerate(want.conflicts) if l}
+            got.validate()
+        return got
+
+    @pytest.mark.parametrize("delta", [0, 1, 2])
+    def test_product_and_staircase(self, pc15, sc16, delta):
+        rng = np.random.default_rng(70 + delta)
+        backtracks = 0
+        for i in range(12):
+            got = self.check(pc15, noisy_frame(pc15, rng, rng.uniform(0.03, 0.2)), 6, delta, i % 3)
+            backtracks += got.stats.backtracks
+            self.check(sc16, noisy_frame(sc16, rng, rng.uniform(0.01, 0.08), i % 2), 4, delta, i % 3)
+        assert delta == 2 or backtracks  # sanity: the backtrack path ran
+
+    @given(
+        kind=st.sampled_from(["pc15", "sc16", "product", "staircase"]),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        ell=st.integers(1, 6),
+        delta=st.integers(0, 3),
+        reduced=st.integers(0, 6),
+        pins=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fuzz(self, kind, p, seed, ell, delta, reduced, pins):
+        if kind == "pc15":
+            layout, p_max = build_product_layout(CODE15), 0.25
+        elif kind == "sc16":
+            layout, p_max = build_staircase_layout(CODE16, 6, 3), 0.1
+        else:
+            layout, p_max = wide_layout(kind), 0.03
+        frame = noisy_frame(layout, np.random.default_rng(seed), p * p_max, pins)
+        self.check(layout, frame, ell, delta, min(reduced, ell))
+
+
 class TestDecodingBehaviour:
     def test_clean_frame_short_circuits(self, pc15):
         frame = np.zeros(pc15.n_bits, dtype=np.uint8)
@@ -592,6 +793,47 @@ class TestDecodingBehaviour:
             DecoderState(pc15, bad)
         with pytest.raises(ValueError):
             DecoderState(pc15, np.zeros(pc15.n_bits, np.uint8), delta=-1)
+
+
+class TestNonBinaryFrames:
+    """A frame value other than 0 and 1 is refused, not decoded: a 2 used
+    to come back as a 3 with syndromes_zero=True (the genie zeroed it)."""
+
+    @staticmethod
+    def bad_frames(layout):
+        two = grid_frame(layout, [(7, 9)])
+        two[3] = 2
+        wide = grid_frame(layout, [(7, 9)]).astype(np.int16)
+        wide[3] = 256  # 0 once cast to uint8
+        return two, wide
+
+    def test_anchor(self, pc15):
+        for frame in self.bad_frames(pc15):
+            with pytest.raises(ValueError, match="0 or 1"):
+                anchor_decode(pc15, frame, 5)
+            with pytest.raises(ValueError, match="0 or 1"):
+                DecoderState(pc15, frame)
+
+    def test_iterative(self, pc15):
+        for frame in self.bad_frames(pc15):
+            with pytest.raises(ValueError, match="0 or 1"):
+                iterative_bdd(pc15, frame, 5)
+
+    def test_genie(self, pc15):
+        for frame in self.bad_frames(pc15):
+            with pytest.raises(ValueError, match="0 or 1"):
+                genie_decode(pc15, frame, None, 5)
+            with pytest.raises(ValueError, match="0 or 1"):
+                genie_decode(pc15, frame, np.zeros(pc15.n_bits, np.uint8), 5)
+
+    def test_binary_dtypes_accepted(self, pc15):
+        frame = grid_frame(pc15, [(7, 9)])
+        for f in (frame.astype(bool), frame.astype(np.int64)):
+            for fn in (anchor_decode, iterative_bdd):
+                out, stats = fn(pc15, f, 5)
+                assert stats.syndromes_zero and out.sum() == 0
+            out, stats = genie_decode(pc15, f, None, 5)
+            assert stats.syndromes_zero and out.sum() == 0
 
 
 class TestReducedBudgetSchedule:

@@ -264,6 +264,47 @@ class TestIterationPlan:
         assert (sc.has_pinned, sc.all_counted) == (True, False)
 
 
+class TestFlatViews:
+    """The flat int views and pinned masks the anchor status machine reads."""
+
+    def test_views_match_arrays(self, pc, sc):
+        for lay in (pc, sc):
+            for name in ("cw_bits", "partner_cw", "partner_pos"):
+                flat = getattr(lay, "flat_" + name)
+                assert flat.typecode == "i"
+                assert flat.tolist() == getattr(lay, name).ravel().tolist()
+
+    def test_pin_masks_equal_cw_pinned(self, pc, sc):
+        assert pc.pin_masks == [0] * pc.n_cw
+        n = sc.code.n
+        assert any(sc.pin_masks)
+        for c, mask in enumerate(sc.pin_masks):
+            assert [bool(mask >> p & 1) for p in range(n)] == sc.cw_pinned[c].tolist()
+            assert mask >> n == 0
+
+    def test_built_once_and_shared_by_every_state(self, sc, monkeypatch):
+        import gpcdec.layout
+        from gpcdec.engine import anchor_decode_state
+
+        views = [getattr(sc, a) for a in
+                 ("flat_cw_bits", "flat_partner_cw", "flat_partner_pos", "pin_masks")]
+
+        def refuse(*_):
+            raise AssertionError("layout view rebuilt after construction")
+
+        monkeypatch.setattr(gpcdec.layout, "_flat_ints", refuse)
+        monkeypatch.setattr(gpcdec.layout, "_pin_masks", refuse)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            frame = ((rng.random(sc.n_bits) < 0.05) & ~sc.pinned).astype(np.uint8)
+            state = anchor_decode_state(sc, frame, 4)
+            state.validate()
+        for a, view in zip(
+            ("flat_cw_bits", "flat_partner_cw", "flat_partner_pos", "pin_masks"), views
+        ):
+            assert getattr(sc, a) is view
+
+
 class TestIncidence:
     @pytest.mark.parametrize(
         "args,blocks",

@@ -104,8 +104,8 @@ def reference_erasure_fixpoint(work, failed):
     layout = work.layout
     code = layout.code
     fset = set(failed)
-    partner = layout._as_lists("partner_cw")
-    bits = layout._as_lists("cw_bits")
+    partner = layout.partner_cw.tolist()
+    bits = layout.cw_bits.tolist()
     erased = {
         c: [p for p in range(code.n) if partner[c][p] in fset] for c in failed
     }
@@ -155,7 +155,7 @@ def reference_failure_report(state):
         by_type[ty] = tuple(layout.cw_id(int(c)) for c in members)
     guard = np.append(failed, False)
     inter = np.nonzero(guard[layout.bit_cw[:, 0]] & guard[layout.bit_cw[:, 1]])[0]
-    partner = layout._as_lists("partner_cw")
+    partner = layout.partner_cw.tolist()
     suspicious = []
     for c in range(layout.n_cw):
         if state.status[c] != ANCHOR:

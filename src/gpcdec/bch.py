@@ -30,18 +30,22 @@ Which method serves a code depends on its packed syndrome width nu*t + e:
   cache miss, names the unique support of weight <= t per syndrome
 - wider syndromes solve the error locator algebraically: closed form plus a
   quadratic table at t=2, Peterson's locator plus a cubic table at t=3,
-  Berlekamp-Massey plus a Chien search at t >= 4; the decoder then
-  enumerates the 2^e extension-error hypotheses and keeps the unique
-  candidate consistent with every parity check
+  Berlekamp-Massey plus a Chien search at t >= 4; the extension bits in
+  error are then the parity bits XOR the core errors' parity contribution
 
 Both paths sit behind one memo keyed by (budget, syndrome).
 
 ``decode_batch`` decodes an array of syndromes in one pass with the same
 results, for the engine's batched half-iterations: a gather from the dense
-table, or the t=2 and t=3 closed forms evaluated over arrays with the
-field's numpy tables (``FieldTable.arrays``).  At t >= 4 without a table
-it loops over the memoized scalar decoder.  ``prefetch`` uses it to fill
-the memo for a set of syndromes at once.
+table, or the t=2 and t=3 closed forms over arrays.  At t >= 4 without a
+table it loops over the memoized scalar decoder.  ``prefetch`` uses it to
+fill the memo for a set of syndromes at once.
+
+The t=2 and t=3 closed forms are written once, evaluating every branch
+and selecting with ``where``, ``minimum`` and ``maximum``: numpy's over
+arrays with ``FieldTable.arrays`` for ``decode_batch``, or ``_IntOps``
+over one syndrome with the same tables as lists (``FieldTable.lists``)
+for a memo miss.
 
 The erasure solver takes the packed syndrome too: ``erasure_decode``
 eliminates over GF(2) on the packed columns ``contrib_packed`` and returns
@@ -52,11 +56,12 @@ the same checks as a binary matrix for code outside the decoders.
 from __future__ import annotations
 
 import operator
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .galois import FieldTable, build_field
+from .galois import FieldArrays, FieldTable, build_field
 
 _BDD_CACHE_CAP = 1 << 21
 _TABLE_BITS = 20  # widest packed syndrome with a dense decode table (4 MiB)
@@ -87,6 +92,82 @@ def _minimal_poly(f: FieldTable, exponent: int) -> tuple[int, frozenset[int]]:
             raise AssertionError("minimal polynomial has non-binary coefficient")
         mask |= c << d
     return mask, frozenset(orbit)
+
+
+class _IntOps:
+    """numpy's ``where``, ``minimum`` and ``maximum`` on Python ints, so a
+    closed form written for arrays of syndromes runs on one."""
+
+    minimum, maximum = min, max
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
+
+
+def _two_roots(ops, f: FieldArrays, s1, l1, c):
+    """Positions, ascending, of the roots S1*y and S1*(y+1) of the
+    two-error locator, where y^2 + y = c; the sentinel log where c has no
+    root (the table's 0)."""
+    x1 = f.exp[l1 + f.log[f.quad[c]]]
+    a, b = f.log[x1], f.log[x1 ^ s1]
+    return ops.minimum(a, b), ops.maximum(a, b)
+
+
+def _core_t2(ops, f: FieldArrays, s1, s3) -> tuple:
+    """t=2 error locator: X1 + X2 = S1 and X1 X2 = (S3 + S1^3)/S1.  Returns
+    the two core positions, ascending and -1 padded; a missing root reads
+    as the sentinel log."""
+    exp, log, where = f.exp, f.log, ops.where
+    l1 = log[s1]
+    d = s3 ^ exp[3 * l1]
+    # two errors: x = S1 y with y^2 + y = D / S1^3
+    a, b = _two_roots(ops, f, s1, l1, exp[log[d] + 3 * f.nlog[s1]])
+    one = d == 0
+    none = (s1 | s3) == 0
+    return where(none, -1, where(one, l1, a)), where(one, -1, b)
+
+
+def _core_t3(ops, f: FieldArrays, s1, s3, s5) -> tuple:
+    """Peterson's closed-form locator for t=3 plus table root finding.
+
+    With D = S1^3 + S3 the locator x^3 + g1 x^2 + g2 x + g3 has g1 = S1,
+    g2 = (S1^2 S3 + S5)/D and g3 = D + S1 g2.  D vanishes for at most one
+    error, since D = (X1+X2)(X1+X3)(X2+X3) for three errors and
+    X1 X2 (X1+X2) for two; g3 = X1 X2 X3 vanishes for two.  Every branch
+    is evaluated, then each syndrome takes the one that holds.  Returns
+    the three core positions, ascending and -1 padded; a missing root
+    reads as the sentinel log."""
+    exp, log, where = f.exp, f.log, ops.where
+    l1 = log[s1]
+    d = s3 ^ exp[3 * l1]
+    g2 = exp[log[s5 ^ exp[2 * l1 + log[s3]]] + f.nlog[d]]
+    # three errors: y^3 + p y + D with x = y + S1, y = sqrt(p) z and
+    # z^3 + z = D / p^(3/2); when p = 0, y runs over the cube roots of D
+    p = g2 ^ exp[2 * l1]
+    r = f.sqrt[p]
+    c, lr, dp = exp[log[d] + 3 * f.nlog[r]], log[r], d * (p == 0)
+    (z0, z1, z2), (r0, r1, r2) = f.cubic, f.cbrt
+    y0 = exp[lr + log[z0[c]]] | r0[dp]
+    y1 = exp[lr + log[z1[c]]] | r1[dp]
+    y2 = exp[lr + log[z2[c]]] | r2[dp]
+    x0, x1, x2 = log[y0 ^ s1], log[y1 ^ s1], log[y2 ^ s1]
+    x0, x1 = ops.minimum(x0, x1), ops.maximum(x0, x1)
+    x1, x2 = ops.minimum(x1, x2), ops.maximum(x1, x2)
+    x0, x1 = ops.minimum(x0, x1), ops.maximum(x0, x1)
+    x0 = where(y0 == 0, f.zero, x0)  # fewer than three roots
+    # g3 = D + S1 g2 = 0: two errors
+    a, b = _two_roots(ops, f, s1, l1, exp[log[g2] + 2 * f.nlog[s1]])
+    two = exp[l1 + log[g2]] == d
+    # D = 0: at most one error, and then S5 = S1^5
+    one = d == 0
+    single = where(s5 == exp[5 * l1], l1, f.zero)
+    none = (s1 | s3 | s5) == 0
+    return (
+        where(one, where(none, -1, single), where(two, a, x0)),
+        where(one, -1, where(two, b, x1)),
+        where(one | two, -1, x2),
+    )
 
 
 class ComponentCodeSpec:
@@ -150,15 +231,7 @@ class ComponentCodeSpec:
         self.gen_poly = gen
         self.r0 = r0
 
-        # per-position syndrome contributions for incremental updates:
-        # contrib_odd[pos] = (alpha^{pos*1}, alpha^{pos*3}, ...) for core
-        # positions, zeros for extension bits; parity_mask[pos] = bitmask of
-        # extension checks toggled by flipping pos
-        exp = f.exp_table
-        m_ord = f.order - 1
-        odds = range(1, 2 * t, 2)
-        contrib = [tuple(exp[(pos * m) % m_ord] for m in odds) for pos in range(self.n_core)]
-        contrib += [(0,) * t] * e
+        # parity_mask[pos] = bitmask of extension checks toggled by flipping pos
         if e == 0:
             pmask = [0] * self.n_core
         elif e == 1:
@@ -168,16 +241,17 @@ class ComponentCodeSpec:
             # the first extension bit; check bit 1 covers the rest
             pmask = [2 if pos % 2 == 0 else 1 for pos in range(self.n_core)]
             pmask += [1, 2]
-        self.contrib_odd: list[tuple[int, ...]] = contrib
         self.parity_mask: list[int] = pmask
         # single-int syndrome packing: parity bits in the low e bits, odd
-        # syndrome i in the nu-bit lane starting at e + i*nu
+        # syndrome S_(2i+1) in the nu-bit lane starting at e + i*nu, where
+        # flipping core position pos adds alpha^(pos*(2i+1))
+        exp = f.exp_table
         self.packed_bits = e + nu * t
         self.contrib_packed: list[int] = [
             pmask[pos]
-            | sum(c << (e + i * nu) for i, c in enumerate(contrib[pos]))
-            for pos in range(self.n)
-        ]
+            | sum(exp[pos * (2 * i + 1) % n0] << (e + i * nu) for i in range(t))
+            for pos in range(self.n_core)
+        ] + pmask[self.n_core :]
 
         # decode-table slots hold position+1 in fields this wide, ascending
         self._slot_width = self.n.bit_length()
@@ -273,90 +347,23 @@ class ComponentCodeSpec:
         """Unique error pattern of weight <= t on the core positions matching
         the odd-power syndromes, or None.  Shortened positions are rejected.
 
-        t=2 and t=3 solve the error locator in closed form and find its
-        roots by table; larger t run Berlekamp-Massey and a Chien search.
-        decode_packed reaches this only for syndromes wider than 20 bits;
-        narrower ones read the dense decode table, for which this is the
-        test oracle."""
+        t=2 and t=3 run the closed form on Python ints; other t run
+        Berlekamp-Massey and a Chien search.  decode_packed reaches this
+        only for syndromes wider than 20 bits; narrower ones read the dense
+        decode table, for which this is the test oracle."""
+        if self.t in (2, 3):
+            core, ok = self._closed_form(_IntOps, self.field.lists(), odd)
+            return tuple(x for x in core if x >= 0) if ok else None
         if not any(odd):
             return ()
-        if self.t == 2:
-            return self._solve_core_t2(*odd)
-        if self.t == 3:
-            return self._solve_core_t3(*odd)
         return self._solve_core_bm(odd)
 
-    def _solve_core_t2(self, s1: int, s3: int) -> tuple[int, ...] | None:
-        if s1 == 0:
-            return None  # lone S3: no weight<=2 pattern has S1=0, S3!=0
-        f = self.field
-        log = f.log_table
-        exp = f.exp_table
-        m = f.order - 1
-        l1 = log[s1]
-        d = s3 ^ exp[l1 * 3 % m]
-        if d == 0:
-            return (l1,) if l1 < self.n_core else None
-        # two errors X1, X2: X1+X2 = S1, X1*X2 = (S3 + S1^3)/S1
-        return self._two_errors(s1, exp[(log[d] - l1) % m])
-
-    def _two_errors(self, s1: int, prod: int) -> tuple[int, ...] | None:
-        """Positions of the two roots of x^2 + s1*x + prod, or None when the
-        field holds no root or a root lies past the core positions.  Callers
-        pass s1, prod != 0, so the roots are distinct and nonzero: x = s1*y
-        with y^2 + y = prod/s1^2 != 0, hence y not in {0, 1}."""
-        f = self.field
-        log = f.log_table
-        exp = f.exp_table
-        m = f.order - 1
-        l1 = log[s1]
-        y = f.solve_quadratic(exp[(log[prod] - 2 * l1) % m])
-        if y < 0:
-            return None
-        x1 = exp[(l1 + log[y]) % m]
-        p1, p2 = log[x1], log[x1 ^ s1]
-        if p1 >= self.n_core or p2 >= self.n_core:
-            return None
-        return (p1, p2) if p1 < p2 else (p2, p1)
-
-    def _solve_core_t3(self, s1: int, s3: int, s5: int) -> tuple[int, ...] | None:
-        """Peterson's closed-form locator for t=3 plus table root finding.
-
-        With D = S1^3 + S3 the locator x^3 + g1 x^2 + g2 x + g3 has g1 = S1,
-        g2 = (S1^2 S3 + S5)/D and g3 = D + S1 g2.  D vanishes for at most
-        one error, since D = (X1+X2)(X1+X3)(X2+X3) for three errors and
-        X1 X2 (X1+X2) for two; g3 = X1 X2 X3 vanishes for two."""
-        f = self.field
-        log = f.log_table
-        exp = f.exp_table
-        m = f.order - 1
-        l1 = log[s1]
-        d = s3 ^ exp[3 * l1 % m] if s1 else s3
-        if d == 0:
-            if s1 and s5 == exp[5 * l1 % m] and l1 < self.n_core:
-                return (l1,)
-            return None
-        num = s5 ^ exp[(2 * l1 + log[s3]) % m] if s1 and s3 else s5
-        g2 = exp[(log[num] - log[d]) % m] if num else 0
-        if s1 and g2 and exp[(l1 + log[g2]) % m] == d:
-            return self._two_errors(s1, g2)  # g3 = 0
-        # x = y + g1 turns the locator into y^3 + p y + q with
-        # p = g1^2 + g2 and q = g1 g2 + g3 = D
-        p = g2 ^ exp[2 * l1 % m] if s1 else g2
-        if p:
-            # y = sqrt(p) z turns it into z^3 + z = D / p^(3/2)
-            lp = log[p]
-            lr = lp >> 1 if lp % 2 == 0 else (lp + m) >> 1  # log sqrt(p)
-            zs = f.solve_cubic(exp[(log[d] - 3 * lr) % m])
-            xs = [exp[(lr + log[z]) % m] ^ s1 for z in zs]
-        else:
-            xs = [y ^ s1 for y in f.cube_roots(d)]
-        if not xs or 0 in xs:
-            return None
-        pos = sorted(log[x] for x in xs)
-        if pos[2] >= self.n_core:
-            return None
-        return tuple(pos)
+    def _closed_form(self, ops, f: FieldArrays, odd) -> tuple:
+        """The t=2 or t=3 closed form under ``ops`` (numpy or _IntOps): the
+        core positions, ascending and -1 padded, and whether every one lies
+        below n_core, which the sentinel log of a missing root does not."""
+        core = (_core_t2 if self.t == 2 else _core_t3)(ops, f, *odd)
+        return core, reduce(ops.maximum, core) < self.n_core
 
     def _solve_core_bm(self, odd: tuple[int, ...]) -> tuple[int, ...] | None:
         """Berlekamp-Massey over the 2t syndromes plus a vectorized root search."""
@@ -559,32 +566,22 @@ class ComponentCodeSpec:
 
     def _decode_algebraic(self, packed: int, budget: int) -> tuple[int, ...] | None:
         """Miss path for wider syndromes, and the decode table's test
-        oracle: solve the core positions from the odd syndromes, then pick
-        the extension-error hypothesis that matches the parity bits within
-        the budget."""
+        oracle: solve the core positions from the odd syndromes, then add
+        the extension bits the parity checks leave in error, within the
+        budget."""
         e = self.e
-        ext = packed & ((1 << e) - 1)  # _split, inlined on the miss path
         mask = (1 << self.nu) - 1
         odd = tuple((packed >> (e + i * self.nu)) & mask for i in range(self.t))
         core = self._solve_core(odd)
         if core is None:
             return None
+        # extension bit i is in error iff bit i of h is set (see _batch_solve)
+        h = packed & ((1 << e) - 1)
         pmask = self.parity_mask
-        core_par = 0
         for pos in core:
-            core_par ^= pmask[pos]
-        w = len(core)
-        for h in range(1 << e):
-            if w + bin(h).count("1") > budget:
-                continue
-            par = core_par
-            if h & 1:
-                par ^= pmask[self.n_core]
-            if h & 2:
-                par ^= pmask[self.n_core + 1]
-            if par == ext:
-                return core + tuple(self.n_core + i for i in range(e) if h >> i & 1)
-        return None
+            h ^= pmask[pos]
+        out = core + tuple(self.n_core + i for i in range(e) if h >> i & 1)
+        return out if len(out) <= budget else None
 
     def _batch_table(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """decode_batch for syndromes of at most 20 bits: unpack the table's
@@ -598,24 +595,19 @@ class ComponentCodeSpec:
         return pos.T, v >= 0
 
     def _batch_solve(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """decode_batch for wider syndromes at t=2 and t=3: the closed forms
-        of _solve_core_t2/_solve_core_t3 over arrays, then the extension
-        bits.  Positions are built as (t, B), one contiguous row per
-        support slot.  A row is valid when every core position lies below
-        n_core; a missing root reads as the log of 0, the sentinel, which
-        does not."""
+        """decode_batch for wider syndromes at t=2 and t=3: the closed form
+        over arrays, then the extension bits.  Positions are built as
+        (t, B), one contiguous row per support slot."""
         e, nu, t, n_core = self.e, self.nu, self.t, self.n_core
         mask = (1 << nu) - 1
         odd = [packed >> (e + i * nu) & mask for i in range(t)]
-        f = self.field.arrays()
-        core = self._batch_core_t2(f, *odd) if t == 2 else self._batch_core_t3(f, *odd)
-        ok = core.max(axis=0) < n_core
-        core[:, ~ok] = -1
+        core, ok = self._closed_form(np, self.field.arrays(), odd)
+        core = np.where(ok, core, -1)
         if not e:
             return core.T, ok
-        # the parity checks fix which extension bits are in error: with
-        # parity_mask 1 and 2 on them, hypothesis h matches iff h equals
-        # the parity bits XOR the core's parity contribution
+        # the parity checks fix which extension bits are in error: they have
+        # parity_mask 1 and 2, so h = the parity bits XOR the core's parity
+        # contribution has bit i set iff extension bit i is
         h = packed & ((1 << e) - 1)
         for row in core:
             h ^= self._pmask_np[row]
@@ -627,79 +619,20 @@ class ComponentCodeSpec:
             col[hit] += 1
         return pos[:t].T, ok & (col <= t)
 
-    def _batch_two(self, f, s1: np.ndarray, l1: np.ndarray, c: np.ndarray):
-        """Positions, ascending, of the roots S1*y and S1*(y+1) of the
-        two-error locator, where y^2 + y = c; the sentinel where c has no
-        root (the table's 0), as in _two_errors."""
-        x1 = f.exp[l1 + f.log[f.quad[c]]]
-        a, b = f.log[x1], f.log[x1 ^ s1]
-        return np.minimum(a, b), np.maximum(a, b)
-
-    def _batch_core_t2(self, f, s1: np.ndarray, s3: np.ndarray) -> np.ndarray:
-        """_solve_core_t2 over arrays: (2, B) core positions, -1 padded."""
-        exp, log = f.exp, f.log
-        l1 = log[s1]
-        d = s3 ^ exp[3 * l1]
-        # two errors: x = S1 y with y^2 + y = D / S1^3
-        a, b = self._batch_two(f, s1, l1, exp[log[d] + 3 * f.nlog[s1]])
-        one = d == 0
-        core = np.array([np.where(one, l1, a), np.where(one, -1, b)])
-        core[:, (s1 | s3) == 0] = -1
-        return core
-
-    def _batch_core_t3(
-        self, f, s1: np.ndarray, s3: np.ndarray, s5: np.ndarray
-    ) -> np.ndarray:
-        """_solve_core_t3 over arrays: (3, B) core positions, -1 padded.
-        Every branch is evaluated for every row, then each row takes the
-        branch the scalar form would return from."""
-        exp, log = f.exp, f.log
-        l1 = log[s1]
-        d = s3 ^ exp[3 * l1]
-        g2 = exp[log[s5 ^ exp[2 * l1 + log[s3]]] + f.nlog[d]]
-        # three errors: y^3 + p y + D with x = y + S1, y = sqrt(p) z and
-        # z^3 + z = D / p^(3/2); when p = 0, y runs over the cube roots of D
-        p = g2 ^ exp[2 * l1]
-        r = f.sqrt[p]
-        c, lr, dp = exp[log[d] + 3 * f.nlog[r]], log[r], d * (p == 0)
-        y = [exp[lr + log[zk[c]]] | rk[dp] for zk, rk in zip(f.cubic, f.cbrt)]
-        x0, x1, x2 = (log[yk ^ s1] for yk in y)
-        x0, x1 = np.minimum(x0, x1), np.maximum(x0, x1)
-        x1, x2 = np.minimum(x1, x2), np.maximum(x1, x2)
-        x0, x1 = np.minimum(x0, x1), np.maximum(x0, x1)
-        x0[y[0] == 0] = f.zero  # fewer than three roots
-        # g3 = D + S1 g2 = 0: two errors
-        a, b = self._batch_two(f, s1, l1, exp[log[g2] + 2 * f.nlog[s1]])
-        two = exp[l1 + log[g2]] == d
-        # D = 0: at most one error, and then S5 = S1^5
-        one = d == 0
-        single = np.where(s5 == exp[5 * l1], l1, f.zero)
-        core = np.array([
-            np.where(one, single, np.where(two, a, x0)),
-            np.where(one | two, np.where(one, -1, b), x1),
-            np.where(one | two, -1, x2),
-        ])
-        core[:, (s1 | s3 | s5) == 0] = -1
-        return core
-
     # --- erasure decoding ------------------------------------------------
 
     def parity_check_matrix(self) -> np.ndarray:
-        """Binary parity-check matrix, (nu*t + e) x n, built on first use."""
+        """Binary parity-check matrix, (nu*t + e) x n, built on first use
+        from the packed columns: row r < nu*t is packed bit e + r, and row
+        nu*t + j is parity bit j."""
         if self._pcm is None:
-            rows = self.nu * self.t + self.e
-            h = np.zeros((rows, self.n), dtype=np.uint8)
-            for pos in range(self.n_core):
-                for i, c in enumerate(self.contrib_odd[pos]):
-                    for b in range(self.nu):
-                        h[i * self.nu + b, pos] = (c >> b) & 1
-            base = self.nu * self.t
-            for pos in range(self.n):
-                mask = self.parity_mask[pos]
-                for i in range(self.e):
-                    if mask >> i & 1:
-                        h[base + i, pos] = 1
-            self._pcm = h
+            width = (self.packed_bits + 7) // 8
+            raw = b"".join(c.to_bytes(width, "little") for c in self.contrib_packed)
+            bits = np.unpackbits(
+                np.frombuffer(raw, np.uint8).reshape(self.n, width),
+                axis=1, count=self.packed_bits, bitorder="little",
+            )
+            self._pcm = np.ascontiguousarray(np.roll(bits.T, -self.e, axis=0))
         return self._pcm
 
     def erasure_decode(

@@ -218,7 +218,8 @@ def _build_code(parser, opts):
 
 
 def _build_layout(parser, opts, code):
-    window = opts.get("window") or opts.get("num_blocks", 8)
+    window = opts.get("window")
+    window = opts.get("num_blocks", 8) if window is None else window
     try:
         if opts.get("kind", "product") == "product":
             return build_product_layout(code)
@@ -320,7 +321,8 @@ def _cmd_simulate(ns, parser):
     code = _build_code(parser, opts)
     layout = _build_layout(parser, opts, code)
     grid = _p_grid(parser, opts)
-    workers = opts["workers"] or os.cpu_count() or 1
+    workers = opts["workers"]
+    workers = (os.cpu_count() or 1) if workers is None else workers
     verbose = opts["verbose_frames"]
     rows = [CSV_HEADER]
     frame_lines = []
@@ -470,9 +472,12 @@ _FIGURES = {
 
 def _cmd_repro(ns, parser):
     keys = sorted(_FIGURES) if "all" in ns.figures else list(dict.fromkeys(ns.figures))
+    workers = ns.workers
+    if workers is not None and workers < 1:
+        parser.error("--workers must be >= 1")
+    workers = (os.cpu_count() or 1) if workers is None else workers
     outdir = Path(ns.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    workers = ns.workers or os.cpu_count() or 1
     manifest = {
         "package": "gpcdec",
         "version": __version__,

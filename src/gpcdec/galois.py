@@ -10,8 +10,10 @@ polynomials with nonzero constant term.  For reference, the search yields
 
 Field elements are plain Python ints in [0, 2^nu): the integer's bits are the
 polynomial coefficients.  Addition is XOR; multiplication and inversion go
-through the tables.  ``FieldTable.arrays`` holds numpy copies of the tables
-for arithmetic over arrays of elements, built once per field.
+through the tables.  ``FieldTable.arrays`` holds numpy copies of the tables,
+plus the root tables the BCH decoders read, and ``FieldTable.lists`` the
+same tables as Python lists, so one expression can run over an array of
+elements or over a single one.  Both are built once per field.
 """
 
 from __future__ import annotations
@@ -49,13 +51,14 @@ def _is_primitive(poly: int, nu: int) -> bool:
     return False
 
 
-# widest log combination the batched decoders index the antilog table with:
-# a sum of at most this many logs (counted with multiplicity), e.g. S1^5
+# widest log combination the closed-form decoders index the antilog table
+# with: a sum of at most this many logs (counted with multiplicity), e.g. S1^5
 LOG_TERMS = 5
 
 
 class FieldArrays(NamedTuple):
-    """numpy tables for arithmetic over arrays of field elements.
+    """Tables for arithmetic over arrays of field elements: numpy arrays
+    from ``FieldTable.arrays``, or Python lists from ``FieldTable.lists``.
 
     ``log[0]`` and ``nlog[0]`` hold the sentinel ``zero``, and ``exp`` is
     alpha^(i mod (2^nu - 1)) below ``zero`` and 0 from ``zero`` on.  A sum
@@ -73,8 +76,8 @@ class FieldArrays(NamedTuple):
     exp: np.ndarray  # (LOG_TERMS * zero + 1,) antilog, periodic below zero
     sqrt: np.ndarray  # (2^nu,) the square root of a
     quad: np.ndarray  # (2^nu,) one y with y^2 + y = c, or 0
-    cubic: np.ndarray  # (3, 2^nu) solve_cubic(c) down column c, or zeros
-    cbrt: np.ndarray  # (3, 2^nu) cube_roots(a) down column a, or zeros
+    cubic: np.ndarray  # (3, 2^nu) the z != 0 with z^3 + z = c, ascending, or zeros
+    cbrt: np.ndarray  # (3, 2^nu) the cube roots of a, ascending by log, or zeros
 
 
 @dataclass(frozen=True)
@@ -90,9 +93,8 @@ class FieldTable:
     prim_poly: int
     exp_table: tuple[int, ...]
     log_table: tuple[int, ...]
-    _quad_table: tuple[int, ...] = field(repr=False, default=())
-    _cubic_table: tuple[tuple[int, ...], ...] = field(repr=False, default=())
     _arrays: FieldArrays | None = field(repr=False, default=None, compare=False)
+    _lists: FieldArrays | None = field(repr=False, default=None, compare=False)
 
     @property
     def order(self) -> int:
@@ -124,61 +126,20 @@ class FieldTable:
         m = self.order - 1
         return self.exp_table[(self.log_table[a] * e) % m]
 
-    def solve_quadratic(self, c: int) -> int:
-        """Return y with y^2 + y = c, or -1 if no solution exists.
-
-        y and y+1 are the two solutions when one exists (half of all c).
-        Backed by a table built on first use.
-        """
-        tbl = self._quad_table
-        if not tbl:
-            sol = [-1] * self.order
-            for y in range(self.order):
-                key = self.mul(y, y) ^ y
-                if sol[key] == -1:
-                    sol[key] = y
-            tbl = tuple(sol)
-            object.__setattr__(self, "_quad_table", tbl)
-        return tbl[c]
-
-    def solve_cubic(self, c: int) -> tuple[int, ...]:
-        """Return the three distinct z with z^3 + z = c, ascending, or ()
-        when the cubic has fewer than three distinct roots in the field.
-
-        Backed by a table built on first use.  c = 0 is the only value with
-        a repeated root (0 and 1 twice), so its entry is () as well.
-        """
-        tbl = self._cubic_table
-        if not tbl:
-            exp, log = self.exp_table, self.log_table
-            m = self.order - 1
-            roots: list[list[int]] = [[] for _ in range(self.order)]
-            for z in range(1, self.order):
-                roots[exp[3 * log[z] % m] ^ z].append(z)
-            tbl = tuple(tuple(r) if len(r) == 3 else () for r in roots)
-            object.__setattr__(self, "_cubic_table", tbl)
-        return tbl[c]
-
-    def cube_roots(self, a: int) -> tuple[int, ...]:
-        """Return the three distinct cube roots of a, ascending by log, or ()
-        when a has fewer than three.  Three exist only when 3 divides
-        2^nu - 1 and log a is a multiple of 3."""
-        m = self.order - 1
-        if a == 0 or m % 3:
-            return ()
-        la = self.log_table[a]
-        if la % 3:
-            return ()
-        return tuple(self.exp_table[la // 3 + k * (m // 3)] for k in range(3))
-
     def arrays(self) -> FieldArrays:
         """The field's numpy tables, built on first use and shared by every
         code over this field."""
-        got = self._arrays
-        if got is None:
-            got = self._build_arrays()
-            object.__setattr__(self, "_arrays", got)
-        return got
+        if self._arrays is None:
+            object.__setattr__(self, "_arrays", self._build_arrays())
+        return self._arrays
+
+    def lists(self) -> FieldArrays:
+        """The tables of ``arrays`` as Python lists, for the same arithmetic
+        on one element at a time, built on first use."""
+        if self._lists is None:
+            lists = (v if isinstance(v, int) else v.tolist() for v in self.arrays())
+            object.__setattr__(self, "_lists", FieldArrays._make(lists))
+        return self._lists
 
     def _build_arrays(self) -> FieldArrays:
         q = self.order
@@ -194,14 +155,25 @@ class FieldTable:
         half = np.where(log % 2 == 0, log, log + m) // 2
         sqrt = exp[half % m]
         sqrt[0] = 0
-        self.solve_quadratic(0)  # builds the tuple tables read below
-        self.solve_cubic(0)
-        quad = np.maximum(np.array(self._quad_table, dtype=np.int64), 0)
+        # y and y + 1 solve y^2 + y = c alike, so each solvable c has one
+        # even root: quad holds it, and so the smaller root
+        y = np.arange(0, q, 2)
+        quad = np.zeros(q, dtype=np.int64)
+        quad[exp[2 * log[y]] ^ y] = y
+        # z^3 + z = c over z != 0: keep the c hit three times, their roots
+        # ascending down the column (a stable sort keeps z ascending)
+        z = np.arange(1, q)
+        c = exp[3 * log[z]] ^ z
+        count = np.bincount(c, minlength=q)
+        three = np.flatnonzero(count == 3)
+        first = np.cumsum(count) - count
+        by_c = z[np.argsort(c, kind="stable")]
         cubic = np.zeros((3, q), dtype=np.int64)
-        three = [c for c, roots in enumerate(self._cubic_table) if roots]
-        cubic[:, three] = np.array([self._cubic_table[c] for c in three]).T
+        cubic[:, three] = by_c[first[three] + np.arange(3)[:, None]]
+        # three cube roots exist only when 3 divides 2^nu - 1 and log a is
+        # a multiple of 3; they are ascending by log
         cbrt = np.zeros((3, q), dtype=np.int64)
-        if m % 3 == 0:  # as in cube_roots: log a a multiple of 3
+        if m % 3 == 0:
             a = np.flatnonzero(log[1:] % 3 == 0) + 1
             cbrt[:, a] = exp[log[a] // 3 + np.arange(3)[:, None] * (m // 3)]
         return FieldArrays(zero, log, nlog, exp, sqrt, quad, cubic, cbrt)

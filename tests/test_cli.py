@@ -136,6 +136,17 @@ class TestSimulate:
         assert run(["mcprob", "--nu", "9", "--t", "7"], capsys)[0] == 0
         assert run(["de", "--nu", "9", "--t", "7", "--p", "0.01"], capsys)[0] == 0
 
+    @pytest.mark.parametrize("flag", ["--workers", "--window"])
+    def test_zero_is_refused_not_defaulted(self, capsys, flag):
+        # a 0 is a value: it must reach the range checks, not stand for
+        # "unset" and fall back to the default
+        args = ["simulate", "--nu", "4", "--t", "2", "--p", "0.1",
+                "--max-frames", "1", flag, "0"]
+        if flag == "--window":
+            args += ["--e", "1", "--kind", "staircase", "--num-blocks", "4"]
+        err = usage_error(args, capsys)
+        assert ("workers" if flag == "--workers" else "window") in err
+
     def test_unwritable_output_is_runtime_failure(self, capsys):
         code, _, err = run(
             SIM_ARGS + ["--output", "/nonexistent-dir/out.csv"], capsys)
@@ -283,6 +294,16 @@ class TestRepro:
         assert fig["file"] == "pc721.csv"
         assert fig["component_code"] == {"nu": 7, "t": 2, "e": 1, "s": 0}
         assert len(fig["p_grid"]) == 7
+
+    def test_zero_workers_refused_before_any_run(self, capsys, tmp_path):
+        outdir = tmp_path / "repro"
+        err = usage_error(
+            ["repro", "--outdir", str(outdir), "--figures", "pc721",
+             "--max-frames", "1", "--workers", "0"],
+            capsys,
+        )
+        assert "--workers" in err
+        assert not outdir.exists()
 
     def test_unknown_figure_rejected(self, capsys, tmp_path):
         usage_error(

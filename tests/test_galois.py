@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcdec.galois import LOG_TERMS, build_field
+from gpcdec.galois import LOG_TERMS, FieldTable, build_field
 
 # --- oracle: polynomial arithmetic over GF(2) -------------------------------
 
@@ -180,43 +180,47 @@ def test_distributivity(nu, a, b, c):
 @pytest.mark.parametrize("nu", [4, 8])
 def test_solve_quadratic_exhaustive(nu):
     f = build_field(nu)
+    quad = f.arrays().quad
     for c in range(f.order):
         brute = [y for y in range(f.order) if f.mul(y, y) ^ y == c]
-        y = f.solve_quadratic(c)
+        y = int(quad[c])
         if brute:
             assert y in brute and len(brute) == 2
         else:
-            assert y == -1
+            assert y == 0
 
 
 @pytest.mark.parametrize("nu", [4, 8])
 def test_solve_cubic_exhaustive(nu):
     f = build_field(nu)
+    cubic = f.arrays().cubic
     for c in range(f.order):
         brute = [z for z in range(f.order) if f.mul(z, f.mul(z, z)) ^ z == c]
-        got = f.solve_cubic(c)
+        got = cubic[:, c].tolist()
         if len(brute) == 3:
-            assert got == tuple(brute)
+            assert got == brute
         else:
             # a single root, none, or c = 0 with its repeated root
             assert len(brute) in (0, 1) or c == 0
-            assert got == ()
+            assert got == [0, 0, 0]
 
 
 @pytest.mark.parametrize("nu", [4, 5, 8])
 def test_cube_roots_exhaustive(nu):
     # 3 divides 2^nu - 1 for even nu only; for nu = 5 cubing is a bijection
     f = build_field(nu)
+    cbrt = f.arrays().cbrt
     roots = {a: [] for a in range(f.order)}
     for y in range(1, f.order):
         roots[f.pow(y, 3)].append(y)
     for a in range(f.order):
-        got = f.cube_roots(a)
+        got = cbrt[:, a].tolist()
         if len(roots[a]) == 3:
             assert sorted(got) == roots[a]
+            assert [f.log_table[y] for y in got] == sorted(f.log_table[y] for y in got)
             assert f.log_table[a] % 3 == 0
         else:
-            assert got == ()
+            assert got == [0, 0, 0]
     assert any(len(r) == 3 for r in roots.values()) == (nu % 2 == 0)
 
 
@@ -236,10 +240,36 @@ def test_arrays_match_scalar_arithmetic(nu):
         # the widest log combination the decoders form
         assert a.exp[LOG_TERMS * a.log[i]] == f.pow(i, LOG_TERMS)
         assert f.mul(int(a.sqrt[i]), int(a.sqrt[i])) == i
-        assert a.quad[i] == max(f.solve_quadratic(i), 0)
-        assert tuple(a.cubic[:, i][a.cubic[:, i] > 0]) == f.solve_cubic(i)
-        assert tuple(a.cbrt[:, i][a.cbrt[:, i] > 0]) == f.cube_roots(i)
     assert a.exp.size == LOG_TERMS * a.zero + 1 and a.exp[-1] == 0
+
+
+@pytest.mark.parametrize("nu", [3, 8, 12])
+def test_lists_match_arrays(nu):
+    f = build_field(nu)
+    got = f.lists()
+    assert build_field(nu).lists() is got  # built once, shared by the field
+    a = f.arrays()
+    assert got._fields == a._fields
+    for name, lst, arr in zip(a._fields, got, a):
+        if name == "zero":
+            assert type(lst) is int and lst == arr
+        else:
+            assert type(lst) is list and lst == arr.tolist(), name
+
+
+def test_tables_leave_hash_and_equality_alone():
+    # the tables are caches: building them must not change which fields
+    # compare equal, nor a field's hash
+    f = build_field(5)
+    fresh = FieldTable(f.nu, f.prim_poly, f.exp_table, f.log_table)
+    twin = FieldTable(f.nu, f.prim_poly, f.exp_table, f.log_table)
+    before = hash(fresh)
+    assert fresh == twin
+    fresh.arrays()
+    assert hash(fresh) == before and fresh == twin
+    fresh.lists()
+    assert hash(fresh) == before == hash(twin)
+    assert fresh == twin and fresh == f
 
 
 def test_build_field_cached():

@@ -51,7 +51,7 @@ from .postprocess import (
     build_failure_report,
     erasure_pp,
 )
-from .sim import BerRecord, TrialConfig, paired_records, run_trials
+from .sim import BerRecord, TrialConfig, paired_records, run_sweep, run_trials
 
 __all__ = [
     "ComponentCodeSpec",
@@ -74,6 +74,7 @@ __all__ = [
     "TrialConfig",
     "BerRecord",
     "run_trials",
+    "run_sweep",
     "paired_records",
     "DeModel",
     "FloorModel",

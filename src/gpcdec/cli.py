@@ -42,7 +42,8 @@ from .sim import (
     VARIANTS,
     TrialConfig,
     format_csv_row,
-    run_trials,
+    run_sweep,
+    run_trials,  # noqa: F401  (kept as gpcdec.cli.run_trials)
 )
 
 _SIM_DEFAULTS = {
@@ -324,11 +325,9 @@ def _cmd_simulate(ns, parser):
     workers = opts["workers"]
     workers = (os.cpu_count() or 1) if workers is None else workers
     verbose = opts["verbose_frames"]
-    rows = [CSV_HEADER]
-    frame_lines = []
-    for p in grid:
-        try:
-            cfg = TrialConfig(
+    try:  # every point is checked before any runs
+        cfgs = [
+            TrialConfig(
                 layout=layout,
                 variant=opts["decoder"],
                 p=p,
@@ -343,16 +342,19 @@ def _cmd_simulate(ns, parser):
                 batch_frames=opts["batch_frames"],
                 workers=workers,
             )
-        except ValueError as exc:
-            parser.error(str(exc))
-        record = run_trials(cfg, collect_frame_stats=bool(verbose))
-        rows.append(record.csv_row())
-        if verbose:
-            for rec in record.frame_stats:
-                frame_lines.append(json.dumps({"p": p, **rec}))
+            for p in grid
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
+    records = run_sweep(cfgs, collect_frame_stats=bool(verbose))
+    rows = [CSV_HEADER] + [record.csv_row() for record in records]
     _write_lines(opts["output"], rows)
     if verbose:
-        _write_lines(verbose, frame_lines)
+        _write_lines(verbose, (
+            json.dumps({"p": record.p, **rec})
+            for record in records
+            for rec in record.frame_stats
+        ))
     return 0
 
 
@@ -472,10 +474,15 @@ _FIGURES = {
 
 def _cmd_repro(ns, parser):
     keys = sorted(_FIGURES) if "all" in ns.figures else list(dict.fromkeys(ns.figures))
-    workers = ns.workers
-    if workers is not None and workers < 1:
-        parser.error("--workers must be >= 1")
-    workers = (os.cpu_count() or 1) if workers is None else workers
+    for flag, value, least in (
+        ("--workers", ns.workers, 1),
+        ("--min-frame-errors", ns.min_frame_errors, 1),
+        ("--max-frames", ns.max_frames, 1),
+        ("--seed", ns.seed, 0),
+    ):
+        if value is not None and value < least:
+            parser.error(f"{flag} must be >= {least}")
+    workers = (os.cpu_count() or 1) if ns.workers is None else ns.workers
     outdir = Path(ns.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -497,23 +504,26 @@ def _cmd_repro(ns, parser):
         layout = build_product_layout(code)
         lo, hi, num = fig["p"]
         grid = [float(x) for x in np.geomspace(lo, hi, num)]
+        cfgs = [
+            TrialConfig(
+                layout=layout,
+                variant=variant,
+                p=p,
+                ell=fig["ell"],
+                delta=fig["delta"],
+                pp=pp,
+                min_frame_errors=ns.min_frame_errors,
+                max_frames=ns.max_frames,
+                seed=ns.seed,
+                workers=workers,
+            )
+            for variant, pp in fig["runs"]
+            for p in grid
+        ]
         rows = [CSV_HEADER]
-        for variant, pp in fig["runs"]:
-            label = variant if pp == "none" else f"{variant}+{pp}"
-            for p in grid:
-                cfg = TrialConfig(
-                    layout=layout,
-                    variant=variant,
-                    p=p,
-                    ell=fig["ell"],
-                    delta=fig["delta"],
-                    pp=pp,
-                    min_frame_errors=ns.min_frame_errors,
-                    max_frames=ns.max_frames,
-                    seed=ns.seed,
-                    workers=workers,
-                )
-                rows.append(run_trials(cfg).csv_row(label))
+        for rec in run_sweep(cfgs):
+            label = rec.variant if rec.pp == "none" else f"{rec.variant}+{rec.pp}"
+            rows.append(rec.csv_row(label))
         if fig["de"]:
             model = de_product_model(code)
             for p in grid:

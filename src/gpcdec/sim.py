@@ -7,12 +7,22 @@ by (master seed, frame index).  Frames are grouped into fixed-size batches;
 the stop rule is evaluated at batch boundaries in batch order, so the set
 of simulated frames -- and therefore every counter in the result -- is
 bit-identical for any worker count.
+
+With more than one worker, a sweep (``run_sweep``: several operating
+points, such as a p grid or every decoder variant at one p) runs through
+one process pool.  Its batches are submitted in (point, batch) order with
+``2 * workers`` in flight across point boundaries, so the next point
+starts while the current one finishes, and each worker keeps its code's
+BDD memo warm from point to point.  Each point's results are still
+consumed in batch order and stopped by its own rule; its batches queued
+past the stop are cancelled and never counted.
 """
 
-import itertools
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from math import ceil
 from time import perf_counter
 
@@ -35,6 +45,7 @@ __all__ = [
     "frame_rng",
     "sample_bsc",
     "run_trials",
+    "run_sweep",
     "paired_records",
 ]
 
@@ -227,18 +238,117 @@ def _simulate_batch(layout: GpcLayout, cfg: TrialConfig, batch: int, collect: bo
     return hi - lo, bit_errors, frame_errors, recs
 
 
+class _Deferred:
+    """A batch run in this process when its result is asked for, so a
+    batch cancelled by the stop rule is never decoded."""
+
+    def __init__(self, cfg: TrialConfig, batch: int, collect: bool):
+        self._args = (cfg.layout, cfg, batch, collect)
+
+    def result(self):
+        return _simulate_batch(*self._args)
+
+    def cancel(self) -> bool:
+        return True
+
+
 # worker-process context, set once per process by the pool initializer
 _POOL_CTX = None
 
 
-def _pool_init(layout, cfg, collect):
+def _pool_init(cfgs, collect):
     global _POOL_CTX
-    _POOL_CTX = (layout, cfg, collect)
+    _POOL_CTX = (cfgs, collect)
 
 
-def _pool_batch(batch: int):
-    layout, cfg, collect = _POOL_CTX
-    return _simulate_batch(layout, cfg, batch, collect)
+def _pool_batch(point: int, batch: int):
+    cfgs, collect = _POOL_CTX
+    cfg = cfgs[point]
+    return _simulate_batch(cfg.layout, cfg, batch, collect)
+
+
+@contextmanager
+def _batch_runner(cfgs, collect: bool):
+    """``submit(point, batch)``, returning an object with ``result()`` and
+    ``cancel()``: deferred in this process for one worker, else a future of
+    one process pool that serves every point."""
+    workers = cfgs[0].workers
+    if workers == 1:
+        yield lambda point, batch: _Deferred(cfgs[point], batch, collect)
+        return
+    pool = ProcessPoolExecutor(
+        max_workers=workers, initializer=_pool_init, initargs=(cfgs, collect)
+    )
+    try:
+        yield lambda point, batch: pool.submit(_pool_batch, point, batch)
+    finally:
+        # batches already running when the last point stops are left to
+        # finish in the background; their results are never read
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _run_points(cfgs, collect: bool) -> list[BerRecord]:
+    """The one batch and stop-rule loop: one record per config, in order.
+
+    Batches are submitted in (point, batch) order, ``2 * workers`` ahead of
+    the one being consumed, and consumed in that order, so every point's
+    batches are read in index order and a point stops before any result
+    of the next is read.  When a point stops, its queued batches are
+    cancelled and no more of them are submitted.
+    """
+    workers = cfgs[0].workers
+    live = [True] * len(cfgs)
+
+    def tasks():
+        for point, cfg in enumerate(cfgs):
+            for batch in range(ceil(cfg.max_frames / cfg.batch_frames)):
+                if not live[point]:
+                    break
+                yield point, batch
+
+    records = []
+    frames = bit_errors = frame_errors = 0
+    all_recs: list = []
+    with _batch_runner(cfgs, collect) as submit:
+        window = 2 * workers
+        todo = tasks()
+        pending = deque((pt, submit(pt, b)) for pt, b in islice(todo, window))
+        t0 = perf_counter()
+        while pending:
+            point, future = pending.popleft()
+            nf, nb, ne, recs = future.result()
+            frames += nf
+            bit_errors += nb
+            frame_errors += ne
+            if recs:
+                all_recs.extend(recs)
+            cfg = cfgs[point]
+            if frame_errors >= cfg.min_frame_errors or frames >= cfg.max_frames:
+                live[point] = False
+                while pending and pending[0][0] == point:
+                    pending.popleft()[1].cancel()
+                t1 = perf_counter()
+                records.append(BerRecord(
+                    variant=cfg.variant,
+                    p=cfg.p,
+                    frames=frames,
+                    bit_errors=bit_errors,
+                    frame_errors=frame_errors,
+                    ell=cfg.ell,
+                    delta=cfg.delta,
+                    seed=cfg.seed,
+                    counted_bits=cfg.layout.n_counted_bits,
+                    pp=cfg.pp,
+                    wall_time=t1 - t0,
+                    frame_stats=tuple(all_recs) if collect else None,
+                ))
+                frames = bit_errors = frame_errors = 0
+                all_recs = []
+                t0 = t1
+            pending.extend(
+                (pt, submit(pt, b)) for pt, b in islice(todo, window - len(pending))
+            )
+    return records
 
 
 def run_trials(cfg: TrialConfig, collect_frame_stats: bool = False) -> BerRecord:
@@ -247,60 +357,27 @@ def run_trials(cfg: TrialConfig, collect_frame_stats: bool = False) -> BerRecord
     Batches are consumed strictly in index order regardless of worker
     count, so two runs of the same config differ only in wall time.
     """
-    layout = cfg.layout
-    t0 = perf_counter()
-    n_batches = ceil(cfg.max_frames / cfg.batch_frames)
-    frames = bit_errors = frame_errors = 0
-    all_recs: list = []
+    return _run_points([cfg], collect_frame_stats)[0]
 
-    def accumulate(result) -> bool:
-        nonlocal frames, bit_errors, frame_errors
-        nf, nb, ne, recs = result
-        frames += nf
-        bit_errors += nb
-        frame_errors += ne
-        if recs:
-            all_recs.extend(recs)
-        return frame_errors >= cfg.min_frame_errors or frames >= cfg.max_frames
 
-    if cfg.workers == 1:
-        for batch in range(n_batches):
-            if accumulate(
-                _simulate_batch(layout, cfg, batch, collect_frame_stats)
-            ):
-                break
-    else:
-        with ProcessPoolExecutor(
-            max_workers=cfg.workers,
-            initializer=_pool_init,
-            initargs=(layout, cfg, collect_frame_stats),
-        ) as pool:
-            window = 2 * cfg.workers
-            todo = iter(range(n_batches))
-            pending: deque = deque(
-                pool.submit(_pool_batch, b) for b in itertools.islice(todo, window)
-            )
-            while pending:
-                done = accumulate(pending.popleft().result())
-                for b in itertools.islice(todo, 1):
-                    pending.append(pool.submit(_pool_batch, b))
-                if done:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    break
-    return BerRecord(
-        variant=cfg.variant,
-        p=cfg.p,
-        frames=frames,
-        bit_errors=bit_errors,
-        frame_errors=frame_errors,
-        ell=cfg.ell,
-        delta=cfg.delta,
-        seed=cfg.seed,
-        counted_bits=layout.n_counted_bits,
-        pp=cfg.pp,
-        wall_time=perf_counter() - t0,
-        frame_stats=tuple(all_recs) if collect_frame_stats else None,
-    )
+def run_sweep(cfgs, collect_frame_stats: bool = False) -> list[BerRecord]:
+    """Simulate several operating points; one record per config, in order.
+
+    Each record equals ``run_trials`` of its config.  The configs must
+    agree on ``workers``.  With one worker every point is a call of
+    ``run_trials``; with more, one process pool serves the whole sweep,
+    and its workers keep the code's BDD memo warm across points that
+    share a layout.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        return []
+    workers = cfgs[0].workers
+    if any(cfg.workers != workers for cfg in cfgs):
+        raise ValueError("the configs of a sweep must agree on workers")
+    if workers == 1:
+        return [run_trials(cfg, collect_frame_stats) for cfg in cfgs]
+    return _run_points(cfgs, collect_frame_stats)
 
 
 def paired_records(
@@ -321,9 +398,8 @@ def paired_records(
     error patterns; differences between records are then attributable to
     the decoders alone (paired comparison).
     """
-    out = {}
-    for variant in variants:
-        cfg = TrialConfig(
+    cfgs = [
+        TrialConfig(
             layout=layout,
             variant=variant,
             p=p,
@@ -336,5 +412,6 @@ def paired_records(
             seed=seed,
             workers=workers,
         )
-        out[variant] = run_trials(cfg)
-    return out
+        for variant in variants
+    ]
+    return {rec.variant: rec for rec in run_sweep(cfgs)}

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+import gpcdec.sim
 from gpcdec.analysis import (
     de_product_model,
     density_evolution,
@@ -99,6 +100,45 @@ class TestSimulate:
             assert code == 0
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_multi_point_jsonl_same_for_any_worker_count(self, capsys, tmp_path):
+        # four points: the first two reach --max-frames on a partial batch,
+        # the third stops mid-grid with batches of it still unsubmitted
+        out = {}
+        for workers in ("1", "2"):
+            csv, jsonl = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.jsonl"
+            code, _, _ = run(
+                ["simulate", "--nu", "4", "--t", "2", "--p-sweep", "0.08:0.16:4",
+                 "--ell", "6", "--decoder", "iterative",
+                 "--min-frame-errors", "25", "--max-frames", "1000",
+                 "--batch-frames", "64", "--seed", "7", "--workers", workers,
+                 "--output", str(csv), "--verbose-frames", str(jsonl)],
+                capsys,
+            )
+            assert code == 0
+            out[workers] = (csv.read_bytes(), jsonl.read_bytes())
+        assert out["1"] == out["2"]
+        frames = [int(row.split(",")[2]) for row in out["1"][0].decode().split()[1:]]
+        assert frames == [1000, 1000, 384, 128]
+        assert len(out["1"][1].splitlines()) == sum(frames)
+
+    def test_bad_point_refused_before_any_point_runs(self, capsys, monkeypatch):
+        decoded = []
+        orig = gpcdec.sim.frame_rng
+
+        def spy(seed, index):
+            decoded.append(index)
+            return orig(seed, index)
+
+        monkeypatch.setattr(gpcdec.sim, "frame_rng", spy)
+        # the grid is 0.2, 0.346, 0.6, and only 0.6 is outside (0, 0.5)
+        err = usage_error(
+            ["simulate", "--nu", "4", "--t", "2", "--p-sweep", "0.2:0.6:3",
+             "--max-frames", "4", "--batch-frames", "4", "--workers", "1"],
+            capsys,
+        )
+        assert "p must lie in" in err
+        assert decoded == []
 
     def test_missing_code_params(self, capsys):
         err = usage_error(["simulate", "--p", "0.1"], capsys)
@@ -295,14 +335,21 @@ class TestRepro:
         assert fig["component_code"] == {"nu": 7, "t": 2, "e": 1, "s": 0}
         assert len(fig["p_grid"]) == 7
 
-    def test_zero_workers_refused_before_any_run(self, capsys, tmp_path):
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"),
+        ("--max-frames", "0"),
+        ("--min-frame-errors", "0"),
+        ("--seed", "-1"),
+    ], ids=["workers", "max-frames", "min-frame-errors", "seed"])
+    def test_zero_workers_refused_before_any_run(self, capsys, tmp_path, flag, value):
         outdir = tmp_path / "repro"
+        args = {"--max-frames": "1", "--workers": "1", flag: value}
         err = usage_error(
             ["repro", "--outdir", str(outdir), "--figures", "pc721",
-             "--max-frames", "1", "--workers", "0"],
+             *(item for pair in args.items() for item in pair)],
             capsys,
         )
-        assert "--workers" in err
+        assert flag in err
         assert not outdir.exists()
 
     def test_unknown_figure_rejected(self, capsys, tmp_path):

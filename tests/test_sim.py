@@ -8,9 +8,12 @@ locked to catch accidental changes to any stage; the semantic properties
 invariance) are tested independently of those constants.
 """
 
+import signal
+
 import numpy as np
 import pytest
 
+import gpcdec.sim
 from gpcdec import (
     anchor_decode,
     build_component_code,
@@ -27,6 +30,7 @@ from gpcdec.sim import (
     format_csv_row,
     frame_rng,
     paired_records,
+    run_sweep,
     run_trials,
     sample_bsc,
 )
@@ -228,11 +232,122 @@ class TestRunTrials:
         assert rec.ber == rec.bit_errors / (rec.frames * 256)
 
 
+# (variant, p) of a pc15 sweep under one stop rule (25 frame errors or 1000
+# frames, batches of 64): the iterative 0.14 point stops mid-grid with
+# batches of it still unsubmitted, the others run to max_frames, each
+# ending on a partial batch (1000 = 15*64 + 40)
+SWEEP = (("iterative", 0.08), ("iterative", 0.14), ("anchor", 0.1), ("genie", 0.14))
+
+
+def sweep_configs(layout, workers, seed=7):
+    return [
+        TrialConfig(layout=layout, variant=variant, p=p, ell=6,
+                    min_frame_errors=25, max_frames=1000, seed=seed,
+                    batch_frames=64, workers=workers)
+        for variant, p in SWEEP
+    ]
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that has not returned within two minutes, so a pool
+    that never delivers a result fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError("no return within 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestRunSweep:
+    def test_worker_count_does_not_change_records(self, pc15):
+        runs = {w: run_sweep(sweep_configs(pc15, w), collect_frame_stats=True)
+                for w in (1, 2, 3)}
+        one = runs[1]
+        # frozen counters: the 0.14 iterative point equals
+        # TestRunTrials.test_early_stop_at_batch_boundary
+        assert [(r.variant, r.p, r.frames, r.frame_errors) for r in one] == [
+            ("iterative", 0.08, 1000, 3),
+            ("iterative", 0.14, 192, 33),
+            ("anchor", 0.1, 1000, 7),
+            ("genie", 0.14, 1000, 10),
+        ]
+        assert one[1].bit_errors == 810
+        for rec in one:
+            assert [f["frame"] for f in rec.frame_stats] == list(range(rec.frames))
+        for workers in (2, 3):
+            assert runs[workers] == one
+            assert [r.frame_stats for r in runs[workers]] == [r.frame_stats for r in one]
+
+    def test_one_point_equals_run_trials(self, pc15):
+        for cfg in sweep_configs(pc15, 2):
+            assert run_sweep([cfg]) == [run_trials(cfg)]
+
+    def test_one_pool_per_sweep(self, pc15, monkeypatch):
+        pools = []
+
+        class CountingPool(gpcdec.sim.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(gpcdec.sim, "ProcessPoolExecutor", CountingPool)
+        assert len(run_sweep(sweep_configs(pc15, 2))) == len(SWEEP)
+        assert len(pools) == 1
+        run_sweep(sweep_configs(pc15, 1))
+        assert len(pools) == 1  # one worker never starts a pool
+
+    def test_one_worker_calls_run_trials_per_point(self, pc15, monkeypatch):
+        # looked up at call time, so a wrapper on gpcdec.sim.run_trials
+        # sees every point of a one-worker sweep
+        seen = []
+        orig = gpcdec.sim.run_trials
+
+        def spy(cfg, collect_frame_stats=False):
+            seen.append(cfg.p)
+            return orig(cfg, collect_frame_stats)
+
+        monkeypatch.setattr(gpcdec.sim, "run_trials", spy)
+        run_sweep(sweep_configs(pc15, 1))
+        assert seen == [p for _, p in SWEEP]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_exception_propagates(self, pc15, monkeypatch, workers):
+        orig = gpcdec.sim.frame_rng
+
+        def failing(seed, index):
+            if seed == 99 and index == 70:
+                raise RuntimeError("planted failure in frame 70")
+            return orig(seed, index)
+
+        # installed before the pool forks, so its workers run it too
+        monkeypatch.setattr(gpcdec.sim, "frame_rng", failing)
+        cfgs = sweep_configs(pc15, workers)
+        cfgs[2] = sweep_configs(pc15, workers, seed=99)[2]
+        with pytest.raises(RuntimeError, match="planted failure"):
+            run_sweep(cfgs)
+
+    def test_configs_must_agree_on_workers(self, pc15):
+        assert run_sweep([]) == []
+        mixed = sweep_configs(pc15, 1)[:1] + sweep_configs(pc15, 2)[1:]
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(mixed)
+
+
 class TestPairedRecords:
     def test_same_frames_clean_ordering(self, pc15):
         recs = paired_records(
             pc15, ("iterative", "anchor", "genie"), 0.13, 8, 500, 11
         )
+        assert paired_records(
+            pc15, ("iterative", "anchor", "genie"), 0.13, 8, 500, 11, workers=2
+        ) == recs
         assert all(r.frames == 500 for r in recs.values())
         assert recs["genie"].bit_errors <= recs["anchor"].bit_errors
         assert recs["anchor"].bit_errors < recs["iterative"].bit_errors

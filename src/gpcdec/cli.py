@@ -3,10 +3,13 @@
 Subcommands map one-to-one onto the library surfaces:
 
 * ``simulate``: Monte Carlo at one or more crossover probabilities,
-  CSV out.  Accepts a flat ``key = value`` or JSON config file; explicit
-  flags override config keys, unknown keys are rejected.
+  CSV out.  Each option is declared once, in ``_SIM_OPTIONS``, which
+  builds the flags and checks a flat ``key = value`` or JSON config file:
+  a config value goes through its flag's type and choices, unknown keys
+  are rejected, and explicit flags override config keys.
 * ``de``: density-evolution BER predictions over a p grid.
-* ``floor``: closed-form error-floor estimates over a p grid.
+* ``floor``: closed-form error-floor estimates over a p grid; the
+  post-processed (``pp``) model covers t = 2 codes with extension bits.
 * ``ncg``: net-coding-gain calculator.
 * ``mcprob``: component-code miscorrection probability.
 * ``repro``: regenerates the bundled decoder-comparison datasets at
@@ -19,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -46,47 +50,41 @@ from .sim import (
     run_trials,  # noqa: F401  (kept as gpcdec.cli.run_trials)
 )
 
-_SIM_DEFAULTS = {
-    "e": 0,
-    "s": 0,
-    "kind": "product",
-    "num_blocks": 8,
-    "window": None,
-    "decoder": "anchor",
-    "pp": "none",
-    "pp_extra_iters": None,
-    "ell": 10,
-    "delta": 1,
-    "reduced_t_iters": 0,
-    "min_frame_errors": 100,
-    "max_frames": 10_000_000,
-    "seed": 0,
-    "batch_frames": 256,
-    "workers": None,
-    "output": "-",
-    "verbose_frames": None,
+# Every ``simulate`` option, declared once as key: (type, choices, default,
+# help).  The table builds the subparser (flag --key with dashes), checks
+# config-file values and gives the defaults of the merge defaults < config
+# file < flags.  Trial options take their defaults from TrialConfig.
+_SIM_OPTIONS = {
+    "config": (str, None, None, "flat key=value or JSON config file"),
+    "nu": (int, None, None, "Galois field degree of the component code"),
+    "t": (int, None, None, "error-correcting capability"),
+    "e": (int, None, 0, "extension parity bits (0, 1 or 2)"),
+    "s": (int, None, 0, "shortened positions"),
+    "kind": (str, ("product", "staircase"), "product", "frame layout"),
+    "num_blocks": (int, None, 8, "staircase chain length incl. termination blocks"),
+    "window": (int, None, None,
+               "staircase decoding window (blocks); num_blocks if unset"),
+    "decoder": (str, VARIANTS, TrialConfig.variant, "frame decoder"),
+    "pp": (str, PP_MODES, TrialConfig.pp, "post-processing on decode failure"),
+    "pp_extra_iters": (int, None, TrialConfig.pp_extra_iters,
+                       "bit-flip post-processing iterations; ell if unset"),
+    "ell": (int, None, TrialConfig.ell, "decoding iterations"),
+    "delta": (int, (0, 1, 2, 3), TrialConfig.delta, "anchor conflict threshold"),
+    "reduced_t_iters": (int, None, TrialConfig.reduced_t_iters,
+                        "leading iterations decoded with budget t-1"),
+    "p": (float, None, None, "single crossover probability"),
+    "p_sweep": (str, None, None, "log-spaced crossover grid START:STOP:NUM"),
+    "min_frame_errors": (int, None, TrialConfig.min_frame_errors,
+                         "stop a point after this many frame errors"),
+    "max_frames": (int, None, TrialConfig.max_frames,
+                   "stop a point after this many frames"),
+    "seed": (int, None, TrialConfig.seed, "master seed"),
+    "batch_frames": (int, None, TrialConfig.batch_frames, "frames per stop-rule check"),
+    "workers": (int, None, None, "worker processes; the CPU count if unset"),
+    "output": (str, None, "-", "CSV path, '-' for stdout"),
+    "verbose_frames": (str, None, None,
+                       "also write per-frame stats as JSON lines to this path"),
 }
-
-# coercions applied to values read from a flat-text config file
-_SIM_COERCE = {
-    "nu": int,
-    "t": int,
-    "e": int,
-    "s": int,
-    "num_blocks": int,
-    "window": int,
-    "pp_extra_iters": int,
-    "ell": int,
-    "delta": int,
-    "reduced_t_iters": int,
-    "min_frame_errors": int,
-    "max_frames": int,
-    "seed": int,
-    "batch_frames": int,
-    "workers": int,
-    "p": float,
-}
-_SIM_KEYS = set(_SIM_DEFAULTS) | set(_SIM_COERCE) | {"p_sweep", "config"}
 
 
 def _add_code_args(sub, required=True):
@@ -119,40 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate",
         help="Monte Carlo over the BSC, CSV out",
         description="Simulate one decoder at one or more crossover "
-        "probabilities.  Defaults: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(_SIM_DEFAULTS.items())),
+        "probabilities.",
         argument_default=argparse.SUPPRESS,
     )
     # every option suppressed when absent: merged later as
     # defaults < config file < explicit flags
-    sim.add_argument("--config", help="flat key=value or JSON config file")
-    sim.add_argument("--nu", type=int)
-    sim.add_argument("--t", type=int)
-    sim.add_argument("--e", type=int)
-    sim.add_argument("--s", type=int)
-    sim.add_argument("--kind", choices=("product", "staircase"))
-    sim.add_argument("--num-blocks", type=int,
-                     help="staircase chain length incl. termination blocks")
-    sim.add_argument("--window", type=int,
-                     help="staircase decoding window (blocks)")
-    sim.add_argument("--decoder", choices=VARIANTS)
-    sim.add_argument("--pp", choices=PP_MODES,
-                     help="post-processing on decode failure")
-    sim.add_argument("--pp-extra-iters", type=int)
-    sim.add_argument("--ell", type=int, help="decoding iterations")
-    sim.add_argument("--delta", type=int, choices=(0, 1, 2, 3),
-                     help="anchor conflict threshold")
-    sim.add_argument("--reduced-t-iters", type=int)
-    sim.add_argument("--p", type=float)
-    sim.add_argument("--p-sweep", metavar="START:STOP:NUM")
-    sim.add_argument("--min-frame-errors", type=int)
-    sim.add_argument("--max-frames", type=int)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--batch-frames", type=int)
-    sim.add_argument("--workers", type=int)
-    sim.add_argument("--output", help="CSV path, '-' for stdout")
-    sim.add_argument("--verbose-frames", metavar="PATH",
-                     help="also write per-frame stats as JSON lines")
+    for key, (kind, choices, default, text) in _SIM_OPTIONS.items():
+        if default is not None:
+            text += f"; default {default}"
+        sim.add_argument("--" + key.replace("_", "-"), type=kind,
+                         choices=choices, help=text)
     sim.set_defaults(func=_cmd_simulate)
 
     de = subs.add_parser("de", help="density-evolution BER predictions")
@@ -212,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_code(parser, opts):
     try:
         return build_component_code(opts["nu"], opts["t"], opts["e"], opts["s"])
-    except (KeyError, TypeError) as exc:
-        parser.error(f"missing code parameter: {exc}")
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -291,61 +263,45 @@ def _load_config_file(parser, path):
     out = {}
     for key, value in data.items():
         norm = key.replace("-", "_")
-        if norm not in _SIM_KEYS or norm == "config":
+        if norm not in _SIM_OPTIONS or norm == "config":
             parser.error(f"unknown config key: {key!r}")
-        coerce = _SIM_COERCE.get(norm)
-        if coerce is not None and isinstance(value, str):
-            try:
-                value = coerce(value)
-            except ValueError:
-                parser.error(f"config key {key!r}: cannot parse {value!r}")
-        out[norm] = value
+        if value is None:  # JSON null: the default
+            continue
+        # a value is read as its flag's argument would be: JSON as its text
+        kind, choices, _, _ = _SIM_OPTIONS[norm]
+        try:
+            out[norm] = kind(value if isinstance(value, str) else json.dumps(value))
+        except ValueError:
+            parser.error(f"config key {key!r}: invalid {kind.__name__} value {value!r}")
+        if choices is not None and out[norm] not in choices:
+            parser.error(f"config key {key!r}: {value!r} is not one of {choices}")
     return out
 
 
 def _cmd_simulate(ns, parser):
     explicit = {k: v for k, v in vars(ns).items() if k not in ("func", "command")}
-    config = {}
     path = explicit.pop("config", None)
-    if path:
-        config = _load_config_file(parser, path)
-    opts = {**_SIM_DEFAULTS, **config, **explicit}
+    config = _load_config_file(parser, path) if path else {}
+    opts = {key: spec[2] for key, spec in _SIM_OPTIONS.items()}
+    opts.update(config)
+    opts.update(explicit)
     for key in ("nu", "t"):
-        if key not in opts:
+        if opts[key] is None:
             parser.error(f"--{key} is required")
-    if opts["delta"] not in (0, 1, 2, 3):
-        parser.error("--delta: supported range is 0-3")
-    if opts["decoder"] not in VARIANTS:
-        parser.error(f"--decoder must be one of {VARIANTS}")
-    if opts["pp"] not in PP_MODES:
-        parser.error(f"--pp must be one of {PP_MODES}")
     code = _build_code(parser, opts)
     layout = _build_layout(parser, opts, code)
     grid = _p_grid(parser, opts)
-    workers = opts["workers"]
-    workers = (os.cpu_count() or 1) if workers is None else workers
-    verbose = opts["verbose_frames"]
+    if opts["workers"] is None:
+        opts["workers"] = os.cpu_count() or 1
+    trial = {f.name: opts[f.name] for f in fields(TrialConfig) if f.name in opts}
     try:  # every point is checked before any runs
         cfgs = [
-            TrialConfig(
-                layout=layout,
-                variant=opts["decoder"],
-                p=p,
-                ell=opts["ell"],
-                delta=opts["delta"],
-                reduced_t_iters=opts["reduced_t_iters"],
-                pp=opts["pp"],
-                pp_extra_iters=opts["pp_extra_iters"],
-                min_frame_errors=opts["min_frame_errors"],
-                max_frames=opts["max_frames"],
-                seed=opts["seed"],
-                batch_frames=opts["batch_frames"],
-                workers=workers,
-            )
+            TrialConfig(**{**trial, "layout": layout, "variant": opts["decoder"], "p": p})
             for p in grid
         ]
     except ValueError as exc:
         parser.error(str(exc))
+    verbose = opts["verbose_frames"]
     records = run_sweep(cfgs, collect_frame_stats=bool(verbose))
     rows = [CSV_HEADER] + [record.csv_row() for record in records]
     _write_lines(opts["output"], rows)
@@ -385,12 +341,17 @@ def _cmd_floor(ns, parser):
     code = _build_code(parser, vars(ns))
     if ns.model == "stall":
         model = stall_floor_model(code.n, code.t)
-    else:
+    elif code.t == 2 and code.e >= 1:
         model = pp_floor_model(code.n)
+    else:
+        parser.error("--model pp covers t = 2 codes with e >= 1 only")
     grid = _p_grid(parser, vars(ns))
     rows = ["p,ber,model"]
     for p in grid:
-        rows.append(f"{p!r},{error_floor(model, p)!r},{ns.model}")
+        try:
+            rows.append(f"{p!r},{error_floor(model, p)!r},{ns.model}")
+        except ValueError as exc:
+            parser.error(str(exc))
     _write_lines(ns.output, rows)
     return 0
 

@@ -10,10 +10,10 @@ Two strategies operate on the terminal decoder state:
   them codeword by codeword with the component-code linear solver.  When
   decoding stalled because some anchors miscorrected (spending their full
   correction budget inside failed partner codewords), those suspicious
-  anchors can be added to the failed sets first, exposing their bits to
-  the erasure solver.  Insertions preserve the guarantee regime in which
-  at least one failed set stays smaller than d_min, where every linear
-  system on the other side has a unique solution.
+  anchors are added to the failed sets first, one at a time in a greedy
+  order, exposing their bits to the erasure solver.  An insertion is kept
+  only while at least one failed set stays smaller than d_min, where every
+  linear system on the other side has a unique solution.
 
 Both helpers leave the input state untouched and return a ``PpResult``
 holding the rescued frame plus the counters the sim harness serializes.
@@ -30,7 +30,6 @@ sets are large.
 """
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -50,9 +49,6 @@ __all__ = [
     "bitflip_iterate_pp",
     "erasure_pp",
 ]
-
-# exhaustive augmentation search is capped to keep worst-case PP bounded
-_MAX_COMBINATIONS = 64
 
 
 @dataclass(frozen=True)
@@ -177,18 +173,16 @@ def erasure_pp(
     state: DecoderState,
     rng: np.random.Generator | None = None,
     report: FailureReport | None = None,
-    exhaustive: bool = False,
 ) -> PpResult:
     """Erase the failed-intersection bits and solve for them algebraically.
 
-    Suspicious anchors are inserted into their type's failed set greedily,
-    in the order drawn from ``rng`` (ascending codeword index when no rng
-    is supplied), keeping at least one failed set below d_min after every
-    insertion.  With ``exhaustive`` set, capacity-respecting candidate
-    subsets are tried by increasing size instead, at most 64 attempts,
-    and the first one that clears the frame wins.  Success means every
-    component syndrome reached zero; on failure the returned frame keeps
-    whatever partial corrections the solver applied.
+    This is the one augmentation policy: suspicious anchors are inserted
+    into their type's failed set greedily, in the order drawn from ``rng``
+    (ascending codeword index when no rng is supplied), and an insertion is
+    kept only while at least one failed set stays below d_min.  The
+    erasure fixpoint then runs once on the augmented sets.  Success means
+    every component syndrome reached zero; on failure the returned frame
+    keeps whatever partial corrections the solver applied.
     """
     if report is None:
         report = build_failure_report(state)
@@ -202,18 +196,12 @@ def erasure_pp(
     )
     if not failed:
         return PpResult(state.frame.copy(), True, f1_size, f2_size, isize, 0)
-    if layout.num_types == 2:
+    candidates = []
+    if layout.num_types == 2:  # augmentation is a two-type construction
         candidates = sorted(layout.cw_index(c) for c in report.suspicious_anchors)
-    else:
-        candidates = []  # augmentation is a two-type construction
-    if exhaustive:
-        return _erasure_exhaustive(state, failed, candidates, report)
-    chosen: list[int] = []
-    if candidates:
-        if rng is not None:
-            order = rng.permutation(len(candidates))
-            candidates = [candidates[i] for i in order]
-        chosen = _greedy_augment(layout, failed, candidates)
+    if candidates and rng is not None:
+        candidates = [candidates[i] for i in rng.permutation(len(candidates))]
+    chosen = _greedy_augment(layout, failed, candidates) if candidates else []
     work = DecoderState(layout, state.frame)
     ok = _erasure_fixpoint(work, sorted(set(failed) | set(chosen)))
     return PpResult(work.frame, ok, f1_size, f2_size, isize, len(chosen))
@@ -286,81 +274,3 @@ def _erasure_fixpoint(work: DecoderState, failed: list[int]) -> bool:
         if not changed:
             return False
     return work.all_syndromes_zero()
-
-
-def _erasure_exhaustive(
-    state: DecoderState,
-    failed: list[int],
-    candidates: list[int],
-    report: FailureReport,
-) -> PpResult:
-    """Try candidate subsets by increasing size; first full success wins."""
-    layout = state.layout
-    per_type = layout.per_type
-    base = [0, 0]
-    if candidates:  # capacity filter only arises for two-type layouts
-        for c in failed:
-            base[c // per_type] += 1
-    room = [layout.code.d_min - 1 - b for b in base]
-    f1_size, f2_size = len(report.f1), len(report.f2)
-    isize = int(report.intersection.size)
-    attempts = 0
-    first_frame = None
-    for k in range(len(candidates) + 1):
-        subsets = _fitting_subsets(candidates, k, room, per_type) if k else [()]
-        for sub in subsets:
-            work = DecoderState(layout, state.frame)
-            ok = _erasure_fixpoint(work, sorted(set(failed) | set(sub)))
-            attempts += 1
-            if first_frame is None:
-                first_frame = work.frame
-            if ok:
-                return PpResult(work.frame, True, f1_size, f2_size, isize, k)
-            if attempts >= _MAX_COMBINATIONS:
-                break
-        if attempts >= _MAX_COMBINATIONS:
-            break
-    out = state.frame.copy() if first_frame is None else first_frame
-    return PpResult(out, False, f1_size, f2_size, isize, 0)
-
-
-def _fitting_subsets(
-    candidates: list[int], k: int, room: list[int], per_type: int
-) -> Iterator[tuple[int, ...]]:
-    """The size-k subsets of ``combinations(candidates, k)``, in its order,
-    that insert at most ``room[ty]`` codewords into some type ty.
-
-    A prefix is extended only while some completion still fits, so every
-    branch ends in a yielded subset and the cost stays proportional to
-    the subsets actually tried, however many are filtered out.
-    """
-    types = [c // per_type for c in candidates]
-    left = [[0, 0] for _ in range(len(candidates) + 1)]  # types in candidates[i:]
-    for i in range(len(candidates) - 1, -1, -1):
-        left[i] = left[i + 1].copy()
-        left[i][types[i]] += 1
-    picked: list[int] = []
-    counts = [0, 0]
-
-    def completable(i: int) -> bool:
-        need = k - len(picked)
-        for ty in (0, 1):
-            free = room[ty] - counts[ty]
-            if free >= 0 and left[i][1 - ty] + min(free, left[i][ty]) >= need:
-                return True
-        return False
-
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
-        if len(picked) == k:
-            yield tuple(picked)
-            return
-        for j in range(i, len(candidates)):
-            picked.append(candidates[j])
-            counts[types[j]] += 1
-            if completable(j + 1):
-                yield from extend(j + 1)
-            picked.pop()
-            counts[types[j]] -= 1
-
-    if completable(0):
-        yield from extend(0)

@@ -16,6 +16,7 @@ from gpcdec.analysis import (
     error_floor,
     miscorrection_probability,
     ncg,
+    pp_floor_model,
     stall_floor_model,
 )
 from gpcdec.bch import build_component_code
@@ -42,6 +43,20 @@ def usage_error(argv, capsys) -> str:
         main(argv)
     assert exc_info.value.code == 2
     return capsys.readouterr().err
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The frame indices decoded during a test, seen by a spy on frame_rng."""
+    seen = []
+    orig = gpcdec.sim.frame_rng
+
+    def spy(seed, index):
+        seen.append(index)
+        return orig(seed, index)
+
+    monkeypatch.setattr(gpcdec.sim, "frame_rng", spy)
+    return seen
 
 
 class TestSimulate:
@@ -122,15 +137,7 @@ class TestSimulate:
         assert frames == [1000, 1000, 384, 128]
         assert len(out["1"][1].splitlines()) == sum(frames)
 
-    def test_bad_point_refused_before_any_point_runs(self, capsys, monkeypatch):
-        decoded = []
-        orig = gpcdec.sim.frame_rng
-
-        def spy(seed, index):
-            decoded.append(index)
-            return orig(seed, index)
-
-        monkeypatch.setattr(gpcdec.sim, "frame_rng", spy)
+    def test_bad_point_refused_before_any_point_runs(self, capsys, decoded):
         # the grid is 0.2, 0.346, 0.6, and only 0.6 is outside (0, 0.5)
         err = usage_error(
             ["simulate", "--nu", "4", "--t", "2", "--p-sweep", "0.2:0.6:3",
@@ -244,6 +251,39 @@ class TestConfigFile:
     def test_missing_file(self, capsys):
         usage_error(["simulate", "--config", "/no/such/file.cfg"], capsys)
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_frames", 10.5),
+        ("seed", 1.5),
+        ("ell", True),
+        ("nu", 4.0),
+        ("p", [0.14]),
+        ("decoder", "bogus"),
+        ("delta", 5),
+    ])
+    def test_value_of_wrong_type_refused(self, capsys, tmp_path, decoded, key, value):
+        base = {"nu": 4, "t": 2, "p": 0.14, "max_frames": 4, "batch_frames": 4,
+                "workers": 1}
+        cfg = self.write(tmp_path, json.dumps({**base, key: value}), name="sim.json")
+        err = usage_error(["simulate", "--config", cfg], capsys)
+        assert repr(key) in err
+        assert decoded == []
+
+    def test_json_null_means_default(self, capsys, tmp_path):
+        base = {"nu": 4, "t": 2, "p": 0.14, "ell": 6, "decoder": "iterative",
+                "min_frame_errors": 25, "batch_frames": 64, "max_frames": 1000}
+        nulls = dict.fromkeys(
+            ["e", "s", "kind", "num_blocks", "window", "pp", "pp_extra_iters",
+             "delta", "reduced_t_iters", "seed", "workers", "output",
+             "verbose_frames", "p_sweep"])
+        outs = []
+        for name, data in (("plain.json", base), ("nulls.json", {**base, **nulls})):
+            cfg = self.write(tmp_path, json.dumps(data), name=name)
+            code, out, _ = run(["simulate", "--config", cfg, "--workers", "1"], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[1].strip().split("\n")[1].endswith(",6,1,0")
+
 
 class TestAnalysisCommands:
     def test_de_matches_library(self, capsys):
@@ -276,6 +316,37 @@ class TestAnalysisCommands:
         assert model_str == "stall"
         expect = error_floor(stall_floor_model(128, 2), 1e-2)
         assert float(ber_str) == expect
+
+    def test_pp_floor_matches_library(self, capsys):
+        code, out, _ = run(
+            ["floor", "--nu", "8", "--t", "2", "--e", "1", "--s", "61",
+             "--model", "pp", "--p", "1e-2"],
+            capsys,
+        )
+        assert code == 0
+        _, ber_str, model_str = out.strip().split("\n")[1].split(",")
+        assert model_str == "pp"
+        assert float(ber_str) == error_floor(pp_floor_model(195), 1e-2)
+
+    @pytest.mark.parametrize("code_args", [
+        ["--nu", "8", "--t", "3"],
+        ["--nu", "8", "--t", "3", "--e", "1"],
+        ["--nu", "7", "--t", "2"],
+    ], ids=["t3", "t3-extended", "t2-unextended"])
+    def test_pp_floor_refused_outside_its_model(self, capsys, code_args):
+        err = usage_error(
+            ["floor", *code_args, "--model", "pp", "--p", "1e-2"], capsys)
+        assert "--model pp" in err
+
+    @pytest.mark.parametrize("grid", [
+        ["--p", "0"],
+        ["--p", "1.5"],
+        ["--p-sweep", "1e-2:1.5:3"],
+    ], ids=["zero", "above-one", "sweep-above-one"])
+    def test_floor_bad_p_is_usage_error(self, capsys, grid):
+        err = usage_error(
+            ["floor", "--nu", "7", "--t", "2", "--e", "1", *grid], capsys)
+        assert "p must be in (0, 1)" in err
 
     def test_ncg_rate_flag(self, capsys):
         code, out, _ = run(

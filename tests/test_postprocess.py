@@ -17,7 +17,7 @@ Oracle constructions used below, all deterministic:
   all row/column sums 3; every touched codeword holds 3 > t errors.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -36,7 +36,7 @@ from gpcdec import (
 )
 from gpcdec import postprocess
 from gpcdec.engine import ANCHOR, frame_syndromes
-from gpcdec.postprocess import _fitting_subsets, _greedy_augment
+from gpcdec.postprocess import _greedy_augment
 from test_bch import reference_erasure_decode
 
 # frozen: weight-5 codeword support of the (15, 7) component code and
@@ -385,21 +385,20 @@ class TestErasurePp:
             for c in STALL3:
                 frame[2 * a * a + r * a + c] = 1
         st = stalled_state(sc, frame, 4)
-        for kwargs in ({}, {"exhaustive": True}):
-            res = erasure_pp(st, **kwargs)
-            assert res.success
-            assert not res.frame.any()
+        res = erasure_pp(st)
+        assert res.success
+        assert not res.frame.any()
 
 
 class TestErasureFixpointMatchesReference:
     """erasure_pp with the packed-syndrome fixpoint returns exactly what
-    the word-gather fixpoint returns, greedy and exhaustive."""
+    the word-gather fixpoint returns, with and without an rng order."""
 
     @staticmethod
     def assert_same(monkeypatch, state, seed):
         runs = (
             lambda: erasure_pp(state, np.random.default_rng(seed)),
-            lambda: erasure_pp(state, exhaustive=True),
+            lambda: erasure_pp(state),
         )
         for run in runs:
             got = pp_fields(run())
@@ -440,31 +439,9 @@ class TestErasureFixpointMatchesReference:
         assert_same_report(DecoderState(sc, np.zeros(sc.n_bits, dtype=np.uint8)))
 
     def test_miscorrected_anchor_event(self, monkeypatch, event):
-        # three suspicious anchors: the exhaustive search augments
+        # three suspicious anchors: the greedy rule augments all of them
         assert_same_report(event[0])
         self.assert_same(monkeypatch, event[0], 5)
-
-
-def test_fitting_subsets_match_filtered_combinations():
-    """The pruned enumeration yields exactly the capacity-respecting
-    subsets of combinations(), in its order."""
-    rng = np.random.default_rng(64)
-    per_type = 10
-    for _ in range(300):
-        candidates = sorted(rng.choice(2 * per_type, int(rng.integers(0, 9)), replace=False).tolist())
-        room = rng.integers(-2, 5, size=2).tolist()
-        for k in range(1, len(candidates) + 1):
-            want = [
-                sub for sub in combinations(candidates, k)
-                if any(
-                    sum(c // per_type == ty for c in sub) <= room[ty] for ty in (0, 1)
-                )
-            ]
-            assert list(_fitting_subsets(candidates, k, room, per_type)) == want
-    # no room in either type: nothing is enumerated, at any size
-    many = list(range(2 * per_type))
-    for k in range(1, len(many) + 1):
-        assert next(_fitting_subsets(many, k, [-1, -1], per_type), None) is None
 
 
 MISCORRECTED_ROWS = (2, 7, 11)
@@ -482,6 +459,17 @@ def event(pc195):
     st = anchor_decode_state(pc195, frame, 6)
     assert not st.stats.syndromes_zero
     return st, build_failure_report(st)
+
+
+class FixedOrder:
+    """Stands in for the rng: hands erasure_pp one fixed insertion order."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def permutation(self, n):
+        assert n == len(self.order)
+        return np.array(self.order)
 
 
 class TestAnchorAwareAugmentation:
@@ -518,13 +506,21 @@ class TestAnchorAwareAugmentation:
         # input state never modified
         assert int(st.frame.sum()) == 18
 
-    def test_exhaustive_search_recovers(self, event):
+    def test_every_insertion_order_recovers(self, event):
         st, rep = event
-        res = erasure_pp(st, report=rep, exhaustive=True)
-        assert res.success
-        assert not res.frame.any()
-        # subsets are tried by size: no pair of rows suffices, all three do
-        assert res.augmented == 3
+        for order in permutations(range(3)):
+            res = erasure_pp(st, FixedOrder(order), report=rep)
+            assert res.success, order
+            assert not res.frame.any()
+            assert res.augmented == 3
+
+    def test_no_pair_of_anchors_suffices(self, event):
+        st, rep = event
+        for pair in combinations(rep.suspicious_anchors, 2):
+            partial = FailureReport(rep.failed_by_type, rep.intersection, pair)
+            res = erasure_pp(st, report=partial)
+            assert not res.success, pair
+            assert res.augmented == 2
 
     def test_greedy_augment_capacity_rule(self, pc15):
         # d_min = 5; failed = 3 columns, candidates = 7 rows then 4 columns.

@@ -176,13 +176,13 @@ def erasure_pp(
 ) -> PpResult:
     """Erase the failed-intersection bits and solve for them algebraically.
 
-    This is the one augmentation policy: suspicious anchors are inserted
-    into their type's failed set greedily, in the order drawn from ``rng``
-    (ascending codeword index when no rng is supplied), and an insertion is
-    kept only while at least one failed set stays below d_min.  The
-    erasure fixpoint then runs once on the augmented sets.  Success means
-    every component syndrome reached zero; on failure the returned frame
-    keeps whatever partial corrections the solver applied.
+    Suspicious anchors are inserted into their type's failed set greedily,
+    in the order drawn from ``rng`` (ascending codeword index when no rng
+    is supplied), and an insertion is kept only while at least one failed
+    set stays below d_min.  The erasure fixpoint then runs once on the
+    augmented sets.  Success means every component syndrome reached zero;
+    on failure the returned frame keeps whatever partial corrections the
+    solver applied.
     """
     if report is None:
         report = build_failure_report(state)

@@ -33,7 +33,12 @@ Which method serves a code depends on its packed syndrome width nu*t + e:
   Berlekamp-Massey plus a Chien search at t >= 4; the extension bits in
   error are then the parity bits XOR the core errors' parity contribution
 
-Both paths sit behind one memo keyed by (budget, syndrome).
+Both paths sit behind one memo per budget, indexed by the packed
+syndrome and reached through ``memo(budget)``.  A code with a dense table
+keeps a list of 2^(nu*t+e) slots; a wider code keeps an int-keyed dict of
+at most ``_BDD_CACHE_CAP`` entries.  Either reads ``_MISS`` for a
+syndrome not decoded yet.  Each budget's memo is allocated on its first
+miss, and a pickled code drops its memos and arrives cold.
 
 ``decode_batch`` decodes an array of syndromes in one pass with the same
 results, for the engine's batched half-iterations: a gather from the dense
@@ -66,6 +71,20 @@ from .galois import FieldArrays, FieldTable, build_field
 _BDD_CACHE_CAP = 1 << 21
 _TABLE_BITS = 20  # widest packed syndrome with a dense decode table (4 MiB)
 _MISS = object()
+
+
+class _DictMemo(dict):
+    """One budget's memo on a code without a decode table: packed
+    syndrome -> decode result; a syndrome not decoded yet reads _MISS."""
+
+    __slots__ = ()
+
+    def __missing__(self, packed: int) -> object:
+        return _MISS
+
+
+# every budget's memo until its first miss; never written
+_NO_MEMO = _DictMemo()
 
 
 def _minimal_poly(f: FieldTable, exponent: int) -> tuple[int, frozenset[int]]:
@@ -266,8 +285,9 @@ class ComponentCodeSpec:
         # Berlekamp-Massey, the dense decode table, the encoder's byte table
         self._chien: tuple[np.ndarray, np.ndarray] | None = None
         self._table: np.ndarray | None = None
+        self._table_view: memoryview | None = None  # _table, read as ints
         self._rem_table: list[int] | None = None
-        self._bdd_cache: dict[tuple, tuple[int, ...] | None] = {}
+        self._memos: list = [_NO_MEMO] * (t + 1)  # by budget, see memo()
         self._pcm: np.ndarray | None = None
         self._contrib_packed_np: np.ndarray | None = None
 
@@ -279,6 +299,19 @@ class ComponentCodeSpec:
                 raise OverflowError("packed syndrome exceeds int64")
             self._contrib_packed_np = np.array(self.contrib_packed, dtype=np.int64)
         return self._contrib_packed_np
+
+    def __getstate__(self) -> dict:
+        """Pickle without the memos, whose _MISS would not survive, and
+        without the table, whose memoryview cannot be pickled: the copy
+        rebuilds both on first use, as a new code does."""
+        state = self.__dict__.copy()
+        del state["_memos"]
+        state["_table"] = state["_table_view"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memos = [_NO_MEMO] * (self.t + 1)
 
     def __repr__(self) -> str:
         return (
@@ -437,36 +470,57 @@ class ComponentCodeSpec:
             acc ^= contrib[pos]
         return acc
 
+    def memo(self, budget: int):
+        """The memo of decodes at ``budget``, indexed by packed syndrome;
+        a syndrome not decoded yet reads ``_MISS``.  Before the budget's
+        first miss it is an empty shared dict, never written."""
+        if not 0 <= budget <= self.t:
+            raise ValueError(f"budget {budget} outside [0, t={self.t}]")
+        return self._memos[budget]
+
     def decode_packed(
         self, packed: int, budget: int | None = None
     ) -> tuple[int, ...] | None:
-        """BDD on the packed syndrome; the engine's hot path.
+        """BDD on the packed syndrome; the engine's miss path.
 
         Returns the unique error support, ascending, of total weight <=
         budget (default t, at most t) consistent with all syndromes and
         parity checks, or None on failure.  All decoding is memoized here,
-        keyed by (budget, packed syndrome).  A miss reads the dense decode
-        table when the syndrome has at most 20 bits and solves the error
-        locator otherwise.
+        in ``memo(budget)``, after the budget and the syndrome's range are
+        checked: a negative list index would wrap.  A miss reads the dense
+        decode table when the syndrome has at most 20 bits and fills its
+        slot; wider syndromes solve the error locator and are kept while
+        the budget's dict holds fewer than ``_BDD_CACHE_CAP`` entries.
         """
         if budget is None:
             budget = self.t
-        key = (budget, packed)
-        cache = self._bdd_cache
-        hit = cache.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        if not 0 <= packed < 1 << self.packed_bits:
-            raise ValueError(f"syndrome {packed} does not fit {self.packed_bits} bits")
         if not 0 <= budget <= self.t:
             raise ValueError(f"budget {budget} outside [0, t={self.t}]")
+        if not 0 <= packed < 1 << self.packed_bits:
+            raise ValueError(f"syndrome {packed} does not fit {self.packed_bits} bits")
+        memo = self._memos[budget]
+        hit = memo[packed]
+        if hit is not _MISS:
+            return hit
+        if memo is _NO_MEMO:
+            memo = self._writable_memo(budget)
         if self.has_table:
-            result = self._decode_table(packed, budget)
+            result = memo[packed] = self._decode_table(packed, budget)
         else:
             result = self._decode_algebraic(packed, budget)
-        if len(cache) < _BDD_CACHE_CAP:
-            cache[key] = result
+            if len(memo) < _BDD_CACHE_CAP:
+                memo[packed] = result
         return result
+
+    def _writable_memo(self, budget: int):
+        """The budget's memo, allocated on its first miss: a list of
+        _MISS slots over every syndrome when the code has a table, a
+        _DictMemo otherwise."""
+        memo = self._memos[budget]
+        if memo is _NO_MEMO:
+            memo = [_MISS] * (1 << self.packed_bits) if self.has_table else _DictMemo()
+            self._memos[budget] = memo
+        return memo
 
     def decode_batch(
         self, packed: np.ndarray, budget: int | None = None
@@ -507,23 +561,29 @@ class ComponentCodeSpec:
 
     def prefetch(self, packed: Iterable[int], budget: int) -> None:
         """Memoize, in one decode_batch call, the decodes of the given
-        syndromes that miss the memo.  The memo's size cap still holds."""
-        cache = self._bdd_cache
-        miss = [syn for syn in set(packed) if (budget, syn) not in cache]
-        del miss[max(0, _BDD_CACHE_CAP - len(cache)) :]
+        syndromes that miss ``memo(budget)``.  On a code without a table
+        the budget's size cap still holds."""
+        syns = set(packed)
+        if syns and not 0 <= min(syns) <= max(syns) < 1 << self.packed_bits:
+            raise ValueError(f"syndromes do not fit {self.packed_bits} bits")
+        memo = self.memo(budget)
+        miss = [syn for syn in syns if memo[syn] is _MISS]
+        if not self.has_table:
+            del miss[max(0, _BDD_CACHE_CAP - len(memo)) :]
         if not miss:
             return
         pos, ok = self.decode_batch(np.array(miss, dtype=np.int64), budget)
         weight = np.where(ok, (pos >= 0).sum(axis=1), -1).tolist()
+        memo = self._writable_memo(budget)
         for syn, row, w in zip(miss, pos.tolist(), weight):
-            cache[(budget, syn)] = tuple(row[:w]) if w >= 0 else None
+            memo[syn] = tuple(row[:w]) if w >= 0 else None
 
     def _decode_table(self, packed: int, budget: int) -> tuple[int, ...] | None:
-        """Miss path for syndromes of at most 20 bits: one table read."""
-        table = self._table
-        if table is None:
-            table = self._table = self._build_table()
-        v = int(table[packed])
+        """Miss path for syndromes of at most 20 bits: one table read,
+        through a memoryview, which returns a Python int."""
+        if self._table_view is None:
+            self._load_table()
+        v = self._table_view[packed]
         if v < 0:
             return None
         width = self._slot_width
@@ -533,6 +593,13 @@ class ComponentCodeSpec:
             out.append((v & field_mask) - 1)
             v >>= width
         return tuple(out) if len(out) <= budget else None
+
+    def _load_table(self) -> np.ndarray:
+        """The dense decode table, built on first use, and its view."""
+        if self._table is None:
+            self._table = self._build_table()
+            self._table_view = memoryview(self._table)
+        return self._table
 
     def _build_table(self) -> np.ndarray:
         """Dense decode table: slot s holds the unique support of weight
@@ -586,10 +653,7 @@ class ComponentCodeSpec:
     def _batch_table(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """decode_batch for syndromes of at most 20 bits: unpack the table's
         fields; a field of 0 is padding and reads as position -1."""
-        table = self._table
-        if table is None:
-            table = self._table = self._build_table()
-        v = table[packed].astype(np.int64)
+        v = self._load_table()[packed].astype(np.int64)
         shifts = np.arange(self.t)[:, None] * self._slot_width
         pos = ((v >> shifts) & ((1 << self._slot_width) - 1)) - 1
         return pos.T, v >= 0

@@ -6,7 +6,8 @@ Subcommands map one-to-one onto the library surfaces:
   CSV out.  Each option is declared once, in ``_SIM_OPTIONS``, which
   builds the flags and checks a flat ``key = value`` or JSON config file:
   a config value goes through its flag's type and choices, unknown keys
-  are rejected, and explicit flags override config keys.
+  and keys given twice are rejected, and explicit flags override config
+  keys.  Both outputs are opened before the first frame is decoded.
 * ``de``: density-evolution BER predictions over a p grid.
 * ``floor``: closed-form error-floor estimates over a p grid; the
   post-processed (``pp``) model covers t = 2 codes with extension bits.
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import fields
 from pathlib import Path
 
@@ -219,20 +221,19 @@ def _p_grid(parser, opts):
     return [float(x) for x in np.geomspace(lo, hi, num)]
 
 
-def _open_out(path):
+def _open_out(stack, path):
+    """A text output for ``path``, '-' for stdout; a file is opened now,
+    so an unwritable path fails before any work, and closed by ``stack``."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+        return sys.stdout
+    return stack.enter_context(open(path, "w"))
 
 
 def _write_lines(path, lines):
-    out, close = _open_out(path)
-    try:
+    with ExitStack() as stack:
+        out = _open_out(stack, path)
         for line in lines:
             out.write(line + "\n")
-    finally:
-        if close:
-            out.close()
 
 
 # --- simulate ----------------------------------------------------------------
@@ -243,28 +244,28 @@ def _load_config_file(parser, path):
         text = Path(path).read_text()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    data = {}
     if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            pairs = json.loads(text, object_pairs_hook=lambda pairs: pairs)
         except json.JSONDecodeError as exc:
             parser.error(f"config file is not valid JSON: {exc}")
-        if not isinstance(data, dict):
-            parser.error("JSON config must be an object")
     else:
+        pairs = []
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 parser.error(f"config line {lineno} is not key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            data[key] = value
-    out = {}
-    for key, value in data.items():
+            pairs.append(tuple(part.strip() for part in line.split("=", 1)))
+    out, seen = {}, set()
+    for key, value in pairs:
         norm = key.replace("-", "_")
         if norm not in _SIM_OPTIONS or norm == "config":
             parser.error(f"unknown config key: {key!r}")
+        if norm in seen:
+            parser.error(f"config key {key!r} is given twice")
+        seen.add(norm)
         if value is None:  # JSON null: the default
             continue
         # a value is read as its flag's argument would be: JSON as its text
@@ -302,15 +303,20 @@ def _cmd_simulate(ns, parser):
     except ValueError as exc:
         parser.error(str(exc))
     verbose = opts["verbose_frames"]
-    records = run_sweep(cfgs, collect_frame_stats=bool(verbose))
-    rows = [CSV_HEADER] + [record.csv_row() for record in records]
-    _write_lines(opts["output"], rows)
-    if verbose:
-        _write_lines(verbose, (
-            json.dumps({"p": record.p, **rec})
-            for record in records
-            for rec in record.frame_stats
-        ))
+    if verbose not in (None, "-") and opts["output"] != "-" and (
+        os.path.realpath(verbose) == os.path.realpath(opts["output"])
+    ):
+        parser.error("--output and --verbose-frames name the same file")
+    with ExitStack() as stack:  # both outputs open before any point runs
+        out = _open_out(stack, opts["output"])
+        frames_out = _open_out(stack, verbose) if verbose else None
+        records = run_sweep(cfgs, collect_frame_stats=bool(verbose))
+        for row in [CSV_HEADER] + [record.csv_row() for record in records]:
+            out.write(row + "\n")
+        if verbose:
+            for record in records:
+                for rec in record.frame_stats:
+                    frames_out.write(json.dumps({"p": record.p, **rec}) + "\n")
     return 0
 
 

@@ -28,11 +28,13 @@ is still ahead.  The half-iterations:
   flips of a decode are applied inline on Python lists, a bytearray and
   the layout's flat ``array('i')`` views; only a decode whose flips
   reach an anchor calls the freeze check and, for marked anchors,
-  ``backtrack``.  Where decode_batch solves misses in closed form (no
-  dense decode table, t = 2 or 3), each half-iteration first decodes the
-  eligible codewords' syndromes that miss the BDD memo in one batch
-  (``ComponentCodeSpec.prefetch``); a syndrome changed mid-sweep is
-  decoded when visited, as before.
+  ``backtrack``.  A visit's BDD is one read of the code's memo of the
+  budget, indexed by syndrome (``ComponentCodeSpec.memo``), and a call of
+  ``decode_packed`` only on a miss.  Where decode_batch solves misses in
+  closed form (no dense decode table, t = 2 or 3), each half-iteration
+  first decodes the eligible codewords' syndromes that miss the memo in
+  one batch (``ComponentCodeSpec.prefetch``); a syndrome changed
+  mid-sweep is decoded when visited, as before.
 
 Per-codeword status values: 0 = anchor, 1 = eligible for decoding,
 2 = decoding failed, 3 = frozen.  The only status transitions are
@@ -184,7 +186,7 @@ class DecoderState:
         self.anchor_pos: list[tuple[int, ...] | None] = [None] * layout.n_cw
         self.stats = DecodeStats()
         self._record = record_transitions
-        self._cache = layout.code._bdd_cache
+        self._memos = layout.code._memos  # by budget: ComponentCodeSpec.memo
         self._pin_masks = layout.pin_masks
 
     # --- primitives --------------------------------------------------------
@@ -237,7 +239,7 @@ class DecoderState:
         candidate, exactly like a locator root in the shortened range.
         """
         s = self.syn[c]
-        out = self._cache.get((budget, s), _MISS)
+        out = self._memos[budget][s]
         if out is _MISS:
             out = self.code.decode_packed(s, budget)
         pin = self._pin_masks[c]

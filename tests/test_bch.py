@@ -485,9 +485,11 @@ class TestTripleErrorSolver:
         for budget in (2, 3):
             want = {k: v for k, v in table.items() if len(v) <= budget}
             for packed in range(1 << code.packed_bits):
-                if packed & 0xFFFF == 0:
-                    code._bdd_cache.clear()  # bounds memory; results are not reused
                 assert decode(packed, budget) == want.get(packed), packed
+        # the table path memoizes in one fixed-size list per budget, so
+        # its memory is bounded without clearing; the algebraic one not at all
+        sizes = [len(code.memo(budget)) for budget in (2, 3)]
+        assert sizes == [1 << code.packed_bits] * 2 if path == "table" else [0, 0]
 
     @pytest.mark.parametrize("args", CODES)
     def test_every_syndrome_matches_brute_force(self, args):
@@ -559,6 +561,20 @@ class TestDecodeTable:
             with pytest.raises(ValueError, match="does not fit"):
                 code.decode_packed(packed)
 
+    def test_out_of_range_syndrome_rejected_once_memo_list_exists(self):
+        # a negative index would read the list's last slot, and
+        # 1 << packed_bits would run past it
+        code = build_component_code(7, 2, 1, 0)
+        top = (1 << code.packed_bits) - 1
+        for budget in range(code.t + 1):
+            code.decode_packed(top, budget)
+            assert len(code.memo(budget)) == top + 1
+            for packed in (-1, top + 1):
+                with pytest.raises(ValueError, match="does not fit"):
+                    code.decode_packed(packed, budget)
+                with pytest.raises(ValueError, match="do not fit"):
+                    code.prefetch([0, packed], budget)
+
     @pytest.mark.parametrize(
         "args,budgets", [((8, 3, 1, 0), (4, -1)), ((7, 2, 1, 0), (3,))]
     )
@@ -572,7 +588,10 @@ class TestDecodeTable:
                 code.decode_packed(packed, budget)
             with pytest.raises(ValueError, match="budget"):
                 code.decode_batch(np.array([packed]), budget)
-        assert (code.t + 1, packed) not in code._bdd_cache
+            with pytest.raises(ValueError, match="budget"):
+                code.memo(budget)
+        # a refused call memoizes nothing
+        assert all(not code.memo(budget) for budget in range(code.t + 1))
 
     @pytest.mark.parametrize("args", [(10, 2, 0, 0), (6, 3, 2, 0), (8, 2, 1, 61)])
     def test_builder_matches_reference(self, args):
@@ -610,7 +629,8 @@ class TestDecodeBatch:
             )
             assert np.array_equal(ok, want_ok)
             assert np.array_equal(pos, want_pos)
-            code._bdd_cache.clear()  # bounds memory; results are not reused
+            # one fixed-size list per budget, so memory stays bounded
+            assert len(code.memo(budget)) == 1 << code.packed_bits
 
     @pytest.mark.parametrize(
         "args",
@@ -633,7 +653,8 @@ class TestDecodeBatch:
                 want = oracle.decode_batch(chunk, budget)
                 assert np.array_equal(got[1], want[1]), lo
                 assert np.array_equal(got[0], want[0]), lo
-        assert code._table is None and not code._bdd_cache
+        assert code._table is None
+        assert all(not code.memo(budget) for budget in range(code.t + 1))
 
     @pytest.mark.parametrize(
         "args", [(8, 3, 0, 0), (8, 3, 2, 0), (10, 2, 1, 0), (8, 4, 2, 0)]
@@ -663,7 +684,7 @@ class TestDecodeBatch:
         for args in [(7, 2, 1, 0), (8, 3, 0, 0)]:
             code = build_component_code(*args)
             code.decode_batch(np.arange(1000), code.t)
-            assert not code._bdd_cache
+            assert all(not code.memo(budget) for budget in range(code.t + 1))
 
     @pytest.mark.parametrize("args", [(4, 2, 1, 0), (8, 3, 0, 0), (8, 4, 2, 0)])
     def test_shapes_and_range_check(self, args):
@@ -683,15 +704,21 @@ class TestDecodeBatch:
         packed = rng.integers(0, 1 << code.packed_bits, 400).tolist()
         code.decode_packed(packed[0], 2)  # a hit is left alone
         code.prefetch(packed + packed[:50], 2)
-        assert set(code._bdd_cache) == {(2, s) for s in packed}
-        for (budget, s), got in code._bdd_cache.items():
-            assert got == code._decode_algebraic(s, budget)
-        # the memo's size cap holds: only the room left is filled
-        monkeypatch.setattr("gpcdec.bch._BDD_CACHE_CAP", len(code._bdd_cache) + 7)
+        assert set(code.memo(2)) == set(packed)
+        for s, got in code.memo(2).items():
+            assert got == code._decode_algebraic(s, 2)
+        assert all(not code.memo(budget) for budget in (0, 1, 3))
+        # each budget's memo has its own size cap: only the room left in
+        # that budget's dict is filled, by prefetch or by decode_packed
+        monkeypatch.setattr("gpcdec.bch._BDD_CACHE_CAP", 7)
         code.prefetch(packed, 3)
-        assert sum(b == 3 for b, _ in code._bdd_cache) == 7
+        assert len(code.memo(3)) == 7
+        code.prefetch(packed, 3)
+        code.decode_packed(min(set(range(len(packed) + 1)) - set(packed)), 3)
+        assert len(code.memo(3)) == 7
         code.prefetch(packed, 1)
-        assert not any(b == 1 for b, _ in code._bdd_cache)
+        assert len(code.memo(1)) == 7
+        assert set(code.memo(2)) == set(packed)
 
 
 class TestIdealizedBdd:

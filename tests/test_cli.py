@@ -200,6 +200,23 @@ class TestSimulate:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("flag", ["--output", "--verbose-frames"])
+    def test_unwritable_output_refused_before_any_point_runs(
+        self, capsys, tmp_path, decoded, flag
+    ):
+        code, out, err = run(SIM_ARGS + [flag, str(tmp_path)], capsys)
+        assert code == 3
+        assert "Is a directory" in err
+        assert decoded == []
+        assert out == ""
+
+    def test_one_file_for_both_outputs_refused(self, capsys, tmp_path, decoded):
+        path = str(tmp_path / "out.txt")
+        err = usage_error(
+            SIM_ARGS + ["--output", path, "--verbose-frames", path], capsys)
+        assert "same file" in err
+        assert decoded == []
+
 
 class TestConfigFile:
     def write(self, tmp_path, text, name="sim.cfg"):
@@ -266,6 +283,25 @@ class TestConfigFile:
         cfg = self.write(tmp_path, json.dumps({**base, key: value}), name="sim.json")
         err = usage_error(["simulate", "--config", cfg], capsys)
         assert repr(key) in err
+        assert decoded == []
+
+    def test_flat_key_given_twice_refused(self, capsys, tmp_path, decoded):
+        cfg = self.write(tmp_path, "\n".join([
+            "nu = 4", "t = 2", "p = 0.14", "workers = 1",
+            "max-frames = 5", "max_frames = 7",
+        ]))
+        err = usage_error(["simulate", "--config", cfg], capsys)
+        assert "'max_frames' is given twice" in err
+        assert decoded == []
+
+    @pytest.mark.parametrize("text", [
+        '{"nu": 4, "t": 2, "p": 0.14, "seed": 1, "seed": 2}',
+        '{"nu": 4, "t": 2, "p": 0.14, "max_frames": 5, "max-frames": 7}',
+    ])
+    def test_json_key_given_twice_refused(self, capsys, tmp_path, decoded, text):
+        cfg = self.write(tmp_path, text, name="sim.json")
+        err = usage_error(["simulate", "--config", cfg, "--workers", "1"], capsys)
+        assert "is given twice" in err
         assert decoded == []
 
     def test_json_null_means_default(self, capsys, tmp_path):

@@ -15,6 +15,7 @@ checked against reference_anchor_decode_state, the status machine it
 replaced, which routes every flip through the method primitives.
 """
 
+import pickle
 from functools import cache
 
 import numpy as np
@@ -124,7 +125,6 @@ def reference_iterative_bdd(
     cw_pinned = layout.cw_pinned if layout.has_pinned else None
     contrib = code.contrib_packed
     decode = code.decode_packed
-    cache = code._bdd_cache
     stats = DecodeStats()
 
     def update(c: int, pos: int):
@@ -160,7 +160,7 @@ def reference_iterative_bdd(
                 s = syn[c]
                 if s == 0:
                     continue
-                out = cache.get((budget, s), _MISS)
+                out = code.memo(budget)[s]
                 if out is _MISS:
                     out = decode(s, budget)
                 if out is not None and cw_pinned is not None:
@@ -228,7 +228,7 @@ class ReferenceState:
 
     def decode_cw(self, c, budget):
         s = self.syn[c]
-        out = self.code._bdd_cache.get((budget, s), _MISS)
+        out = self.code.memo(budget)[s]
         if out is _MISS:
             out = self.code.decode_packed(s, budget)
         if out is not None and self._cw_pinned is not None:
@@ -617,9 +617,11 @@ class TestAnchorPrefetch:
     @pytest.mark.parametrize("kind", ["product", "staircase"])
     def test_prefetch_is_transparent(self, kind, monkeypatch):
         code, states = self.run(kind)
-        assert len(code._bdd_cache) > 1000
-        for (budget, syn), got in code._bdd_cache.items():
-            assert got == code._decode_algebraic(syn, budget)
+        memos = {budget: code.memo(budget) for budget in range(code.t + 1)}
+        assert sum(map(len, memos.values())) > 1000
+        for budget, memo in memos.items():
+            for syn, got in memo.items():
+                assert got == code._decode_algebraic(syn, budget)
         for state in states:
             state.validate()
         assert any(s.stats.backtracks for s in states)
@@ -633,6 +635,45 @@ class TestAnchorPrefetch:
             assert state.stats == plain.stats  # transitions included
             assert np.array_equal(state.frame, plain.frame)
             assert state.status == plain.status
+
+
+class TestMemo:
+    """The BDD memo as decode_cw reads it, and layouts pickled after use."""
+
+    def test_decode_cw_first_touch_then_hit(self):
+        code = ComponentCodeSpec(7, 2, 1, 0)
+        layout = build_product_layout(code)
+        state = DecoderState(layout, np.zeros(layout.n_bits, np.uint8))
+        for budget in range(code.t + 1):
+            for s in range(1 << code.packed_bits):
+                want = code._decode_algebraic(s, budget)
+                state.syn[0] = s
+                assert code.memo(budget)[s] is _MISS
+                assert state.decode_cw(0, budget) == want
+                assert code.memo(budget)[s] == want
+                assert state.decode_cw(0, budget) == want
+
+    @pytest.mark.parametrize("args", [(7, 2, 1, 0), (8, 3, 0, 0)])
+    def test_used_layout_survives_pickle(self, args):
+        layout = build_product_layout(ComponentCodeSpec(*args))
+        code = layout.code
+        rng = np.random.default_rng(sum(args))
+        frames = [noisy_frame(layout, rng, 0.02) for _ in range(3)]
+        # reduced_t_iters = 1 fills the memo of budget t - 1 as well
+        decoded = [anchor_decode(layout, frame, 4, 1, 1) for frame in frames]
+        syns = rng.integers(0, 1 << code.packed_bits, 300).tolist()
+        code.prefetch(syns, code.t)
+        assert all(code.memo(budget) for budget in (code.t - 1, code.t))
+
+        copy = pickle.loads(pickle.dumps(layout))
+        assert all(not copy.code.memo(b) for b in range(code.t + 1))
+        for budget in range(code.t + 1):
+            for s in syns:
+                assert copy.code.decode_packed(s, budget) == code.decode_packed(s, budget)
+        for frame, (out, stats) in zip(frames, decoded):
+            got, got_stats = anchor_decode(copy, frame, 4, 1, 1)
+            assert np.array_equal(got, out)
+            assert got_stats == stats
 
 
 class TestAnchorAgainstReference:

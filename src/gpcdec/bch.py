@@ -54,7 +54,8 @@ for a memo miss.
 
 The erasure solver takes the packed syndrome too: ``erasure_decode``
 eliminates over GF(2) on the packed columns ``contrib_packed`` and returns
-the erased positions to flip, ascending.  ``parity_check_matrix`` builds
+the erased positions to flip, ascending.  ``erasures_solvable`` is its
+rule for an erasure count that can never be solved.  ``parity_check_matrix`` builds
 the same checks as a binary matrix for code outside the decoders.
 """
 
@@ -699,6 +700,12 @@ class ComponentCodeSpec:
             self._pcm = np.ascontiguousarray(np.roll(bits.T, -self.e, axis=0))
         return self._pcm
 
+    def erasures_solvable(self, count):
+        """Whether ``count`` erased positions may have a unique solution.
+        More unknowns than syndrome bits never do, whatever the syndrome:
+        their columns are dependent.  Works elementwise on an array."""
+        return count <= self.packed_bits
+
     def erasure_decode(
         self, syndrome: int, erasures: Iterable[int]
     ) -> tuple[int, ...] | None:
@@ -720,8 +727,8 @@ class ComponentCodeSpec:
         erased = set(erasures)
         if erased and not 0 <= min(erased) <= max(erased) < self.n:
             raise ValueError("erasure position out of range")
-        if len(erased) > self.packed_bits:
-            return None  # more unknowns than checks: dependent columns
+        if not self.erasures_solvable(len(erased)):
+            return None
         idx = sorted(map(int, erased))
         contrib = self.contrib_packed
         basis: dict[int, tuple[int, int]] = {}

@@ -44,7 +44,7 @@ All decoders are deterministic: codewords are visited in ascending index
 order per half-iteration and every tie-break is fixed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -105,7 +105,17 @@ def _syndrome_vector(layout: GpcLayout, frame: np.ndarray) -> np.ndarray:
 
 
 def _set_bits(frame: np.ndarray) -> np.ndarray:
-    """Indices of the set bits of a frame, which must hold only 0 and 1."""
+    """Indices of the set bits of a frame, which must hold only 0 and 1.
+
+    A one-byte frame (uint8, int8, bool) is checked on its bytes, where
+    any value but 0 and 1 reads above 1 (int8 -1 reads 255), and then
+    scanned through a bool view, several times faster than a scan of the
+    bytes as integers.  A wider frame is scanned as it is."""
+    if frame.dtype.itemsize == 1:
+        raw = frame.view(np.uint8)
+        if raw.size and raw.max() > 1:
+            raise ValueError("frame bits must be 0 or 1")
+        return np.flatnonzero(raw.view(bool))
     bits = np.flatnonzero(frame)
     if bits.size and (frame[bits] != 1).any():
         raise ValueError("frame bits must be 0 or 1")
@@ -160,7 +170,8 @@ class DecoderState:
     The frame is a numpy view over a bytearray, which the loop indexes
     directly, and the layout's index arrays are read through its flat
     ``array('i')`` views.  The syndromes come from ``frame_syndromes``,
-    which rejects a frame holding anything but 0 and 1.
+    which rejects a frame holding anything but 0 and 1.  ``copy`` gives
+    an independent state without re-deriving them.
     """
 
     def __init__(
@@ -219,6 +230,21 @@ class DecoderState:
                 del conflicts[k]
                 freed.append(k)
         return freed
+
+    def copy(self) -> "DecoderState":
+        """An independent copy: frame, syndromes, statuses, conflicts,
+        anchors and stats are copied, and no buffer, list or set is
+        shared with this state."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.syn = self.syn.copy()
+        new._buf = bytearray(self._buf)
+        new.frame = np.frombuffer(new._buf, dtype=np.uint8)
+        new.status = self.status.copy()
+        new.conflicts = _ConflictSets({c: set(l) for c, l in self.conflicts.items()})
+        new.anchor_pos = self.anchor_pos.copy()
+        new.stats = replace(self.stats, transitions=self.stats.transitions.copy())
+        return new
 
     def all_syndromes_zero(self) -> bool:
         return self.nonzero_count == 0
@@ -551,18 +577,16 @@ def genie_decode(
     if frame.shape != (layout.n_bits,):
         raise ValueError(f"frame must have {layout.n_bits} bits")
     t = layout.code.t
-    if true_frame is None:
-        err = frame.astype(bool, copy=True)
-    else:
+    _set_bits(frame)  # rejects values other than 0 and 1
+    err = frame.astype(bool)
+    if true_frame is not None:
         if check:
             _check_valid_frame(layout, np.asarray(true_frame, dtype=np.uint8))
-        err = (frame ^ true_frame).astype(bool)
+        err ^= np.asarray(true_frame, dtype=bool)
     bit_cw = layout.bit_cw
     per_type = layout.per_type
     stats = DecodeStats()
     left = int(np.count_nonzero(err))  # errors left, kept by half_iteration
-    if left:
-        _set_bits(frame)  # rejects values other than 0 and 1
 
     def half_iteration(cws: range, _budget: int, _reset: bool) -> bool:
         nonlocal left

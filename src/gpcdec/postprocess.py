@@ -19,17 +19,24 @@ Both helpers leave the input state untouched and return a ``PpResult``
 holding the rescued frame plus the counters the sim harness serializes.
 
 Everything works on the decoder state's packed syndromes and the layout's
-index arrays.  ``build_failure_report`` takes the failed mask from the
+index arrays, with codewords as indices: ``CodewordId``s are built only
+for the public ``FailureReport``.  The failed mask comes from the
 syndromes in one numpy op and the intersection from the failed codewords'
-``partner_cw`` rows.  The erasure solver, ``ComponentCodeSpec.erasure_decode``,
-takes a codeword's packed syndrome plus its erased positions and returns
-the positions to flip, so no codeword is gathered from the frame.  A
-codeword with more erased positions than syndrome bits has dependent
-columns and is skipped at once, which is the common case when the failed
-sets are large.
+``partner_cw`` rows; the suspicious anchors are read from the state's
+lists.  The erasure solver, ``ComponentCodeSpec.erasure_decode``, takes a
+codeword's packed syndrome plus its erased positions and returns the
+positions to flip, so no codeword is gathered from the frame.  Its work
+state is a copy of the decoder's (``DecoderState.copy``), not one
+re-derived from the frame.  A member's erased positions are fixed for the
+whole fixpoint, so a member with more of them than syndrome bits
+(``ComponentCodeSpec.erasures_solvable``) can never be solved and is
+dropped before the first pass: the common case when the failed sets are
+large.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -100,33 +107,59 @@ def build_failure_report(state: DecoderState) -> FailureReport:
     syndrome-based sets are populated.
     """
     layout = state.layout
-    t = layout.code.t
-    per_type = layout.per_type
-    failed = np.array(state.syn, dtype=np.int64) != 0
-    guard = np.append(failed, False)  # index -1 = absent partner, never failed
-    cws = np.flatnonzero(failed)
-    type_of, index_of = np.divmod(cws, per_type)
-    ids = list(map(CodewordId, (type_of + 1).tolist(), (index_of + 1).tolist()))
-    n_types = layout.num_types
-    bounds = np.searchsorted(cws, np.arange(n_types + 1) * per_type).tolist()
-    by_type = {ty: tuple(ids[bounds[ty - 1] : bounds[ty]]) for ty in range(1, n_types + 1)}
-    # every bit of a failed codeword whose partner failed too, taken once,
-    # from the lower-index codeword of the two
-    partner = layout.partner_cw[cws]
-    shared = guard[partner] & (partner > cws[:, None])
-    inter = np.sort(layout.cw_bits[cws][shared]).astype(np.int64)
-    # anchors holding exactly t stored corrections, all in failed partners
-    full = [
-        c
-        for c, (st, pos) in enumerate(zip(state.status, state.anchor_pos))
-        if st == ANCHOR and pos is not None and len(pos) == t
-    ]
-    suspicious = ()
-    if full:
-        pos = np.array([state.anchor_pos[c] for c in full])
-        hit = guard[layout.partner_cw[np.array(full)[:, None], pos]].all(axis=1)
-        suspicious = tuple(layout.cw_id(c) for c, h in zip(full, hit.tolist()) if h)
-    return FailureReport(by_type, inter, suspicious)
+    cws, partner, shared = _failed_codewords(state)
+    by_type = {ty: [] for ty in range(1, layout.num_types + 1)}
+    for c in cws.tolist():
+        cid = layout.cw_id(c)
+        by_type[cid.type_i].append(cid)
+    return FailureReport(
+        {ty: tuple(ids) for ty, ids in by_type.items()},
+        _intersection(layout, cws, partner, shared),
+        tuple(map(layout.cw_id, _suspicious_anchors(state))),
+    )
+
+
+def _failed_codewords(state: DecoderState) -> tuple[np.ndarray, ...]:
+    """The failed codewords' indices, ascending, their ``partner_cw``
+    rows, and which of those partners failed too (a bool row each)."""
+    guard = np.array(state.syn + [0], dtype=bool)  # index -1 = absent partner
+    cws = np.flatnonzero(guard)
+    partner = state.layout.partner_cw.take(cws, axis=0)
+    return cws, partner, guard.take(partner)
+
+
+def _intersection(layout: GpcLayout, cws, partner, shared) -> np.ndarray:
+    """Every bit both of whose codewords failed, ascending, taken once,
+    from the lower-index codeword of the two (see _failed_codewords)."""
+    lower = shared & (partner > cws[:, None])
+    bits = layout.cw_bits.take(cws, axis=0)[lower].astype(np.int64)
+    bits.sort()
+    return bits
+
+
+def _suspicious_anchors(state: DecoderState) -> list[int]:
+    """Anchors holding exactly t stored corrections, all in failed
+    partners, ascending."""
+    layout = state.layout
+    t, n = layout.code.t, layout.code.n
+    partner_cw, syn, status = layout.flat_partner_cw, state.syn, state.status
+    found = []
+    for c, pos in enumerate(state.anchor_pos):
+        if pos and len(pos) == t and status[c] == ANCHOR:
+            base = c * n
+            for p in pos:
+                k = partner_cw[base + p]
+                if k < 0 or not syn[k]:
+                    break
+            else:
+                found.append(c)
+    return found
+
+
+def _type_sizes(layout: GpcLayout, failed: list[int]) -> tuple[int, int]:
+    """How many of the ascending codeword indices are of type 1 and 2."""
+    f1 = bisect_left(failed, layout.per_type)
+    return f1, bisect_left(failed, 2 * layout.per_type) - f1
 
 
 def bitflip_iterate_pp(
@@ -146,11 +179,16 @@ def bitflip_iterate_pp(
     """
     if extra_iters < 1:
         raise ValueError("extra_iters must be >= 1")
-    if report is None:
-        report = build_failure_report(state)
     layout = state.layout
+    if report is None:
+        cws, partner, shared = _failed_codewords(state)
+        sizes = _type_sizes(layout, cws.tolist())
+        inter = _intersection(layout, cws, partner, shared)
+    else:
+        sizes = len(report.f1), len(report.f2)
+        inter = report.intersection
     flipped = state.frame.copy()
-    flipped[report.intersection] ^= 1
+    flipped[inter] ^= 1
     if variant == "anchor":
         out, stats = anchor_decode(layout, flipped, extra_iters, state.delta)
     elif variant == "iterative":
@@ -159,14 +197,7 @@ def bitflip_iterate_pp(
         out, stats = genie_decode(layout, flipped, true_frame, extra_iters)
     else:
         raise ValueError(f"unknown decoder variant {variant!r}")
-    return PpResult(
-        out,
-        stats.syndromes_zero,
-        len(report.f1),
-        len(report.f2),
-        int(report.intersection.size),
-        0,
-    )
+    return PpResult(out, stats.syndromes_zero, *sizes, int(inter.size), 0)
 
 
 def erasure_pp(
@@ -180,31 +211,32 @@ def erasure_pp(
     in the order drawn from ``rng`` (ascending codeword index when no rng
     is supplied), and an insertion is kept only while at least one failed
     set stays below d_min.  The erasure fixpoint then runs once on the
-    augmented sets.  Success means every component syndrome reached zero;
-    on failure the returned frame keeps whatever partial corrections the
-    solver applied.
+    augmented sets, on a copy of the state.  Success means every
+    component syndrome reached zero; on failure the returned frame keeps
+    whatever partial corrections the solver applied.
     """
-    if report is None:
-        report = build_failure_report(state)
     layout = state.layout
-    f1_size, f2_size = len(report.f1), len(report.f2)
-    isize = int(report.intersection.size)
-    failed = sorted(
-        layout.cw_index(cid)
-        for group in report.failed_by_type.values()
-        for cid in group
-    )
+    augment = layout.num_types == 2  # augmentation is a two-type construction
+    if report is None:
+        cws, _, shared = _failed_codewords(state)
+        failed = cws.tolist()
+        # each intersection bit is a shared position of both its codewords
+        sizes = (*_type_sizes(layout, failed), int(np.count_nonzero(shared)) // 2)
+        candidates = _suspicious_anchors(state) if augment else []
+    else:
+        failed = sorted(map(layout.cw_index, chain(*report.failed_by_type.values())))
+        sizes = (len(report.f1), len(report.f2), int(report.intersection.size))
+        candidates = []
+        if augment:
+            candidates = sorted(map(layout.cw_index, report.suspicious_anchors))
     if not failed:
-        return PpResult(state.frame.copy(), True, f1_size, f2_size, isize, 0)
-    candidates = []
-    if layout.num_types == 2:  # augmentation is a two-type construction
-        candidates = sorted(layout.cw_index(c) for c in report.suspicious_anchors)
+        return PpResult(state.frame.copy(), True, *sizes, 0)
     if candidates and rng is not None:
         candidates = [candidates[i] for i in rng.permutation(len(candidates))]
     chosen = _greedy_augment(layout, failed, candidates) if candidates else []
-    work = DecoderState(layout, state.frame)
+    work = state.copy()
     ok = _erasure_fixpoint(work, sorted(set(failed) | set(chosen)))
-    return PpResult(work.frame, ok, f1_size, f2_size, isize, len(chosen))
+    return PpResult(work.frame, ok, *sizes, len(chosen))
 
 
 def _greedy_augment(
@@ -236,14 +268,20 @@ def _erasure_fixpoint(work: DecoderState, failed: list[int]) -> bool:
     Augmented anchors start at zero and join once partner corrections
     disturb them.
     For two-type layouts the smaller failed set goes first; the pass count
-    is capped so adversarial oscillating patterns still terminate.
+    is capped so adversarial oscillating patterns still terminate.  The
+    visit order and the cap come from every member.  A member's erased
+    positions never change, so a member that no erasure solve can ever
+    clear -- none erased, or more than ``erasures_solvable`` allows -- is
+    then dropped before the first pass.
     """
     layout = work.layout
     code = layout.code
     member = np.zeros(layout.n_cw + 1, dtype=bool)  # last slot: absent partner
     member[failed] = True
-    shared = member[layout.partner_cw[failed]]
-    erased = {c: row.nonzero()[0].tolist() for c, row in zip(failed, shared)}
+    shared = member.take(layout.partner_cw.take(failed, axis=0))
+    counts = np.count_nonzero(shared, axis=1)
+    live = np.flatnonzero((counts > 0) & code.erasures_solvable(counts)).tolist()
+    erased = {failed[i]: shared[i].nonzero()[0].tolist() for i in live}
     if layout.num_types == 2:
         per_type = layout.per_type
         groups = [
@@ -253,16 +291,15 @@ def _erasure_fixpoint(work: DecoderState, failed: list[int]) -> bool:
         groups.sort(key=len)
     else:
         groups = [failed]
-    for _ in range(max(2 * len(failed), 8)):
+    passes = max(2 * len(failed), 8)
+    groups = [[c for c in group if c in erased] for group in groups]
+    for _ in range(passes):
         changed = False
         for group in groups:
             for c in group:
                 if work.syn[c] == 0:
                     continue
-                pos = erased[c]
-                if not pos:
-                    continue
-                out = code.erasure_decode(work.syn[c], pos)
+                out = code.erasure_decode(work.syn[c], erased[c])
                 if not out:
                     continue
                 bits = layout.cw_bits[c]

@@ -195,10 +195,12 @@ def _decode_frame(layout: GpcLayout, cfg: TrialConfig, index: int, collect: bool
         else:
             pp_res = erasure_pp(state, rng)
         out = pp_res.frame
+    # the decoded frame holds only 0 and 1, so a count of its set bits is
+    # its error count, several times cheaper than a sum of its bytes
     if layout.all_counted:
-        bit_errors = int(out.sum())
+        bit_errors = int(np.count_nonzero(out))
     else:
-        bit_errors = int(out[layout.counted].sum())
+        bit_errors = int(np.count_nonzero(out & layout.counted))
     frame_error = bit_errors > 0
     if not collect:
         return bit_errors, frame_error, None

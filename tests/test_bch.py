@@ -925,6 +925,24 @@ class TestErasureDecode:
         assert code.erasure_decode(code.syndrome(word), wide) is None
         assert reference_erasure_decode(code, word, wide) is None
 
+    @pytest.mark.parametrize("args", ERASURE_CODES)
+    def test_solvable_rule_bounds_every_solve(self, args):
+        """erasures_solvable refuses exactly the counts above packed_bits,
+        on ints and elementwise on arrays, and no erasure set it refuses
+        is ever solved."""
+        code = erasure_code(args)
+        bits = code.packed_bits
+        assert code.erasures_solvable(bits) and not code.erasures_solvable(bits + 1)
+        counts = np.arange(bits + 4)
+        assert code.erasures_solvable(counts).tolist() == [k <= bits for k in counts]
+        rng = np.random.default_rng(sum(args) + 1)
+        for n_er in range(max(bits - 2, 0), min(bits + 4, code.n + 1)):
+            for kind in ("planted", "random"):
+                for _ in range(4):
+                    word, erasures = erasure_problem(code, rng, n_er, kind)
+                    solved = code.erasure_decode(code.syndrome(word), erasures)
+                    assert solved is None or code.erasures_solvable(len(erasures))
+
     def test_syndrome_out_of_range_rejected(self):
         code = erasure_code((4, 2, 1, 0))
         top = (1 << code.packed_bits) - 1

@@ -836,17 +836,81 @@ class TestDecodingBehaviour:
             DecoderState(pc15, np.zeros(pc15.n_bits, np.uint8), delta=-1)
 
 
+class TestStateCopy:
+    """DecoderState.copy: equal to its source, and sharing no buffer,
+    list or set with it."""
+
+    @staticmethod
+    def snapshot(state):
+        return (
+            state.frame.tobytes(), list(state.syn), state.nonzero_count,
+            list(state.status), list(state.anchor_pos),
+            {c: set(l) for c, l in state.conflicts.items()},
+            DecodeStats(**vars(state.stats)), list(state.stats.transitions),
+        )
+
+    def test_copy_equals_and_shares_nothing(self, pc15):
+        rng = np.random.default_rng(1)
+        for _ in range(20):  # frame 1 is the first
+            frame = (rng.random(pc15.n_bits) < 0.15).astype(np.uint8)
+            state = anchor_decode_state(pc15, frame, 3, record_transitions=True)
+            if state.conflicts and FROZEN in state.status:
+                break
+        else:
+            pytest.fail("no state with conflicts")
+        before = self.snapshot(state)
+        cp = state.copy()
+        assert self.snapshot(cp) == before
+        assert cp.delta == state.delta and cp.layout is state.layout
+        assert not np.shares_memory(cp.frame, state.frame)
+        for name in ("syn", "status", "anchor_pos", "conflicts", "stats"):
+            assert getattr(cp, name) is not getattr(state, name), name
+        assert cp.stats.transitions is not state.stats.transitions
+        assert all(cp.conflicts[c] is not l for c, l in state.conflicts.items())
+        # every part of the copy changes, the source does not
+        for bit in np.flatnonzero(cp.frame)[:3].tolist():
+            cp.flip_bit(bit)
+        cp.validate()
+        for c in list(cp.conflicts):
+            cp.conflicts[c].clear()
+        cp.status[0] = FROZEN
+        cp.anchor_pos[0] = None
+        cp.stats.corrections += 1
+        cp.stats.transitions.append((0, ANCHOR, FROZEN))
+        assert self.snapshot(state) == before
+        state.validate()
+
+
 class TestNonBinaryFrames:
     """A frame value other than 0 and 1 is refused, not decoded: a 2 used
-    to come back as a 3 with syndromes_zero=True (the genie zeroed it)."""
+    to come back as a 3 with syndromes_zero=True (the genie zeroed it).
+    One-byte frames are checked on their bytes and scanned through a bool
+    view, wider ones as they are; both refuse the same values."""
 
     @staticmethod
     def bad_frames(layout):
-        two = grid_frame(layout, [(7, 9)])
-        two[3] = 2
-        wide = grid_frame(layout, [(7, 9)]).astype(np.int16)
-        wide[3] = 256  # 0 once cast to uint8
-        return two, wide
+        def with_value(dtype, value):
+            frame = grid_frame(layout, [(7, 9)]).astype(dtype)
+            frame[3] = value
+            return frame
+
+        return (
+            with_value(np.uint8, 2),
+            with_value(np.uint8, 255),
+            with_value(np.int8, -1),  # 255 as a byte
+            with_value(np.int16, 256),  # 0 once cast to uint8
+            with_value(np.float64, 0.5),  # 0 once cast to uint8
+            with_value(np.float64, np.nan),
+        )
+
+    @staticmethod
+    def good_frames(frame):
+        """The same bits as other dtypes and as a strided uint8 view."""
+        strided = np.zeros(2 * frame.size, dtype=np.uint8)
+        strided[::2] = frame
+        view = strided[::2]
+        assert not view.flags.contiguous
+        return frame.astype(bool), frame.astype(np.int64), frame.astype(np.float64), view
 
     def test_anchor(self, pc15):
         for frame in self.bad_frames(pc15):
@@ -869,12 +933,37 @@ class TestNonBinaryFrames:
 
     def test_binary_dtypes_accepted(self, pc15):
         frame = grid_frame(pc15, [(7, 9)])
-        for f in (frame.astype(bool), frame.astype(np.int64)):
+        for f in self.good_frames(frame):
             for fn in (anchor_decode, iterative_bdd):
                 out, stats = fn(pc15, f, 5)
                 assert stats.syndromes_zero and out.sum() == 0
             out, stats = genie_decode(pc15, f, None, 5)
             assert stats.syndromes_zero and out.sum() == 0
+
+    def test_binary_dtypes_decode_like_uint8(self, pc15):
+        # a stall, so the outputs are not all zero
+        frame = grid_frame(pc15, [(r, c) for r in (0, 1, 3) for c in (0, 1, 3)])
+        zero = np.zeros(pc15.n_bits, np.uint8)
+        runs = (
+            lambda f: anchor_decode(pc15, f, 5),
+            lambda f: iterative_bdd(pc15, f, 5),
+            lambda f: genie_decode(pc15, f, None, 5),
+            lambda f: genie_decode(pc15, f, zero, 5),
+        )
+        for run in runs:
+            want_out, want_stats = run(frame)
+            assert want_out.any()
+            for f in self.good_frames(frame):
+                out, stats = run(f)
+                assert out.dtype == want_out.dtype
+                assert np.array_equal(out, want_out)
+                assert stats == want_stats
+        want = DecoderState(pc15, frame)
+        for f in self.good_frames(frame):
+            st = DecoderState(pc15, f)
+            assert np.array_equal(st.frame, want.frame)
+            assert st.syn == want.syn
+            assert st.nonzero_count == want.nonzero_count
 
 
 class TestReducedBudgetSchedule:

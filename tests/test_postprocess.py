@@ -17,6 +17,7 @@ Oracle constructions used below, all deterministic:
   all row/column sums 3; every touched codeword holds 3 > t errors.
 """
 
+from copy import deepcopy
 from itertools import combinations, permutations
 
 import numpy as np
@@ -35,7 +36,8 @@ from gpcdec import (
     genie_decode,
 )
 from gpcdec import postprocess
-from gpcdec.engine import ANCHOR, frame_syndromes
+from gpcdec.bch import ComponentCodeSpec
+from gpcdec.engine import ANCHOR, FROZEN, frame_syndromes
 from gpcdec.postprocess import _greedy_augment
 from test_bch import reference_erasure_decode
 
@@ -166,6 +168,96 @@ def reference_failure_report(state):
         if all(guard[partner[c][p]] for p in pos):
             suspicious.append(layout.cw_id(c))
     return FailureReport(by_type, inter.astype(np.int64), tuple(suspicious))
+
+
+def reference_packed_fixpoint(work, failed):
+    """The packed-syndrome erasure fixpoint before it dropped members that
+    can never be solved: every member with an erased position and a
+    nonzero syndrome is solved on every pass."""
+    layout = work.layout
+    code = layout.code
+    member = np.zeros(layout.n_cw + 1, dtype=bool)
+    member[failed] = True
+    shared = member[layout.partner_cw[failed]]
+    erased = {c: row.nonzero()[0].tolist() for c, row in zip(failed, shared)}
+    if layout.num_types == 2:
+        per_type = layout.per_type
+        groups = [
+            [c for c in failed if c < per_type],
+            [c for c in failed if c >= per_type],
+        ]
+        groups.sort(key=len)
+    else:
+        groups = [failed]
+    for _ in range(max(2 * len(failed), 8)):
+        changed = False
+        for group in groups:
+            for c in group:
+                if work.syn[c] == 0 or not erased[c]:
+                    continue
+                out = code.erasure_decode(work.syn[c], erased[c])
+                if not out:
+                    continue
+                for p in out:
+                    work.flip_bit(int(layout.cw_bits[c][p]))
+                changed = True
+        if work.all_syndromes_zero():
+            return True
+        if not changed:
+            return False
+    return work.all_syndromes_zero()
+
+
+def reference_erasure_pp(state, rng=None, report=None):
+    """erasure_pp's former body: the failed sets and the suspicious
+    anchors mapped back from the report's CodewordIds, a work state
+    rebuilt from the frame, and the fixpoint that solves every member."""
+    if report is None:
+        report = reference_failure_report(state)
+    layout = state.layout
+    f1_size, f2_size = len(report.f1), len(report.f2)
+    isize = int(report.intersection.size)
+    failed = sorted(
+        layout.cw_index(cid) for group in report.failed_by_type.values() for cid in group
+    )
+    if not failed:
+        return postprocess.PpResult(state.frame.copy(), True, f1_size, f2_size, isize, 0)
+    candidates = []
+    if layout.num_types == 2:
+        candidates = sorted(layout.cw_index(c) for c in report.suspicious_anchors)
+    if candidates and rng is not None:
+        candidates = [candidates[i] for i in rng.permutation(len(candidates))]
+    chosen = _greedy_augment(layout, failed, candidates) if candidates else []
+    work = DecoderState(layout, state.frame)
+    ok = reference_packed_fixpoint(work, sorted(set(failed) | set(chosen)))
+    return postprocess.PpResult(work.frame, ok, f1_size, f2_size, isize, len(chosen))
+
+
+def operating_point_stalls(layout, seed, count, p=0.016, ell=10):
+    """The first ``count`` anchor-decoder stalls of frames drawn at p."""
+    rng = np.random.default_rng(seed)
+    stalls = []
+    while len(stalls) < count:
+        frame = (rng.random(layout.n_bits) < p).astype(np.uint8)
+        st = anchor_decode_state(layout, frame, ell)
+        if not st.stats.syndromes_zero:
+            stalls.append(st)
+    return stalls
+
+
+def staircase_stalls():
+    """Stalls of a 3 x 3 grid of errors in blocks 2, 1 and 4 of a
+    (16, 7) staircase; blocks 1 and 4 put the stall on codewords that
+    reach into a termination block."""
+    code = build_component_code(4, 2, 1, 0)
+    sc = build_staircase_layout(code, 6, 3)
+    a = code.n // 2
+    for block in (2, 1, 4):
+        frame = np.zeros(sc.n_bits, dtype=np.uint8)
+        for r in STALL3:
+            for c in STALL3:
+                frame[block * a * a + r * a + c] = 1
+        yield block, frame, stalled_state(sc, frame, 4)
 
 
 def assert_same_report(state):
@@ -376,6 +468,35 @@ class TestErasurePp:
                     f"bit {b} flipped outside the augmented intersection"
                 )
 
+    def test_input_state_untouched(self, pc195, event):
+        """On the miscorrected-anchor event (anchors, no frozen codeword)
+        and on an operating-point stall with frozen codewords, conflicts
+        and recorded transitions."""
+        rng = np.random.default_rng(3)
+        for _ in range(100):  # frame 85 is the first
+            frame = (rng.random(pc195.n_bits) < 0.016).astype(np.uint8)
+            stall = anchor_decode_state(pc195, frame, 10, record_transitions=True)
+            moved = not np.array_equal(erasure_pp(stall).frame, stall.frame)
+            if moved and stall.conflicts and FROZEN in stall.status:
+                break
+        else:
+            pytest.fail("no stall with conflicts that erasure_pp changes")
+        for st in (event[0], stall):
+            before = (
+                st.frame.copy(), list(st.syn), st.nonzero_count, list(st.status),
+                list(st.anchor_pos), deepcopy(dict(st.conflicts)), deepcopy(st.stats),
+            )
+            res = erasure_pp(st, np.random.default_rng(5))
+            assert not np.array_equal(res.frame, st.frame)  # the work state moved
+            assert np.array_equal(st.frame, before[0])
+            assert st.syn == before[1] == frame_syndromes(pc195, st.frame)
+            assert st.nonzero_count == before[2]
+            assert st.status == before[3]
+            assert st.anchor_pos == before[4]
+            assert dict(st.conflicts) == before[5]
+            assert st.stats == before[6]
+            assert not np.shares_memory(res.frame, st.frame)
+
     def test_staircase_frame_recovered(self):
         code = build_component_code(4, 2, 1, 0)
         sc = build_staircase_layout(code, 6, 3)
@@ -408,40 +529,88 @@ class TestErasureFixpointMatchesReference:
             assert got == want
 
     def test_anchor_stalls_at_operating_point(self, monkeypatch, pc195):
-        rng = np.random.default_rng(8261)
-        stalls = rescued = 0
-        while stalls < 32:
-            frame = (rng.random(pc195.n_bits) < 0.016).astype(np.uint8)
-            st = anchor_decode_state(pc195, frame, 10)
-            if st.stats.syndromes_zero:
-                continue
-            stalls += 1
+        stalls = operating_point_stalls(pc195, 8261, 32)
+        rescued = 0
+        for i, st in enumerate(stalls, 1):
             assert_same_report(st)
-            self.assert_same(monkeypatch, st, stalls)
-            rescued += erasure_pp(st, np.random.default_rng(stalls)).success
-        assert 0 < rescued < stalls
+            self.assert_same(monkeypatch, st, i)
+            rescued += erasure_pp(st, np.random.default_rng(i)).success
+        assert 0 < rescued < len(stalls)
 
     def test_staircase_stall(self, monkeypatch):
-        code = build_component_code(4, 2, 1, 0)
-        sc = build_staircase_layout(code, 6, 3)
-        a = code.n // 2
-        # block 2 as in test_staircase_frame_recovered; blocks 1 and 4 put
-        # the stall on codewords that reach into a termination block
-        for block in (2, 1, 4):
-            frame = np.zeros(sc.n_bits, dtype=np.uint8)
-            for r in STALL3:
-                for c in STALL3:
-                    frame[block * a * a + r * a + c] = 1
-            st = stalled_state(sc, frame, 4)
+        for block, frame, st in staircase_stalls():
             assert_same_report(st)
             self.assert_same(monkeypatch, st, block)
-            assert_same_report(anchor_decode_state(sc, frame, 4))
+            assert_same_report(anchor_decode_state(st.layout, frame, 4))
+        sc = st.layout
         assert_same_report(DecoderState(sc, np.zeros(sc.n_bits, dtype=np.uint8)))
 
     def test_miscorrected_anchor_event(self, monkeypatch, event):
         # three suspicious anchors: the greedy rule augments all of them
         assert_same_report(event[0])
         self.assert_same(monkeypatch, event[0], 5)
+
+
+class TestErasurePpMatchesReference:
+    """erasure_pp returns exactly what its former body returns: the index
+    form of the report, the copied work state and the dropped members
+    change no output.  bitflip_iterate_pp returns the same from its own
+    index-form report as from the reference report."""
+
+    @staticmethod
+    def assert_same(state, seed):
+        assert_same_report(state)
+        for rng in (lambda: np.random.default_rng(seed), lambda: None):
+            got = pp_fields(erasure_pp(state, rng()))
+            assert got == pp_fields(reference_erasure_pp(state, rng()))
+        report = reference_failure_report(state)
+        got = pp_fields(bitflip_iterate_pp(state, 4))
+        assert got == pp_fields(bitflip_iterate_pp(state, 4, report=report))
+
+    @pytest.mark.parametrize("seed", [8261, 7])
+    def test_anchor_stalls_at_operating_point(self, pc195, seed):
+        stalls = operating_point_stalls(pc195, seed, 64)
+        rescued = 0
+        for i, st in enumerate(stalls):
+            self.assert_same(st, i)
+            rescued += erasure_pp(st, np.random.default_rng(i)).success
+        assert 0 < rescued < len(stalls)
+
+    def test_staircase_stalls(self):
+        for block, _, st in staircase_stalls():
+            self.assert_same(st, block)
+
+    def test_miscorrected_anchor_event(self, event):
+        self.assert_same(event[0], 5)
+
+    def test_hopeless_members_never_solved(self, monkeypatch, pc195):
+        """erasure_decode is called for no member with more erased
+        positions than syndrome bits, and for every other member the
+        fixpoint that solves every member calls it for, in the same
+        order: a prune that dropped a solvable member would show."""
+        calls = []
+        solve = ComponentCodeSpec.erasure_decode
+
+        def spy(code, syndrome, erasures):
+            calls.append((int(syndrome), tuple(erasures)))
+            return solve(code, syndrome, erasures)
+
+        monkeypatch.setattr(ComponentCodeSpec, "erasure_decode", spy)
+        bits = pc195.code.packed_bits
+        hopeless = solvable = 0
+        for i, st in enumerate(operating_point_stalls(pc195, 8261, 32)):
+            for rng in (lambda: np.random.default_rng(i), lambda: None):
+                calls.clear()
+                erasure_pp(st, rng())
+                got = list(calls)
+                calls.clear()
+                reference_erasure_pp(st, rng())
+                want = [call for call in calls if len(call[1]) <= bits]
+                assert all(len(e) <= bits for _, e in got)
+                assert got == want
+                hopeless += len(calls) - len(want)
+                solvable += len(want)
+        assert hopeless > 10 * solvable > 0
 
 
 MISCORRECTED_ROWS = (2, 7, 11)

@@ -55,8 +55,9 @@ for a memo miss.
 The erasure solver takes the packed syndrome too: ``erasure_decode``
 eliminates over GF(2) on the packed columns ``contrib_packed`` and returns
 the erased positions to flip, ascending.  ``erasures_solvable`` is its
-rule for an erasure count that can never be solved.  ``parity_check_matrix`` builds
-the same checks as a binary matrix for code outside the decoders.
+rule for an erasure count that can never be solved.
+``parity_check_matrix`` builds the same checks as a binary matrix for code
+outside the decoders.
 """
 
 from __future__ import annotations

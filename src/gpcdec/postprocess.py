@@ -122,7 +122,7 @@ def build_failure_report(state: DecoderState) -> FailureReport:
 def _failed_codewords(state: DecoderState) -> tuple[np.ndarray, ...]:
     """The failed codewords' indices, ascending, their ``partner_cw``
     rows, and which of those partners failed too (a bool row each)."""
-    guard = np.array(state.syn + [0], dtype=bool)  # index -1 = absent partner
+    guard = np.array(state.syn + [0], dtype=bool)  # index -1: absent, never failed
     cws = np.flatnonzero(guard)
     partner = state.layout.partner_cw.take(cws, axis=0)
     return cws, partner, guard.take(partner)

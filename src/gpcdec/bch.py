@@ -564,21 +564,31 @@ class ComponentCodeSpec:
     def prefetch(self, packed: Iterable[int], budget: int) -> None:
         """Memoize, in one decode_batch call, the decodes of the given
         syndromes that miss ``memo(budget)``.  On a code without a table
-        the budget's size cap still holds."""
+        the budget's size cap still holds.
+
+        A dict memo is probed with ``in``, which skips its per-key
+        ``__missing__`` call, and only the rows that decoded are turned
+        into tuples; the failed ones are stored as None."""
         syns = set(packed)
         if syns and not 0 <= min(syns) <= max(syns) < 1 << self.packed_bits:
             raise ValueError(f"syndromes do not fit {self.packed_bits} bits")
         memo = self.memo(budget)
-        miss = [syn for syn in syns if memo[syn] is _MISS]
-        if not self.has_table:
+        if self.has_table:
+            miss = [syn for syn in syns if memo[syn] is _MISS]
+        else:
+            miss = [syn for syn in syns if syn not in memo]
             del miss[max(0, _BDD_CACHE_CAP - len(memo)) :]
         if not miss:
             return
-        pos, ok = self.decode_batch(np.array(miss, dtype=np.int64), budget)
-        weight = np.where(ok, (pos >= 0).sum(axis=1), -1).tolist()
+        miss = np.array(miss, dtype=np.int64)
+        pos, ok = self.decode_batch(miss, budget)
         memo = self._writable_memo(budget)
-        for syn, row, w in zip(miss, pos.tolist(), weight):
-            memo[syn] = tuple(row[:w]) if w >= 0 else None
+        for syn in miss[~ok].tolist():
+            memo[syn] = None
+        pos = pos[ok]
+        weight = (pos >= 0).sum(axis=1).tolist()
+        for syn, row, w in zip(miss[ok].tolist(), pos.tolist(), weight):
+            memo[syn] = tuple(row[:w])
 
     def _decode_table(self, packed: int, budget: int) -> tuple[int, ...] | None:
         """Miss path for syndromes of at most 20 bits: one table read,

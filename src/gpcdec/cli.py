@@ -449,6 +449,8 @@ def _cmd_repro(ns, parser):
     ):
         if value is not None and value < least:
             parser.error(f"{flag} must be >= {least}")
+    if ns.seed >= 1 << 64:
+        parser.error("--seed must be < 2**64")
     workers = (os.cpu_count() or 1) if ns.workers is None else ns.workers
     outdir = Path(ns.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -6,12 +6,19 @@ three: it calls the decoder's half-iteration on each scheduled codeword
 type, counts half-iterations, ends the frame once the decoder reports it
 finished (every syndrome zero; for the genie, no error left), and leaves
 a window position once a full sweep changed nothing and no budget reset
-is still ahead.  The half-iterations:
+is still ahead.  For iterative BDD it also leaves a window position once
+a sweep's flips cancel: the frame is back where it was a sweep earlier,
+so the rest of the plan would replay that sweep, and the driver accounts
+it without decoding.  The other two do not replay: an anchor
+half-iteration depends on statuses and conflicts as well as the frame,
+and the genie only clears errors, so it cannot cycle.  The
+half-iterations:
 
 * ``iterative_bdd``: conventional iterative bounded-distance decoding.
   Every scheduled codeword is BDD-decoded and corrections are applied
-  immediately.  Miscorrections propagate freely.  Codewords of one type
-  share no bit, so a half-iteration is one batched decode
+  immediately.  Miscorrections propagate freely, and often cycle: one
+  pass flips back exactly the bits the other pass flipped.  Codewords of
+  one type share no bit, so a half-iteration is one batched decode
   (``ComponentCodeSpec.decode_batch``) of the type's nonzero syndromes,
   then one scatter of all accepted flips into the frame and the int64
   syndrome vector.
@@ -67,6 +74,9 @@ __all__ = [
 ]
 
 ANCHOR, ELIGIBLE, FAILED, FROZEN = 0, 1, 2, 3
+
+# the flips of a half-iteration that had nothing to decode
+_NO_BITS = np.zeros(0, dtype=np.int32)
 
 _ALLOWED_TRANSITIONS = {
     (ELIGIBLE, ANCHOR),
@@ -518,10 +528,16 @@ def iterative_bdd(
     nonzero in one batch and applies every correction at once.  Codewords
     of one type share no bit, so their syndromes cannot change within the
     half-iteration, and the result equals visiting them one by one in
-    index order.  A codeword that failed is decoded again in later
-    half-iterations; BDD is a pure function of the syndrome and the
-    budget, so it fails again unless either changed.  A correction that
-    flips a pinned (known-zero) bit is refused as a failure.
+    index order.  A correction that flips a pinned (known-zero) bit is
+    refused as a failure.
+
+    BDD is a pure function of the syndrome and the budget, so a
+    half-iteration is a pure function of the frame and its plan entry,
+    and the decoder opts into the driver's replay (``_run_schedule``).
+    A codeword that failed is decoded again in later half-iterations, to
+    the same failure unless its syndrome or the budget changed, until a
+    sweep's flips cancel: from then on each sweep would repeat the last,
+    and the rest of the window position is accounted without decoding.
     """
     if frame.shape != (layout.n_bits,):
         raise ValueError(f"frame must have {layout.n_bits} bits")
@@ -532,12 +548,18 @@ def iterative_bdd(
     cw_bits = layout.cw_bits
     cw_pinned = layout.cw_pinned if layout.has_pinned else None
     stats = DecodeStats()
+    flips: list[np.ndarray] = []  # bits flipped by each half-iteration
 
-    def half_iteration(cws: range, budget: int, _reset: bool) -> bool:
+    def flip(bits: np.ndarray) -> None:
+        work[bits] ^= 1
+        _fold_bits(layout, acc, bits)
+
+    def half_iteration(cws: range, budget: int, _reset: bool) -> int:
         seg = syn[cws.start : cws.stop]
         rows = np.flatnonzero(seg)
         if not rows.size:
-            return False
+            flips.append(_NO_BITS)
+            return 0
         pos, _ = code.decode_batch(seg[rows], budget)
         r, k = np.nonzero(pos >= 0)  # failed rows are all -1
         c = rows[r] + cws.start
@@ -548,13 +570,14 @@ def iterative_bdd(
             keep = ~refuted[r]
             c, p = c[keep], p[keep]
         bits = cw_bits[c, p]
-        work[bits] ^= 1
-        _fold_bits(layout, acc, bits)
+        flip(bits)
         stats.corrections += bits.size
-        return bits.size > 0
+        flips.append(bits)
+        return bits.size
 
     _run_schedule(
-        layout, ell, reduced_t_iters, stats, half_iteration, lambda: not syn.any()
+        layout, ell, reduced_t_iters, stats, half_iteration, lambda: not syn.any(),
+        (flips, flip),
     )
     stats.syndromes_zero = not syn.any()
     return work, stats
@@ -620,8 +643,9 @@ def _run_schedule(
     ell: int,
     reduced_t_iters: int,
     stats: DecodeStats,
-    half_iteration: Callable[[range, int, bool], bool],
+    half_iteration: Callable[[range, int, bool], int],
     finished: Callable[[], bool],
+    replay: tuple[list, Callable[[np.ndarray], None]] | None = None,
 ) -> None:
     """Run ``half_iteration(cw_indices, budget, reset_failed)`` over the
     schedule, counting half-iterations in ``stats``.
@@ -630,13 +654,38 @@ def _run_schedule(
     window position ends early once a full sweep reports no change and no
     budget reset is still ahead in its plan: the remaining sweeps would
     repeat that sweep verbatim.
+
+    ``replay`` is ``(flips, flip)`` for a decoder whose half-iteration is
+    a pure function of the frame and its plan entry (iterative BDD).  Its
+    half-iteration returns how many bits it flipped and appends them, as
+    an array of distinct bits, to ``flips``, which the driver empties at
+    each window position; ``flip(bits)`` flips distinct bits of the frame.
+    After a half-iteration that flipped something, a sweep or more past
+    the plan's last budget reset, the driver checks whether the flips of
+    the last sweep cancel (on a product: both passes flipped the same
+    bits).  If so, the frame is back in its state of one sweep earlier.
+    Past the last reset every plan entry equals the one a sweep before it
+    (same type range and budget, no reset), so the rest of the plan
+    replays that sweep: it can neither finish nor stall, its
+    half-iterations and corrections are added arithmetically, the flips
+    of its leftover partial sweep are applied, and the window position is
+    left.  Detection costs an int comparison per half-iteration: every
+    bit lies on two codeword types of opposite parity (rows and columns;
+    adjacent staircase types), so flips that cancel over a sweep are as
+    many on odd types as on even ones, and only then are the flips
+    compared.
     """
     sweep = layout.sweep_len
+    per_type = layout.per_type
     for plan in layout.window_plans(ell, reduced_t_iters):
         last_reset = max(
             (i for i, h in enumerate(plan) if h.reset_failed), default=-1
         )
         stuck = 0
+        if replay is not None:
+            flips, flip = replay
+            flips.clear()
+            balance = [0]  # flips on odd- minus even-indexed types, before each entry
         for i, (cws, budget, reset) in enumerate(plan):
             changed = half_iteration(cws, budget, reset)
             stats.half_iterations += 1
@@ -645,3 +694,34 @@ def _run_schedule(
             stuck = 0 if changed else stuck + 1
             if stuck >= sweep and i > last_reset:
                 break  # fixpoint within this window position
+            if replay is not None:
+                b = balance[-1] + (changed if cws.start // per_type & 1 else -changed)
+                balance.append(b)
+                if (
+                    changed
+                    and i - last_reset >= sweep
+                    and b == balance[i + 1 - sweep]
+                    and _replay(flips[-sweep:], len(plan) - 1 - i, flip, stats)
+                ):
+                    break
+
+
+def _replay(
+    cycle: list[np.ndarray],
+    rest: int,
+    flip: Callable[[np.ndarray], None],
+    stats: DecodeStats,
+) -> bool:
+    """If the flips of the last sweep, ``cycle``, cancel, account the
+    ``rest`` half-iterations left in the plan as repeats of that sweep and
+    return True; otherwise change nothing and return False."""
+    both = np.sort(np.concatenate(cycle))
+    if both.size % 2 or (both[::2] != both[1::2]).any():
+        return False  # some bit flipped an odd number of times
+    sweeps, part = divmod(rest, len(cycle))
+    stats.half_iterations += rest
+    stats.corrections += sweeps * both.size
+    for bits in cycle[:part]:
+        flip(bits)
+        stats.corrections += bits.size
+    return True

@@ -18,6 +18,7 @@ consumed in batch order and stopped by its own rule; its batches queued
 past the stop are cancelled and never counted.
 """
 
+import operator
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -27,6 +28,7 @@ from math import ceil
 from time import perf_counter
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .engine import (
     DecoderState,
@@ -100,8 +102,7 @@ class TrialConfig:
             raise ValueError("batch_frames must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -153,12 +154,38 @@ def format_csv_row(variant: str, p: float, frames: int, bit_errors: int,
     return ",".join(str(c) for c in cells)
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that is no integer or does not fit a Philox key
+    word, where numpy would truncate it to another seed's key."""
+    if not 0 <= operator.index(seed) < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+class _FrameKey(ISeedSequence):
+    """Seed sequence that hands Philox a fixed key.  Philox draws its key
+    as two uint64 words from its seed sequence, so it ends up keyed like
+    ``Philox(key=key)`` without the OS entropy that ``key=`` first reads
+    to seed a SeedSequence it then discards."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or dtype is not np.uint64:
+            raise TypeError("a frame key is two uint64 words")
+        return self.key
+
+
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     """Counter-mode generator for one frame: the Philox key is the
     (master seed, frame index) pair, so streams never collide and any
-    worker reproduces any frame independently."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, frame_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    worker reproduces any frame independently.  Both must fit 64 bits; a
+    wider seed would alias a narrower one."""
+    _check_seed(seed)
+    key = np.array([seed, frame_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_FrameKey(key)))
 
 
 def sample_bsc(rng: np.random.Generator, num_bits: int, p: float) -> np.ndarray:

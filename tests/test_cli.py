@@ -147,6 +147,18 @@ class TestSimulate:
         assert "p must lie in" in err
         assert decoded == []
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(5 + 2**64)])
+    def test_seed_outside_64_bits_refused_before_any_point_runs(
+        self, capsys, decoded, seed
+    ):
+        err = usage_error(
+            ["simulate", "--nu", "4", "--t", "2", "--p", "0.1", "--seed", seed,
+             "--max-frames", "4", "--batch-frames", "4", "--workers", "1"],
+            capsys,
+        )
+        assert "seed must lie in [0, 2**64)" in err
+        assert decoded == []
+
     def test_missing_code_params(self, capsys):
         err = usage_error(["simulate", "--p", "0.1"], capsys)
         assert "--nu" in err
@@ -447,7 +459,8 @@ class TestRepro:
         ("--max-frames", "0"),
         ("--min-frame-errors", "0"),
         ("--seed", "-1"),
-    ], ids=["workers", "max-frames", "min-frame-errors", "seed"])
+        ("--seed", str(2**64)),
+    ], ids=["workers", "max-frames", "min-frame-errors", "seed", "seed-over-64-bits"])
     def test_zero_workers_refused_before_any_run(self, capsys, tmp_path, flag, value):
         outdir = tmp_path / "repro"
         args = {"--max-frames": "1", "--workers": "1", flag: value}

@@ -16,6 +16,7 @@ replaced, which routes every flip through the method primitives.
 """
 
 import pickle
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -23,6 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpcdec.engine
+import gpcdec.postprocess
 from gpcdec.bch import _MISS, ComponentCodeSpec
 from gpcdec.layout import CodewordId, GpcLayout, build_product_layout, build_staircase_layout
 from gpcdec.engine import (
@@ -38,6 +41,7 @@ from gpcdec.engine import (
     genie_decode,
     iterative_bdd,
 )
+from gpcdec.postprocess import bitflip_iterate_pp
 
 CODE15 = ComponentCodeSpec(4, 2, 0, 0)  # (15, 7, 5), t = 2
 CODE16 = ComponentCodeSpec(4, 2, 1, 0)  # (16, 7, 6), t = 2, even length
@@ -547,9 +551,30 @@ class TestAgainstNaiveReference:
             assert np.array_equal(gfast, naive_genie(sc16, frame, 4))
 
 
+@pytest.fixture
+def replays(monkeypatch):
+    """Every replay the schedule driver made, as (sweep length,
+    half-iterations run before it, half-iterations it accounted), seen by
+    a spy on engine._replay."""
+    fired = []
+    replay = gpcdec.engine._replay
+
+    def spy(cycle, rest, flip, stats):
+        done = stats.half_iterations
+        if not replay(cycle, rest, flip, stats):
+            return False
+        fired.append((len(cycle), done, rest))
+        return True
+
+    monkeypatch.setattr(gpcdec.engine, "_replay", spy)
+    return fired
+
+
 class TestBatchedIterative:
     """iterative_bdd against reference_iterative_bdd: equal frames and
-    DecodeStats."""
+    DecodeStats.  The replay tests pick frames noisy enough that
+    miscorrections cycle, and require the replay to fire, with every
+    length of leftover partial sweep."""
 
     @staticmethod
     def check(layout, frame, ell, reduced):
@@ -578,6 +603,54 @@ class TestBatchedIterative:
         rng = np.random.default_rng(56 + reduced)
         for _ in range(3):
             self.check(layout, noisy_frame(layout, rng, rng.uniform(0.015, 0.03)), 4, reduced)
+
+    def test_replay_product(self, pc15, replays):
+        rng = np.random.default_rng(70)
+        for _ in range(40):
+            self.check(pc15, noisy_frame(pc15, rng, rng.uniform(0.1, 0.25)), 9, 0)
+        assert {(sweep, rest % sweep) for sweep, _, rest in replays} == {(2, 0), (2, 1)}
+
+    def test_replay_product_t3(self, replays):
+        layout = wide_layout("product")  # (8,3,0,0), as in the pc830 figure
+        rng = np.random.default_rng(75)
+        for _ in range(6):
+            self.check(layout, noisy_frame(layout, rng, 0.02), 10, 0)
+        assert {(sweep, rest % sweep) for sweep, _, rest in replays} == {(2, 0), (2, 1)}
+
+    @pytest.mark.parametrize("window", [3, 4, 5])
+    def test_replay_staircase(self, window, replays):
+        layout = build_staircase_layout(CODE16, window + 3, window)
+        rng = np.random.default_rng(80)
+        for _ in range(60):
+            self.check(layout, noisy_frame(layout, rng, rng.uniform(0.08, 0.2)), 7, 0)
+        period = window - 1
+        assert {(sweep, rest % sweep) for sweep, _, rest in replays} == {
+            (period, part) for part in range(period)
+        }
+
+    @pytest.mark.parametrize("reduced", [1, 2])
+    def test_replay_after_budget_reset(self, pc15, reduced, replays):
+        rng = np.random.default_rng(70 + reduced)
+        for _ in range(40):
+            self.check(pc15, noisy_frame(pc15, rng, rng.uniform(0.1, 0.25)), 8, reduced)
+        assert replays
+        # the reset is entry 2 * reduced of the plan; a cycle starts past it
+        assert all(done - 1 - 2 * reduced >= sweep for sweep, done, _ in replays)
+
+    def test_replay_in_bitflip_pp(self, pc15, replays, monkeypatch):
+        rng = np.random.default_rng(90)
+        states = []
+        while len(states) < 25:
+            state = anchor_decode_state(pc15, noisy_frame(pc15, rng, 0.15), 3)
+            if not state.all_syndromes_zero():
+                states.append(state)
+        got = [bitflip_iterate_pp(state, 9, variant="iterative") for state in states]
+        assert replays
+        monkeypatch.setattr(gpcdec.postprocess, "iterative_bdd", reference_iterative_bdd)
+        for state, res in zip(states, got):
+            want = bitflip_iterate_pp(state, 9, variant="iterative")
+            assert np.array_equal(res.frame, want.frame)
+            assert replace(res, frame=None) == replace(want, frame=None)
 
     @given(
         kind=st.sampled_from(["pc15", "sc16", "product", "staircase", "t4"]),

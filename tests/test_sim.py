@@ -79,6 +79,40 @@ class TestFrameRng:
         assert not (a == b).all()
         assert not (a == c).all()
 
+    @pytest.mark.parametrize("seed, index", [(0, 0), (42, 7), (2**64 - 1, 2**40 + 3)])
+    def test_stream_equals_philox_key(self, seed, index):
+        key = np.array([seed, index], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(10_000)
+        assert (frame_rng(seed, index).random(10_000) == want).all()
+
+    def test_reads_no_os_entropy(self, monkeypatch):
+        import numpy.random.bit_generator as bit_generator
+
+        calls = []
+        monkeypatch.setattr(bit_generator, "randbits", lambda k: calls.append(k) or 1)
+        np.random.Philox(key=np.array([1, 2], dtype=np.uint64))
+        assert calls == [128]  # the patch sees the draw frame_rng avoids
+        calls.clear()
+        frame_rng(1, 2).random(8)
+        assert calls == []
+
+    def test_generators_share_no_state(self):
+        a, b = frame_rng(9, 1), frame_rng(9, 1)
+        assert a.bit_generator is not b.bit_generator
+        first = a.random(100)
+        assert (b.random(100) == first).all()
+        assert not (a.random(100) == first).all()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+    def test_seed_outside_64_bits_refused(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            frame_rng(seed, 0)
+
+    def test_non_integer_seed_refused(self):
+        with pytest.raises(TypeError):
+            frame_rng(1.5, 0)  # numpy would truncate it to seed 1's key
+        assert (frame_rng(np.uint64(7), 3).random(8) == frame_rng(7, 3).random(8)).all()
+
 
 class TestTrialConfigValidation:
     def test_rejects_bad_fields(self, pc15):
@@ -98,10 +132,13 @@ class TestTrialConfigValidation:
             {"batch_frames": 0},
             {"workers": 0},
             {"seed": -1},
+            {"seed": 2**64},
+            {"seed": 5 + 2**64},  # would alias seed 5 in a 64-bit key
         ]
         for kw in bad:
             with pytest.raises(ValueError):
                 TrialConfig(**{**good, **kw})
+        TrialConfig(**good, seed=2**64 - 1)
 
 
 class TestRunTrials:

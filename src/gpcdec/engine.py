@@ -51,7 +51,7 @@ All decoders are deterministic: codewords are visited in ascending index
 order per half-iteration and every tie-break is fixed.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -102,7 +102,8 @@ class DecodeStats:
 
 def frame_syndromes(layout: GpcLayout, frame: np.ndarray) -> list[int]:
     """Single-int syndrome of every codeword (see bch.syndrome_packed),
-    computed by scattering the contributions of the set bits."""
+    computed by scattering the contributions of the set bits.  The frame
+    is checked as ``_set_bits`` checks it."""
     return _syndrome_vector(layout, frame)[: layout.n_cw].tolist()
 
 
@@ -110,17 +111,21 @@ def _syndrome_vector(layout: GpcLayout, frame: np.ndarray) -> np.ndarray:
     """frame_syndromes as int64, plus a last slot that swallows the -1
     owner of single-owner bits."""
     acc = np.zeros(layout.n_cw + 1, dtype=np.int64)
-    _fold_bits(layout, acc, _set_bits(frame))
+    _fold_bits(layout, acc, _set_bits(layout, frame))
     return acc
 
 
-def _set_bits(frame: np.ndarray) -> np.ndarray:
-    """Indices of the set bits of a frame, which must hold only 0 and 1.
+def _set_bits(layout: GpcLayout, frame: np.ndarray) -> np.ndarray:
+    """Indices of the set bits of a frame, which must have the layout's
+    ``n_bits`` bits and hold only 0 and 1.  Every frame a decoder takes
+    in, and the genie's reference, is checked here.
 
     A one-byte frame (uint8, int8, bool) is checked on its bytes, where
     any value but 0 and 1 reads above 1 (int8 -1 reads 255), and then
     scanned through a bool view, several times faster than a scan of the
     bytes as integers.  A wider frame is scanned as it is."""
+    if frame.shape != (layout.n_bits,):
+        raise ValueError(f"frame must have {layout.n_bits} bits")
     if frame.dtype.itemsize == 1:
         raw = frame.view(np.uint8)
         if raw.size and raw.max() > 1:
@@ -142,11 +147,10 @@ def _fold_bits(layout: GpcLayout, acc: np.ndarray, bits: np.ndarray) -> None:
 
 
 def _check_valid_frame(layout: GpcLayout, frame: np.ndarray) -> None:
-    if frame.shape != (layout.n_bits,):
-        raise ValueError(f"frame must have {layout.n_bits} bits")
+    syn = frame_syndromes(layout, frame)  # checks the shape and the bits
     if layout.has_pinned and frame[layout.pinned].any():
         raise ValueError("true_frame sets pinned (known-zero) bits")
-    if any(frame_syndromes(layout, frame)):
+    if any(syn):
         raise ValueError("true_frame is not a valid codeword of the GPC")
 
 
@@ -180,8 +184,8 @@ class DecoderState:
     The frame is a numpy view over a bytearray, which the loop indexes
     directly, and the layout's index arrays are read through its flat
     ``array('i')`` views.  The syndromes come from ``frame_syndromes``,
-    which rejects a frame holding anything but 0 and 1.  ``copy`` gives
-    an independent state without re-deriving them.
+    which rejects a frame of the wrong length or holding anything but 0
+    and 1.  Post-processing reads a terminal state and never changes it.
     """
 
     def __init__(
@@ -191,8 +195,6 @@ class DecoderState:
         delta: int = 1,
         record_transitions: bool = False,
     ):
-        if frame.shape != (layout.n_bits,):
-            raise ValueError(f"frame must have {layout.n_bits} bits")
         if delta < 0:
             raise ValueError("delta must be >= 0")
         self.layout = layout
@@ -241,32 +243,8 @@ class DecoderState:
                 freed.append(k)
         return freed
 
-    def copy(self) -> "DecoderState":
-        """An independent copy: frame, syndromes, statuses, conflicts,
-        anchors and stats are copied, and no buffer, list or set is
-        shared with this state."""
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__)
-        new.syn = self.syn.copy()
-        new._buf = bytearray(self._buf)
-        new.frame = np.frombuffer(new._buf, dtype=np.uint8)
-        new.status = self.status.copy()
-        new.conflicts = _ConflictSets({c: set(l) for c, l in self.conflicts.items()})
-        new.anchor_pos = self.anchor_pos.copy()
-        new.stats = replace(self.stats, transitions=self.stats.transitions.copy())
-        return new
-
     def all_syndromes_zero(self) -> bool:
         return self.nonzero_count == 0
-
-    def flip_bit(self, bit: int) -> None:
-        """Toggle one frame bit and fold it into the incident syndromes,
-        bypassing the status machine (post-processing primitive)."""
-        self._buf[bit] ^= 1
-        layout = self.layout
-        for c, pos in zip(layout.bit_cw[bit].tolist(), layout.bit_pos[bit].tolist()):
-            if c >= 0:
-                self._update_syndrome(c, pos)
 
     def decode_cw(self, c: int, budget: int):
         """BDD on codeword c's current syndrome; None signals failure.
@@ -539,8 +517,6 @@ def iterative_bdd(
     sweep's flips cancel: from then on each sweep would repeat the last,
     and the rest of the window position is accounted without decoding.
     """
-    if frame.shape != (layout.n_bits,):
-        raise ValueError(f"frame must have {layout.n_bits} bits")
     code = layout.code
     acc = _syndrome_vector(layout, frame)
     work = frame.astype(np.uint8, copy=True)
@@ -588,24 +564,21 @@ def genie_decode(
     frame: np.ndarray,
     true_frame: np.ndarray | None,
     ell: int,
-    check: bool = True,
 ):
     """Idealized iterative BDD: corrects a codeword exactly when its current
     error weight is at most t, so no miscorrection ever occurs.
 
     ``true_frame`` may be None for the all-zero codeword.  Any other
-    reference is validated as a GPC codeword unless ``check`` is False.
-    A frame without errors runs no half-iteration.
+    reference is checked like a frame and then as a GPC codeword, before
+    any half-iteration.  A frame without errors runs no half-iteration.
     """
-    if frame.shape != (layout.n_bits,):
-        raise ValueError(f"frame must have {layout.n_bits} bits")
     t = layout.code.t
-    _set_bits(frame)  # rejects values other than 0 and 1
+    _set_bits(layout, frame)
     err = frame.astype(bool)
     if true_frame is not None:
-        if check:
-            _check_valid_frame(layout, np.asarray(true_frame, dtype=np.uint8))
-        err ^= np.asarray(true_frame, dtype=bool)
+        ref = np.asarray(true_frame)
+        _check_valid_frame(layout, ref)
+        err ^= ref.astype(bool)
     bit_cw = layout.bit_cw
     per_type = layout.per_type
     stats = DecodeStats()
@@ -633,7 +606,7 @@ def genie_decode(
     stats.syndromes_zero = left == 0
     if true_frame is None:
         return err.astype(np.uint8), stats
-    out = np.asarray(true_frame, dtype=np.uint8).copy()
+    out = ref.astype(np.uint8)
     out[err] ^= 1
     return out, stats
 

@@ -15,8 +15,9 @@ Two strategies operate on the terminal decoder state:
   only while at least one failed set stays smaller than d_min, where every
   linear system on the other side has a unique solution.
 
-Both helpers leave the input state untouched and return a ``PpResult``
-holding the rescued frame plus the counters the sim harness serializes.
+Both take a terminal ``DecoderState``, leave it untouched and return a
+``PpResult`` holding the rescued frame plus the counters the sim harness
+serializes.
 
 Everything works on the decoder state's packed syndromes and the layout's
 index arrays, with codewords as indices: ``CodewordId``s are built only
@@ -25,10 +26,11 @@ syndromes in one numpy op and the intersection from the failed codewords'
 ``partner_cw`` rows; the suspicious anchors are read from the state's
 lists.  The erasure solver, ``ComponentCodeSpec.erasure_decode``, takes a
 codeword's packed syndrome plus its erased positions and returns the
-positions to flip, so no codeword is gathered from the frame.  Its work
-state is a copy of the decoder's (``DecoderState.copy``), not one
-re-derived from the frame.  A member's erased positions are fixed for the
-whole fixpoint, so a member with more of them than syndrome bits
+positions to flip, so no codeword is gathered from the frame.  The
+erasure fixpoint works on its own copy of the frame and of the syndrome
+list, and flips a solved position through the layout's flat views.  A
+member's erased positions are fixed for the whole fixpoint, so a member
+with more of them than syndrome bits
 (``ComponentCodeSpec.erasures_solvable``) can never be solved and is
 dropped before the first pass: the common case when the failed sets are
 large.
@@ -36,7 +38,6 @@ large.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -156,10 +157,12 @@ def _suspicious_anchors(state: DecoderState) -> list[int]:
     return found
 
 
-def _type_sizes(layout: GpcLayout, failed: list[int]) -> tuple[int, int]:
-    """How many of the ascending codeword indices are of type 1 and 2."""
-    f1 = bisect_left(failed, layout.per_type)
-    return f1, bisect_left(failed, 2 * layout.per_type) - f1
+def _types_1_2(layout: GpcLayout, cws: list[int]) -> tuple[list[int], list[int]]:
+    """The members of types 1 and 2 of an ascending list of codeword
+    indices: on a two-type layout, the list split by type."""
+    per_type = layout.per_type
+    i, j = bisect_left(cws, per_type), bisect_left(cws, 2 * per_type)
+    return cws[:i], cws[i:j]
 
 
 def bitflip_iterate_pp(
@@ -167,7 +170,6 @@ def bitflip_iterate_pp(
     extra_iters: int,
     variant: str = "anchor",
     true_frame: np.ndarray | None = None,
-    report: FailureReport | None = None,
 ) -> PpResult:
     """Flip the failed-intersection bits, then rerun the frame decoder.
 
@@ -180,13 +182,8 @@ def bitflip_iterate_pp(
     if extra_iters < 1:
         raise ValueError("extra_iters must be >= 1")
     layout = state.layout
-    if report is None:
-        cws, partner, shared = _failed_codewords(state)
-        sizes = _type_sizes(layout, cws.tolist())
-        inter = _intersection(layout, cws, partner, shared)
-    else:
-        sizes = len(report.f1), len(report.f2)
-        inter = report.intersection
+    cws, partner, shared = _failed_codewords(state)
+    inter = _intersection(layout, cws, partner, shared)
     flipped = state.frame.copy()
     flipped[inter] ^= 1
     if variant == "anchor":
@@ -197,13 +194,12 @@ def bitflip_iterate_pp(
         out, stats = genie_decode(layout, flipped, true_frame, extra_iters)
     else:
         raise ValueError(f"unknown decoder variant {variant!r}")
-    return PpResult(out, stats.syndromes_zero, *sizes, int(inter.size), 0)
+    f1, f2 = _types_1_2(layout, cws.tolist())
+    return PpResult(out, stats.syndromes_zero, len(f1), len(f2), int(inter.size), 0)
 
 
 def erasure_pp(
-    state: DecoderState,
-    rng: np.random.Generator | None = None,
-    report: FailureReport | None = None,
+    state: DecoderState, rng: np.random.Generator | None = None
 ) -> PpResult:
     """Erase the failed-intersection bits and solve for them algebraically.
 
@@ -211,32 +207,25 @@ def erasure_pp(
     in the order drawn from ``rng`` (ascending codeword index when no rng
     is supplied), and an insertion is kept only while at least one failed
     set stays below d_min.  The erasure fixpoint then runs once on the
-    augmented sets, on a copy of the state.  Success means every
-    component syndrome reached zero; on failure the returned frame keeps
-    whatever partial corrections the solver applied.
+    augmented sets.  Success means every component syndrome reached zero;
+    on failure the returned frame keeps whatever partial corrections the
+    solver applied.
     """
     layout = state.layout
-    augment = layout.num_types == 2  # augmentation is a two-type construction
-    if report is None:
-        cws, _, shared = _failed_codewords(state)
-        failed = cws.tolist()
-        # each intersection bit is a shared position of both its codewords
-        sizes = (*_type_sizes(layout, failed), int(np.count_nonzero(shared)) // 2)
-        candidates = _suspicious_anchors(state) if augment else []
-    else:
-        failed = sorted(map(layout.cw_index, chain(*report.failed_by_type.values())))
-        sizes = (len(report.f1), len(report.f2), int(report.intersection.size))
-        candidates = []
-        if augment:
-            candidates = sorted(map(layout.cw_index, report.suspicious_anchors))
+    cws, _, shared = _failed_codewords(state)
+    failed = cws.tolist()
+    f1, f2 = _types_1_2(layout, failed)
+    # each intersection bit is a shared position of both its codewords
+    sizes = (len(f1), len(f2), int(np.count_nonzero(shared)) // 2)
     if not failed:
         return PpResult(state.frame.copy(), True, *sizes, 0)
+    # augmentation is a two-type construction
+    candidates = _suspicious_anchors(state) if layout.num_types == 2 else []
     if candidates and rng is not None:
         candidates = [candidates[i] for i in rng.permutation(len(candidates))]
     chosen = _greedy_augment(layout, failed, candidates) if candidates else []
-    work = state.copy()
-    ok = _erasure_fixpoint(work, sorted(set(failed) | set(chosen)))
-    return PpResult(work.frame, ok, *sizes, len(chosen))
+    frame, ok = _erasure_fixpoint(state, sorted(set(failed) | set(chosen)))
+    return PpResult(frame, ok, *sizes, len(chosen))
 
 
 def _greedy_augment(
@@ -245,9 +234,7 @@ def _greedy_augment(
     """Insert candidates one at a time while one failed set stays < d_min."""
     d_min = layout.code.d_min
     per_type = layout.per_type
-    sizes = [0, 0]
-    for c in failed:
-        sizes[c // per_type] += 1
+    sizes = [len(group) for group in _types_1_2(layout, failed)]
     chosen = []
     for c in ordered:
         ty = c // per_type
@@ -259,14 +246,18 @@ def _greedy_augment(
     return chosen
 
 
-def _erasure_fixpoint(work: DecoderState, failed: list[int]) -> bool:
-    """Alternately erasure-decode the failed codewords until nothing moves.
+def _erasure_fixpoint(
+    state: DecoderState, failed: list[int]
+) -> tuple[np.ndarray, bool]:
+    """Alternately erasure-decode the failed codewords until nothing moves;
+    returns the frame reached and whether every syndrome is zero.
 
-    A member's erased positions are its bits shared with another member.
+    Works on its own copies of the state's frame and syndrome list.  A
+    member's erased positions are its bits shared with another member.
     Only members whose current syndrome is nonzero are solved, on that
-    syndrome, and the returned positions are flipped in ascending order.
-    Augmented anchors start at zero and join once partner corrections
-    disturb them.
+    syndrome, and the returned positions are flipped in ascending order,
+    each in the frame and in both owners' syndromes.  Augmented anchors
+    start at zero and join once partner corrections disturb them.
     For two-type layouts the smaller failed set goes first; the pass count
     is capped so adversarial oscillating patterns still terminate.  The
     visit order and the cap come from every member.  A member's erased
@@ -274,7 +265,7 @@ def _erasure_fixpoint(work: DecoderState, failed: list[int]) -> bool:
     clear -- none erased, or more than ``erasures_solvable`` allows -- is
     then dropped before the first pass.
     """
-    layout = work.layout
+    layout = state.layout
     code = layout.code
     member = np.zeros(layout.n_cw + 1, dtype=bool)  # last slot: absent partner
     member[failed] = True
@@ -282,32 +273,34 @@ def _erasure_fixpoint(work: DecoderState, failed: list[int]) -> bool:
     counts = np.count_nonzero(shared, axis=1)
     live = np.flatnonzero((counts > 0) & code.erasures_solvable(counts)).tolist()
     erased = {failed[i]: shared[i].nonzero()[0].tolist() for i in live}
+    groups = [failed]
     if layout.num_types == 2:
-        per_type = layout.per_type
-        groups = [
-            [c for c in failed if c < per_type],
-            [c for c in failed if c >= per_type],
-        ]
-        groups.sort(key=len)
-    else:
-        groups = [failed]
+        groups = sorted(_types_1_2(layout, failed), key=len)
     passes = max(2 * len(failed), 8)
     groups = [[c for c in group if c in erased] for group in groups]
+    frame, syn = state.frame.copy(), state.syn.copy()
+    n, contrib = code.n, code.contrib_packed
+    cw_bits, partner_cw = layout.flat_cw_bits, layout.flat_partner_cw
+    partner_pos = layout.flat_partner_pos
     for _ in range(passes):
         changed = False
         for group in groups:
             for c in group:
-                if work.syn[c] == 0:
+                if not syn[c]:
                     continue
-                out = code.erasure_decode(work.syn[c], erased[c])
+                out = code.erasure_decode(syn[c], erased[c])
                 if not out:
                     continue
-                bits = layout.cw_bits[c]
                 for p in out:
-                    work.flip_bit(int(bits[p]))
+                    # an erased position is shared with another member,
+                    # so its partner exists
+                    i = c * n + p
+                    frame[cw_bits[i]] ^= 1
+                    syn[c] ^= contrib[p]
+                    syn[partner_cw[i]] ^= contrib[partner_pos[i]]
                 changed = True
-        if work.all_syndromes_zero():
-            return True
+        if not any(syn):
+            return frame, True
         if not changed:
-            return False
-    return work.all_syndromes_zero()
+            return frame, False
+    return frame, not any(syn)

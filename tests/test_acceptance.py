@@ -234,7 +234,7 @@ def test_07_bitflip_pp_rescues_minimal_stalls(capsys):
         planted = {r * code.n + c for r, c in coords}
         if set(int(b) for b in report.intersection) == planted:
             intersection_exact += 1
-        res = bitflip_iterate_pp(state, 10, variant="genie", report=report)
+        res = bitflip_iterate_pp(state, 10, variant="genie")
         if res.success and not res.frame.any():
             rescued += 1
     ok = genie_failed == rescued == intersection_exact == 100

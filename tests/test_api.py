@@ -1,18 +1,22 @@
 """The package surface: the README example runs as written, ``gpcdec``
-exports exactly the names in its ``__all__``, and every name a submodule
-lists in its ``__all__`` exists."""
+exports exactly the names in its ``__all__``, every name a submodule
+lists in its ``__all__`` exists, and the benchmark's check and trace
+wrappers still reach the calls they wrap."""
 
 import importlib
 import pkgutil
 import re
 import shlex
+import sys
 from pathlib import Path
 from types import ModuleType
 
 import gpcdec
+import gpcdec.sim
 from gpcdec.cli import build_parser
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_example_runs():
@@ -54,3 +58,52 @@ def test_submodule_all_names_resolve():
         for name in names:
             assert hasattr(module, name), f"gpcdec.{info.name}.{name}"
     assert {"analysis", "engine", "layout", "postprocess", "sim"} <= set(listed)
+
+
+def test_benchmark_hooks_reach_the_code():
+    """The benchmark's wrappers replace module and class attributes, so a
+    rename, or a name no longer looked up at call time, would leave them
+    wrapping nothing.  Install them as ``benchmarks/run.py`` does (Tracer,
+    then Checker) and run every decoder and post-processor once."""
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    try:
+        import hooks
+    finally:
+        sys.path.remove(str(ROOT / "benchmarks"))
+
+    def build():
+        return gpcdec.build_product_layout(gpcdec.build_component_code(4, 2, 1, 0))
+
+    layout = build()
+    check = hooks.SyndromeCheck(build())  # never from the layout decoded
+    patches = hooks.Patches()
+    tracer = hooks.Tracer()
+    checker = hooks.Checker(check)
+    tracer.install(patches)
+    checker.install(patches)
+    frames = pp_runs = 0
+    try:
+        runs = (
+            ("iterative", "none"), ("anchor", "none"), ("genie", "none"),
+            ("anchor", "erasure"), ("anchor", "bitflip"),
+        )
+        for variant, pp in runs:
+            # at p = 0.18 some frames stall, so post-processing runs
+            cfg = gpcdec.TrialConfig(
+                layout=layout, variant=variant, pp=pp, p=0.18, ell=4,
+                min_frame_errors=10**6, max_frames=40, seed=1, batch_frames=8,
+            )
+            rec = gpcdec.sim.run_trials(cfg, collect_frame_stats=True)
+            frames += rec.frames
+            pp_runs += sum("pp_success" in r for r in rec.frame_stats)
+    finally:
+        patches.restore()
+    assert frames == 200 and pp_runs > 0
+    assert len(checker.take_frame_ms()) == frames
+    names = {span[0] for span in tracer.spans}
+    assert {"sim." + name for name in tracer.SIM_DECODES} <= names
+    calls = {}
+    for (_, key), (count, _, _) in tracer.hot.items():
+        calls[key] = calls.get(key, 0) + count
+    assert calls.get("decode_cw", 0) > 0
+    assert calls.get("erasure_decode", 0) > 0

@@ -26,6 +26,7 @@ import pytest
 from gpcdec import (
     DecoderState,
     FailureReport,
+    anchor_decode,
     anchor_decode_state,
     bitflip_iterate_pp,
     build_component_code,
@@ -38,7 +39,7 @@ from gpcdec import (
 from gpcdec import postprocess
 from gpcdec.bch import ComponentCodeSpec
 from gpcdec.engine import ANCHOR, FROZEN, frame_syndromes
-from gpcdec.postprocess import _greedy_augment
+from gpcdec.postprocess import _erasure_fixpoint, _greedy_augment
 from test_bch import reference_erasure_decode
 
 # frozen: weight-5 codeword support of the (15, 7) component code and
@@ -99,6 +100,29 @@ def sample_regular_pattern(rng, side=6, weight=3):
             return m
 
 
+def flip(work, bit):
+    """Toggle one frame bit of a DecoderState and fold it into its
+    incident syndromes, bypassing the status machine."""
+    work._buf[bit] ^= 1
+    layout = work.layout
+    for c, pos in zip(layout.bit_cw[bit].tolist(), layout.bit_pos[bit].tolist()):
+        if c >= 0:
+            work._update_syndrome(c, pos)
+
+
+def on_rebuilt_state(fixpoint):
+    """A reference fixpoint, which works on a DecoderState in place, in
+    the form of _erasure_fixpoint: run on a state rebuilt from the
+    frame, returning the frame reached and the verdict."""
+
+    def run(state, failed):
+        work = DecoderState(state.layout, state.frame)
+        ok = fixpoint(work, failed)
+        return work.frame, ok
+
+    return run
+
+
 def reference_erasure_fixpoint(work, failed):
     """The erasure fixpoint's former word-gather form: each solve reads
     the codeword's bits from the frame and completes them with the numpy
@@ -134,7 +158,7 @@ def reference_erasure_fixpoint(work, failed):
                 if out is None:
                     continue
                 for p in np.nonzero(out != word)[0]:
-                    work.flip_bit(bits[c][int(p)])
+                    flip(work, bits[c][int(p)])
                     changed = True
         if work.all_syndromes_zero():
             return True
@@ -199,7 +223,7 @@ def reference_packed_fixpoint(work, failed):
                 if not out:
                     continue
                 for p in out:
-                    work.flip_bit(int(layout.cw_bits[c][p]))
+                    flip(work, int(layout.cw_bits[c][p]))
                 changed = True
         if work.all_syndromes_zero():
             return True
@@ -208,12 +232,11 @@ def reference_packed_fixpoint(work, failed):
     return work.all_syndromes_zero()
 
 
-def reference_erasure_pp(state, rng=None, report=None):
+def reference_erasure_pp(state, rng=None):
     """erasure_pp's former body: the failed sets and the suspicious
     anchors mapped back from the report's CodewordIds, a work state
     rebuilt from the frame, and the fixpoint that solves every member."""
-    if report is None:
-        report = reference_failure_report(state)
+    report = reference_failure_report(state)
     layout = state.layout
     f1_size, f2_size = len(report.f1), len(report.f2)
     isize = int(report.intersection.size)
@@ -231,6 +254,19 @@ def reference_erasure_pp(state, rng=None, report=None):
     work = DecoderState(layout, state.frame)
     ok = reference_packed_fixpoint(work, sorted(set(failed) | set(chosen)))
     return postprocess.PpResult(work.frame, ok, f1_size, f2_size, isize, len(chosen))
+
+
+def reference_bitflip_pp(state, extra_iters):
+    """bitflip_iterate_pp's anchor variant from the reference report:
+    flip its intersection, then rerun anchor decoding."""
+    report = reference_failure_report(state)
+    flipped = state.frame.copy()
+    flipped[report.intersection] ^= 1
+    out, stats = anchor_decode(state.layout, flipped, extra_iters, state.delta)
+    return postprocess.PpResult(
+        out, stats.syndromes_zero, len(report.f1), len(report.f2),
+        int(report.intersection.size), 0,
+    )
 
 
 def operating_point_stalls(layout, seed, count, p=0.016, ell=10):
@@ -328,8 +364,7 @@ class TestFailureReport:
 class TestBitflipPp:
     def test_minimal_stall_cleared_in_one_iteration(self, pc15):
         st = stalled_state(pc15, grid_frame(pc15, STALL3, STALL3))
-        rep = build_failure_report(st)
-        res = bitflip_iterate_pp(st, 1, variant="genie", report=rep)
+        res = bitflip_iterate_pp(st, 1, variant="genie")
         assert res.success
         assert not res.frame.any()
         assert (res.f1_size, res.f2_size, res.intersection_size) == (3, 3, 9)
@@ -442,7 +477,7 @@ class TestErasurePp:
             rep = build_failure_report(st)
             assert len(rep.f1) == len(rep.f2) == 6
             assert rep.intersection.size == 36
-            res = erasure_pp(st, report=rep)
+            res = erasure_pp(st)
             assert res.success
             assert not res.frame.any()
 
@@ -456,7 +491,7 @@ class TestErasurePp:
                 continue
             checked += 1
             rep = build_failure_report(st)
-            res = erasure_pp(st, rng, report=rep)
+            res = erasure_pp(st, rng)
             involved = {
                 pc15.cw_index(cid)
                 for group in rep.failed_by_type.values()
@@ -524,7 +559,10 @@ class TestErasureFixpointMatchesReference:
         for run in runs:
             got = pp_fields(run())
             with monkeypatch.context() as m:
-                m.setattr(postprocess, "_erasure_fixpoint", reference_erasure_fixpoint)
+                m.setattr(
+                    postprocess, "_erasure_fixpoint",
+                    on_rebuilt_state(reference_erasure_fixpoint),
+                )
                 want = pp_fields(run())
             assert got == want
 
@@ -553,9 +591,9 @@ class TestErasureFixpointMatchesReference:
 
 class TestErasurePpMatchesReference:
     """erasure_pp returns exactly what its former body returns: the index
-    form of the report, the copied work state and the dropped members
-    change no output.  bitflip_iterate_pp returns the same from its own
-    index-form report as from the reference report."""
+    form of the report, the fixpoint's own frame and syndrome copies and
+    the dropped members change no output.  bitflip_iterate_pp returns the same as a flip of
+    the reference report's intersection and an anchor re-decode."""
 
     @staticmethod
     def assert_same(state, seed):
@@ -563,9 +601,8 @@ class TestErasurePpMatchesReference:
         for rng in (lambda: np.random.default_rng(seed), lambda: None):
             got = pp_fields(erasure_pp(state, rng()))
             assert got == pp_fields(reference_erasure_pp(state, rng()))
-        report = reference_failure_report(state)
         got = pp_fields(bitflip_iterate_pp(state, 4))
-        assert got == pp_fields(bitflip_iterate_pp(state, 4, report=report))
+        assert got == pp_fields(reference_bitflip_pp(state, 4))
 
     @pytest.mark.parametrize("seed", [8261, 7])
     def test_anchor_stalls_at_operating_point(self, pc195, seed):
@@ -656,20 +693,21 @@ class TestAnchorAwareAugmentation:
             pos = st.anchor_pos[pc195.cw_index(cid)]
             assert len(pos) == pc195.code.t
 
-    def test_conventional_pp_fails(self, event):
+    def test_conventional_pp_fails(self, pc195, event):
+        # erasure decoding of the failed columns alone, with no anchor added
         st, rep = event
         assert not bitflip_iterate_pp(st, 2, variant="anchor").success
-        bare = FailureReport(rep.failed_by_type, rep.intersection, ())
-        assert not erasure_pp(st, report=bare).success
+        failed = [pc195.cw_index(c) for c in rep.f2]
+        assert not _erasure_fixpoint(st, failed)[1]
 
     def test_augmented_erasure_recovers(self, event):
         st, rep = event
-        res = erasure_pp(st, np.random.default_rng(5), report=rep)
+        res = erasure_pp(st, np.random.default_rng(5))
         assert res.success
         assert not res.frame.any()
         assert res.augmented == 3
         # deterministic given the rng seed
-        res2 = erasure_pp(st, np.random.default_rng(5), report=rep)
+        res2 = erasure_pp(st, np.random.default_rng(5))
         assert (res2.frame == res.frame).all()
         assert res2.augmented == res.augmented
         # input state never modified
@@ -678,18 +716,18 @@ class TestAnchorAwareAugmentation:
     def test_every_insertion_order_recovers(self, event):
         st, rep = event
         for order in permutations(range(3)):
-            res = erasure_pp(st, FixedOrder(order), report=rep)
+            res = erasure_pp(st, FixedOrder(order))
             assert res.success, order
             assert not res.frame.any()
             assert res.augmented == 3
 
-    def test_no_pair_of_anchors_suffices(self, event):
+    def test_no_pair_of_anchors_suffices(self, pc195, event):
         st, rep = event
-        for pair in combinations(rep.suspicious_anchors, 2):
-            partial = FailureReport(rep.failed_by_type, rep.intersection, pair)
-            res = erasure_pp(st, report=partial)
-            assert not res.success, pair
-            assert res.augmented == 2
+        failed = [pc195.cw_index(c) for c in rep.f2]
+        anchors = [pc195.cw_index(c) for c in rep.suspicious_anchors]
+        for pair in combinations(anchors, 2):
+            assert _greedy_augment(pc195, failed, list(pair)) == list(pair)
+            assert not _erasure_fixpoint(st, sorted(failed + list(pair)))[1], pair
 
     def test_greedy_augment_capacity_rule(self, pc15):
         # d_min = 5; failed = 3 columns, candidates = 7 rows then 4 columns.

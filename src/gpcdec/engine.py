@@ -45,13 +45,15 @@ half-iterations:
 
 Per-codeword status values: 0 = anchor, 1 = eligible for decoding,
 2 = decoding failed, 3 = frozen.  The only status transitions are
-1->0, 1->2, 1->3, 2->1, 3->1 and 0->3.
+1->0, 1->2, 1->3, 2->1, 3->1 and 0->3; the tests check that graph on
+their reference state machine, which the decoder matches visit by visit.
 
 All decoders are deterministic: codewords are visited in ascending index
 order per half-iteration and every tie-break is fixed.
 """
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -78,16 +80,6 @@ ANCHOR, ELIGIBLE, FAILED, FROZEN = 0, 1, 2, 3
 # the flips of a half-iteration that had nothing to decode
 _NO_BITS = np.zeros(0, dtype=np.int32)
 
-_ALLOWED_TRANSITIONS = {
-    (ELIGIBLE, ANCHOR),
-    (ELIGIBLE, FAILED),
-    (ELIGIBLE, FROZEN),
-    (FAILED, ELIGIBLE),
-    (FROZEN, ELIGIBLE),
-    (ANCHOR, FROZEN),
-}
-
-
 @dataclass
 class DecodeStats:
     """Per-frame decoding record, JSON-serializable by the sim harness."""
@@ -97,7 +89,6 @@ class DecodeStats:
     frozen_events: int = 0
     backtracks: int = 0
     syndromes_zero: bool = False
-    transitions: list = field(default_factory=list)
 
 
 def frame_syndromes(layout: GpcLayout, frame: np.ndarray) -> list[int]:
@@ -178,8 +169,8 @@ class DecoderState:
     case -- first goes through ``_check_anchors``, which freezes the
     codeword (no flip is applied) or marks anchors; marked anchors are
     backtracked after the flips (``backtrack``, Alg. 3, which reverses
-    an anchor's flips through ``error_correction``, Alg. 4).  ``visit``
-    runs one codeword.
+    an anchor's flips through ``error_correction``, Alg. 4).  Every
+    status change is a plain write of ``status[c]``.
 
     The frame is a numpy view over a bytearray, which the loop indexes
     directly, and the layout's index arrays are read through its flat
@@ -188,14 +179,8 @@ class DecoderState:
     and 1.  Post-processing reads a terminal state and never changes it.
     """
 
-    def __init__(
-        self,
-        layout: GpcLayout,
-        frame: np.ndarray,
-        delta: int = 1,
-        record_transitions: bool = False,
-    ):
-        if delta < 0:
+    def __init__(self, layout: GpcLayout, frame: np.ndarray, delta: int = 1):
+        if operator.index(delta) < 0:
             raise ValueError("delta must be >= 0")
         self.layout = layout
         self.code = layout.code
@@ -208,19 +193,10 @@ class DecoderState:
         self.conflicts = _ConflictSets()
         self.anchor_pos: list[tuple[int, ...] | None] = [None] * layout.n_cw
         self.stats = DecodeStats()
-        self._record = record_transitions
         self._memos = layout.code._memos  # by budget: ComponentCodeSpec.memo
         self._pin_masks = layout.pin_masks
 
     # --- primitives --------------------------------------------------------
-
-    def _set_status(self, c: int, value: int) -> None:
-        old = self.status[c]
-        if old == value:
-            return
-        if self._record:
-            self.stats.transitions.append((c, old, value))
-        self.status[c] = value
 
     def _update_syndrome(self, c: int, pos: int) -> None:
         """Fold the flip of position ``pos`` into codeword c's syndrome."""
@@ -277,11 +253,10 @@ class DecoderState:
         self._update_syndrome(k, layout.flat_partner_pos[i])
         self.stats.corrections += 1
         st = self.status[k]
-        if st == FAILED:
-            self._set_status(k, ELIGIBLE)
-        elif st == FROZEN:
-            self._set_status(k, ELIGIBLE)
-            self._dissolve(k)
+        if st >= FAILED:  # FAILED or FROZEN: eligible again
+            self.status[k] = ELIGIBLE
+            if st == FROZEN:
+                self._dissolve(k)
 
     # --- Alg. 3: backtrack an anchor ----------------------------------------
 
@@ -291,18 +266,14 @@ class DecoderState:
         if self.status[c] != ANCHOR:
             raise RuntimeError(f"backtrack called on non-anchor {c}")
         for k in self._dissolve(c):
-            self._set_status(k, ELIGIBLE)
+            self.status[k] = ELIGIBLE
         for pos in self.anchor_pos[c]:
             self.error_correction(c, pos)
-        self._set_status(c, FROZEN)
+        self.status[c] = FROZEN
         self.anchor_pos[c] = None
         self.stats.backtracks += 1
 
     # --- Alg. 2: per-codeword main routine -----------------------------------
-
-    def visit(self, c: int, budget: int | None = None) -> None:
-        """Process codeword c alone if it is eligible (see visit_all)."""
-        self.visit_all(range(c, c + 1), self.code.t if budget is None else budget)
 
     def visit_all(self, cws: range, budget: int) -> bool:
         """Visit, in ascending order, every codeword of ``cws`` that is
@@ -321,7 +292,6 @@ class DecoderState:
         cw_bits = layout.flat_cw_bits
         buf = self._buf
         syn, status, anchor_pos = self.syn, self.status, self.anchor_pos
-        record, transitions = self._record, self.stats.transitions
         decode_cw = self.decode_cw
         nonzero = self.nonzero_count
         corrections = 0
@@ -335,14 +305,10 @@ class DecoderState:
                 # decodes to itself: an anchor with no stored error locations
                 status[c] = ANCHOR
                 anchor_pos[c] = ()
-                if record:
-                    transitions.append((c, ELIGIBLE, ANCHOR))
                 continue
             out = decode_cw(c, budget)
             if out is None:
                 status[c] = FAILED
-                if record:
-                    transitions.append((c, ELIGIBLE, FAILED))
                 continue
             base = c * n
             marked = ()
@@ -364,8 +330,6 @@ class DecoderState:
                 st = status[k]
                 if st >= FAILED:  # FAILED or FROZEN: eligible again
                     status[k] = ELIGIBLE
-                    if record:
-                        transitions.append((k, st, ELIGIBLE))
                     if st == FROZEN:
                         self._dissolve(k)
             syn[c] = s
@@ -374,8 +338,6 @@ class DecoderState:
             corrections += len(out)
             status[c] = ANCHOR
             anchor_pos[c] = out
-            if record:
-                transitions.append((c, ELIGIBLE, ANCHOR))
             if marked:
                 self.nonzero_count = nonzero
                 self.stats.corrections += corrections
@@ -407,37 +369,12 @@ class DecoderState:
                     marked.append(k)  # mark for backtracking
             else:
                 if status[c] != FROZEN:
-                    self._set_status(c, FROZEN)
+                    status[c] = FROZEN
                     self.stats.frozen_events += 1
                 if k not in conflicts[c]:
                     conflicts.setdefault(c, set()).add(k)
                     conflicts.setdefault(k, set()).add(c)
         return None if status[c] == FROZEN else marked
-
-    # --- invariants -----------------------------------------------------------
-
-    def validate(self) -> None:
-        """Assert the state invariants; used by tests after every visit."""
-        syn = frame_syndromes(self.layout, self.frame)
-        assert syn == self.syn, "stale syndromes"
-        assert self.nonzero_count == sum(1 for s in syn if s)
-        for c, l in self.conflicts.items():
-            assert l, "empty conflict set kept"
-            for k in l:
-                assert c in self.conflicts[k], "conflict symmetry broken"
-                pair = {self.status[c], self.status[k]}
-                assert pair == {ANCHOR, FROZEN}, (
-                    f"conflict between statuses {pair}"
-                )
-        for c, st in enumerate(self.status):
-            if st == ANCHOR:
-                assert self.anchor_pos[c] is not None
-                assert len(self.anchor_pos[c]) <= self.code.t
-            else:
-                assert self.anchor_pos[c] is None
-        if self._record:
-            for _, old, new in self.stats.transitions:
-                assert (old, new) in _ALLOWED_TRANSITIONS, (old, new)
 
 
 # ---------------------------------------------------------------------------
@@ -445,34 +382,24 @@ class DecoderState:
 
 
 def anchor_decode(
-    layout: GpcLayout,
-    frame: np.ndarray,
-    ell: int,
-    delta: int = 1,
-    reduced_t_iters: int = 0,
-    record_transitions: bool = False,
+    layout: GpcLayout, frame: np.ndarray, ell: int, delta: int = 1, reduced_t_iters: int = 0
 ):
     """Anchor-based iterative decoding of one frame.
 
     Returns (decoded frame, DecodeStats).  The input frame is not modified.
     """
-    state = anchor_decode_state(
-        layout, frame, ell, delta, reduced_t_iters, record_transitions
-    )
+    state = anchor_decode_state(layout, frame, ell, delta, reduced_t_iters)
     return state.frame, state.stats
 
 
 def anchor_decode_state(
-    layout: GpcLayout,
-    frame: np.ndarray,
-    ell: int,
-    delta: int = 1,
-    reduced_t_iters: int = 0,
-    record_transitions: bool = False,
+    layout: GpcLayout, frame: np.ndarray, ell: int, delta: int = 1, reduced_t_iters: int = 0
 ) -> DecoderState:
     """Like anchor_decode but returns the full decoder state, for callers
-    that need the anchor bookkeeping afterwards (post-processing)."""
-    state = DecoderState(layout, frame, delta, record_transitions)
+    that need the anchor bookkeeping afterwards (post-processing).  A
+    half-iteration re-enables failed codewords at a budget reset, memoizes
+    the eligible syndromes on wide codes, then runs ``visit_all``."""
+    state = DecoderState(layout, frame, delta)
     status, syn = state.status, state.syn
     prefetch = layout.code.batch_closed_form
 
@@ -480,7 +407,7 @@ def anchor_decode_state(
         if reset:
             for c in range(layout.n_cw):
                 if status[c] == FAILED:
-                    state._set_status(c, ELIGIBLE)
+                    status[c] = ELIGIBLE
         if prefetch:
             lo, hi = cws.start, cws.stop
             layout.code.prefetch(
@@ -570,9 +497,11 @@ def genie_decode(
 
     ``true_frame`` may be None for the all-zero codeword.  Any other
     reference is checked like a frame and then as a GPC codeword, before
-    any half-iteration.  A frame without errors runs no half-iteration.
+    any half-iteration.  A frame without errors runs no half-iteration,
+    but its schedule is checked as the other decoders check it.
     """
     t = layout.code.t
+    layout.window_plans(ell)
     _set_bits(layout, frame)
     err = frame.astype(bool)
     if true_frame is not None:

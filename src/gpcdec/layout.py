@@ -19,6 +19,7 @@ The layout is immutable after construction and holds only index arrays, so
 it can be shared freely between decoding processes.
 """
 
+import operator
 from array import array
 from typing import NamedTuple
 
@@ -179,8 +180,11 @@ class GpcLayout:
         nothing, since the remaining sweeps would repeat it verbatim.
 
         Plans are built once per (ell, reduced_t_iters) and shared by every
-        frame; each type's index range is one shared ``range``.
+        frame; each type's index range is one shared ``range``.  Every
+        decoder goes through here, so this is where a schedule that is no
+        integer is refused (TypeError).
         """
+        ell, reduced_t_iters = operator.index(ell), operator.index(reduced_t_iters)
         key = (ell, reduced_t_iters)
         plans = self._plans.get(key)
         if plans is not None:

@@ -88,19 +88,19 @@ class TrialConfig:
             raise ValueError(f"pp must be one of {PP_MODES}")
         if not 0.0 < self.p < 0.5:
             raise ValueError("p must lie in (0, 0.5)")
-        if self.ell < 1:
+        if operator.index(self.ell) < 1:
             raise ValueError("ell must be >= 1")
-        if self.delta < 0:
+        if operator.index(self.delta) < 0:
             raise ValueError("delta must be >= 0")
-        if not 0 <= self.reduced_t_iters <= self.ell:
+        if not 0 <= operator.index(self.reduced_t_iters) <= self.ell:
             raise ValueError("reduced_t_iters must lie in [0, ell]")
-        if self.pp_extra_iters is not None and self.pp_extra_iters < 1:
+        if self.pp_extra_iters is not None and operator.index(self.pp_extra_iters) < 1:
             raise ValueError("pp_extra_iters must be >= 1")
-        if self.min_frame_errors < 1 or self.max_frames < 1:
+        if operator.index(self.min_frame_errors) < 1 or operator.index(self.max_frames) < 1:
             raise ValueError("stop rule must be positive")
-        if self.batch_frames < 1:
+        if operator.index(self.batch_frames) < 1:
             raise ValueError("batch_frames must be >= 1")
-        if self.workers < 1:
+        if operator.index(self.workers) < 1:
             raise ValueError("workers must be >= 1")
         _check_seed(self.seed)
 

@@ -41,6 +41,7 @@ from gpcdec.postprocess import (
     erasure_pp,
 )
 from gpcdec.sim import TrialConfig, paired_records, run_trials
+from test_engine import ReferenceState, state_view, step
 
 
 def verdict(capsys, num, passed, detail):
@@ -287,7 +288,9 @@ def test_08_erasure_pp_recovers_weight3_stalls(capsys):
 def test_09_state_machine_worked_examples(capsys):
     """The two canonical single-frame scenarios on the (15,7) product code:
     a miscorrected row freezes against a clean anchor with a symmetric
-    conflict pair, and at delta=1 a second conflict backtracks the anchor."""
+    conflict pair, and at delta=1 a second conflict backtracks the anchor.
+    The backtrack runs on the tests' reference state machine too, which
+    records its transitions, and the decoder must end in its state."""
     code = build_component_code(4, 2, 0, 0)
     layout = build_product_layout(code)
 
@@ -296,13 +299,12 @@ def test_09_state_machine_worked_examples(capsys):
     # nothing, and the conflict is recorded symmetrically
     frame = grid_frame(layout, [(3, c) for c in (2, 5, 10, 14)]
                                + [(r, 4) for r in (0, 1, 4)])
-    state = DecoderState(layout, frame, delta=1, record_transitions=True)
+    state = DecoderState(layout, frame, delta=1)
     row = layout.cw_index(CodewordId(1, 4))
     col_failed = layout.cw_index(CodewordId(2, 5))
     col_anchor = layout.cw_index(CodewordId(2, 13))
-    state.visit(col_anchor)
-    state.visit(col_failed)
-    state.visit(row)
+    for c in (col_anchor, col_failed, row):
+        step(state, c)
     freeze_ok = (
         state.status[row] == FROZEN
         and state.status[col_failed] == FAILED
@@ -317,13 +319,14 @@ def test_09_state_machine_worked_examples(capsys):
     # freezes as the first conflict, col 5's clean correction is the
     # second, so the anchor is rolled back and col 4 re-eligibilized
     frame = grid_frame(layout, [(3, c) for c in (2, 5, 10, 14)] + [(9, 4)])
-    state = DecoderState(layout, frame, delta=1, record_transitions=True)
+    state = DecoderState(layout, frame, delta=1)
+    ref = ReferenceState(layout, frame, 1)
     row = layout.cw_index(CodewordId(1, 4))
     col4 = layout.cw_index(CodewordId(2, 5))
     col5 = layout.cw_index(CodewordId(2, 6))
-    state.visit(row)
-    state.visit(col4)
-    state.visit(col5)
+    for c in (row, col4, col5):
+        step(state, c)
+        step(ref, c)
     backtrack_ok = (
         state.anchor_pos[col5] == (3,)
         and state.status[row] == FROZEN
@@ -333,13 +336,14 @@ def test_09_state_machine_worked_examples(capsys):
         and np.array_equal(
             state.frame,
             grid_frame(layout, [(3, 2), (3, 10), (3, 14), (9, 4)]))
-        and state.stats.transitions == [
+        and ref.transitions == [
             (row, ELIGIBLE, ANCHOR),
             (col4, ELIGIBLE, FROZEN),
             (col5, ELIGIBLE, ANCHOR),
             (col4, FROZEN, ELIGIBLE),
             (row, ANCHOR, FROZEN),
         ]
+        and state_view(state) == state_view(ref)
     )
     ok = freeze_ok and backtrack_ok
     verdict(capsys, 9, ok,

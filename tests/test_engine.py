@@ -12,7 +12,10 @@ reference implementations that rescan every codeword each half-iteration
 and recompute syndromes from scratch, and the batched iterative_bdd
 against the per-codeword loop it replaced.  anchor_decode_state is
 checked against reference_anchor_decode_state, the status machine it
-replaced, which routes every flip through the method primitives.
+replaced, which routes every flip through the method primitives and
+records every status change; DecoderState is also stepped in lockstep
+with that reference, one codeword at a time.  The helpers ``step``,
+``check_invariants`` and ``state_view`` drive and inspect either state.
 """
 
 import pickle
@@ -193,9 +196,23 @@ def reference_iterative_bdd(
 class ReferenceState:
     """The former DecoderState: list-of-lists views of the layout, a set
     per codeword for its conflicts, and every flip through
-    error_correction, _update_syndrome and _set_status."""
+    error_correction, _update_syndrome and _set_status.
 
-    def __init__(self, layout, frame, delta, record_transitions):
+    Every status change is recorded in ``transitions`` as (codeword, old,
+    new) and asserted to be an edge of the status graph ``ALLOWED``.
+    ``visit_all`` takes DecoderState's arguments, so ``step`` drives
+    either state."""
+
+    ALLOWED = frozenset({
+        (ELIGIBLE, ANCHOR),
+        (ELIGIBLE, FAILED),
+        (ELIGIBLE, FROZEN),
+        (FAILED, ELIGIBLE),
+        (FROZEN, ELIGIBLE),
+        (ANCHOR, FROZEN),
+    })
+
+    def __init__(self, layout, frame, delta):
         self.layout = layout
         self.code = layout.code
         self.frame = frame.astype(np.uint8, copy=True)
@@ -207,7 +224,7 @@ class ReferenceState:
         self.anchor_pos = [None] * layout.n_cw
         self.stats = DecodeStats()
         self.change_counter = 0
-        self._record = record_transitions
+        self.transitions = []
         self._contrib = layout.code.contrib_packed
         self._partner_cw = layout.partner_cw.tolist()
         self._partner_pos = layout.partner_pos.tolist()
@@ -218,8 +235,8 @@ class ReferenceState:
         old = self.status[c]
         if old == value:
             return
-        if self._record:
-            self.stats.transitions.append((c, old, value))
+        assert (old, value) in self.ALLOWED, (c, old, value)
+        self.transitions.append((c, old, value))
         self.status[c] = value
         self.change_counter += 1
 
@@ -306,14 +323,16 @@ class ReferenceState:
         for k in marked:
             self.backtrack(k)
 
+    def visit_all(self, cws, budget):
+        for c in cws:
+            self.visit(c, budget)
 
-def reference_anchor_decode_state(
-    layout, frame, ell, delta=1, reduced_t_iters=0, record_transitions=False
-):
+
+def reference_anchor_decode_state(layout, frame, ell, delta=1, reduced_t_iters=0):
     """The former anchor_decode_state: ReferenceState visited codeword by
     codeword, a half-iteration counting as a change when any status,
     conflict or frame bit changed."""
-    state = ReferenceState(layout, frame, delta, record_transitions)
+    state = ReferenceState(layout, frame, delta)
     sweep = layout.sweep_len
     for plan in layout.window_plans(ell, reduced_t_iters):
         last_reset = max(
@@ -326,8 +345,7 @@ def reference_anchor_decode_state(
                     if state.status[c] == FAILED:
                         state._set_status(c, ELIGIBLE)
             before = state.change_counter
-            for c in cws:
-                state.visit(c, budget)
+            state.visit_all(cws, budget)
             state.stats.half_iterations += 1
             if state.nonzero_count == 0:
                 state.stats.syndromes_zero = True
@@ -336,6 +354,67 @@ def reference_anchor_decode_state(
             if stuck >= sweep and i > last_reset:
                 break
     return state
+
+
+def step(state, c, budget=None):
+    """Visit codeword c alone, if it is eligible, at budget t by default;
+    on a DecoderState or a ReferenceState."""
+    state.visit_all(range(c, c + 1), state.code.t if budget is None else budget)
+
+
+def check_invariants(state):
+    """Assert the invariants of a DecoderState: its syndromes and
+    nonzero_count match its frame; conflict sets are non-empty, symmetric
+    and pair an anchor with a frozen codeword; exactly the anchors store
+    error locations, at most t of them."""
+    syn = frame_syndromes(state.layout, state.frame)
+    assert syn == state.syn, "stale syndromes"
+    assert state.nonzero_count == sum(1 for s in syn if s)
+    for c, l in state.conflicts.items():
+        assert l, "empty conflict set kept"
+        for k in l:
+            assert c in state.conflicts[k], "conflict symmetry broken"
+            pair = {state.status[c], state.status[k]}
+            assert pair == {ANCHOR, FROZEN}, f"conflict between statuses {pair}"
+    for c, st in enumerate(state.status):
+        if st == ANCHOR:
+            assert state.anchor_pos[c] is not None
+            assert len(state.anchor_pos[c]) <= state.code.t
+        else:
+            assert state.anchor_pos[c] is None
+
+
+def state_view(state):
+    """Everything a visit can change, in one form for a DecoderState and a
+    ReferenceState: frame, syndromes, nonzero_count, statuses, anchors,
+    non-empty conflict sets and stats."""
+    conflicts = state.conflicts
+    pairs = conflicts.items() if isinstance(conflicts, dict) else enumerate(conflicts)
+    return (
+        state.frame.tobytes(), state.syn, state.nonzero_count, state.status,
+        state.anchor_pos, {c: set(l) for c, l in pairs if l}, state.stats,
+    )
+
+
+def lockstep(layout, frame, ell, delta, reduced):
+    """Step a DecoderState and a ReferenceState through every plan entry
+    one codeword at a time, with the budget resets of
+    anchor_decode_state.  After every visit the two states must agree on
+    everything a visit can change, and the decoder's invariants hold."""
+    fast, ref = DecoderState(layout, frame, delta), ReferenceState(layout, frame, delta)
+    for plan in layout.window_plans(ell, reduced):
+        for cws, budget, reset in plan:
+            if reset:
+                for c in range(layout.n_cw):
+                    if fast.status[c] == FAILED:
+                        fast.status[c] = ELIGIBLE
+                        ref._set_status(c, ELIGIBLE)
+            for c in cws:
+                step(fast, c, budget)
+                step(ref, c, budget)
+                assert state_view(fast) == state_view(ref)
+                check_invariants(fast)
+    return fast, ref
 
 
 def build_wide_layout(kind):
@@ -404,19 +483,19 @@ class TestMiscorrectionAvoidance:
         # syndrome is BDD-uncorrectable, leaving that codeword failed.
         frame = grid_frame(lay, [(3, c) for c in (2, 5, 10, 14)]
                                 + [(r, 4) for r in (0, 1, 4)])
-        state = DecoderState(lay, frame, delta=1, record_transitions=True)
+        state = DecoderState(lay, frame, delta=1)
         row = lay.cw_index(CodewordId(1, 4))
         col_failed = lay.cw_index(CodewordId(2, 5))
         col_anchor = lay.cw_index(CodewordId(2, 13))
 
-        state.visit(col_anchor)  # error-free: anchors with no stored flips
+        step(state, col_anchor)  # error-free: anchors with no stored flips
         assert state.status[col_anchor] == ANCHOR
         assert state.anchor_pos[col_anchor] == ()
 
-        state.visit(col_failed)  # three errors, uncorrectable
+        step(state, col_failed)  # three errors, uncorrectable
         assert state.status[col_failed] == FAILED
 
-        state.visit(row)
+        step(state, row)
         # flip at col 4 passes (partner failed, not an anchor); flip at
         # col 12 hits the anchor, so the row freezes and applies nothing
         assert state.status[row] == FROZEN
@@ -426,7 +505,7 @@ class TestMiscorrectionAvoidance:
         assert state.stats.corrections == 0
         assert state.stats.frozen_events == 1
         assert np.array_equal(state.frame, frame)
-        state.validate()
+        check_invariants(state)
 
     def test_visit_is_noop_on_non_eligible(self, pc15):
         lay = pc15
@@ -436,28 +515,39 @@ class TestMiscorrectionAvoidance:
         row = lay.cw_index(CodewordId(1, 4))
         for c in (lay.cw_index(CodewordId(2, 13)),
                   lay.cw_index(CodewordId(2, 5)), row):
-            state.visit(c)
+            step(state, c)
         snapshot = (list(state.status), state.stats.corrections)
-        state.visit(row)  # frozen: must do nothing
-        state.visit(lay.cw_index(CodewordId(2, 5)))  # failed: must do nothing
+        step(state, row)  # frozen: must do nothing
+        step(state, lay.cw_index(CodewordId(2, 5)))  # failed: must do nothing
         assert (list(state.status), state.stats.corrections) == snapshot
 
 
 class TestBacktracking:
     """An anchor reaching the conflict threshold is rolled back: its
-    conflicts dissolve, its flips are reversed, and it freezes."""
+    conflicts dissolve, its flips are reversed, and it freezes.  Each
+    scenario also runs on ReferenceState, which records the transitions,
+    and the decoder must match it after every visit."""
 
     def setup_state(self, lay, delta):
         # row 3 miscorrects into flips at cols 4 and 12 and becomes an
         # anchor; the extra error at (9, 4) gives column 4 two errors
         frame = grid_frame(lay, [(3, c) for c in (2, 5, 10, 14)] + [(9, 4)])
-        state = DecoderState(lay, frame, delta=delta, record_transitions=True)
+        self.twins = DecoderState(lay, frame, delta=delta), ReferenceState(lay, frame, delta)
         row = lay.cw_index(CodewordId(1, 4))
-        state.visit(row)
+        state = self.visit(row)
         assert state.status[row] == ANCHOR
         assert state.anchor_pos[row] == (4, 12)
         assert state.stats.corrections == 2
         return state, frame, row
+
+    def visit(self, c):
+        """Step both states through codeword c; returns the decoder's."""
+        state, ref = self.twins
+        step(state, c)
+        step(ref, c)
+        assert state_view(state) == state_view(ref)
+        check_invariants(state)
+        return state
 
     def test_second_conflict_triggers_backtrack(self, pc15):
         lay = pc15
@@ -468,7 +558,7 @@ class TestBacktracking:
 
         # column 4 now holds errors at rows 3 and 9; its correction would
         # undo the anchor's flip, so it freezes (first conflict)
-        state.visit(col4)
+        self.visit(col4)
         assert state.status[col4] == FROZEN
         assert state.conflicts[row] == {col4}
         assert state.stats.corrections == 2
@@ -476,7 +566,7 @@ class TestBacktracking:
         # column 5 holds the single original error at row 3; its implied
         # flip conflicts with the same anchor, which hits delta and is
         # backtracked while the flip is applied
-        state.visit(col5)
+        self.visit(col5)
         assert state.status[col5] == ANCHOR
         assert state.anchor_pos[col5] == (3,)
         assert state.status[row] == FROZEN
@@ -490,7 +580,7 @@ class TestBacktracking:
         # all miscorrected flips are undone, (3,5) and nothing else fixed
         expected = grid_frame(lay, [(3, 2), (3, 10), (3, 14), (9, 4)])
         assert np.array_equal(state.frame, expected)
-        assert state.stats.transitions == [
+        assert self.twins[1].transitions == [
             (row, ELIGIBLE, ANCHOR),
             (col4, ELIGIBLE, FROZEN),
             (col5, ELIGIBLE, ANCHOR),
@@ -499,27 +589,25 @@ class TestBacktracking:
         ]
         # col 12 was never visited and keeps its channel-free eligibility
         assert state.status[col12] == ELIGIBLE
-        state.validate()
 
     def test_higher_delta_freezes_instead(self, pc15):
         lay = pc15
         state, frame, row = self.setup_state(lay, delta=2)
         col4 = lay.cw_index(CodewordId(2, 5))
         col5 = lay.cw_index(CodewordId(2, 6))
-        state.visit(col4)
-        state.visit(col5)
+        self.visit(col4)
+        self.visit(col5)
         # one conflict is below delta=2, so the second codeword freezes too
         assert state.status[col5] == FROZEN
         assert state.status[row] == ANCHOR
         assert state.conflicts[row] == {col4, col5}
         assert state.stats.backtracks == 0
-        state.validate()
 
     def test_delta_zero_backtracks_eagerly(self, pc15):
         lay = pc15
         state, _, row = self.setup_state(lay, delta=0)
         col4 = lay.cw_index(CodewordId(2, 5))
-        state.visit(col4)
+        self.visit(col4)
         # with delta=0 the anchor is marked immediately, never frozen over:
         # column 4 applies both flips and the anchor is rolled back.  The
         # reversal at position 4 is skipped because both incident codewords
@@ -531,7 +619,6 @@ class TestBacktracking:
         assert state.stats.corrections == 5
         expected = grid_frame(lay, [(3, c) for c in (2, 5, 10, 14)])
         assert np.array_equal(state.frame, expected)
-        state.validate()
 
 
 class TestAgainstNaiveReference:
@@ -692,7 +779,7 @@ class TestAnchorPrefetch:
         states = []
         for reduced in (0, 1, 2):
             frame = noisy_frame(layout, rng, 0.02)
-            states.append(anchor_decode_state(layout, frame, 5, 1, reduced, True))
+            states.append(anchor_decode_state(layout, frame, 5, 1, reduced))
         return layout.code, states
 
     @pytest.mark.parametrize("kind", ["product", "staircase"])
@@ -704,7 +791,7 @@ class TestAnchorPrefetch:
             for syn, got in memo.items():
                 assert got == code._decode_algebraic(syn, budget)
         for state in states:
-            state.validate()
+            check_invariants(state)
         assert any(s.stats.backtracks for s in states)
 
         def nothing(self, packed, budget=None):
@@ -713,9 +800,7 @@ class TestAnchorPrefetch:
         monkeypatch.setattr(ComponentCodeSpec, "decode_batch", nothing)
         code, unfetched = self.run(kind)
         for state, plain in zip(states, unfetched):
-            assert state.stats == plain.stats  # transitions included
-            assert np.array_equal(state.frame, plain.frame)
-            assert state.status == plain.status
+            assert state_view(state) == state_view(plain)
 
 
 class TestMemo:
@@ -759,22 +844,15 @@ class TestMemo:
 
 class TestAnchorAgainstReference:
     """anchor_decode_state against reference_anchor_decode_state: equal
-    frames, DecodeStats (transitions included), statuses, anchors,
-    conflicts and syndromes, with transitions recorded and not."""
+    frames, syndromes, DecodeStats, statuses, anchors and conflicts.  The
+    reference checks each of its transitions against the status graph."""
 
     @staticmethod
     def check(layout, frame, ell, delta, reduced):
-        for record in (False, True):
-            got = anchor_decode_state(layout, frame, ell, delta, reduced, record)
-            want = reference_anchor_decode_state(layout, frame, ell, delta, reduced, record)
-            assert np.array_equal(got.frame, want.frame)
-            assert got.stats == want.stats
-            assert got.status == want.status
-            assert got.anchor_pos == want.anchor_pos
-            assert got.syn == want.syn
-            got_conflicts = {c: set(got.conflicts[c]) for c in range(layout.n_cw) if got.conflicts[c]}
-            assert got_conflicts == {c: l for c, l in enumerate(want.conflicts) if l}
-            got.validate()
+        got = anchor_decode_state(layout, frame, ell, delta, reduced)
+        want = reference_anchor_decode_state(layout, frame, ell, delta, reduced)
+        assert state_view(got) == state_view(want)
+        check_invariants(got)
         return got
 
     @pytest.mark.parametrize("delta", [0, 1, 2])
@@ -861,34 +939,56 @@ class TestDecodingBehaviour:
         assert got == (6, 8)
 
     def test_transitions_stay_in_allowed_graph(self, pc15):
+        """The transitions are recorded on the reference, which anchor
+        decoding matches state for state."""
         rng = np.random.default_rng(31)
-        allowed = {(ELIGIBLE, ANCHOR), (ELIGIBLE, FAILED), (ELIGIBLE, FROZEN),
-                   (FAILED, ELIGIBLE), (FROZEN, ELIGIBLE), (ANCHOR, FROZEN)}
         seen = set()
         for _ in range(25):
             frame = (rng.random(pc15.n_bits) < 0.12).astype(np.uint8)
-            _, stats = anchor_decode(pc15, frame, 6, delta=1,
-                                     record_transitions=True)
-            for _, old, new in stats.transitions:
-                seen.add((old, new))
-        assert seen <= allowed
-        assert (ELIGIBLE, ANCHOR) in seen  # sanity: decoding actually ran
+            ref = reference_anchor_decode_state(pc15, frame, 6, delta=1)
+            assert state_view(anchor_decode_state(pc15, frame, 6, delta=1)) == state_view(ref)
+            seen.update((old, new) for _, old, new in ref.transitions)
+        assert seen == ReferenceState.ALLOWED  # every edge ran, and no other
 
-    def test_invariants_hold_after_every_visit(self, pc15):
+    def test_invariants_hold_after_every_visit(self, pc15, sc16):
+        """DecoderState against ReferenceState in lockstep, on the product
+        and on the staircase (with errors on its pinned bits in half the
+        frames), for delta 0, 1 and 2 and with and without a reduced
+        phase."""
         rng = np.random.default_rng(32)
-        for _ in range(4):
-            frame = (rng.random(pc15.n_bits) < 0.1).astype(np.uint8)
-            state = DecoderState(pc15, frame, delta=1, record_transitions=True)
-            for plan in pc15.window_plans(3, 1):
-                for cws, budget, reset in plan:
-                    if reset:
-                        for c in range(pc15.n_cw):
-                            if state.status[c] == FAILED:
-                                state._set_status(c, ELIGIBLE)
-                    for c in range(int(cws[0]), int(cws[-1]) + 1):
-                        if state.status[c] == ELIGIBLE:
-                            state.visit(c, budget)
-                            state.validate()
+        backtracks = 0
+        for delta in (0, 1, 2):
+            for i in range(4):
+                fast, _ = lockstep(pc15, noisy_frame(pc15, rng, rng.uniform(0.05, 0.15)),
+                                   3, delta, i % 2)
+                backtracks += fast.stats.backtracks
+                lockstep(sc16, noisy_frame(sc16, rng, rng.uniform(0.02, 0.08), i % 2),
+                         3, delta, i % 2)
+        assert backtracks  # sanity: the backtrack path ran
+
+    def test_every_decoder_checks_its_schedule(self, pc15):
+        """ell and reduced_t_iters are refused by every decoder alike, on
+        a clean frame as on a noisy one: below 1 as a ValueError, a
+        non-integer as a TypeError.  The genie used to return a clean
+        frame under ell 0."""
+        decoders = (
+            iterative_bdd,
+            anchor_decode,
+            lambda layout, frame, ell: genie_decode(layout, frame, None, ell),
+        )
+        for frame in (np.zeros(pc15.n_bits, np.uint8), grid_frame(pc15, [(7, 9)])):
+            for decode in decoders:
+                with pytest.raises(ValueError, match="ell must be >= 1"):
+                    decode(pc15, frame, 0)
+                with pytest.raises(TypeError):
+                    decode(pc15, frame, 2.5)
+                with pytest.raises(TypeError):
+                    decode(pc15, frame, 2.0)
+            for decode in decoders[:2]:
+                with pytest.raises(TypeError):
+                    decode(pc15, frame, 3, reduced_t_iters=0.5)
+        with pytest.raises(TypeError):
+            DecoderState(pc15, np.zeros(pc15.n_bits, np.uint8), delta=1.5)
 
     def test_anchor_not_worse_than_iterative_in_aggregate(self):
         code = ComponentCodeSpec(7, 2, 1, 0)
@@ -1070,7 +1170,7 @@ class TestStaircaseDecoding:
         frame = np.zeros(sc16.n_bits, dtype=np.uint8)
         frame[bits[[8, 9, 10, 13]]] = 1
         state = DecoderState(sc16, frame)
-        state.visit(cw)
+        step(state, cw)
         assert state.status[cw] == FAILED
         assert state.stats.corrections == 0
         # the column partners see one error each and clean the frame without
@@ -1112,13 +1212,13 @@ class TestCodewordIdWrappers:
         state.error_correction(row, 13 - 1)
         assert state.frame[3 * 15 + 12] == 1
         assert state.stats.corrections == 1
-        state.validate()
+        check_invariants(state)
 
     def test_flip_between_two_anchors_is_skipped(self, pc15):
         state = DecoderState(pc15, np.zeros(pc15.n_bits, np.uint8))
         row = pc15.cw_index(CodewordId(1, 1))
-        state.visit(row)
-        state.visit(pc15.cw_index(CodewordId(2, 1)))
+        step(state, row)
+        step(state, pc15.cw_index(CodewordId(2, 1)))
         assert state.status[row] == ANCHOR
         state.error_correction(row, 0)  # the bit shared with column 1
         assert state.frame.sum() == 0
@@ -1133,10 +1233,10 @@ class TestCodewordIdWrappers:
         frame = grid_frame(pc15, [(3, c) for c in (2, 5, 10, 14)])
         state = DecoderState(pc15, frame)
         row = pc15.cw_index(CodewordId(1, 4))
-        state.visit(row)  # miscorrects and anchors
+        step(state, row)  # miscorrects and anchors
         assert state.stats.corrections == 2
         state.backtrack(row)
         assert np.array_equal(state.frame, frame)
         assert state.status[row] == FROZEN
         assert state.stats.backtracks == 1
-        state.validate()
+        check_invariants(state)

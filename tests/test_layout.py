@@ -285,6 +285,7 @@ class TestFlatViews:
     def test_built_once_and_shared_by_every_state(self, sc, monkeypatch):
         import gpcdec.layout
         from gpcdec.engine import anchor_decode_state
+        from test_engine import check_invariants
 
         views = [getattr(sc, a) for a in
                  ("flat_cw_bits", "flat_partner_cw", "flat_partner_pos", "pin_masks")]
@@ -298,7 +299,7 @@ class TestFlatViews:
         for _ in range(3):
             frame = ((rng.random(sc.n_bits) < 0.05) & ~sc.pinned).astype(np.uint8)
             state = anchor_decode_state(sc, frame, 4)
-            state.validate()
+            check_invariants(state)
         for a, view in zip(
             ("flat_cw_bits", "flat_partner_cw", "flat_partner_pos", "pin_masks"), views
         ):

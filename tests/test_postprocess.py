@@ -505,12 +505,12 @@ class TestErasurePp:
 
     def test_input_state_untouched(self, pc195, event):
         """On the miscorrected-anchor event (anchors, no frozen codeword)
-        and on an operating-point stall with frozen codewords, conflicts
-        and recorded transitions."""
+        and on an operating-point stall with frozen codewords and
+        conflicts."""
         rng = np.random.default_rng(3)
         for _ in range(100):  # frame 85 is the first
             frame = (rng.random(pc195.n_bits) < 0.016).astype(np.uint8)
-            stall = anchor_decode_state(pc195, frame, 10, record_transitions=True)
+            stall = anchor_decode_state(pc195, frame, 10)
             moved = not np.array_equal(erasure_pp(stall).frame, stall.frame)
             if moved and stall.conflicts and FROZEN in stall.status:
                 break

@@ -9,6 +9,7 @@ invariance) are tested independently of those constants.
 """
 
 import signal
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from gpcdec import (
     genie_decode,
     iterative_bdd,
 )
-from gpcdec.engine import frame_syndromes
+from gpcdec.engine import DecodeStats, frame_syndromes
 from gpcdec.sim import (
     CSV_HEADER,
     BerRecord,
@@ -139,6 +140,24 @@ class TestTrialConfigValidation:
             with pytest.raises(ValueError):
                 TrialConfig(**{**good, **kw})
         TrialConfig(**good, seed=2**64 - 1)
+        # integer fields that are no integers: ell, max_frames, batch_frames
+        # and workers crashed at the first frame; the rest ran rounded
+        not_int = [
+            {"ell": 2.5},
+            {"ell": 10.0},
+            {"delta": 1.5},
+            {"reduced_t_iters": 0.5},
+            {"pp_extra_iters": 2.5},
+            {"min_frame_errors": 10.5},
+            {"max_frames": 100.0},
+            {"batch_frames": 32.5},
+            {"workers": 1.5},
+            {"seed": 1.5},
+        ]
+        for kw in not_int:
+            with pytest.raises(TypeError):
+                TrialConfig(**{**good, **kw})
+        TrialConfig(**good, ell=np.int64(4), workers=np.uint8(1), delta=True)
 
 
 class TestRunTrials:
@@ -234,6 +253,16 @@ class TestRunTrials:
         engaged = [r for r in rec.frame_stats if "pp_success" in r]
         assert engaged, "post-processing never engaged at this p"
         assert all(not r["syndromes_zero"] for r in engaged)
+
+    @pytest.mark.parametrize("variant", ["iterative", "anchor", "genie"])
+    def test_frame_stats_carry_every_decode_stat(self, pc15, variant):
+        """Every DecodeStats field reaches each per-frame record, so no
+        field the runs never report can sit in DecodeStats."""
+        cfg = TrialConfig(layout=pc15, variant=variant, p=0.12, ell=6,
+                          min_frame_errors=10**6, max_frames=40, seed=4)
+        rec = run_trials(cfg, collect_frame_stats=True)
+        names = {f.name for f in fields(DecodeStats)}
+        assert all(names <= r.keys() for r in rec.frame_stats)
 
     def test_pp_never_raises_frame_error_count(self, pc15):
         base = dict(

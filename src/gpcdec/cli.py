@@ -3,18 +3,27 @@
 Subcommands map one-to-one onto the library surfaces:
 
 * ``simulate``: Monte Carlo at one or more crossover probabilities,
-  CSV out.  Each option is declared once, in ``_SIM_OPTIONS``, which
-  builds the flags and checks a flat ``key = value`` or JSON config file:
-  a config value goes through its flag's type and choices, unknown keys
-  and keys given twice are rejected, and explicit flags override config
-  keys.  Both outputs are opened before the first frame is decoded.
+  CSV out.  Options can also come from a flat ``key = value`` or JSON
+  config file: a config value goes through its flag's type and choices,
+  unknown keys and keys given twice are rejected, and explicit flags
+  override config keys.  Both outputs are opened before the first frame
+  is decoded.
 * ``de``: density-evolution BER predictions over a p grid.
 * ``floor``: closed-form error-floor estimates over a p grid; the
   post-processed (``pp``) model covers t = 2 codes with extension bits.
-* ``ncg``: net-coding-gain calculator.
+* ``ncg``: net-coding-gain calculator; the rate comes from the code
+  parameters and the layout kind, and no layout is built.
 * ``mcprob``: component-code miscorrection probability.
 * ``repro``: regenerates the bundled decoder-comparison datasets at
-  reduced depth, one CSV per figure plus a JSON manifest.
+  reduced depth, one CSV per figure plus a JSON manifest.  A dataset is a
+  set of ``simulate`` options plus the (decoder, pp) runs and analytic
+  curves it compares, built through the same helpers as ``simulate``.
+
+Every option of every subcommand is declared once, in ``_OPTIONS``, and a
+subcommand is the list of its keys (``_COMMANDS``).  The table builds the
+flags and gives the defaults of the merge defaults < config file
+(``simulate`` only) < explicit flags; required options are checked once,
+after the merge.
 
 Exit codes: 0 success, 2 usage error, 3 runtime failure.
 """
@@ -41,7 +50,7 @@ from .analysis import (
     stall_floor_model,
 )
 from .bch import build_component_code
-from .layout import build_product_layout, build_staircase_layout
+from .layout import build_product_layout, build_staircase_layout, code_rate
 from .sim import (
     CSV_HEADER,
     PP_MODES,
@@ -52,11 +61,49 @@ from .sim import (
     run_trials,  # noqa: F401  (kept as gpcdec.cli.run_trials)
 )
 
-# Every ``simulate`` option, declared once as key: (type, choices, default,
-# help).  The table builds the subparser (flag --key with dashes), checks
-# config-file values and gives the defaults of the merge defaults < config
-# file < flags.  Trial options take their defaults from TrialConfig.
-_SIM_OPTIONS = {
+# The datasets of ``repro``: simulate options (the rest take the option
+# table's defaults), the (decoder, pp) runs over the p grid, and the
+# analytic curves ("de", "stall-floor", "pp-floor") on the same grid.
+_FIGURES = {
+    "pc721": {
+        "description": "decoder comparison on the (7,2,1,0) product code, "
+        "with density-evolution predictions",
+        "options": {"nu": 7, "t": 2, "e": 1, "p_sweep": "1.0e-2:2.2e-2:7"},
+        "runs": [("iterative", "none"), ("anchor", "none"), ("genie", "none")],
+        "curves": ("de",),
+    },
+    "pc8261": {
+        "description": "post-processing on the shortened (8,2,1,61) product "
+        "code, with closed-form floor estimates",
+        "options": {"nu": 8, "t": 2, "e": 1, "s": 61, "p_sweep": "9.0e-3:1.6e-2:5"},
+        "runs": [
+            ("iterative", "none"),
+            ("anchor", "none"),
+            ("anchor", "bitflip"),
+            ("anchor", "erasure"),
+        ],
+        "curves": ("stall-floor", "pp-floor"),
+    },
+    "pc830": {
+        "description": "decoder comparison on the (8,3,0,0) product code",
+        "options": {"nu": 8, "t": 3, "p_sweep": "1.3e-2:2.1e-2:5"},
+        "runs": [("iterative", "none"), ("anchor", "none"), ("genie", "none")],
+        "curves": (),
+    },
+    "pc842": {
+        "description": "decoder comparison on the (8,4,2,0) product code",
+        "options": {"nu": 8, "t": 4, "e": 2, "p_sweep": "1.7e-2:2.6e-2:5"},
+        "runs": [("iterative", "none"), ("anchor", "none"), ("genie", "none")],
+        "curves": (),
+    },
+}
+
+# Every option of the CLI, declared once as key: (type, choices, default,
+# help).  The flag is --key with dashes, and takes one or more values where
+# the default is a list.  The simulate options come first: they are also
+# the config-file keys, and trial options take their defaults from
+# TrialConfig.
+_OPTIONS = {
     "config": (str, None, None, "flat key=value or JSON config file"),
     "nu": (int, None, None, "Galois field degree of the component code"),
     "t": (int, None, None, "error-correcting capability"),
@@ -74,7 +121,7 @@ _SIM_OPTIONS = {
     "delta": (int, (0, 1, 2, 3), TrialConfig.delta, "anchor conflict threshold"),
     "reduced_t_iters": (int, None, TrialConfig.reduced_t_iters,
                         "leading iterations decoded with budget t-1"),
-    "p": (float, None, None, "single crossover probability"),
+    "p": (float, None, None, "single crossover probability (ncg: pre-FEC)"),
     "p_sweep": (str, None, None, "log-spaced crossover grid START:STOP:NUM"),
     "min_frame_errors": (int, None, TrialConfig.min_frame_errors,
                          "stop a point after this many frame errors"),
@@ -87,102 +134,43 @@ _SIM_OPTIONS = {
     "verbose_frames": (str, None, None,
                        "also write per-frame stats as JSON lines to this path"),
 }
+_SIMULATE = tuple(_OPTIONS)
+_OPTIONS.update({
+    "model": (str, ("stall", "pp"), "stall",
+              "plain stall floor or post-processed floor"),
+    "rate": (float, None, None,
+             "overall code rate; derived from the code parameters when omitted"),
+    "p_out": (float, None, None, "output (post-FEC) error rate"),
+    "outdir": (str, None, "repro_out", "output directory"),
+    "figures": (str, (*sorted(_FIGURES), "all"), ["all"], "datasets to regenerate"),
+})
 
 
-def _add_code_args(sub, required=True):
-    sub.add_argument("--nu", type=int, required=required,
-                     help="Galois field degree of the component code")
-    sub.add_argument("--t", type=int, required=required,
-                     help="error-correcting capability")
-    sub.add_argument("--e", type=int, default=0,
-                     help="extension parity bits (0, 1 or 2)")
-    sub.add_argument("--s", type=int, default=0, help="shortened positions")
-
-
-def _add_grid_args(sub):
-    grid = sub.add_mutually_exclusive_group(required=True)
-    grid.add_argument("--p", type=float, help="single crossover probability")
-    grid.add_argument("--p-sweep", metavar="START:STOP:NUM",
-                      help="log-spaced crossover grid")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gpcdec",
-        description="Hard-decision iterative decoding of product and "
-        "staircase codes: simulation and analysis tools.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser(
-        "simulate",
-        help="Monte Carlo over the BSC, CSV out",
-        description="Simulate one decoder at one or more crossover "
-        "probabilities.",
-        argument_default=argparse.SUPPRESS,
-    )
-    # every option suppressed when absent: merged later as
-    # defaults < config file < explicit flags
-    for key, (kind, choices, default, text) in _SIM_OPTIONS.items():
-        if default is not None:
-            text += f"; default {default}"
-        sim.add_argument("--" + key.replace("_", "-"), type=kind,
-                         choices=choices, help=text)
-    sim.set_defaults(func=_cmd_simulate)
-
-    de = subs.add_parser("de", help="density-evolution BER predictions")
-    _add_code_args(de)
-    de.add_argument("--kind", choices=("product", "staircase"),
-                    default="product")
-    de.add_argument("--num-blocks", type=int, default=8)
-    de.add_argument("--ell", type=int, default=10)
-    _add_grid_args(de)
-    de.add_argument("--output", default="-")
-    de.set_defaults(func=_cmd_de)
-
-    floor = subs.add_parser("floor", help="closed-form error-floor estimates")
-    _add_code_args(floor)
-    floor.add_argument("--model", choices=("stall", "pp"), default="stall",
-                       help="plain stall floor or post-processed floor")
-    _add_grid_args(floor)
-    floor.add_argument("--output", default="-")
-    floor.set_defaults(func=_cmd_floor)
-
-    ncg_sub = subs.add_parser("ncg", help="net coding gain in dB")
-    ncg_sub.add_argument("--rate", type=float,
-                         help="overall code rate; derived from the code "
-                         "parameters when omitted")
-    _add_code_args(ncg_sub, required=False)
-    ncg_sub.add_argument("--kind", choices=("product", "staircase"),
-                         default="product")
-    ncg_sub.add_argument("--p", type=float, required=True,
-                         help="input (pre-FEC) error rate")
-    ncg_sub.add_argument("--p-out", type=float, required=True,
-                         help="output (post-FEC) error rate")
-    ncg_sub.set_defaults(func=_cmd_ncg)
-
-    mc = subs.add_parser("mcprob", help="component miscorrection probability")
-    _add_code_args(mc)
-    mc.set_defaults(func=_cmd_mcprob)
-
-    rep = subs.add_parser(
-        "repro",
-        help="regenerate the bundled datasets at reduced depth",
-    )
-    rep.add_argument("--outdir", default="repro_out")
-    rep.add_argument("--figures", nargs="+", default=["all"],
-                     choices=sorted(_FIGURES) + ["all"])
-    rep.add_argument("--min-frame-errors", type=int, default=40)
-    rep.add_argument("--max-frames", type=int, default=4000)
-    rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--workers", type=int, default=None)
-    rep.set_defaults(func=_cmd_repro)
-
-    return parser
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 # --- shared helpers ---------------------------------------------------------
+
+
+def _options(ns, parser):
+    """The options of ``ns``'s subcommand, merged as table defaults <
+    config file < explicit flags, with its required options present and,
+    where it takes one, its p grid read as ``grid``."""
+    _, keys, required, defaults, _ = _COMMANDS[ns.command]
+    opts = {key: _OPTIONS[key][2] for key in keys}
+    opts.update(defaults)
+    explicit = {k: v for k, v in vars(ns).items() if k in keys}
+    path = explicit.pop("config", None)
+    if path:
+        opts.update(_load_config_file(parser, path))
+    opts.update(explicit)
+    for key in required:
+        if opts[key] is None:
+            parser.error(f"{_flag(key)} is required")
+    if "p_sweep" in keys:
+        opts["grid"] = _p_grid(parser, opts)
+    return opts
 
 
 def _build_code(parser, opts):
@@ -193,18 +181,17 @@ def _build_code(parser, opts):
 
 
 def _build_layout(parser, opts, code):
-    window = opts.get("window")
-    window = opts.get("num_blocks", 8) if window is None else window
     try:
-        if opts.get("kind", "product") == "product":
+        if opts["kind"] == "product":
             return build_product_layout(code)
-        return build_staircase_layout(code, opts.get("num_blocks", 8), window)
+        window = opts["num_blocks"] if opts["window"] is None else opts["window"]
+        return build_staircase_layout(code, opts["num_blocks"], window)
     except ValueError as exc:
         parser.error(str(exc))
 
 
 def _p_grid(parser, opts):
-    p, sweep = opts.get("p"), opts.get("p_sweep")
+    p, sweep = opts["p"], opts["p_sweep"]
     if (p is None) == (sweep is None):
         parser.error("exactly one of --p / --p-sweep is required")
     if p is not None:
@@ -219,6 +206,49 @@ def _p_grid(parser, opts):
     if not (0 < lo <= hi and num >= 1):
         parser.error("--p-sweep needs 0 < START <= STOP and NUM >= 1")
     return [float(x) for x in np.geomspace(lo, hi, num)]
+
+
+def _trial_configs(parser, opts, runs):
+    """One TrialConfig per (decoder, pp) of ``runs`` and p of the grid, in
+    that order, on the code and layout of ``opts``; all are checked before
+    any runs."""
+    layout = _build_layout(parser, opts, _build_code(parser, opts))
+    trial = {f.name: opts[f.name] for f in fields(TrialConfig) if f.name in opts}
+    if trial["workers"] is None:
+        trial["workers"] = os.cpu_count() or 1
+    try:
+        return [
+            TrialConfig(**{**trial, "layout": layout, "variant": variant,
+                           "pp": pp, "p": p})
+            for variant, pp in runs
+            for p in opts["grid"]
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _curve(parser, opts, code, curve):
+    """BER over the p grid of an analytic curve: "de", density evolution
+    on the layout kind's model, or the "stall" or "pp" floor."""
+    grid = opts["grid"]
+    try:
+        if curve == "de":
+            if opts["kind"] == "product":
+                model = de_product_model(code)
+            elif opts["num_blocks"] < 3:
+                parser.error("--num-blocks must be >= 3")
+            else:
+                model = de_staircase_model(code, opts["num_blocks"] - 1)
+            return [density_evolution(model, p, opts["ell"]) for p in grid]
+        if curve == "stall":
+            model = stall_floor_model(code.n, code.t)
+        elif code.t == 2 and code.e >= 1:
+            model = pp_floor_model(code.n)
+        else:
+            parser.error("--model pp covers t = 2 codes with e >= 1 only")
+        return [error_floor(model, p) for p in grid]
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _open_out(stack, path):
@@ -261,7 +291,7 @@ def _load_config_file(parser, path):
     out, seen = {}, set()
     for key, value in pairs:
         norm = key.replace("-", "_")
-        if norm not in _SIM_OPTIONS or norm == "config":
+        if norm not in _SIMULATE or norm == "config":
             parser.error(f"unknown config key: {key!r}")
         if norm in seen:
             parser.error(f"config key {key!r} is given twice")
@@ -269,7 +299,7 @@ def _load_config_file(parser, path):
         if value is None:  # JSON null: the default
             continue
         # a value is read as its flag's argument would be: JSON as its text
-        kind, choices, _, _ = _SIM_OPTIONS[norm]
+        kind, choices, _, _ = _OPTIONS[norm]
         try:
             out[norm] = kind(value if isinstance(value, str) else json.dumps(value))
         except ValueError:
@@ -279,29 +309,8 @@ def _load_config_file(parser, path):
     return out
 
 
-def _cmd_simulate(ns, parser):
-    explicit = {k: v for k, v in vars(ns).items() if k not in ("func", "command")}
-    path = explicit.pop("config", None)
-    config = _load_config_file(parser, path) if path else {}
-    opts = {key: spec[2] for key, spec in _SIM_OPTIONS.items()}
-    opts.update(config)
-    opts.update(explicit)
-    for key in ("nu", "t"):
-        if opts[key] is None:
-            parser.error(f"--{key} is required")
-    code = _build_code(parser, opts)
-    layout = _build_layout(parser, opts, code)
-    grid = _p_grid(parser, opts)
-    if opts["workers"] is None:
-        opts["workers"] = os.cpu_count() or 1
-    trial = {f.name: opts[f.name] for f in fields(TrialConfig) if f.name in opts}
-    try:  # every point is checked before any runs
-        cfgs = [
-            TrialConfig(**{**trial, "layout": layout, "variant": opts["decoder"], "p": p})
-            for p in grid
-        ]
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_simulate(opts, parser):
+    cfgs = _trial_configs(parser, opts, [(opts["decoder"], opts["pp"])])
     verbose = opts["verbose_frames"]
     if verbose not in (None, "-") and opts["output"] != "-" and (
         os.path.realpath(verbose) == os.path.realpath(opts["output"])
@@ -323,203 +332,93 @@ def _cmd_simulate(ns, parser):
 # --- analysis subcommands -----------------------------------------------------
 
 
-def _cmd_de(ns, parser):
-    code = _build_code(parser, vars(ns))
-    if ns.kind == "product":
-        model = de_product_model(code)
-    else:
-        if ns.num_blocks < 3:
-            parser.error("--num-blocks must be >= 3")
-        model = de_staircase_model(code, ns.num_blocks - 1)
-    grid = _p_grid(parser, vars(ns))
-    rows = ["p,ber,ell"]
-    for p in grid:
-        try:
-            ber = density_evolution(model, p, ns.ell)
-        except ValueError as exc:
-            parser.error(str(exc))
-        rows.append(f"{p!r},{ber!r},{ns.ell}")
-    _write_lines(ns.output, rows)
+def _cmd_de(opts, parser):
+    bers = _curve(parser, opts, _build_code(parser, opts), "de")
+    ell = opts["ell"]
+    _write_lines(opts["output"], ["p,ber,ell"] + [
+        f"{p!r},{ber!r},{ell}" for p, ber in zip(opts["grid"], bers)])
     return 0
 
 
-def _cmd_floor(ns, parser):
-    code = _build_code(parser, vars(ns))
-    if ns.model == "stall":
-        model = stall_floor_model(code.n, code.t)
-    elif code.t == 2 and code.e >= 1:
-        model = pp_floor_model(code.n)
-    else:
-        parser.error("--model pp covers t = 2 codes with e >= 1 only")
-    grid = _p_grid(parser, vars(ns))
-    rows = ["p,ber,model"]
-    for p in grid:
-        try:
-            rows.append(f"{p!r},{error_floor(model, p)!r},{ns.model}")
-        except ValueError as exc:
-            parser.error(str(exc))
-    _write_lines(ns.output, rows)
+def _cmd_floor(opts, parser):
+    model = opts["model"]
+    bers = _curve(parser, opts, _build_code(parser, opts), model)
+    _write_lines(opts["output"], ["p,ber,model"] + [
+        f"{p!r},{ber!r},{model}" for p, ber in zip(opts["grid"], bers)])
     return 0
 
 
-def _cmd_ncg(ns, parser):
-    if ns.rate is not None:
-        rate = ns.rate
-    elif ns.nu is not None and ns.t is not None:
-        code = _build_code(parser, vars(ns))
-        layout = _build_layout(parser, vars(ns), code)
-        rate = layout.rate
-    else:
+def _cmd_ncg(opts, parser):
+    rate = opts["rate"]
+    if rate is None and (opts["nu"] is None or opts["t"] is None):
         parser.error("give --rate or the component code parameters")
     try:
-        value = ncg(rate, ns.p, ns.p_out)
+        if rate is None:
+            rate = code_rate(_build_code(parser, opts), opts["kind"])
+        value = ncg(rate, opts["p"], opts["p_out"])
     except ValueError as exc:
         parser.error(str(exc))
     print(repr(value))
     return 0
 
 
-def _cmd_mcprob(ns, parser):
-    code = _build_code(parser, vars(ns))
-    frac = miscorrection_probability(code)
+def _cmd_mcprob(opts, parser):
+    frac = miscorrection_probability(_build_code(parser, opts))
     print(f"{frac} ({float(frac)!r})")
     return 0
 
 
 # --- repro ---------------------------------------------------------------------
 
-_FIGURES = {
-    "pc721": {
-        "description": "decoder comparison on the (7,2,1,0) product code, "
-        "with density-evolution predictions",
-        "code": (7, 2, 1, 0),
-        "ell": 10,
-        "delta": 1,
-        "p": (1.0e-2, 2.2e-2, 7),
-        "runs": [("iterative", "none"), ("anchor", "none"), ("genie", "none")],
-        "de": True,
-        "floors": (),
-    },
-    "pc8261": {
-        "description": "post-processing on the shortened (8,2,1,61) product "
-        "code, with closed-form floor estimates",
-        "code": (8, 2, 1, 61),
-        "ell": 10,
-        "delta": 1,
-        "p": (9.0e-3, 1.6e-2, 5),
-        "runs": [
-            ("iterative", "none"),
-            ("anchor", "none"),
-            ("anchor", "bitflip"),
-            ("anchor", "erasure"),
-        ],
-        "de": False,
-        "floors": ("stall", "pp"),
-    },
-    "pc830": {
-        "description": "decoder comparison on the (8,3,0,0) product code",
-        "code": (8, 3, 0, 0),
-        "ell": 10,
-        "delta": 1,
-        "p": (1.3e-2, 2.1e-2, 5),
-        "runs": [("iterative", "none"), ("anchor", "none"), ("genie", "none")],
-        "de": False,
-        "floors": (),
-    },
-    "pc842": {
-        "description": "decoder comparison on the (8,4,2,0) product code",
-        "code": (8, 4, 2, 0),
-        "ell": 10,
-        "delta": 1,
-        "p": (1.7e-2, 2.6e-2, 5),
-        "runs": [("iterative", "none"), ("anchor", "none"), ("genie", "none")],
-        "de": False,
-        "floors": (),
-    },
-}
 
-
-def _cmd_repro(ns, parser):
-    keys = sorted(_FIGURES) if "all" in ns.figures else list(dict.fromkeys(ns.figures))
-    for flag, value, least in (
-        ("--workers", ns.workers, 1),
-        ("--min-frame-errors", ns.min_frame_errors, 1),
-        ("--max-frames", ns.max_frames, 1),
-        ("--seed", ns.seed, 0),
-    ):
-        if value is not None and value < least:
-            parser.error(f"{flag} must be >= {least}")
-    if ns.seed >= 1 << 64:
+def _cmd_repro(opts, parser):
+    figures = opts["figures"]
+    keys = sorted(_FIGURES) if "all" in figures else list(dict.fromkeys(figures))
+    for key, least in (("workers", 1), ("min_frame_errors", 1),
+                       ("max_frames", 1), ("seed", 0)):
+        if opts[key] is not None and opts[key] < least:
+            parser.error(f"{_flag(key)} must be >= {least}")
+    if opts["seed"] >= 1 << 64:
         parser.error("--seed must be < 2**64")
-    workers = (os.cpu_count() or 1) if ns.workers is None else ns.workers
-    outdir = Path(ns.outdir)
+    outdir = Path(opts["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "package": "gpcdec",
         "version": __version__,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "seed": ns.seed,
+        "seed": opts["seed"],
         "stop_rule": {
-            "min_frame_errors": ns.min_frame_errors,
-            "max_frames": ns.max_frames,
+            "min_frame_errors": opts["min_frame_errors"],
+            "max_frames": opts["max_frames"],
         },
         "figures": {},
     }
+    defaults = {key: _OPTIONS[key][2] for key in _SIMULATE}
     for key in keys:
         fig = _FIGURES[key]
-        nu, t, e, s = fig["code"]
-        code = build_component_code(nu, t, e, s)
-        layout = build_product_layout(code)
-        lo, hi, num = fig["p"]
-        grid = [float(x) for x in np.geomspace(lo, hi, num)]
-        cfgs = [
-            TrialConfig(
-                layout=layout,
-                variant=variant,
-                p=p,
-                ell=fig["ell"],
-                delta=fig["delta"],
-                pp=pp,
-                min_frame_errors=ns.min_frame_errors,
-                max_frames=ns.max_frames,
-                seed=ns.seed,
-                workers=workers,
-            )
-            for variant, pp in fig["runs"]
-            for p in grid
-        ]
+        sim = {**defaults, **opts, **fig["options"]}
+        sim["grid"] = grid = _p_grid(parser, sim)
+        cfgs = _trial_configs(parser, sim, fig["runs"])
         rows = [CSV_HEADER]
         for rec in run_sweep(cfgs):
             label = rec.variant if rec.pp == "none" else f"{rec.variant}+{rec.pp}"
             rows.append(rec.csv_row(label))
-        if fig["de"]:
-            model = de_product_model(code)
-            for p in grid:
-                ber = density_evolution(model, p, fig["ell"])
-                rows.append(format_csv_row(
-                    "de", p, 0, 0, 0, ber, 0.0, fig["ell"], fig["delta"], 0,
-                ))
-        for floor_kind in fig["floors"]:
-            model = (
-                stall_floor_model(code.n, code.t)
-                if floor_kind == "stall"
-                else pp_floor_model(code.n)
-            )
-            for p in grid:
-                rows.append(format_csv_row(
-                    f"{floor_kind}-floor", p, 0, 0, 0, error_floor(model, p), 0.0,
-                    fig["ell"], fig["delta"], 0,
-                ))
+        for curve in fig["curves"]:
+            bers = _curve(parser, sim, cfgs[0].layout.code, curve.removesuffix("-floor"))
+            rows += [
+                format_csv_row(curve, p, 0, 0, 0, ber, 0.0, sim["ell"], sim["delta"], 0)
+                for p, ber in zip(grid, bers)
+            ]
         csv_path = outdir / f"{key}.csv"
         csv_path.write_text("\n".join(rows) + "\n")
         manifest["figures"][key] = {
             "file": csv_path.name,
             "description": fig["description"],
-            "component_code": {"nu": nu, "t": t, "e": e, "s": s},
-            "layout": "product",
-            "ell": fig["ell"],
-            "delta": fig["delta"],
+            "component_code": {k: sim[k] for k in ("nu", "t", "e", "s")},
+            "layout": sim["kind"],
+            "ell": sim["ell"],
+            "delta": sim["delta"],
             "p_grid": grid,
             "runs": [list(r) for r in fig["runs"]],
         }
@@ -527,11 +426,57 @@ def _cmd_repro(ns, parser):
     return 0
 
 
+# --- parser --------------------------------------------------------------------
+
+_CODE = ("nu", "t", "e", "s")
+_GRID = ("p", "p_sweep")
+
+# subcommand: (handler, option keys, required keys, default overrides, help)
+_COMMANDS = {
+    "simulate": (_cmd_simulate, _SIMULATE, ("nu", "t"), {},
+                 "Monte Carlo over the BSC, CSV out"),
+    "de": (_cmd_de, _CODE + ("kind", "num_blocks", "ell") + _GRID + ("output",),
+           ("nu", "t"), {}, "density-evolution BER predictions"),
+    "floor": (_cmd_floor, _CODE + ("model",) + _GRID + ("output",), ("nu", "t"),
+              {}, "closed-form error-floor estimates"),
+    "ncg": (_cmd_ncg, ("rate",) + _CODE + ("kind", "p", "p_out"), ("p", "p_out"),
+            {}, "net coding gain in dB"),
+    "mcprob": (_cmd_mcprob, _CODE, ("nu", "t"), {},
+               "component miscorrection probability"),
+    "repro": (_cmd_repro, ("outdir", "figures", "min_frame_errors", "max_frames",
+                           "seed", "workers"),
+              (), {"min_frame_errors": 40, "max_frames": 4000},
+              "regenerate the bundled datasets at reduced depth"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gpcdec",
+        description="Hard-decision iterative decoding of product and "
+        "staircase codes: simulation and analysis tools.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_, keys, _, defaults, text) in _COMMANDS.items():
+        # every option suppressed when absent: merged by _options
+        sub = subs.add_parser(name, help=text, description=text,
+                              argument_default=argparse.SUPPRESS)
+        for key in keys:
+            kind, choices, default, help_text = _OPTIONS[key]
+            default = defaults.get(key, default)
+            if default is not None:
+                help_text += f"; default {default}"
+            sub.add_argument(_flag(key), type=kind, choices=choices, help=help_text,
+                             nargs="+" if isinstance(default, list) else None)
+    return parser
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns, parser)
+        return _COMMANDS[ns.command][0](_options(ns, parser), parser)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"gpcdec: error: {exc}", file=sys.stderr)
         return 3

@@ -32,6 +32,7 @@ __all__ = [
     "GpcLayout",
     "build_product_layout",
     "build_staircase_layout",
+    "code_rate",
 ]
 
 
@@ -221,10 +222,7 @@ class GpcLayout:
 
     @property
     def rate(self) -> float:
-        n, k = self.code.n, self.code.k
-        if self.kind == "product":
-            return (k / n) ** 2
-        return (2 * k - n) / n  # interior rate of the staircase chain
+        return code_rate(self.code, self.kind)
 
     def __repr__(self):
         return (
@@ -275,6 +273,23 @@ def _bit_incidence(cw_bits: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.nda
     return bit_cw, bit_pos
 
 
+def code_rate(code: ComponentCodeSpec, kind: str) -> float:
+    """Rate of the ``kind`` layout ("product" or "staircase") on ``code``,
+    the interior rate of a staircase chain; no layout is built."""
+    n, k = code.n, code.k
+    if kind == "product":
+        return (k / n) ** 2
+    _block_side(code)
+    return (2 * k - n) / n
+
+
+def _block_side(code: ComponentCodeSpec) -> int:
+    """Side n/2 of a staircase block; a staircase needs an even n."""
+    if code.n % 2:
+        raise ValueError("staircase requires an even component code length")
+    return code.n // 2
+
+
 def build_product_layout(code: ComponentCodeSpec) -> GpcLayout:
     """n x n product code: rows are type 1, columns type 2."""
     n = code.n
@@ -301,14 +316,11 @@ def build_staircase_layout(
     window spans ``window`` consecutive blocks and can decode the types
     lying fully inside; it advances one block per position.
     """
-    n = code.n
-    if n % 2:
-        raise ValueError("staircase requires an even component code length")
+    n, a = code.n, _block_side(code)
     if not 2 <= window <= num_blocks:
         raise ValueError("need num_blocks >= window >= 2")
     if num_blocks < 3:
         raise ValueError("need at least one real block (num_blocks >= 3)")
-    a = n // 2
     n_bits = num_blocks * a * a
     num_types = num_blocks - 1
     cw_bits = np.empty((num_types * a, n), dtype=np.int32)

@@ -169,15 +169,14 @@ def bitflip_iterate_pp(
     state: DecoderState,
     extra_iters: int,
     variant: str = "anchor",
-    true_frame: np.ndarray | None = None,
 ) -> PpResult:
     """Flip the failed-intersection bits, then rerun the frame decoder.
 
     The resumed decoder starts from fresh bookkeeping: force-flipping bits
     invalidates the anchor/status state, so carrying it over would break
     the state invariants.  Suspicious anchors are deliberately ignored
-    here; widening the flip set tends to hurt this variant.
-    ``true_frame`` is only consulted by the genie variant.
+    here; widening the flip set tends to hurt this variant.  The genie
+    variant re-decodes against the all-zero reference codeword.
     """
     if extra_iters < 1:
         raise ValueError("extra_iters must be >= 1")
@@ -191,7 +190,7 @@ def bitflip_iterate_pp(
     elif variant == "iterative":
         out, stats = iterative_bdd(layout, flipped, extra_iters)
     elif variant == "genie":
-        out, stats = genie_decode(layout, flipped, true_frame, extra_iters)
+        out, stats = genie_decode(layout, flipped, None, extra_iters)
     else:
         raise ValueError(f"unknown decoder variant {variant!r}")
     f1, f2 = _types_1_2(layout, cws.tolist())

@@ -64,7 +64,9 @@ class TrialConfig:
     The run stops at the first batch boundary where ``min_frame_errors``
     is reached, or after ``max_frames`` frames, whichever comes first.
     ``batch_frames`` only moves those boundaries; it never changes the
-    outcome of any individual frame.
+    outcome of any individual frame.  A setting the run would ignore is
+    refused: ``reduced_t_iters`` for the genie, which has no reduced
+    phase, and ``pp_extra_iters`` unless ``pp`` is ``"bitflip"``.
     """
 
     layout: GpcLayout
@@ -103,6 +105,10 @@ class TrialConfig:
         if operator.index(self.workers) < 1:
             raise ValueError("workers must be >= 1")
         _check_seed(self.seed)
+        if self.variant == "genie" and self.reduced_t_iters:
+            raise ValueError("the genie decoder takes no reduced_t_iters")
+        if self.pp_extra_iters is not None and self.pp != "bitflip":
+            raise ValueError("pp_extra_iters needs pp='bitflip'")
 
 
 @dataclass(frozen=True)
@@ -231,25 +237,13 @@ def _decode_frame(layout: GpcLayout, cfg: TrialConfig, index: int, collect: bool
     frame_error = bit_errors > 0
     if not collect:
         return bit_errors, frame_error, None
-    rec = {
-        "frame": index,
-        "bit_errors": bit_errors,
-        "frame_error": frame_error,
-        "half_iterations": stats.half_iterations,
-        "corrections": stats.corrections,
-        "frozen_events": stats.frozen_events,
-        "backtracks": stats.backtracks,
-        "syndromes_zero": stats.syndromes_zero,
-    }
+    # every DecodeStats field, then every PpResult field but the frame;
+    # vars() is a shallow view, where dataclasses.asdict would deep-copy
+    rec = {"frame": index, "bit_errors": bit_errors, "frame_error": frame_error,
+           **vars(stats)}
     if pp_res is not None:
-        rec.update(
-            pp_variant=cfg.pp,
-            pp_success=pp_res.success,
-            pp_f1_size=pp_res.f1_size,
-            pp_f2_size=pp_res.f2_size,
-            pp_intersection_size=pp_res.intersection_size,
-            pp_augmented=pp_res.augmented,
-        )
+        rec["pp_variant"] = cfg.pp
+        rec.update((f"pp_{k}", v) for k, v in vars(pp_res).items() if k != "frame")
     return bit_errors, frame_error, rec
 
 

@@ -4,14 +4,18 @@ Everything goes through cli.main(argv) so the tests exercise the same
 code path as the installed console script, including exit codes.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import gpcdec.cli
+import gpcdec.layout
 import gpcdec.sim
 from gpcdec.analysis import (
     de_product_model,
+    de_staircase_model,
     density_evolution,
     error_floor,
     miscorrection_probability,
@@ -31,6 +35,34 @@ SIM_ARGS = [
     "--workers", "1",
 ]
 
+# The flag set with which benchmarks/run.py drives its staircase sweep,
+# at a small depth; the CSV is frozen from the same run.
+SWEEP_ARGS = [
+    "simulate", "--kind", "staircase", "--nu", "7", "--t", "2", "--e", "1",
+    "--s", "0", "--num-blocks", "12", "--window", "6", "--decoder", "anchor",
+    "--ell", "10", "--delta", "1", "--p-sweep", "0.021:0.024:4",
+    "--min-frame-errors", "3", "--max-frames", "48", "--batch-frames", "16",
+    "--seed", "0", "--workers", "2",
+]
+SWEEP_CSV = """\
+variant,p,frames,bit_errors,frame_errors,ber,fer,ell,delta,seed
+anchor,0.021,48,0,0,0.0,0.0,10,1,0
+anchor,0.02195583426013783,48,0,0,0.0,0.0,10,1,0
+anchor,0.022955174193268677,32,210,3,0.00016021728515625,0.09375,10,1,0
+anchor,0.024,16,309,3,0.00047149658203125,0.1875,10,1,0
+"""
+
+# SHA-256 of each file of `repro --figures all --max-frames 8
+# --min-frame-errors 2 --seed 5`, the manifest without its python and
+# numpy versions (see repro_digests)
+REPRO_DIGESTS = {
+    "manifest.json": "214b50cb64fd972fda8bd8fb76cdece66bb04235e986be39219c5cafed86345a",
+    "pc721.csv": "3306d18508d9e1353466d1990f5b43b0897cd768e786b7deb154ebf838ab31cd",
+    "pc8261.csv": "f2e7c4e319046607e4e9f983c8d8ae36a75f9b57414eae86ce93f948004818d4",
+    "pc830.csv": "d6c5ce5e1e4f68ff57e15bbf9b7602e7e508d9e2a013127d32a4d5a78a7e1199",
+    "pc842.csv": "0685bf20a0753d135bdaf0d529927f43111460cd320e1850a974d45877ad1642",
+}
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -43,6 +75,18 @@ def usage_error(argv, capsys) -> str:
         main(argv)
     assert exc_info.value.code == 2
     return capsys.readouterr().err
+
+
+def repro_digests(outdir) -> dict[str, str]:
+    out = {}
+    for path in sorted(outdir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            del manifest["python"], manifest["numpy"]
+            data = json.dumps(manifest, indent=2).encode()
+        out[path.name] = hashlib.sha256(data).hexdigest()
+    return out
 
 
 @pytest.fixture
@@ -161,7 +205,7 @@ class TestSimulate:
 
     def test_missing_code_params(self, capsys):
         err = usage_error(["simulate", "--p", "0.1"], capsys)
-        assert "--nu" in err
+        assert "--nu is required" in err
 
     def test_needs_exactly_one_p(self, capsys):
         err = usage_error(["simulate", "--nu", "4", "--t", "2"], capsys)
@@ -228,6 +272,50 @@ class TestSimulate:
             SIM_ARGS + ["--output", path, "--verbose-frames", path], capsys)
         assert "same file" in err
         assert decoded == []
+
+    def test_benchmark_sweep_flag_set(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, out, _ = run(SWEEP_ARGS + ["--output", str(path)], capsys)
+        assert code == 0 and out == ""
+        assert path.read_text() == SWEEP_CSV
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--decoder", "genie", "--reduced-t-iters", "2"], "reduced_t_iters"),
+        (["--pp", "erasure", "--pp-extra-iters", "3"], "pp_extra_iters"),
+        (["--pp-extra-iters", "3"], "pp_extra_iters"),
+    ], ids=["genie-reduced-t", "erasure-extra-iters", "no-pp-extra-iters"])
+    def test_setting_the_run_ignores_refused(self, capsys, decoded, extra, message):
+        err = usage_error(SIM_ARGS + extra, capsys)
+        assert message in err
+        assert decoded == []
+
+
+# a subcommand missing one of its required options, and what the error
+# names (simulate without --nu or a p grid: TestSimulate)
+MISSING = [
+    (["simulate", "--nu", "4", "--p", "0.1"], "--t is required"),
+    (["de", "--t", "2", "--p", "0.01"], "--nu is required"),
+    (["de", "--nu", "7", "--p", "0.01"], "--t is required"),
+    (["de", "--nu", "7", "--t", "2"], "--p"),
+    (["floor", "--t", "2", "--p", "0.01"], "--nu is required"),
+    (["floor", "--nu", "7", "--p", "0.01"], "--t is required"),
+    (["floor", "--nu", "7", "--t", "2"], "--p"),
+    (["ncg", "--rate", "0.5", "--p-out", "1e-8"], "--p is required"),
+    (["ncg", "--rate", "0.5", "--p", "1e-2"], "--p-out is required"),
+    (["ncg", "--nu", "7", "--p", "1e-2", "--p-out", "1e-8"], "--rate"),
+    (["mcprob", "--t", "2"], "--nu is required"),
+    (["mcprob", "--nu", "7"], "--t is required"),
+]
+
+
+class TestRequiredOptions:
+    """A missing required option is a usage error that names its flag,
+    the same for every subcommand."""
+
+    @pytest.mark.parametrize("argv, flag", MISSING, ids=[
+        f"{argv[0]}-no-{flag.split()[0][2:]}" for argv, flag in MISSING])
+    def test_missing_option_names_its_flag(self, capsys, argv, flag):
+        assert flag in usage_error(argv, capsys)
 
 
 class TestConfigFile:
@@ -418,6 +506,33 @@ class TestAnalysisCommands:
     def test_ncg_needs_rate_or_code(self, capsys):
         usage_error(["ncg", "--p", "1e-2", "--p-out", "1e-8"], capsys)
 
+    @pytest.mark.parametrize("code_args", [
+        ["--nu", "12", "--t", "6"],
+        ["--nu", "11", "--t", "2", "--e", "1", "--kind", "staircase"],
+    ], ids=["syndrome-too-wide-to-decode", "staircase"])
+    def test_ncg_builds_no_layout(self, capsys, monkeypatch, code_args):
+        # (12,6) packs 72 syndrome bits, more than any decoder takes, and
+        # (11,2) would be a 4.2M-bit frame; the rate needs neither
+        def refuse(*args, **kwargs):
+            raise AssertionError("a layout was built")
+
+        monkeypatch.setattr(gpcdec.layout.GpcLayout, "__init__", refuse)
+        for name in ("build_product_layout", "build_staircase_layout"):
+            monkeypatch.setattr(gpcdec.cli, name, refuse)
+        code, out, _ = run(["ncg", *code_args, "--p", "1e-2", "--p-out", "1e-8"],
+                           capsys)
+        assert code == 0
+        nu, t = int(code_args[1]), int(code_args[3])
+        spec = build_component_code(nu, t, 1 if "--e" in code_args else 0)
+        n, k = spec.n, spec.k
+        rate = (2 * k - n) / n if "staircase" in code_args else (k / n) ** 2
+        assert float(out) == ncg(rate, 1e-2, 1e-8)
+
+    def test_ncg_odd_length_staircase_refused(self, capsys):
+        err = usage_error(["ncg", "--nu", "7", "--t", "2", "--kind", "staircase",
+                           "--p", "1e-2", "--p-out", "1e-8"], capsys)
+        assert "staircase requires an even component code length" in err
+
     def test_mcprob(self, capsys):
         code, out, _ = run(["mcprob", "--nu", "7", "--t", "2", "--e", "1"],
                            capsys)
@@ -471,6 +586,53 @@ class TestRepro:
         )
         assert flag in err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_all_datasets_pinned(self, capsys, tmp_path, workers):
+        outdir = tmp_path / "repro"
+        code, out, _ = run(
+            ["repro", "--outdir", str(outdir), "--figures", "all",
+             "--max-frames", "8", "--min-frame-errors", "2", "--seed", "5",
+             "--workers", workers],
+            capsys,
+        )
+        assert code == 0 and out == ""
+        assert repro_digests(outdir) == REPRO_DIGESTS
+
+    def test_staircase_dataset_is_simulate_options(self, capsys, tmp_path, monkeypatch):
+        """A dataset is a set of simulate options: a staircase entry runs,
+        its Monte Carlo rows equal simulate's on the same options, its de
+        rows come from the staircase model, and the manifest names it."""
+        options = {"nu": 5, "t": 2, "e": 1, "kind": "staircase",
+                   "num_blocks": 5, "window": 4, "p_sweep": "0.03:0.05:2"}
+        monkeypatch.setattr(gpcdec.cli, "_FIGURES", {"sc": {
+            "description": "staircase",
+            "options": options,
+            "runs": [("anchor", "none"), ("genie", "none")],
+            "curves": ("de",),
+        }})
+        stop = ["--min-frame-errors", "2", "--max-frames", "16", "--seed", "5",
+                "--workers", "1"]
+        outdir = tmp_path / "repro"
+        assert run(["repro", "--outdir", str(outdir), "--figures", "all", *stop],
+                   capsys)[0] == 0
+        rows = (outdir / "sc.csv").read_text().splitlines()
+        flags = [item for key, value in options.items()
+                 for item in ("--" + key.replace("_", "-"), str(value))]
+        for i, decoder in enumerate(["anchor", "genie"]):
+            code, out, _ = run(["simulate", *flags, "--decoder", decoder, *stop],
+                               capsys)
+            assert code == 0
+            assert rows[1 + 2 * i: 3 + 2 * i] == out.splitlines()[1:]
+        model = de_staircase_model(build_component_code(5, 2, 1), 4)
+        grid = [float(x) for x in np.geomspace(0.03, 0.05, 2)]
+        assert [float(r.split(",")[5]) for r in rows[5:]] == [
+            density_evolution(model, p, 10) for p in grid]
+        assert {r.split(",")[0] for r in rows[5:]} == {"de"}
+        fig = json.loads((outdir / "manifest.json").read_text())["figures"]["sc"]
+        assert fig["layout"] == "staircase"
+        assert fig["component_code"] == {"nu": 5, "t": 2, "e": 1, "s": 0}
+        assert fig["p_grid"] == grid
 
     def test_unknown_figure_rejected(self, capsys, tmp_path):
         usage_error(

@@ -9,6 +9,7 @@ from gpcdec.layout import (
     GpcLayout,
     build_product_layout,
     build_staircase_layout,
+    code_rate,
 )
 
 
@@ -110,6 +111,7 @@ class TestProductLayout:
 
     def test_rate(self, pc):
         assert pc.rate == pytest.approx((7 / 15) ** 2)
+        assert code_rate(pc.code, "product") == pc.rate
 
     def test_unknown_ids_rejected(self, pc):
         with pytest.raises(ValueError):
@@ -205,6 +207,9 @@ class TestStaircaseLayout:
         # interior staircase rate 1 - 2(n-k)/n with n=16, k=7: negative rate
         # codes are silly but the formula is what it is
         assert sc.rate == pytest.approx((2 * 7 - 16) / 16)
+        assert code_rate(sc.code, "staircase") == sc.rate
+        with pytest.raises(ValueError, match="even"):
+            code_rate(build_component_code(4, 2), "staircase")  # n = 15 odd
 
 
 class TestIterationPlan:

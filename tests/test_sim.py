@@ -24,8 +24,10 @@ from gpcdec import (
     iterative_bdd,
 )
 from gpcdec.engine import DecodeStats, frame_syndromes
+from gpcdec.postprocess import PpResult
 from gpcdec.sim import (
     CSV_HEADER,
+    PP_MODES,
     BerRecord,
     TrialConfig,
     format_csv_row,
@@ -159,6 +161,21 @@ class TestTrialConfigValidation:
                 TrialConfig(**{**good, **kw})
         TrialConfig(**good, ell=np.int64(4), workers=np.uint8(1), delta=True)
 
+    def test_rejects_settings_the_run_ignores(self, pc15):
+        """The genie decodes no reduced-budget phase, and only the bit-flip
+        rescue reruns a decoder for pp_extra_iters."""
+        good = dict(layout=pc15, p=0.02)
+        for kw in (
+            {"variant": "genie", "reduced_t_iters": 1},
+            {"pp_extra_iters": 2},
+            {"pp": "erasure", "pp_extra_iters": 2},
+        ):
+            with pytest.raises(ValueError):
+                TrialConfig(**good, **kw)
+        TrialConfig(**good, variant="genie", reduced_t_iters=0)
+        TrialConfig(**good, variant="iterative", reduced_t_iters=1)
+        TrialConfig(**good, pp="bitflip", pp_extra_iters=2)
+
 
 class TestRunTrials:
     def test_below_waterfall_is_error_free(self):
@@ -256,13 +273,21 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("variant", ["iterative", "anchor", "genie"])
     def test_frame_stats_carry_every_decode_stat(self, pc15, variant):
-        """Every DecodeStats field reaches each per-frame record, so no
-        field the runs never report can sit in DecodeStats."""
-        cfg = TrialConfig(layout=pc15, variant=variant, p=0.12, ell=6,
-                          min_frame_errors=10**6, max_frames=40, seed=4)
-        rec = run_trials(cfg, collect_frame_stats=True)
-        names = {f.name for f in fields(DecodeStats)}
-        assert all(names <= r.keys() for r in rec.frame_stats)
+        """Every DecodeStats field, and for a rescued frame every PpResult
+        field but the frame, reaches each per-frame record in field order,
+        so no field the runs never report can sit in either."""
+        head = ["frame", "bit_errors", "frame_error"]
+        head += [f.name for f in fields(DecodeStats)]
+        tail = ["pp_variant"] + [f"pp_{f.name}" for f in fields(PpResult)[1:]]
+        for pp in PP_MODES:
+            cfg = TrialConfig(layout=pc15, variant=variant, p=0.16, ell=6, pp=pp,
+                              min_frame_errors=10**6, max_frames=40, seed=4)
+            rec = run_trials(cfg, collect_frame_stats=True)
+            for r in rec.frame_stats:
+                assert list(r) in (head, head + tail)
+                assert r.get("pp_variant", pp) == pp
+            rescued = sum(len(r) > len(head) for r in rec.frame_stats)
+            assert (rescued > 0) == (pp != "none")
 
     def test_pp_never_raises_frame_error_count(self, pc15):
         base = dict(

@@ -162,15 +162,29 @@ def _options(ns, parser):
     opts.update(defaults)
     explicit = {k: v for k, v in vars(ns).items() if k in keys}
     path = explicit.pop("config", None)
-    if path:
-        opts.update(_load_config_file(parser, path))
+    config = _load_config_file(parser, path) if path else {}
+    opts.update(config)
     opts.update(explicit)
     for key in required:
         if opts[key] is None:
             parser.error(f"{_flag(key)} is required")
+    _refuse_ignored(parser, opts, config.keys() | explicit.keys())
     if "p_sweep" in keys:
         opts["grid"] = _p_grid(parser, opts)
     return opts
+
+
+def _refuse_ignored(parser, opts, given):
+    """Refuse an option, given by flag or config file, that the run would
+    ignore: a product's staircase options, or the code behind a --rate."""
+    rules = (
+        (opts.get("kind") == "product", "--kind product", ("num_blocks", "window")),
+        ("rate" in given, "--rate", _CODE + ("kind",)),
+    )
+    for applies, cause, keys in rules:
+        for key in keys:
+            if applies and key in given:
+                parser.error(f"{cause} takes no {_flag(key)}")
 
 
 def _build_code(parser, opts):
@@ -180,12 +194,16 @@ def _build_code(parser, opts):
         parser.error(str(exc))
 
 
+def _window(opts):
+    """The staircase decoding window: ``num_blocks`` when unset."""
+    return opts["num_blocks"] if opts["window"] is None else opts["window"]
+
+
 def _build_layout(parser, opts, code):
     try:
         if opts["kind"] == "product":
             return build_product_layout(code)
-        window = opts["num_blocks"] if opts["window"] is None else opts["window"]
-        return build_staircase_layout(code, opts["num_blocks"], window)
+        return build_staircase_layout(code, opts["num_blocks"], _window(opts))
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -417,6 +435,8 @@ def _cmd_repro(opts, parser):
             "description": fig["description"],
             "component_code": {k: sim[k] for k in ("nu", "t", "e", "s")},
             "layout": sim["kind"],
+            **({"num_blocks": sim["num_blocks"], "window": _window(sim)}
+               if sim["kind"] == "staircase" else {}),
             "ell": sim["ell"],
             "delta": sim["delta"],
             "p_grid": grid,

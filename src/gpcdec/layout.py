@@ -75,7 +75,11 @@ class GpcLayout:
         product code; the real data blocks of a staircase).
 
     ``has_pinned`` and ``all_counted`` summarize the two masks once, so
-    per-frame code need not scan them.
+    per-frame code need not scan them, and ``sent`` is the ``range`` of
+    transmitted bits: every bit outside it is pinned and none inside it
+    is (all bits of a product code; on a staircase, the bits between the
+    first and the last block).  A mask that pins bits inside the span of
+    its unpinned bits is refused.
 
     The anchor status machine reads scalar items, which numpy serves
     slowly, so the layout also holds ``flat_cw_bits``, ``flat_partner_cw``
@@ -111,7 +115,8 @@ class GpcLayout:
         self.cw_bits = np.ascontiguousarray(cw_bits, dtype=np.int32)
         self.pinned = pinned
         self.counted = counted
-        self.has_pinned = bool(pinned.any())
+        self.sent = _sent_span(pinned)
+        self.has_pinned = len(self.sent) < n_bits
         self.all_counted = bool(counted.all())
         self._build_incidence()
         self._plans: dict[tuple[int, int], tuple[tuple[HalfIteration, ...], ...]] = {}
@@ -229,6 +234,17 @@ class GpcLayout:
             f"GpcLayout({self.kind}, n={self.code.n}, types={self.num_types}, "
             f"bits={self.n_bits})"
         )
+
+
+def _sent_span(pinned: np.ndarray) -> range:
+    """The one span of unpinned bits, from the first to the last."""
+    if pinned.all():
+        raise ValueError("every bit of the layout is pinned")
+    lo = int(pinned.argmin())  # the first unpinned bit
+    hi = pinned.size - int(pinned[::-1].argmin())
+    if pinned[lo:hi].any():
+        raise ValueError("pinned bits must lie before and after one span of sent bits")
+    return range(lo, hi)
 
 
 def _flat_ints(a: np.ndarray) -> array:

@@ -3,27 +3,29 @@
 Every frame transmits the all-zero codeword (code, channel and all decoder
 variants are symmetric under codeword translation, so this loses no
 generality) and draws its error pattern from a counter-mode generator keyed
-by (master seed, frame index).  Frames are grouped into fixed-size batches;
-the stop rule is evaluated at batch boundaries in batch order, so the set
-of simulated frames -- and therefore every counter in the result -- is
-bit-identical for any worker count.
+by (master seed, frame index).  Bit b takes word b of that stream; a
+staircase's pinned termination blocks are not transmitted, so their words
+are skipped with ``Philox.advance`` rather than drawn.  Frames are grouped
+into fixed-size batches; the stop rule is evaluated at batch boundaries in
+batch order, so the set of simulated frames -- and therefore every counter
+in the result -- is bit-identical for any worker count.
 
 With more than one worker, a sweep (``run_sweep``: several operating
 points, such as a p grid or every decoder variant at one p) runs through
-one process pool.  Its batches are submitted in (point, batch) order with
-``2 * workers`` in flight across point boundaries, so the next point
-starts while the current one finishes, and each worker keeps its code's
-BDD memo warm from point to point.  Each point's results are still
-consumed in batch order and stopped by its own rule; its batches queued
-past the stop are cancelled and never counted.
+one process pool, whose workers keep the code's BDD memo warm from point
+to point.  ``2 * workers`` batches are kept in flight: in point order, the
+batches below each point's likely stop (extrapolated from its frame errors
+so far), so the next point starts while the current one finishes, and
+batches past a likely stop only when no other is left and a worker would
+idle.  Each point's results are still consumed in batch order and stopped
+by its own rule; a held-back batch it turns out to need is submitted then,
+and its batches in flight past the stop are cancelled and never counted.
 """
 
 import operator
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
 from math import ceil
 from time import perf_counter
 
@@ -203,11 +205,38 @@ def sample_bsc(rng: np.random.Generator, num_bits: int, p: float) -> np.ndarray:
     return (rng.random(num_bits) < p).astype(np.uint8)
 
 
+def _skip_draws(bitgen, pos: int, stop: int) -> None:
+    """Move ``bitgen`` from word ``pos`` of its stream to word ``stop`` as
+    drawing the words in between would, buffer included.  ``advance``
+    counts 4-word Philox blocks and empties the buffer, so it skips whole
+    blocks only, and the last 1 to 4 words (with any left in the block
+    holding ``pos``) are drawn and discarded."""
+    base = -(-pos // 4) * 4  # the counter is past the block holding pos
+    if stop - base > 4:
+        blocks = (stop - base - 1) // 4
+        bitgen.advance(blocks)
+        pos = base + 4 * blocks
+    bitgen.random_raw(stop - pos)
+
+
+def _sample_frame(layout: GpcLayout, rng: np.random.Generator, p: float) -> np.ndarray:
+    """The received frame: BSC errors on the sent bits, zeros on the
+    pinned ones.  Bit b takes word b of the frame's stream, which ends
+    where a draw over every bit ends, so ``erasure_pp`` draws on from the
+    same state; the pinned words are skipped, not drawn."""
+    sent, n_bits = layout.sent, layout.n_bits
+    if len(sent) == n_bits:
+        return sample_bsc(rng, n_bits, p)
+    frame = np.zeros(n_bits, dtype=np.uint8)
+    _skip_draws(rng.bit_generator, 0, sent.start)
+    frame[sent.start:sent.stop] = sample_bsc(rng, len(sent), p)
+    _skip_draws(rng.bit_generator, sent.stop, n_bits)
+    return frame
+
+
 def _decode_frame(layout: GpcLayout, cfg: TrialConfig, index: int, collect: bool):
     rng = frame_rng(cfg.seed, index)
-    frame = sample_bsc(rng, layout.n_bits, cfg.p)
-    if layout.has_pinned:
-        frame[layout.pinned] = 0  # known-zero bits are not transmitted
+    frame = _sample_frame(layout, rng, cfg.p)
     state = None
     if cfg.variant == "anchor":
         state = anchor_decode_state(
@@ -310,67 +339,89 @@ def _batch_runner(cfgs, collect: bool):
         pool.shutdown(wait=False, cancel_futures=True)
 
 
+def _likely_stop(cfg: TrialConfig, batches: int, frame_errors: int, end: int) -> int:
+    """The batch count a point likely stops at, extrapolated from its
+    ``batches`` consumed batches and their ``frame_errors``; ``end``, the
+    count ``max_frames`` allows, before its first error."""
+    if not frame_errors:
+        return end
+    need = cfg.min_frame_errors - frame_errors
+    return min(end, batches + ceil(need * batches / frame_errors))
+
+
 def _run_points(cfgs, collect: bool) -> list[BerRecord]:
     """The one batch and stop-rule loop: one record per config, in order.
 
-    Batches are submitted in (point, batch) order, ``2 * workers`` ahead of
-    the one being consumed, and consumed in that order, so every point's
-    batches are read in index order and a point stops before any result
-    of the next is read.  When a point stops, its queued batches are
-    cancelled and no more of them are submitted.
+    Points are consumed one after another, each point's batches in index
+    order, so a point stops before any result of the next is read.  Up to
+    ``2 * workers`` batches are in flight: in point order, each live
+    point's batches below its likely stop (``_likely_stop``, all of them
+    until its first error).  Batches past a likely stop go out only when
+    no other is left, and only while fewer than ``workers`` are in flight,
+    so that no worker idles.  A batch that is needed but was held back is
+    submitted at once.  When a point stops, its batches in flight are
+    cancelled.
     """
     workers = cfgs[0].workers
-    live = [True] * len(cfgs)
-
-    def tasks():
-        for point, cfg in enumerate(cfgs):
-            for batch in range(ceil(cfg.max_frames / cfg.batch_frames)):
-                if not live[point]:
-                    break
-                yield point, batch
-
+    ends = [ceil(cfg.max_frames / cfg.batch_frames) for cfg in cfgs]
+    likely = ends[:]  # per point, the batch count it likely stops at
+    queued = [0] * len(cfgs)  # per point, the batches submitted so far
+    in_flight: dict = {}  # (point, batch) -> its future
     records = []
-    frames = bit_errors = frame_errors = 0
-    all_recs: list = []
     with _batch_runner(cfgs, collect) as submit:
-        window = 2 * workers
-        todo = tasks()
-        pending = deque((pt, submit(pt, b)) for pt, b in islice(todo, window))
+
+        def send(point: int) -> None:
+            in_flight[point, queued[point]] = submit(point, queued[point])
+            queued[point] += 1
+
+        def fill(first: int) -> None:
+            live = range(first, len(cfgs))
+            while len(in_flight) < 2 * workers:
+                point = next((pt for pt in live if queued[pt] < likely[pt]), None)
+                if point is None and len(in_flight) < workers:
+                    # past a likely stop, only so that no worker idles
+                    point = next((pt for pt in live if queued[pt] < ends[pt]), None)
+                if point is None:
+                    return
+                send(point)
+
+        fill(0)
         t0 = perf_counter()
-        while pending:
-            point, future = pending.popleft()
-            nf, nb, ne, recs = future.result()
-            frames += nf
-            bit_errors += nb
-            frame_errors += ne
-            if recs:
-                all_recs.extend(recs)
-            cfg = cfgs[point]
-            if frame_errors >= cfg.min_frame_errors or frames >= cfg.max_frames:
-                live[point] = False
-                while pending and pending[0][0] == point:
-                    pending.popleft()[1].cancel()
-                t1 = perf_counter()
-                records.append(BerRecord(
-                    variant=cfg.variant,
-                    p=cfg.p,
-                    frames=frames,
-                    bit_errors=bit_errors,
-                    frame_errors=frame_errors,
-                    ell=cfg.ell,
-                    delta=cfg.delta,
-                    seed=cfg.seed,
-                    counted_bits=cfg.layout.n_counted_bits,
-                    pp=cfg.pp,
-                    wall_time=t1 - t0,
-                    frame_stats=tuple(all_recs) if collect else None,
-                ))
-                frames = bit_errors = frame_errors = 0
-                all_recs = []
-                t0 = t1
-            pending.extend(
-                (pt, submit(pt, b)) for pt, b in islice(todo, window - len(pending))
-            )
+        for point, cfg in enumerate(cfgs):
+            frames = bit_errors = frame_errors = 0
+            all_recs: list = []
+            for batch in range(ends[point]):
+                if batch == queued[point]:  # held back, and now needed
+                    send(point)
+                nf, nb, ne, recs = in_flight.pop((point, batch)).result()
+                frames += nf
+                bit_errors += nb
+                frame_errors += ne
+                if recs:
+                    all_recs.extend(recs)
+                if frame_errors >= cfg.min_frame_errors or frames >= cfg.max_frames:
+                    break
+                likely[point] = _likely_stop(cfg, batch + 1, frame_errors, ends[point])
+                fill(point)
+            for key in [key for key in in_flight if key[0] == point]:
+                in_flight.pop(key).cancel()
+            t1 = perf_counter()
+            records.append(BerRecord(
+                variant=cfg.variant,
+                p=cfg.p,
+                frames=frames,
+                bit_errors=bit_errors,
+                frame_errors=frame_errors,
+                ell=cfg.ell,
+                delta=cfg.delta,
+                seed=cfg.seed,
+                counted_bits=cfg.layout.n_counted_bits,
+                pp=cfg.pp,
+                wall_time=t1 - t0,
+                frame_stats=tuple(all_recs) if collect else None,
+            ))
+            t0 = t1
+            fill(point + 1)
     return records
 
 
@@ -419,7 +470,8 @@ def paired_records(
 
     Early stopping is disabled so every variant sees the same ``frames``
     error patterns; differences between records are then attributable to
-    the decoders alone (paired comparison).
+    the decoders alone (paired comparison).  ``reduced_t_iters`` applies
+    to the variants with a reduced phase; the genie runs without one.
     """
     cfgs = [
         TrialConfig(
@@ -428,7 +480,7 @@ def paired_records(
             p=p,
             ell=ell,
             delta=delta,
-            reduced_t_iters=reduced_t_iters,
+            reduced_t_iters=0 if variant == "genie" else reduced_t_iters,
             pp=pp,
             min_frame_errors=frames + 1,
             max_frames=frames,

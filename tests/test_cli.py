@@ -273,6 +273,30 @@ class TestSimulate:
         assert "same file" in err
         assert decoded == []
 
+    @pytest.mark.parametrize("extra, flag", [
+        (["--num-blocks", "8"], "--num-blocks"),
+        (["--window", "3"], "--window"),
+        (["--kind", "product", "--num-blocks", "4", "--window", "4"], "--num-blocks"),
+    ], ids=["num-blocks", "window", "both"])
+    def test_staircase_options_of_a_product_refused(self, capsys, decoded, extra, flag):
+        # --num-blocks 8 is the default: given, it is refused all the same
+        err = usage_error(SIM_ARGS + extra, capsys)
+        assert f"--kind product takes no {flag}" in err
+        assert decoded == []
+
+    @pytest.mark.parametrize("line", ["num_blocks = 5", "window = 2"])
+    def test_staircase_config_key_of_a_product_refused(self, capsys, tmp_path,
+                                                       decoded, line):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(line + "\n")
+        err = usage_error(SIM_ARGS + ["--config", str(cfg)], capsys)
+        assert "--kind product takes no --" + line.split()[0].replace("_", "-") in err
+        assert decoded == []
+        # the same key runs where the layout reads it
+        staircase = ["--kind", "staircase", "--e", "1", "--num-blocks", "5",
+                     "--max-frames", "4"]
+        assert run(SIM_ARGS + staircase + ["--config", str(cfg)], capsys)[0] == 0
+
     def test_benchmark_sweep_flag_set(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, out, _ = run(SWEEP_ARGS + ["--output", str(path)], capsys)
@@ -503,6 +527,25 @@ class TestAnalysisCommands:
         rate = build_product_layout(build_component_code(8, 3, 0, 0)).rate
         assert float(out) == ncg(rate, 1.31e-2, 1e-8)
 
+    def test_de_product_refuses_num_blocks(self, capsys):
+        err = usage_error(["de", "--nu", "7", "--t", "2", "--p", "0.02",
+                           "--num-blocks", "6"], capsys)
+        assert "--kind product takes no --num-blocks" in err
+        args = ["de", "--nu", "7", "--t", "2", "--p", "0.02", "--kind", "staircase",
+                "--num-blocks", "6"]
+        assert run(args, capsys)[0] == 0
+
+    @pytest.mark.parametrize("extra, flag", [
+        (["--nu", "8", "--t", "3"], "--nu"),
+        (["--e", "1"], "--e"),
+        (["--s", "0"], "--s"),
+        (["--kind", "staircase"], "--kind"),
+    ], ids=["code", "e", "s", "kind"])
+    def test_ncg_rate_with_code_params_refused(self, capsys, extra, flag):
+        err = usage_error(["ncg", "--rate", "0.78", "--p", "1.31e-2",
+                           "--p-out", "1e-8", *extra], capsys)
+        assert f"--rate takes no {flag}" in err
+
     def test_ncg_needs_rate_or_code(self, capsys):
         usage_error(["ncg", "--p", "1e-2", "--p-out", "1e-8"], capsys)
 
@@ -631,6 +674,7 @@ class TestRepro:
         assert {r.split(",")[0] for r in rows[5:]} == {"de"}
         fig = json.loads((outdir / "manifest.json").read_text())["figures"]["sc"]
         assert fig["layout"] == "staircase"
+        assert (fig["num_blocks"], fig["window"]) == (5, 4)
         assert fig["component_code"] == {"nu": 5, "t": 2, "e": 1, "s": 0}
         assert fig["p_grid"] == grid
 

@@ -267,6 +267,25 @@ class TestIterationPlan:
     def test_mask_summaries(self, pc, sc):
         assert (pc.has_pinned, pc.all_counted) == (False, True)
         assert (sc.has_pinned, sc.all_counted) == (True, False)
+        assert pc.sent == range(pc.n_bits)
+        block = sc.n_bits // 5
+        assert sc.sent == range(block, 4 * block)
+        assert not sc.pinned[sc.sent.start:sc.sent.stop].any()
+        assert sc.pinned.sum() == sc.n_bits - len(sc.sent)
+
+    def test_pinned_bit_inside_the_sent_span_refused(self, code16):
+        n = code16.n
+        grid = np.arange(n * n).reshape(n, n)
+        cw_bits = np.concatenate([grid, grid.T])
+        for hole, error in ((5, "one span"), (slice(None), "every bit")):
+            pinned = np.zeros(n * n, dtype=bool)
+            pinned[hole] = True
+            with pytest.raises(ValueError, match=error):
+                GpcLayout("product", code16, 2, n, n * n, cw_bits, pinned, ~pinned)
+        pinned = np.zeros(n * n, dtype=bool)
+        pinned[:3] = pinned[-2:] = True
+        lay = GpcLayout("product", code16, 2, n, n * n, cw_bits, pinned, ~pinned)
+        assert lay.sent == range(3, n * n - 2)
 
 
 class TestFlatViews:

@@ -9,6 +9,7 @@ invariance) are tested independently of those constants.
 """
 
 import signal
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -115,6 +116,73 @@ class TestFrameRng:
         with pytest.raises(TypeError):
             frame_rng(1.5, 0)  # numpy would truncate it to seed 1's key
         assert (frame_rng(np.uint64(7), 3).random(8) == frame_rng(7, 3).random(8)).all()
+
+
+def rng_state(rng):
+    """A generator's whole state, buffer included, as comparable values."""
+    state = rng.bit_generator.state
+    return {key: np.asarray(value).tolist() if key != "state" else
+            {k: np.asarray(v).tolist() for k, v in value.items()}
+            for key, value in state.items()}
+
+
+class TestSampleFrame:
+    """The pinned words of a staircase frame's stream are skipped, not
+    drawn; the frame and the generator's state after it are those of a
+    draw over every bit followed by zeroing the pinned bits."""
+
+    @pytest.mark.parametrize("args, blocks, window", [
+        ((7, 2, 1, 0), 12, 6),  # blocks of 64 x 64: whole Philox blocks
+        ((5, 2, 1, 2), 5, 4),  # blocks of 15 x 15: 225 words, not a multiple of 4
+    ])
+    def test_equals_full_draw_then_zeroing(self, args, blocks, window):
+        layout = build_staircase_layout(build_component_code(*args), blocks, window)
+        assert len(layout.sent) < layout.n_bits
+        for index in range(5):
+            full_rng = frame_rng(3, index)
+            want = sample_bsc(full_rng, layout.n_bits, 0.3)
+            want[layout.pinned] = 0
+            rng = frame_rng(3, index)
+            got = gpcdec.sim._sample_frame(layout, rng, 0.3)
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+            assert rng_state(rng) == rng_state(full_rng)
+            # erasure post-processing draws on from here
+            assert (rng.random(7) == full_rng.random(7)).all()
+
+    def test_product_is_one_draw(self, pc15, monkeypatch):
+        drawn = []
+        orig = gpcdec.sim.sample_bsc
+
+        def spy(rng, num_bits, p):
+            drawn.append(orig(rng, num_bits, p))
+            return drawn[-1]
+
+        monkeypatch.setattr(gpcdec.sim, "sample_bsc", spy)
+        frame = gpcdec.sim._sample_frame(pc15, frame_rng(1, 2), 0.2)
+        assert len(drawn) == 1 and frame is drawn[0]  # no copy
+        assert pc15.sent == range(pc15.n_bits)
+
+    def test_skip_draws_equals_drawing(self):
+        for pos in range(13):
+            for stop in range(pos, 30):
+                want, rng = frame_rng(5, 0), frame_rng(5, 0)
+                want.bit_generator.random_raw(stop)
+                rng.bit_generator.random_raw(pos)
+                gpcdec.sim._skip_draws(rng.bit_generator, pos, stop)
+                assert rng_state(rng) == rng_state(want), (pos, stop)
+
+    def test_sampled_through_the_module_names(self, monkeypatch):
+        """A staircase frame still goes through ``frame_rng`` and
+        ``sample_bsc`` as looked up in ``gpcdec.sim``, where the
+        benchmark's tracer and checker wrap them."""
+        sc = build_staircase_layout(build_component_code(4, 2, 1, 0), 5, 3)
+        calls = []
+        for name in ("frame_rng", "sample_bsc"):
+            orig = getattr(gpcdec.sim, name)
+            monkeypatch.setattr(gpcdec.sim, name, lambda *a, o=orig, n=name:
+                                calls.append(n) or o(*a))
+        run_trials(TrialConfig(layout=sc, p=0.05, ell=2, max_frames=3, batch_frames=2))
+        assert calls == ["frame_rng", "sample_bsc"] * 3
 
 
 class TestTrialConfigValidation:
@@ -339,6 +407,18 @@ def sweep_configs(layout, workers, seed=7):
     ]
 
 
+def stop_configs(layout, workers, seed=2):
+    """An anchor pc15 sweep stopped at 12 frame errors or 400 frames, in
+    batches of 16 (25 per point).  Seed 2's 0.01 point decodes no error,
+    and its 0.12 point runs past the likely stops of its first batches."""
+    return [
+        TrialConfig(layout=layout, variant="anchor", p=p, ell=6,
+                    min_frame_errors=12, max_frames=400, seed=seed,
+                    batch_frames=16, workers=workers)
+        for p in (0.01, 0.12, 0.14, 0.16)
+    ]
+
+
 @pytest.fixture
 def deadline():
     """Fail a test that has not returned within two minutes, so a pool
@@ -375,6 +455,57 @@ class TestRunSweep:
         for workers in (2, 3):
             assert runs[workers] == one
             assert [r.frame_stats for r in runs[workers]] == [r.frame_stats for r in one]
+
+    def test_likely_stops_do_not_change_records(self, pc15):
+        """The pool holds batches back at each point's likely stop; what
+        it counts stays that of one worker, also where a point runs past
+        the stop its first batches foretold and where a point decodes no
+        error and runs to max_frames."""
+        runs = {w: run_sweep(stop_configs(pc15, w), collect_frame_stats=True)
+                for w in (1, 2, 3)}
+        one = runs[1]
+        assert [(r.p, r.frames, r.frame_errors) for r in one] == [
+            (0.01, 400, 0), (0.12, 208, 13), (0.14, 128, 12), (0.16, 64, 13)]
+        for workers in (2, 3):
+            assert runs[workers] == one
+            assert [r.frame_stats for r in runs[workers]] == [r.frame_stats for r in one]
+        cfg, rec = stop_configs(pc15, 1)[1], one[1]
+        errors = np.cumsum([f["frame_error"] for f in rec.frame_stats])
+        batches = rec.frames // cfg.batch_frames
+        foretold = [gpcdec.sim._likely_stop(cfg, b, int(errors[b * 16 - 1]), 25)
+                    for b in range(1, batches)]
+        assert min(foretold) < batches
+
+    def test_fewer_frames_decoded_than_counted_past_the_stops(self, pc15, monkeypatch):
+        """Frames decoded but never counted.  Submitting in (point, batch)
+        order with ``2 * workers`` in flight left ``2 * workers - 1``
+        batches queued past each stop that came before a point's last
+        batch.  A two-worker pool has handed all three to its workers by
+        then (its call queue holds workers + 1), so all were decoded: 96
+        frames here.  Held back at each point's likely stop, fewer are."""
+        import multiprocessing
+
+        decoded = multiprocessing.Value("q", 0)  # shared with the forked workers
+        orig = gpcdec.sim._simulate_batch
+
+        def spy(layout, cfg, batch, collect):
+            time.sleep(0.005)  # a batch outlasts the read of a result
+            out = orig(layout, cfg, batch, collect)
+            with decoded.get_lock():
+                decoded.value += out[0]
+            return out
+
+        monkeypatch.setattr(gpcdec.sim, "_simulate_batch", spy)
+        before = set(multiprocessing.active_children())
+        records = run_sweep(stop_configs(pc15, 2, seed=1))
+        for proc in set(multiprocessing.active_children()) - before:
+            proc.join(60)  # batches still running when the last point stopped
+            assert not proc.is_alive()
+        counted = sum(r.frames for r in records)
+        assert [r.frames for r in records] == [400, 400, 112, 48]
+        queued_past = sum(min(3, 25 - r.frames // 16) * 16 for r in records)
+        assert queued_past == 96
+        assert counted <= decoded.value < counted + queued_past
 
     def test_one_point_equals_run_trials(self, pc15):
         for cfg in sweep_configs(pc15, 2):
@@ -444,6 +575,21 @@ class TestPairedRecords:
         assert recs["anchor"].bit_errors < recs["iterative"].bit_errors
         assert recs["genie"].frame_errors <= recs["anchor"].frame_errors
         assert recs["anchor"].frame_errors <= recs["iterative"].frame_errors
+
+
+    def test_reduced_phase_skips_the_genie(self):
+        """The genie has no reduced phase: a paired run hands it 0 and
+        the other variants their ``reduced_t_iters``."""
+        layout = build_product_layout(build_component_code(4, 2, 0, 0))
+        recs = paired_records(layout, ["anchor", "genie"], 0.05, 4, 8, 1,
+                              reduced_t_iters=1)
+        assert [r.frames for r in recs.values()] == [8, 8]
+        for variant in ("anchor", "genie"):
+            reduced = 1 if variant == "anchor" else 0
+            cfg = TrialConfig(layout=layout, variant=variant, p=0.05, ell=4,
+                              reduced_t_iters=reduced, min_frame_errors=9,
+                              max_frames=8, seed=1)
+            assert recs[variant] == run_trials(cfg)
 
 
 class TestInvariants:

@@ -26,19 +26,24 @@ the same supports as rows of an array.  Both refuse a budget outside
 Which method serves a code depends on its packed syndrome width nu*t + e:
 
 - at most 20 bits, e.g. (7,2,1,0) at 15 bits and (8,2,1,61) at 17: a
-  dense table over all 2^(nu*t+e) syndromes, built with numpy on the first
-  cache miss, names the unique support of weight <= t per syndrome
+  dense int32 table over all 2^(nu*t+e) syndromes, built with numpy on
+  the first memo miss, names the unique support of weight <= t per
+  syndrome
 - wider syndromes solve the error locator algebraically: closed form plus a
   quadratic table at t=2, Peterson's locator plus a cubic table at t=3,
   Berlekamp-Massey plus a Chien search at t >= 4; the extension bits in
   error are then the parity bits XOR the core errors' parity contribution
 
 Both paths sit behind one memo per budget, indexed by the packed
-syndrome and reached through ``memo(budget)``.  A code with a dense table
-keeps a list of 2^(nu*t+e) slots; a wider code keeps an int-keyed dict of
-at most ``_BDD_CACHE_CAP`` entries.  Either reads ``_MISS`` for a
-syndrome not decoded yet.  Each budget's memo is allocated on its first
-miss, and a pickled code drops its memos and arrives cold.
+syndrome and reached through ``memo(budget)``.  Either reads ``_MISS``
+for a syndrome not decoded yet.  A code with a dense table keeps a list
+of 2^(nu*t+e) slots, filled a block of ``_BLOCK`` (1024) syndromes at a
+time: the first miss in a block decodes every syndrome of the block from
+the table in one numpy pass, so set-up pays for one block and a run for
+the blocks it meets.  A wider code keeps an int-keyed dict of at most
+``_BDD_CACHE_CAP`` entries, filled one syndrome per miss.  Each budget's
+memo is allocated on its first miss, and a pickled code drops its memos
+and arrives cold.
 
 ``decode_batch`` decodes an array of syndromes in one pass with the same
 results, for the engine's batched half-iterations: a gather from the dense
@@ -72,6 +77,7 @@ from .galois import FieldArrays, FieldTable, build_field
 
 _BDD_CACHE_CAP = 1 << 21
 _TABLE_BITS = 20  # widest packed syndrome with a dense decode table (4 MiB)
+_BLOCK = 1 << 10  # memo slots a table code fills per miss
 _MISS = object()
 
 
@@ -287,7 +293,6 @@ class ComponentCodeSpec:
         # Berlekamp-Massey, the dense decode table, the encoder's byte table
         self._chien: tuple[np.ndarray, np.ndarray] | None = None
         self._table: np.ndarray | None = None
-        self._table_view: memoryview | None = None  # _table, read as ints
         self._rem_table: list[int] | None = None
         self._memos: list = [_NO_MEMO] * (t + 1)  # by budget, see memo()
         self._pcm: np.ndarray | None = None
@@ -304,11 +309,11 @@ class ComponentCodeSpec:
 
     def __getstate__(self) -> dict:
         """Pickle without the memos, whose _MISS would not survive, and
-        without the table, whose memoryview cannot be pickled: the copy
-        rebuilds both on first use, as a new code does."""
+        without the table, up to 4 MiB: the copy rebuilds both on first
+        use, as a new code does."""
         state = self.__dict__.copy()
         del state["_memos"]
-        state["_table"] = state["_table_view"] = None
+        state["_table"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -475,7 +480,9 @@ class ComponentCodeSpec:
     def memo(self, budget: int):
         """The memo of decodes at ``budget``, indexed by packed syndrome;
         a syndrome not decoded yet reads ``_MISS``.  Before the budget's
-        first miss it is an empty shared dict, never written."""
+        first miss it is an empty shared dict, never written.  On a code
+        with a dense table a slot reads ``_MISS`` until the first miss in
+        its block of ``_BLOCK`` syndromes, and its decode from then on."""
         if not 0 <= budget <= self.t:
             raise ValueError(f"budget {budget} outside [0, t={self.t}]")
         return self._memos[budget]
@@ -489,10 +496,11 @@ class ComponentCodeSpec:
         budget (default t, at most t) consistent with all syndromes and
         parity checks, or None on failure.  All decoding is memoized here,
         in ``memo(budget)``, after the budget and the syndrome's range are
-        checked: a negative list index would wrap.  A miss reads the dense
-        decode table when the syndrome has at most 20 bits and fills its
-        slot; wider syndromes solve the error locator and are kept while
-        the budget's dict holds fewer than ``_BDD_CACHE_CAP`` entries.
+        checked: a negative list index would wrap.  When the syndrome has
+        at most 20 bits, a miss fills the whole block of ``_BLOCK`` memo
+        slots holding it from the dense decode table; wider syndromes solve
+        the error locator and are kept while the budget's dict holds fewer
+        than ``_BDD_CACHE_CAP`` entries.
         """
         if budget is None:
             budget = self.t
@@ -507,11 +515,11 @@ class ComponentCodeSpec:
         if memo is _NO_MEMO:
             memo = self._writable_memo(budget)
         if self.has_table:
-            result = memo[packed] = self._decode_table(packed, budget)
-        else:
-            result = self._decode_algebraic(packed, budget)
-            if len(memo) < _BDD_CACHE_CAP:
-                memo[packed] = result
+            self._fill_block(memo, packed, budget)
+            return memo[packed]
+        result = self._decode_algebraic(packed, budget)
+        if len(memo) < _BDD_CACHE_CAP:
+            memo[packed] = result
         return result
 
     def _writable_memo(self, budget: int):
@@ -590,27 +598,29 @@ class ComponentCodeSpec:
         for syn, row, w in zip(miss[ok].tolist(), pos.tolist(), weight):
             memo[syn] = tuple(row[:w])
 
-    def _decode_table(self, packed: int, budget: int) -> tuple[int, ...] | None:
-        """Miss path for syndromes of at most 20 bits: one table read,
-        through a memoryview, which returns a Python int."""
-        if self._table_view is None:
-            self._load_table()
-        v = self._table_view[packed]
-        if v < 0:
-            return None
-        width = self._slot_width
-        field_mask = (1 << width) - 1
-        out = []
-        while v:
-            out.append((v & field_mask) - 1)
-            v >>= width
-        return tuple(out) if len(out) <= budget else None
+    def _fill_block(self, memo: list, packed: int, budget: int) -> None:
+        """Miss path for syndromes of at most 20 bits: fill the block of
+        ``_BLOCK`` memo slots holding ``packed`` (the whole memo when it is
+        shorter) from the dense table in one pass.  The block's entries
+        are unpacked as decode_batch rows, each weight's supports are built
+        as tuples from columns, and supports heavier than the budget, like
+        undecodable syndromes, are left None."""
+        size = min(_BLOCK, len(memo))
+        lo = packed & -size
+        pos, ok = self._batch_table(np.arange(lo, lo + size))
+        weight = np.where(ok, (pos >= 0).sum(axis=1), -1)
+        block = [None] * size
+        for w in range(budget + 1):
+            slots = np.flatnonzero(weight == w)
+            supports = zip(*pos[slots, :w].T.tolist()) if w else [()] * slots.size
+            for slot, support in zip(slots.tolist(), supports):
+                block[slot] = support
+        memo[lo : lo + size] = block
 
     def _load_table(self) -> np.ndarray:
-        """The dense decode table, built on first use, and its view."""
+        """The dense decode table, built on first use."""
         if self._table is None:
             self._table = self._build_table()
-            self._table_view = memoryview(self._table)
         return self._table
 
     def _build_table(self) -> np.ndarray:

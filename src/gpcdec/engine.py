@@ -37,11 +37,12 @@ half-iterations:
   reach an anchor calls the freeze check and, for marked anchors,
   ``backtrack``.  A visit's BDD is one read of the code's memo of the
   budget, indexed by syndrome (``ComponentCodeSpec.memo``), and a call of
-  ``decode_packed`` only on a miss.  Where decode_batch solves misses in
-  closed form (no dense decode table, t = 2 or 3), each half-iteration
-  first decodes the eligible codewords' syndromes that miss the memo in
-  one batch (``ComponentCodeSpec.prefetch``); a syndrome changed
-  mid-sweep is decoded when visited, as before.
+  ``decode_packed`` only on a miss, which on a code with a dense decode
+  table fills the syndrome's whole block of the memo.  Where decode_batch
+  solves misses in closed form (no dense decode table, t = 2 or 3), each
+  half-iteration first decodes the eligible codewords' syndromes that
+  miss the memo in one batch (``ComponentCodeSpec.prefetch``); a
+  syndrome changed mid-sweep is decoded when visited, as before.
 
 Per-codeword status values: 0 = anchor, 1 = eligible for decoding,
 2 = decoding failed, 3 = frozen.  The only status transitions are

@@ -197,12 +197,24 @@ def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
 
 
 def sample_bsc(rng: np.random.Generator, num_bits: int, p: float) -> np.ndarray:
-    """IID Bernoulli(p) error vector."""
+    """IID Bernoulli(p) error vector: bit i is ``rng.random() < p`` for
+    the i-th draw.  On Philox the words are compared raw, which is faster
+    and gives the same bits and the same generator state after: a draw
+    is (word >> 11) / 2^53, below p exactly when the word is below
+    ceil(p * 2^53) << 11.  At p = 1 that bound is 2^64, past every word,
+    so the words are drawn and every bit is set.  Other bit generators
+    may form their doubles differently and draw through ``random``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if num_bits < 0:
         raise ValueError("num_bits must be >= 0")
-    return (rng.random(num_bits) < p).astype(np.uint8)
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.Philox):
+        return (rng.random(num_bits) < p).astype(np.uint8)
+    words = bitgen.random_raw(num_bits)
+    if p == 1.0:
+        return np.ones(num_bits, dtype=np.uint8)
+    return (words < np.uint64(ceil(p * 2**53) << 11)).view(np.uint8)
 
 
 def _skip_draws(bitgen, pos: int, stop: int) -> None:

@@ -524,10 +524,12 @@ class TestDecodeTable:
          (8, 2, 1, 61), (5, 3, 0, 0), (7, 1, 1, 0)],
     )
     def test_every_syndrome_and_budget_matches_algebra(self, args):
+        # through decode_packed, so through the memo's block fill: (4,2,0,0)
+        # is narrower than a block, (8,2,1,61) spans 128 of them
         code = build_component_code(*args)
         for packed in range(1 << code.packed_bits):
             for budget in range(code.t + 1):
-                got = code._decode_table(packed, budget)
+                got = code.decode_packed(packed, budget)
                 assert got == code._decode_algebraic(packed, budget), (packed, budget)
         # every support of weight <= t owns its own slot
         filled = int((code._table >= 0).sum())

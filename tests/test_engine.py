@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 import gpcdec.engine
 import gpcdec.postprocess
-from gpcdec.bch import _MISS, ComponentCodeSpec
+from gpcdec.bch import _BLOCK, _MISS, ComponentCodeSpec
 from gpcdec.layout import CodewordId, GpcLayout, build_product_layout, build_staircase_layout
 from gpcdec.engine import (
     ANCHOR,
@@ -807,17 +807,38 @@ class TestMemo:
     """The BDD memo as decode_cw reads it, and layouts pickled after use."""
 
     def test_decode_cw_first_touch_then_hit(self):
+        """A slot reads _MISS until the first miss in its block of
+        _BLOCK syndromes; that miss fills the whole block with the
+        algebraic decodes at its budget and changes no other slot."""
         code = ComponentCodeSpec(7, 2, 1, 0)
         layout = build_product_layout(code)
         state = DecoderState(layout, np.zeros(layout.n_bits, np.uint8))
+        size = 1 << code.packed_bits
+        assert size > 4 * _BLOCK
         for budget in range(code.t + 1):
-            for s in range(1 << code.packed_bits):
-                want = code._decode_algebraic(s, budget)
+            want = [code._decode_algebraic(s, budget) for s in range(size)]
+            # blocks touched out of order, first in their middle
+            for lo in [3 * _BLOCK, 0, size - _BLOCK, _BLOCK]:
+                s = lo + _BLOCK // 2 + 5
+                before = list(code.memo(budget)) or [_MISS] * size
+                assert before[s] is _MISS
                 state.syn[0] = s
-                assert code.memo(budget)[s] is _MISS
-                assert state.decode_cw(0, budget) == want
-                assert code.memo(budget)[s] == want
-                assert state.decode_cw(0, budget) == want
+                assert state.decode_cw(0, budget) == want[s]
+                after = code.memo(budget)
+                assert after[lo : lo + _BLOCK] == want[lo : lo + _BLOCK]
+                assert after[:lo] == before[:lo]
+                assert after[lo + _BLOCK :] == before[lo + _BLOCK :]
+                assert state.decode_cw(0, budget) == want[s]
+            # the other blocks stay unfilled: no slot reads a decode
+            assert code.memo(budget).count(_MISS) == size - 4 * _BLOCK
+
+    def test_budget_below_t_stores_none_for_heavier_supports(self):
+        code = ComponentCodeSpec(7, 2, 1, 0)
+        for budget, support in [(1, (3, 70)), (1, (5, code.n_core)), (0, (0,))]:
+            packed = code.syndrome_packed(support)
+            assert code.decode_packed(packed, budget) is None
+            assert code.memo(budget)[packed] is None
+            assert code.decode_packed(packed) == support
 
     @pytest.mark.parametrize("args", [(7, 2, 1, 0), (8, 3, 0, 0)])
     def test_used_layout_survives_pickle(self, args):

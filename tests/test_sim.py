@@ -11,6 +11,7 @@ invariance) are tested independently of those constants.
 import signal
 import time
 from dataclasses import fields
+from math import ceil
 
 import numpy as np
 import pytest
@@ -60,6 +61,41 @@ class TestSampleBsc:
         mean = sample_bsc(rng, n, p).mean()
         sigma = (p * (1 - p) / n) ** 0.5
         assert abs(mean - p) < 3 * sigma
+
+    EDGE_P = [0.0, 2**-53, 1e-300, 0.016, 0.5, 1 - 2**-53, 1.0]
+
+    @pytest.mark.parametrize("p", EDGE_P)
+    @pytest.mark.parametrize("n", [0, 1, 4097])
+    def test_philox_equals_random_compare(self, p, n):
+        rng, ref = frame_rng(4, 2), frame_rng(4, 2)
+        got = sample_bsc(rng, n, p)
+        want = (ref.random(n) < p).astype(np.uint8)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert rng_state(rng) == rng_state(ref)
+
+    @pytest.mark.parametrize("p", EDGE_P)
+    def test_philox_words_next_to_the_bound(self, p):
+        """Drawn words almost never land next to the bound between bits
+        0 and 1, so the generator's buffer is set to words that do: the
+        last and first 53-bit draws on either side of p, plus both ends."""
+        k = ceil(p * 2**53)  # the least 53-bit draw not below p
+        words = [max(k - 1, 0) << 11 | 2047, min(k, 2**53 - 1) << 11, 0, 2**64 - 1]
+        rng, ref = frame_rng(4, 2), frame_rng(4, 2)
+        for gen in (rng, ref):
+            state = gen.bit_generator.state
+            state["buffer"], state["buffer_pos"] = np.array(words, np.uint64), 0
+            gen.bit_generator.state = state
+        got = sample_bsc(rng, 6, p)
+        assert np.array_equal(got, (ref.random(6) < p).astype(np.uint8))
+        assert rng_state(rng) == rng_state(ref)
+
+    def test_other_bit_generators_draw_doubles(self):
+        for p in (0.016, 1.0):
+            rng = np.random.Generator(np.random.MT19937(5))
+            ref = np.random.Generator(np.random.MT19937(5))
+            got = sample_bsc(rng, 1000, p)
+            assert np.array_equal(got, (ref.random(1000) < p).astype(np.uint8))
+            assert rng.random() == ref.random()
 
     def test_validation(self):
         rng = np.random.default_rng(0)
@@ -148,6 +184,16 @@ class TestSampleFrame:
             assert rng_state(rng) == rng_state(full_rng)
             # erasure post-processing draws on from here
             assert (rng.random(7) == full_rng.random(7)).all()
+
+    def test_staircase_equals_random_compare(self):
+        layout = build_staircase_layout(build_component_code(5, 2, 1, 2), 5, 4)
+        for p in (0.016, 1.0):
+            rng, ref = frame_rng(8, 1), frame_rng(8, 1)
+            want = (ref.random(layout.n_bits) < p).astype(np.uint8)
+            want[layout.pinned] = 0
+            got = gpcdec.sim._sample_frame(layout, rng, p)
+            assert np.array_equal(got, want)
+            assert rng_state(rng) == rng_state(ref)
 
     def test_product_is_one_draw(self, pc15, monkeypatch):
         drawn = []
@@ -484,6 +530,7 @@ class TestRunSweep:
         then (its call queue holds workers + 1), so all were decoded: 96
         frames here.  Held back at each point's likely stop, fewer are."""
         import multiprocessing
+        from multiprocessing.connection import wait
 
         decoded = multiprocessing.Value("q", 0)  # shared with the forked workers
         orig = gpcdec.sim._simulate_batch
@@ -499,8 +546,10 @@ class TestRunSweep:
         before = set(multiprocessing.active_children())
         records = run_sweep(stop_configs(pc15, 2, seed=1))
         for proc in set(multiprocessing.active_children()) - before:
-            proc.join(60)  # batches still running when the last point stopped
-            assert not proc.is_alive()
+            # batches still running when the last point stopped.  The
+            # pool's manager thread reaps the same workers, so join and
+            # is_alive race its waitpid; the sentinel reads exit alone.
+            assert wait([proc.sentinel], 60)
         counted = sum(r.frames for r in records)
         assert [r.frames for r in records] == [400, 400, 112, 48]
         queued_past = sum(min(3, 25 - r.frames // 16) * 16 for r in records)

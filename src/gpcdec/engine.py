@@ -31,7 +31,10 @@ half-iterations:
   ``delta`` or more conflicts are backtracked (their flips reversed).
   Its half-iteration is one call of ``DecoderState.visit_all``, the
   per-codeword status machine, visit by visit, since a visit can
-  backtrack an anchor and change later syndromes of the same type.  The
+  backtrack an anchor and change later syndromes of the same type.  A
+  type with nothing eligible is skipped at once: the state keeps one
+  flag per type, set by every return of a codeword to eligibility and
+  cleared when a half-iteration scans the type.  The
   flips of a decode are applied inline on Python lists, a bytearray and
   the layout's flat ``array('i')`` views; only a decode whose flips
   reach an anchor calls the freeze check and, for marked anchors,
@@ -160,7 +163,9 @@ class DecoderState:
     Owns the working frame copy, the syndromes (kept up to date flip by
     flip, with ``nonzero_count``), the per-codeword status list, the
     symmetric conflict sets L and the stored error locations E of every
-    anchor.
+    anchor.  ``live_types[ty]`` is False only when no codeword of type
+    ty (0-based) is eligible: every write of ELIGIBLE sets its type's
+    flag.
 
     ``visit_all`` is the status machine of Alg. 2: it visits the eligible
     codewords of a range in ascending order, each with one ``decode_cw``
@@ -171,7 +176,8 @@ class DecoderState:
     codeword (no flip is applied) or marks anchors; marked anchors are
     backtracked after the flips (``backtrack``, Alg. 3, which reverses
     an anchor's flips through ``error_correction``, Alg. 4).  Every
-    status change is a plain write of ``status[c]``.
+    status change is a plain write of ``status[c]``.  A budget reset is
+    ``reset_failed``.
 
     The frame is a numpy view over a bytearray, which the loop indexes
     directly, and the layout's index arrays are read through its flat
@@ -191,6 +197,8 @@ class DecoderState:
         self._buf = bytearray(np.ascontiguousarray(frame, dtype=np.uint8))
         self.frame = np.frombuffer(self._buf, dtype=np.uint8)
         self.status = [ELIGIBLE] * layout.n_cw
+        self.live_types = [True] * layout.num_types
+        self._per = layout.per_type
         self.conflicts = _ConflictSets()
         self.anchor_pos: list[tuple[int, ...] | None] = [None] * layout.n_cw
         self.stats = DecodeStats()
@@ -234,9 +242,19 @@ class DecoderState:
         if out is _MISS:
             out = self.code.decode_packed(s, budget)
         pin = self._pin_masks[c]
-        if pin and out and any(pin >> p & 1 for p in out):
-            return None
+        if pin and out:
+            for p in out:
+                if pin >> p & 1:
+                    return None
         return out
+
+    def reset_failed(self) -> None:
+        """Make every failed codeword eligible again (a budget reset)."""
+        status, live, per = self.status, self.live_types, self._per
+        for c, st in enumerate(status):
+            if st == FAILED:
+                status[c] = ELIGIBLE
+                live[c // per] = True
 
     # --- Alg. 4: error-correction step for bit (c, pos) ---------------------
 
@@ -256,6 +274,7 @@ class DecoderState:
         st = self.status[k]
         if st >= FAILED:  # FAILED or FROZEN: eligible again
             self.status[k] = ELIGIBLE
+            self.live_types[k // self._per] = True
             if st == FROZEN:
                 self._dissolve(k)
 
@@ -268,6 +287,7 @@ class DecoderState:
             raise RuntimeError(f"backtrack called on non-anchor {c}")
         for k in self._dissolve(c):
             self.status[k] = ELIGIBLE
+            self.live_types[k // self._per] = True
         for pos in self.anchor_pos[c]:
             self.error_correction(c, pos)
         self.status[c] = FROZEN
@@ -283,8 +303,16 @@ class DecoderState:
         corrections, anchor the codeword, and backtrack marked anchors.
 
         Returns whether any codeword was visited; a visit always changes
-        the status of its codeword.
+        the status of its codeword.  A whole codeword type returns False at
+        once when its ``live_types`` flag is clear, and clears the flag
+        before the scan; any other range neither reads nor clears it.
         """
+        per, live = self._per, self.live_types
+        if len(cws) == per and cws.step == 1 and not cws.start % per:
+            ty = cws.start // per
+            if not live[ty]:
+                return False
+            live[ty] = False
         n = self.code.n
         contrib = self.code.contrib_packed
         layout = self.layout
@@ -331,6 +359,7 @@ class DecoderState:
                 st = status[k]
                 if st >= FAILED:  # FAILED or FROZEN: eligible again
                     status[k] = ELIGIBLE
+                    live[k // per] = True
                     if st == FROZEN:
                         self._dissolve(k)
             syn[c] = s
@@ -406,9 +435,7 @@ def anchor_decode_state(
 
     def half_iteration(cws: range, budget: int, reset: bool) -> bool:
         if reset:
-            for c in range(layout.n_cw):
-                if status[c] == FAILED:
-                    status[c] = ELIGIBLE
+            state.reset_failed()
         if prefetch:
             lo, hi = cws.start, cws.stop
             layout.code.prefetch(
@@ -580,10 +607,9 @@ def _run_schedule(
     """
     sweep = layout.sweep_len
     per_type = layout.per_type
-    for plan in layout.window_plans(ell, reduced_t_iters):
-        last_reset = max(
-            (i for i, h in enumerate(plan) if h.reset_failed), default=-1
-        )
+    plans = layout.window_plans(ell, reduced_t_iters)
+    last_reset = layout.last_reset(ell, reduced_t_iters)
+    for plan in plans:
         stuck = 0
         if replay is not None:
             flips, flip = replay

@@ -71,15 +71,16 @@ class GpcLayout:
         True for structurally-zero bits (termination blocks).  Decoders
         must treat a proposed flip of a pinned bit as decoding failure.
     ``counted[b]``
-        True for bits included in error-rate accounting (all bits of a
-        product code; the real data blocks of a staircase).
+        True for bits included in error-rate accounting: the unpinned
+        bits (all bits of a product code; the real data blocks of a
+        staircase).
 
-    ``has_pinned`` and ``all_counted`` summarize the two masks once, so
-    per-frame code need not scan them, and ``sent`` is the ``range`` of
-    transmitted bits: every bit outside it is pinned and none inside it
-    is (all bits of a product code; on a staircase, the bits between the
-    first and the last block).  A mask that pins bits inside the span of
-    its unpinned bits is refused.
+    ``sent`` is the ``range`` of transmitted, and counted, bits: every
+    bit outside it is pinned and none inside it is (all bits of a
+    product code; on a staircase, the bits between the first and the
+    last block), and ``has_pinned`` says whether any bit is, so
+    per-frame code need not scan the masks.  A mask that pins bits
+    inside the span of its unpinned bits is refused.
 
     The anchor status machine reads scalar items, which numpy serves
     slowly, so the layout also holds ``flat_cw_bits``, ``flat_partner_cw``
@@ -97,7 +98,6 @@ class GpcLayout:
         n_bits: int,
         cw_bits: np.ndarray,
         pinned: np.ndarray,
-        counted: np.ndarray,
         window: int | None = None,
     ):
         if code.packed_bits > 62:
@@ -114,10 +114,9 @@ class GpcLayout:
         self.window = window
         self.cw_bits = np.ascontiguousarray(cw_bits, dtype=np.int32)
         self.pinned = pinned
-        self.counted = counted
+        self.counted = ~pinned
         self.sent = _sent_span(pinned)
         self.has_pinned = len(self.sent) < n_bits
-        self.all_counted = bool(counted.all())
         self._build_incidence()
         self._plans: dict[tuple[int, int], tuple[tuple[HalfIteration, ...], ...]] = {}
 
@@ -214,6 +213,13 @@ class GpcLayout:
         plans = self._plans[key] = tuple(out)
         return plans
 
+    def last_reset(self, ell: int, reduced_t_iters: int) -> int:
+        """Index of the entry of each plan of ``window_plans(ell,
+        reduced_t_iters)`` that carries ``reset_failed``, the first after
+        the reduced sweeps, or -1 where no plan has one (no reduced
+        phase, or one that fills the plan)."""
+        return reduced_t_iters * self.sweep_len if 0 < reduced_t_iters < ell else -1
+
     @property
     def sweep_len(self) -> int:
         """Half-iterations per sweep: types decoded together in one pass."""
@@ -223,7 +229,7 @@ class GpcLayout:
 
     @property
     def n_counted_bits(self) -> int:
-        return int(self.counted.sum())
+        return len(self.sent)
 
     @property
     def rate(self) -> float:
@@ -315,8 +321,7 @@ def build_product_layout(code: ComponentCodeSpec) -> GpcLayout:
     cw_bits[:n] = grid  # row j covers bits (j, 0..n-1)
     cw_bits[n:] = grid.T  # column l covers bits (0..n-1, l)
     pinned = np.zeros(n_bits, dtype=bool)
-    counted = np.ones(n_bits, dtype=bool)
-    return GpcLayout("product", code, 2, n, n_bits, cw_bits, pinned, counted)
+    return GpcLayout("product", code, 2, n, n_bits, cw_bits, pinned)
 
 
 def build_staircase_layout(
@@ -339,18 +344,18 @@ def build_staircase_layout(
         raise ValueError("need at least one real block (num_blocks >= 3)")
     n_bits = num_blocks * a * a
     num_types = num_blocks - 1
-    cw_bits = np.empty((num_types * a, n), dtype=np.int32)
-    pos = np.arange(a, dtype=np.int32)
-    for m in range(1, num_blocks):  # type m spans blocks m-1 and m
-        for r in range(a):
-            row = cw_bits[(m - 1) * a + r]
-            row[:a] = (m - 1) * a * a + pos * a + r  # column r of B_{m-1}
-            row[a:] = m * a * a + r * a + pos  # row r of B_m
+    # codeword (m, r) is row (m-1)*a + r of cw_bits; type m spans blocks
+    # m-1 and m, and block m-1 starts at bit base
+    base = (np.arange(num_types, dtype=np.int32) * a * a)[:, None, None]
+    r = np.arange(a, dtype=np.int32)[None, :, None]
+    pos = np.arange(a, dtype=np.int32)[None, None, :]
+    cw_bits = np.empty((num_types, a, n), dtype=np.int32)
+    cw_bits[:, :, :a] = base + pos * a + r  # column r of B_{m-1}
+    cw_bits[:, :, a:] = base + a * a + r * a + pos  # row r of B_m
     blk = np.arange(n_bits, dtype=np.int64) // (a * a)
     pinned = (blk == 0) | (blk == num_blocks - 1)
-    counted = ~pinned
     return GpcLayout(
-        "staircase", code, num_types, a, n_bits, cw_bits, pinned, counted,
+        "staircase", code, num_types, a, n_bits, cw_bits.reshape(-1, n), pinned,
         window=window,
     )
 

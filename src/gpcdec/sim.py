@@ -15,11 +15,12 @@ points, such as a p grid or every decoder variant at one p) runs through
 one process pool, whose workers keep the code's BDD memo warm from point
 to point.  ``2 * workers`` batches are kept in flight: in point order, the
 batches below each point's likely stop (extrapolated from its frame errors
-so far), so the next point starts while the current one finishes, and
-batches past a likely stop only when no other is left and a worker would
-idle.  Each point's results are still consumed in batch order and stopped
-by its own rule; a held-back batch it turns out to need is submitted then,
-and its batches in flight past the stop are cancelled and never counted.
+so far, rounded down), so the next point starts while the current one
+finishes, and batches past a likely stop only when no other is left and a
+worker would idle.  Each point's results are still consumed in batch
+order and stopped by its own rule; a held-back batch it turns out to need
+is submitted then, and its batches in flight past the stop are cancelled
+and never counted.
 """
 
 import operator
@@ -270,11 +271,10 @@ def _decode_frame(layout: GpcLayout, cfg: TrialConfig, index: int, collect: bool
             pp_res = erasure_pp(state, rng)
         out = pp_res.frame
     # the decoded frame holds only 0 and 1, so a count of its set bits is
-    # its error count, several times cheaper than a sum of its bytes
-    if layout.all_counted:
-        bit_errors = int(np.count_nonzero(out))
-    else:
-        bit_errors = int(np.count_nonzero(out & layout.counted))
+    # its error count, several times cheaper than a sum of its bytes; the
+    # counted bits are the sent ones
+    sent = layout.sent
+    bit_errors = int(np.count_nonzero(out[sent.start:sent.stop]))
     frame_error = bit_errors > 0
     if not collect:
         return bit_errors, frame_error, None
@@ -354,11 +354,14 @@ def _batch_runner(cfgs, collect: bool):
 def _likely_stop(cfg: TrialConfig, batches: int, frame_errors: int, end: int) -> int:
     """The batch count a point likely stops at, extrapolated from its
     ``batches`` consumed batches and their ``frame_errors``; ``end``, the
-    count ``max_frames`` allows, before its first error."""
+    count ``max_frames`` allows, before its first error.  The
+    extrapolation is rounded down, so the estimate errs low: a batch held
+    back that turns out to be needed waits while other batches keep the
+    workers busy, where one decoded past the stop is lost."""
     if not frame_errors:
         return end
     need = cfg.min_frame_errors - frame_errors
-    return min(end, batches + ceil(need * batches / frame_errors))
+    return min(end, batches + need * batches // frame_errors)
 
 
 def _run_points(cfgs, collect: bool) -> list[BerRecord]:

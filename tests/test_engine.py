@@ -366,7 +366,12 @@ def check_invariants(state):
     """Assert the invariants of a DecoderState: its syndromes and
     nonzero_count match its frame; conflict sets are non-empty, symmetric
     and pair an anchor with a frozen codeword; exactly the anchors store
-    error locations, at most t of them."""
+    error locations, at most t of them; a type whose live_types flag is
+    clear holds no eligible codeword."""
+    per = state.layout.per_type
+    for ty, live in enumerate(state.live_types):
+        if not live:
+            assert ELIGIBLE not in state.status[ty * per : (ty + 1) * per], ty
     syn = frame_syndromes(state.layout, state.frame)
     assert syn == state.syn, "stale syndromes"
     assert state.nonzero_count == sum(1 for s in syn if s)
@@ -405,9 +410,9 @@ def lockstep(layout, frame, ell, delta, reduced):
     for plan in layout.window_plans(ell, reduced):
         for cws, budget, reset in plan:
             if reset:
+                fast.reset_failed()
                 for c in range(layout.n_cw):
-                    if fast.status[c] == FAILED:
-                        fast.status[c] = ELIGIBLE
+                    if ref.status[c] == FAILED:
                         ref._set_status(c, ELIGIBLE)
             for c in cws:
                 step(fast, c, budget)
@@ -589,6 +594,35 @@ class TestBacktracking:
         ]
         # col 12 was never visited and keeps its channel-free eligibility
         assert state.status[col12] == ELIGIBLE
+
+    def test_backtrack_in_a_sweep_rearms_its_type(self, pc15):
+        """A whole-type visit_all clears its type's live_types flag before
+        it scans.  A backtrack later in the same scan frees column 2, which
+        the scan has passed; that sets the flag again, so the next sweep
+        of the columns visits column 2."""
+        lay = pc15
+        frame = grid_frame(lay, [(3, c) for c in (2, 5, 10, 14)])
+        self.twins = DecoderState(lay, frame, delta=1), ReferenceState(lay, frame, 1)
+        state, ref = self.twins
+        row = lay.cw_index(CodewordId(1, 4))
+        col2 = lay.cw_index(CodewordId(2, 3))
+        cols = range(lay.per_type, 2 * lay.per_type)
+        self.visit(row)  # miscorrects into flips at columns 4 and 12
+        assert state.status[row] == ANCHOR
+        # column 2 freezes against the anchor; column 4 backtracks it
+        assert state.visit_all(cols, 2)
+        ref.visit_all(cols, 2)
+        assert state.stats.backtracks == 1
+        assert state.status[col2] == ELIGIBLE
+        assert state.live_types == [True, True]
+        assert state.visit_all(cols, 2)
+        ref.visit_all(cols, 2)
+        assert state.status[col2] != ELIGIBLE
+        assert state_view(state) == state_view(ref)
+        check_invariants(state)
+        # nothing in the columns is eligible now: the next sweep is skipped
+        assert not state.live_types[1]
+        assert not state.visit_all(cols, 2)
 
     def test_higher_delta_freezes_instead(self, pc15):
         lay = pc15
@@ -887,7 +921,7 @@ class TestAnchorAgainstReference:
         assert delta == 2 or backtracks  # sanity: the backtrack path ran
 
     @given(
-        kind=st.sampled_from(["pc15", "sc16", "product", "staircase"]),
+        kind=st.sampled_from(["pc15", "sc16", "sc16-long", "product", "staircase"]),
         p=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
         ell=st.integers(1, 6),
@@ -897,10 +931,15 @@ class TestAnchorAgainstReference:
     )
     @settings(max_examples=40, deadline=None)
     def test_fuzz(self, kind, p, seed, ell, delta, reduced, pins):
+        """"sc16-long" has more blocks than window + 2, so the middle of
+        its chain leaves and re-enters windows: its types go quiet and
+        come back."""
         if kind == "pc15":
             layout, p_max = build_product_layout(CODE15), 0.25
         elif kind == "sc16":
             layout, p_max = build_staircase_layout(CODE16, 6, 3), 0.1
+        elif kind == "sc16-long":
+            layout, p_max = build_staircase_layout(CODE16, 8, 4), 0.1
         else:
             layout, p_max = wide_layout(kind), 0.03
         frame = noisy_frame(layout, np.random.default_rng(seed), p * p_max, pins)

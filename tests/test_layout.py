@@ -38,6 +38,20 @@ def reference_incidence(cw_bits, n_bits):
     return bit_cw, bit_pos
 
 
+def reference_staircase_cw_bits(code, num_blocks):
+    """cw_bits of a staircase chain by the row-by-row loop: codeword
+    (m, r) runs down column r of block m-1, then across row r of block m."""
+    n, a = code.n, code.n // 2
+    cw_bits = np.empty(((num_blocks - 1) * a, n), dtype=np.int32)
+    pos = np.arange(a, dtype=np.int32)
+    for m in range(1, num_blocks):
+        for r in range(a):
+            row = cw_bits[(m - 1) * a + r]
+            row[:a] = (m - 1) * a * a + pos * a + r
+            row[a:] = m * a * a + r * a + pos
+    return cw_bits
+
+
 def flat_plan(layout, ell, reduced_t_iters=0):
     """window_plans flattened: one entry per half-iteration."""
     return [h for plan in layout.window_plans(ell, reduced_t_iters) for h in plan]
@@ -134,6 +148,18 @@ class TestStaircaseLayout:
         # termination blocks pinned, three data blocks counted
         assert sc.pinned.sum() == 2 * a * a
         assert sc.n_counted_bits == 3 * a * a
+
+    @pytest.mark.parametrize(
+        "args,num_blocks,window",
+        [((4, 2, 1, 0), 5, 3), ((4, 2, 1, 0), 3, 2), ((5, 2, 1, 0), 8, 4),
+         ((7, 2, 1, 0), 12, 6)],
+    )
+    def test_cw_bits_match_reference_loop(self, args, num_blocks, window):
+        code = build_component_code(*args)
+        lay = build_staircase_layout(code, num_blocks, window)
+        want = reference_staircase_cw_bits(code, num_blocks)
+        assert lay.cw_bits.dtype == np.int32 and lay.cw_bits.flags.c_contiguous
+        assert np.array_equal(lay.cw_bits, want)
 
     def test_block_incidence(self, sc):
         # bit (r, c) of data block m sits at position a+c of codeword (m, r+1)
@@ -236,6 +262,18 @@ class TestIterationPlan:
         resets = [h.reset_failed for h in plan]
         assert resets == [False, False, True, False] * 3
 
+    def test_last_reset_equals_scan_of_plans(self, pc, sc):
+        """layout.last_reset against a scan of every plan for the entry
+        that carries reset_failed."""
+        for lay in (pc, sc):
+            for ell in range(1, 7):
+                for reduced in range(ell + 1):
+                    want = {
+                        max((i for i, h in enumerate(plan) if h.reset_failed), default=-1)
+                        for plan in lay.window_plans(ell, reduced)
+                    }
+                    assert want == {lay.last_reset(ell, reduced)}, (lay, ell, reduced)
+
     def test_visit_order_ascending(self, sc):
         for h in flat_plan(sc, 3, 1):
             assert (np.diff(h.cw_indices) > 0).all()
@@ -265,8 +303,10 @@ class TestIterationPlan:
             sc.window_plans(3, 4)
 
     def test_mask_summaries(self, pc, sc):
-        assert (pc.has_pinned, pc.all_counted) == (False, True)
-        assert (sc.has_pinned, sc.all_counted) == (True, False)
+        assert (pc.has_pinned, sc.has_pinned) == (False, True)
+        for lay in (pc, sc):
+            assert np.array_equal(lay.counted, ~lay.pinned)
+            assert lay.n_counted_bits == len(lay.sent) == lay.counted.sum()
         assert pc.sent == range(pc.n_bits)
         block = sc.n_bits // 5
         assert sc.sent == range(block, 4 * block)
@@ -281,10 +321,10 @@ class TestIterationPlan:
             pinned = np.zeros(n * n, dtype=bool)
             pinned[hole] = True
             with pytest.raises(ValueError, match=error):
-                GpcLayout("product", code16, 2, n, n * n, cw_bits, pinned, ~pinned)
+                GpcLayout("product", code16, 2, n, n * n, cw_bits, pinned)
         pinned = np.zeros(n * n, dtype=bool)
         pinned[:3] = pinned[-2:] = True
-        lay = GpcLayout("product", code16, 2, n, n * n, cw_bits, pinned, ~pinned)
+        lay = GpcLayout("product", code16, 2, n, n * n, cw_bits, pinned)
         assert lay.sent == range(3, n * n - 2)
 
 
@@ -349,7 +389,7 @@ class TestIncidence:
     def _layout(self, code, cw_bits, n_bits):
         pinned = np.zeros(n_bits, dtype=bool)
         return GpcLayout("product", code, 2, cw_bits.shape[0] // 2, n_bits,
-                         cw_bits, pinned, ~pinned)
+                         cw_bits, pinned)
 
     def test_errors_match_reference_loop(self, code15):
         n = code15.n

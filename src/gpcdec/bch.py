@@ -26,30 +26,28 @@ the same supports as rows of an array.  Both refuse a budget outside
 Which method serves a code depends on its packed syndrome width nu*t + e:
 
 - at most 20 bits, e.g. (7,2,1,0) at 15 bits and (8,2,1,61) at 17: a
-  dense int32 table over all 2^(nu*t+e) syndromes, built with numpy on
-  the first memo miss, names the unique support of weight <= t per
-  syndrome
+  dense table, built with numpy on the first memo miss, holds for each
+  of the 2^(nu*t+e) syndromes a row of t positions (int8 while n <= 128,
+  else int16; at most 4 MiB), ascending and padded with -1, naming the
+  unique support of weight <= t; padding alone is the empty support at
+  syndrome 0 and a failure elsewhere
 - wider syndromes solve the error locator algebraically: closed form plus a
   quadratic table at t=2, Peterson's locator plus a cubic table at t=3,
   Berlekamp-Massey plus a Chien search at t >= 4; the extension bits in
   error are then the parity bits XOR the core errors' parity contribution
 
-Both paths sit behind one memo per budget, indexed by the packed
-syndrome and reached through ``memo(budget)``.  Either reads ``_MISS``
-for a syndrome not decoded yet.  A code with a dense table keeps a list
-of 2^(nu*t+e) slots, filled a block of ``_BLOCK`` (1024) syndromes at a
-time: the first miss in a block decodes every syndrome of the block from
-the table in one numpy pass, so set-up pays for one block and a run for
-the blocks it meets.  A wider code keeps an int-keyed dict of at most
-``_BDD_CACHE_CAP`` entries, filled one syndrome per miss.  Each budget's
-memo is allocated on its first miss, and a pickled code drops its memos
-and arrives cold.
+Both paths sit behind one memo per budget, ``memo(budget)``, indexed
+by the packed syndrome and reading ``_MISS`` before its decode.  A table
+code keeps a list of 2^(nu*t+e) slots; the first miss in a block of
+``_BLOCK`` (1024) fills the block from a slice of the table.  A wider
+code keeps a dict of at most ``_BDD_CACHE_CAP`` entries, filled one
+syndrome per miss.  Each budget's memo is allocated on its first miss,
+and a pickled code drops its memos and table and arrives cold.
 
 ``decode_batch`` decodes an array of syndromes in one pass with the same
-results, for the engine's batched half-iterations: a gather from the dense
-table, or the t=2 and t=3 closed forms over arrays.  At t >= 4 without a
-table it loops over the memoized scalar decoder.  ``prefetch`` uses it to
-fill the memo for a set of syndromes at once.
+results: a gather of table rows, the t=2 and t=3 closed forms over
+arrays, or at t >= 4 a loop over the memoized scalar decoder.
+``prefetch`` uses it to fill the memo for a set of syndromes at once.
 
 The t=2 and t=3 closed forms are written once, evaluating every branch
 and selecting with ``where``, ``minimum`` and ``maximum``: numpy's over
@@ -280,8 +278,6 @@ class ComponentCodeSpec:
             for pos in range(self.n_core)
         ] + pmask[self.n_core :]
 
-        # decode-table slots hold position+1 in fields this wide, ascending
-        self._slot_width = self.n.bit_length()
         self.has_table = self.packed_bits <= _TABLE_BITS
         # decode_batch runs the t=2/t=3 closed forms over arrays; otherwise
         # a code without a table loops over decode_packed
@@ -538,11 +534,11 @@ class ComponentCodeSpec:
         """BDD of an array of packed syndromes, one row per syndrome.
 
         Returns ``(pos, ok)``: ``ok[i]`` is False where decode_packed would
-        return None, and ``pos[i]`` is an int64 row of t ascending
+        return None, and ``pos[i]`` is an integer row of t ascending
         positions padded with -1 holding what it would return otherwise
-        (all -1 on failure).  Codes with a dense table gather from it; wider
-        codes at t=2 and t=3 run the closed forms over arrays.  Both leave
-        the memo untouched.  Wider codes at t >= 4 loop over decode_packed.
+        (all -1 on failure): table rows (int8 or int16), or the t=2 and
+        t=3 closed forms over arrays, both leaving the memo untouched, or
+        at t >= 4 a loop over decode_packed.
         """
         if budget is None:
             budget = self.t
@@ -551,9 +547,10 @@ class ComponentCodeSpec:
         packed = np.asarray(packed, dtype=np.int64)
         if packed.size and (packed.min() < 0 or packed.max() >> self.packed_bits):
             raise ValueError(f"syndromes do not fit {self.packed_bits} bits")
-        if self.has_table:
-            pos, ok = self._batch_table(packed)
-        elif self.batch_closed_form:
+        if self.has_table:  # failed rows are all -1, and so is syndrome 0's
+            pos = self.decode_rows(packed, budget)
+            return pos, (pos[:, 0] >= 0) | (packed == 0)
+        if self.batch_closed_form:
             pos, ok = self._batch_solve(packed)
         else:
             pos = np.full((packed.size, self.t), -1, dtype=np.int64)
@@ -564,10 +561,20 @@ class ComponentCodeSpec:
                     pos[i, : len(got)] = got
                     ok[i] = True
             return pos, ok
-        if budget < self.t:
-            ok &= (pos >= 0).sum(axis=1) <= budget
+        if budget < self.t:  # rows ascend: weight <= budget iff pos[budget] < 0
+            ok &= pos[:, budget] < 0
         pos[~ok] = -1
         return pos, ok
+
+    def decode_rows(self, packed: np.ndarray, budget: int) -> np.ndarray:
+        """decode_batch's positions of nonzero syndromes the engine computed,
+        unchecked: on a table code one gather, failed rows all -1."""
+        if not self.has_table:
+            return self.decode_batch(packed, budget)[0]
+        pos = self._load_table().take(packed, axis=0)
+        if budget < self.t:  # rows ascend: weight <= budget iff pos[budget] < 0
+            pos[pos[:, budget] >= 0] = -1
+        return pos
 
     def prefetch(self, packed: Iterable[int], budget: int) -> None:
         """Memoize, in one decode_batch call, the decodes of the given
@@ -599,21 +606,20 @@ class ComponentCodeSpec:
             memo[syn] = tuple(row[:w])
 
     def _fill_block(self, memo: list, packed: int, budget: int) -> None:
-        """Miss path for syndromes of at most 20 bits: fill the block of
-        ``_BLOCK`` memo slots holding ``packed`` (the whole memo when it is
-        shorter) from the dense table in one pass.  The block's entries
-        are unpacked as decode_batch rows, each weight's supports are built
-        as tuples from columns, and supports heavier than the budget, like
-        undecodable syndromes, are left None."""
+        """Miss path of table codes: fill the block of ``_BLOCK`` memo slots
+        holding ``packed`` (the whole memo when shorter) from the table's
+        rows, each weight's supports as tuples built from columns.  Slot 0
+        is the empty support; heavier supports and failures stay None."""
         size = min(_BLOCK, len(memo))
         lo = packed & -size
-        pos, ok = self._batch_table(np.arange(lo, lo + size))
-        weight = np.where(ok, (pos >= 0).sum(axis=1), -1)
+        pos = self._load_table()[lo : lo + size]
+        weight = (pos >= 0).sum(axis=1)
         block = [None] * size
-        for w in range(budget + 1):
+        if not lo:
+            block[0] = ()
+        for w in range(1, budget + 1):
             slots = np.flatnonzero(weight == w)
-            supports = zip(*pos[slots, :w].T.tolist()) if w else [()] * slots.size
-            for slot, support in zip(slots.tolist(), supports):
+            for slot, support in zip(slots.tolist(), zip(*pos[slots, :w].T.tolist())):
                 block[slot] = support
         memo[lo : lo + size] = block
 
@@ -624,24 +630,21 @@ class ComponentCodeSpec:
         return self._table
 
     def _build_table(self) -> np.ndarray:
-        """Dense decode table: slot s holds the unique support of weight
-        <= t with packed syndrome s, as position+1 in ascending
-        ``_slot_width``-bit fields (0 for the empty support), or -1 when no
-        such support exists.  d_min >= 2t+1 makes the support unique, so no
-        slot is written twice.  An entry fits int32: n <= 2^nu + 1, so the
-        t fields take at most t(nu+1) <= 20 + t <= 26 bits (nu >= 3), and
-        so does every syndrome, so the growth runs in int32 throughout.
+        """Dense decode table: row s holds the unique support of weight
+        <= t with packed syndrome s, as described in the module docstring;
+        d_min >= 2t+1 makes it unique, so no row is written twice.
         Supports of weight w+1 extend those of weight w by every position
-        above their last."""
-        n, width = self.n, self._slot_width
+        above their last; syndromes fit int32."""
+        n = self.n
         contrib = np.array(self.contrib_packed, dtype=np.int32)
-        table = np.full(1 << self.packed_bits, -1, dtype=np.int32)
-        table[0] = 0
+        dtype = np.int8 if n <= 128 else np.int16
+        table = np.full((1 << self.packed_bits, self.t), -1, dtype=dtype)
         last = np.arange(n, dtype=np.int32)  # last position of each support
         syn = contrib
-        entry = last + 1
+        support = [last]  # the supports' positions, one array per column
         for w in range(1, self.t + 1):
-            table[syn] = entry
+            for j, col in enumerate(support):
+                table[syn, j] = col
             if w == self.t:
                 break
             grow = n - 1 - last  # positions above each support's last
@@ -650,7 +653,7 @@ class ComponentCodeSpec:
                 start - last - 1, grow
             )
             syn = np.repeat(syn, grow) ^ contrib[last]
-            entry = np.repeat(entry, grow) | (last + 1) << (w * width)
+            support = [np.repeat(col, grow) for col in support] + [last]
         return table
 
     def _decode_algebraic(self, packed: int, budget: int) -> tuple[int, ...] | None:
@@ -671,14 +674,6 @@ class ComponentCodeSpec:
             h ^= pmask[pos]
         out = core + tuple(self.n_core + i for i in range(e) if h >> i & 1)
         return out if len(out) <= budget else None
-
-    def _batch_table(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """decode_batch for syndromes of at most 20 bits: unpack the table's
-        fields; a field of 0 is padding and reads as position -1."""
-        v = self._load_table()[packed].astype(np.int64)
-        shifts = np.arange(self.t)[:, None] * self._slot_width
-        pos = ((v >> shifts) & ((1 << self._slot_width) - 1)) - 1
-        return pos.T, v >= 0
 
     def _batch_solve(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """decode_batch for wider syndromes at t=2 and t=3: the closed form

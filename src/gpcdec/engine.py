@@ -6,22 +6,20 @@ three: it calls the decoder's half-iteration on each scheduled codeword
 type, counts half-iterations, ends the frame once the decoder reports it
 finished (every syndrome zero; for the genie, no error left), and leaves
 a window position once a full sweep changed nothing and no budget reset
-is still ahead.  For iterative BDD it also leaves a window position once
-a sweep's flips cancel: the frame is back where it was a sweep earlier,
-so the rest of the plan would replay that sweep, and the driver accounts
-it without decoding.  The other two do not replay: an anchor
-half-iteration depends on statuses and conflicts as well as the frame,
-and the genie only clears errors, so it cannot cycle.  The
+is still ahead, or, for iterative BDD, once a sweep's flips cancel: the
+rest of the plan would replay that sweep, which the driver accounts
+without decoding.  An anchor half-iteration depends on statuses as well
+as the frame, and the genie cannot cycle, so neither replays.  The
 half-iterations:
 
 * ``iterative_bdd``: conventional iterative bounded-distance decoding.
   Every scheduled codeword is BDD-decoded and corrections are applied
   immediately.  Miscorrections propagate freely, and often cycle: one
   pass flips back exactly the bits the other pass flipped.  Codewords of
-  one type share no bit, so a half-iteration is one batched decode
-  (``ComponentCodeSpec.decode_batch``) of the type's nonzero syndromes,
-  then one scatter of all accepted flips into the frame and the int64
-  syndrome vector.
+  one type share no bit, so a half-iteration is one batched decode of the
+  type's nonzero syndromes (a gather of decode-table rows, or
+  ``ComponentCodeSpec.decode_batch``), then one application of all
+  accepted flips by (codeword, position).
 * ``genie_decode``: idealized iterative BDD.  Each component decode
   succeeds only when the received word is within distance t of the true
   codeword, so miscorrections never happen.  Used as a performance bound.
@@ -32,20 +30,9 @@ half-iterations:
   Its half-iteration is one call of ``DecoderState.visit_all``, the
   per-codeword status machine, visit by visit, since a visit can
   backtrack an anchor and change later syndromes of the same type.  A
-  type with nothing eligible is skipped at once: the state keeps one
-  flag per type, set by every return of a codeword to eligibility and
-  cleared when a half-iteration scans the type.  The
-  flips of a decode are applied inline on Python lists, a bytearray and
-  the layout's flat ``array('i')`` views; only a decode whose flips
-  reach an anchor calls the freeze check and, for marked anchors,
-  ``backtrack``.  A visit's BDD is one read of the code's memo of the
-  budget, indexed by syndrome (``ComponentCodeSpec.memo``), and a call of
-  ``decode_packed`` only on a miss, which on a code with a dense decode
-  table fills the syndrome's whole block of the memo.  Where decode_batch
-  solves misses in closed form (no dense decode table, t = 2 or 3), each
-  half-iteration first decodes the eligible codewords' syndromes that
-  miss the memo in one batch (``ComponentCodeSpec.prefetch``); a
-  syndrome changed mid-sweep is decoded when visited, as before.
+  visit's BDD reads the code's memo (``ComponentCodeSpec.memo``), which
+  ``decode_packed`` fills on a miss, or in one batch per half-iteration
+  on wide t = 2 and t = 3 codes (``ComponentCodeSpec.prefetch``).
 
 Per-codeword status values: 0 = anchor, 1 = eligible for decoding,
 2 = decoding failed, 3 = frozen.  The only status transitions are
@@ -141,14 +128,6 @@ def _fold_bits(layout: GpcLayout, acc: np.ndarray, bits: np.ndarray) -> None:
         np.bitwise_xor.at(acc, owners.ravel(), contribs.ravel())
 
 
-def _check_valid_frame(layout: GpcLayout, frame: np.ndarray) -> None:
-    syn = frame_syndromes(layout, frame)  # checks the shape and the bits
-    if layout.has_pinned and frame[layout.pinned].any():
-        raise ValueError("true_frame sets pinned (known-zero) bits")
-    if any(syn):
-        raise ValueError("true_frame is not a valid codeword of the GPC")
-
-
 class _ConflictSets(dict):
     """Conflict sets L by codeword.  Only non-empty sets are stored; any
     other codeword reads as an empty frozenset."""
@@ -179,11 +158,10 @@ class DecoderState:
     status change is a plain write of ``status[c]``.  A budget reset is
     ``reset_failed``.
 
-    The frame is a numpy view over a bytearray, which the loop indexes
-    directly, and the layout's index arrays are read through its flat
-    ``array('i')`` views.  The syndromes come from ``frame_syndromes``,
-    which rejects a frame of the wrong length or holding anything but 0
-    and 1.  Post-processing reads a terminal state and never changes it.
+    The frame is a numpy view over a bytearray, and the layout's index
+    arrays are read through its flat ``array('i')`` views.  The frame is
+    checked by ``frame_syndromes``.  Post-processing reads a terminal
+    state and never changes it.
     """
 
     def __init__(self, layout: GpcLayout, frame: np.ndarray, delta: int = 1):
@@ -458,26 +436,30 @@ def iterative_bdd(
     """Conventional iterative BDD of one frame.
 
     A half-iteration decodes every codeword of its type whose syndrome is
-    nonzero in one batch and applies every correction at once.  Codewords
-    of one type share no bit, so their syndromes cannot change within the
-    half-iteration, and the result equals visiting them one by one in
-    index order.  A correction that flips a pinned (known-zero) bit is
-    refused as a failure.
+    nonzero in one batch and applies every correction at once: the bits
+    flip, the accepted codewords' syndromes become 0 (a BDD support's
+    syndrome is its codeword's), and one ``bitwise_xor.at`` folds each
+    flip into its partner's syndrome, a missing partner (-1) into the
+    last slot, which swallows it.  Codewords of one type share no bit, so
+    the result equals visiting them one by one in index order.  A
+    correction that flips a pinned (known-zero) bit is refused as a
+    failure; only the types whose spans reach a pinned bit check.
 
     BDD is a pure function of the syndrome and the budget, so a
-    half-iteration is a pure function of the frame and its plan entry,
-    and the decoder opts into the driver's replay (``_run_schedule``).
-    A codeword that failed is decoded again in later half-iterations, to
-    the same failure unless its syndrome or the budget changed, until a
-    sweep's flips cancel: from then on each sweep would repeat the last,
-    and the rest of the window position is accounted without decoding.
+    half-iteration is a pure function of the frame and its plan entry:
+    once a sweep's flips cancel, the driver's replay (``_run_schedule``)
+    accounts the rest of the window position without decoding.
     """
     code = layout.code
     acc = _syndrome_vector(layout, frame)
     work = frame.astype(np.uint8, copy=True)
     syn = acc[: layout.n_cw]
-    cw_bits = layout.cw_bits
-    cw_pinned = layout.cw_pinned if layout.has_pinned else None
+    n, contrib = code.n, code.contrib_packed_np
+    cw_bits, partner_cw, partner_pos, cw_pinned = (
+        a.ravel() for a in (layout.cw_bits, layout.partner_cw, layout.partner_pos, layout.cw_pinned)
+    )
+    sent, per_type = layout.sent, layout.per_type
+    pinned_types = [lo < sent.start or hi > sent.stop for lo, hi in layout.type_spans.tolist()]
     stats = DecodeStats()
     flips: list[np.ndarray] = []  # bits flipped by each half-iteration
 
@@ -491,17 +473,16 @@ def iterative_bdd(
         if not rows.size:
             flips.append(_NO_BITS)
             return 0
-        pos, _ = code.decode_batch(seg[rows], budget)
-        r, k = np.nonzero(pos >= 0)  # failed rows are all -1
-        c = rows[r] + cws.start
-        p = pos[r, k]
-        if cw_pinned is not None:
-            refuted = np.zeros(rows.size, dtype=bool)
-            refuted[r[cw_pinned[c, p]]] = True
-            keep = ~refuted[r]
-            c, p = c[keep], p[keep]
-        bits = cw_bits[c, p]
-        flip(bits)
+        pos = code.decode_rows(seg[rows], budget)
+        ok = pos >= 0
+        slots = (rows + cws.start)[:, None] * n + pos  # flat (codeword, position)
+        if pinned_types[cws.start // per_type]:
+            ok &= ~(cw_pinned[slots] & ok).any(axis=1, keepdims=True)
+        i = slots[ok]
+        bits = cw_bits[i]
+        work[bits] ^= 1
+        seg[rows[ok[:, 0]]] = 0  # a support's syndrome is its codeword's
+        np.bitwise_xor.at(acc, partner_cw[i], contrib[partner_pos[i]])
         stats.corrections += bits.size
         flips.append(bits)
         return bits.size
@@ -527,44 +508,57 @@ def genie_decode(
     reference is checked like a frame and then as a GPC codeword, before
     any half-iteration.  A frame without errors runs no half-iteration,
     but its schedule is checked as the other decoders check it.
+
+    The error bits, ascending, and their codewords in the even and the
+    odd types are taken once.  A half-iteration reads the errors still
+    live in its type's bit span (``GpcLayout.type_spans``), found by
+    binary search, or none while no correction changed them.
     """
-    t = layout.code.t
+    t, per_type = layout.code.t, layout.per_type
     layout.window_plans(ell)
-    _set_bits(layout, frame)
-    err = frame.astype(bool)
+    bits = _set_bits(layout, frame)
     if true_frame is not None:
         ref = np.asarray(true_frame)
-        _check_valid_frame(layout, ref)
-        err ^= ref.astype(bool)
-    bit_cw = layout.bit_cw
-    per_type = layout.per_type
+        syn = frame_syndromes(layout, ref)  # checks the shape and the bits
+        if layout.has_pinned and ref[layout.pinned].any():
+            raise ValueError("true_frame sets pinned (known-zero) bits")
+        if any(syn):
+            raise ValueError("true_frame is not a valid codeword of the GPC")
+        bits = np.flatnonzero(frame.astype(bool) ^ ref.astype(bool))
+    owners = layout.bit_cw[bits]  # (m, 2), -1 for absent partners
+    odd = (owners[:, 0] // per_type & 1).astype(bool)
+    by_parity = np.where(odd, owners[:, ::-1].T, owners.T)
+    live = np.ones(bits.size, dtype=bool)
+    # stale[ty + 1]: an adjacent type corrected since type ty's last
+    # half-iteration; ty's own corrections leave it none to correct
+    stale = [True] * (layout.num_types + 2)
     stats = DecodeStats()
-    left = int(np.count_nonzero(err))  # errors left, kept by half_iteration
+    left = bits.size  # errors left, kept by half_iteration
 
     def half_iteration(cws: range, _budget: int, _reset: bool) -> bool:
         nonlocal left
-        bits = np.nonzero(err)[0]
-        lo, hi = cws.start, cws.stop
-        owners = bit_cw[bits]  # (m, 2)
-        in_type = (owners >= lo) & (owners < hi)
-        rows = np.where(in_type[:, 0], owners[:, 0], owners[:, 1])
-        sel = in_type.any(axis=1)
-        rows = rows[sel]
-        tbits = bits[sel]
-        cnt = np.bincount(rows - lo, minlength=per_type)
-        fix = (cnt[rows - lo] <= t).nonzero()[0]
-        err[tbits[fix]] = False
-        stats.corrections += int(fix.size)
-        left = bits.size - fix.size
-        return fix.size > 0
+        ty = cws.start // per_type
+        if not stale[ty + 1]:
+            return False
+        stale[ty + 1] = False
+        a, b = np.searchsorted(bits, layout.type_spans[ty])
+        idx = np.flatnonzero(live[a:b]) + a
+        rows = by_parity[ty & 1, idx] - cws.start
+        cnt = np.bincount(rows, minlength=per_type)
+        fix = idx[cnt[rows] <= t]
+        if not fix.size:
+            return False
+        live[fix] = False
+        stale[ty] = stale[ty + 2] = True
+        stats.corrections += fix.size
+        left -= fix.size
+        return True
 
     if left:
         _run_schedule(layout, ell, 0, stats, half_iteration, lambda: left == 0)
     stats.syndromes_zero = left == 0
-    if true_frame is None:
-        return err.astype(np.uint8), stats
-    out = ref.astype(np.uint8)
-    out[err] ^= 1
+    out = np.zeros(layout.n_bits, np.uint8) if true_frame is None else ref.astype(np.uint8)
+    out[bits[live]] ^= 1
     return out, stats
 
 
@@ -600,10 +594,9 @@ def _run_schedule(
     half-iterations and corrections are added arithmetically, the flips
     of its leftover partial sweep are applied, and the window position is
     left.  Detection costs an int comparison per half-iteration: every
-    bit lies on two codeword types of opposite parity (rows and columns;
-    adjacent staircase types), so flips that cancel over a sweep are as
-    many on odd types as on even ones, and only then are the flips
-    compared.
+    bit lies on two adjacent codeword types (``GpcLayout``), so flips
+    that cancel over a sweep are as many on odd types as on even ones,
+    and only then are the flips compared.
     """
     sweep = layout.sweep_len
     per_type = layout.per_type

@@ -67,6 +67,10 @@ class GpcLayout:
     ``partner_cw[c, p], partner_pos[c, p]``
         the other codeword through position p of codeword c, and the
         position of the shared bit there; -1 where no partner exists.
+    ``type_spans[ty]``
+        the first and one past the last bit of 0-based type ``ty``, which
+        its bits must fill: the whole frame on a product, blocks ty and
+        ty+1 of a staircase.  A bit's two codewords lie in adjacent types.
     ``pinned[b]``
         True for structurally-zero bits (termination blocks).  Decoders
         must treat a proposed flip of a pinned bit as decoding failure.
@@ -137,6 +141,14 @@ class GpcLayout:
         pp[covered] = other_pos[covered]
         self.partner_cw = pc
         self.partner_pos = pp
+        ty = bit_cw // self.per_type
+        if ((ty[:, 1] - ty[:, 0] != 1) & (bit_cw[:, 1] >= 0)).any():
+            raise ValueError("a bit's two codewords must lie in adjacent types")
+        by_type = self.cw_bits.reshape(self.num_types, -1)
+        lo, hi = by_type.min(axis=1), by_type.max(axis=1) + 1
+        self.type_spans = np.stack([lo, hi], axis=1)
+        if (hi - lo != by_type.shape[1]).any():
+            raise ValueError("the bits of a codeword type must fill one span")
         self.cw_pinned = self.pinned[self.cw_bits]
         self.flat_cw_bits = _flat_ints(self.cw_bits)
         self.flat_partner_cw = _flat_ints(pc)

@@ -68,25 +68,17 @@ def reference_poly_mod(a: int, m: int) -> int:
 
 
 def reference_build_table(code) -> np.ndarray:
-    """The decode table's builder over intp index arrays: every support
-    of weight w+1 extends one of weight w by a position above its last.
-    The library grows the same supports in int32."""
-    n, width = code.n, code._slot_width
-    contrib = np.array(code.contrib_packed, dtype=np.intp)
-    table = np.full(1 << code.packed_bits, -1, dtype=np.int32)
-    table[0] = 0
-    last = np.arange(n)  # last position of each support
-    syn = contrib
-    entry = last + 1
+    """The decode table from every support of weight <= t, enumerated by
+    itertools: row s lists, ascending and padded with -1, the support whose
+    packed syndrome is s.  The library grows the same supports column by
+    column from those of one weight less."""
+    contrib = np.array(code.contrib_packed, dtype=np.int64)
+    table = np.full((1 << code.packed_bits, code.t), -1, dtype=np.int64)
     for w in range(1, code.t + 1):
-        table[syn] = entry
-        if w == code.t:
-            break
-        grow = n - 1 - last  # positions above each support's last
-        start = np.cumsum(grow) - grow
-        last = np.arange(start[-1] + grow[-1]) - np.repeat(start - last - 1, grow)
-        syn = np.repeat(syn, grow) ^ contrib[last]
-        entry = np.repeat(entry, grow) | (last + 1) << (w * width)
+        support = np.array(list(itertools.combinations(range(code.n), w)))
+        syn = np.bitwise_xor.reduce(contrib[support], axis=1)
+        assert (table[syn, 0] < 0).all()  # no syndrome names two supports
+        table[syn, :w] = support
     return table
 
 
@@ -531,8 +523,10 @@ class TestDecodeTable:
             for budget in range(code.t + 1):
                 got = code.decode_packed(packed, budget)
                 assert got == code._decode_algebraic(packed, budget), (packed, budget)
-        # every support of weight <= t owns its own slot
-        filled = int((code._table >= 0).sum())
+        # every support of weight <= t owns its own row; slot 0 is the only
+        # row of padding alone that decodes
+        assert (code._table[0] < 0).all()
+        filled = 1 + int((code._table[:, 0] >= 0).sum())
         assert filled == sum(comb(code.n, w) for w in range(code.t + 1))
 
     def test_built_once_on_first_miss(self, monkeypatch):
@@ -545,7 +539,9 @@ class TestDecodeTable:
         assert code.decode_packed(code.syndrome_packed((5,)), 1) == (5,)
         assert code.decode_packed(code.syndrome_packed((3, 70))) == (3, 70)
         assert len(builds) == 1
-        assert code._table.nbytes == 4 << code.packed_bits
+        # n = 128 positions fit int8: one byte per position, t per syndrome
+        assert code._table.dtype == np.int8
+        assert code._table.nbytes == code.t << code.packed_bits
 
     def test_wide_syndromes_never_build_a_table(self):
         code = build_component_code(8, 3, 0, 0)  # 24-bit syndrome
@@ -595,12 +591,34 @@ class TestDecodeTable:
         # a refused call memoizes nothing
         assert all(not code.memo(budget) for budget in range(code.t + 1))
 
-    @pytest.mark.parametrize("args", [(10, 2, 0, 0), (6, 3, 2, 0), (8, 2, 1, 61)])
+    @pytest.mark.parametrize(
+        "args",
+        [((10, 2, 0, 0), np.int16), ((6, 3, 2, 0), np.int8), ((8, 2, 1, 61), np.int16),
+         ((7, 2, 1, 0), np.int8), ((7, 2, 2, 0), np.int16)],
+    )
     def test_builder_matches_reference(self, args):
+        # n = 128 is the widest code with int8 rows, 129 the narrowest int16
+        args, dtype = args
         code = build_component_code(*args)
         got = code._build_table()
-        assert got.dtype == np.int32
+        assert got.dtype == dtype
+        assert got.shape == (1 << code.packed_bits, code.t)
         assert np.array_equal(got, reference_build_table(code))
+
+    def test_every_table_fits_4_mib(self):
+        # every code with a table, unshortened (shortening only narrows n)
+        sizes = {}
+        for nu, t, e in itertools.product(range(3, 13), range(1, 8), range(3)):
+            try:
+                code = build_component_code(nu, t, e)
+            except ValueError:
+                continue
+            if code.has_table:
+                sizes[nu, t, e] = code._build_table().nbytes
+        assert len(sizes) == 59 and max(sizes.values()) == 4 << 20
+        # the 20-bit codes of n <= 128 need int8 rows: int16 would take 8
+        # and 6 MiB
+        assert sizes[5, 4, 0] == 4 << 20 and sizes[6, 3, 2] == 3 << 20
 
     def test_chien_tables_only_for_berlekamp_massey(self):
         for args in [(7, 2, 1, 0), (8, 3, 0, 0)]:
@@ -631,6 +649,8 @@ class TestDecodeBatch:
             )
             assert np.array_equal(ok, want_ok)
             assert np.array_equal(pos, want_pos)
+            # the engine's unchecked gather, on the nonzero syndromes
+            assert np.array_equal(code.decode_rows(packed[1:], budget), pos[1:])
             # one fixed-size list per budget, so memory stays bounded
             assert len(code.memo(budget)) == 1 << code.packed_bits
 

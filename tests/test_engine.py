@@ -9,8 +9,10 @@ on {2,4,5,10,12,14} (implied flips at positions 4 and 12).
 
 iterative_bdd and genie_decode are additionally checked against naive
 reference implementations that rescan every codeword each half-iteration
-and recompute syndromes from scratch, and the batched iterative_bdd
-against the per-codeword loop it replaced.  anchor_decode_state is
+and recompute syndromes from scratch, the batched iterative_bdd
+against the per-codeword loop it replaced, and genie_decode against the
+whole-frame genie it replaced (reference_genie_decode), frames and
+DecodeStats both.  anchor_decode_state is
 checked against reference_anchor_decode_state, the status machine it
 replaced, which routes every flip through the method primitives and
 records every status change; DecoderState is also stepped in lockstep
@@ -103,6 +105,53 @@ def naive_genie(layout, frame, ell):
                 if 0 < w <= t:
                     err[idx] = False
     return err.astype(np.uint8)
+
+
+def reference_genie_decode(layout, frame, true_frame, ell):
+    """The former genie_decode: every half-iteration rescans the whole
+    frame's error array for the bits of its type."""
+    t = layout.code.t
+    layout.window_plans(ell)
+    gpcdec.engine._set_bits(layout, frame)
+    err = frame.astype(bool)
+    if true_frame is not None:
+        ref = np.asarray(true_frame)
+        syn = frame_syndromes(layout, ref)
+        if layout.has_pinned and ref[layout.pinned].any():
+            raise ValueError("true_frame sets pinned (known-zero) bits")
+        if any(syn):
+            raise ValueError("true_frame is not a valid codeword of the GPC")
+        err ^= ref.astype(bool)
+    bit_cw = layout.bit_cw
+    per_type = layout.per_type
+    stats = DecodeStats()
+    left = int(np.count_nonzero(err))
+
+    def half_iteration(cws, _budget, _reset):
+        nonlocal left
+        bits = np.nonzero(err)[0]
+        lo, hi = cws.start, cws.stop
+        owners = bit_cw[bits]
+        in_type = (owners >= lo) & (owners < hi)
+        rows = np.where(in_type[:, 0], owners[:, 0], owners[:, 1])
+        sel = in_type.any(axis=1)
+        rows = rows[sel]
+        tbits = bits[sel]
+        cnt = np.bincount(rows - lo, minlength=per_type)
+        fix = (cnt[rows - lo] <= t).nonzero()[0]
+        err[tbits[fix]] = False
+        stats.corrections += int(fix.size)
+        left = bits.size - fix.size
+        return fix.size > 0
+
+    if left:
+        gpcdec.engine._run_schedule(layout, ell, 0, stats, half_iteration, lambda: left == 0)
+    stats.syndromes_zero = left == 0
+    if true_frame is None:
+        return err.astype(np.uint8), stats
+    out = ref.astype(np.uint8)
+    out[err] ^= 1
+    return out, stats
 
 
 def reference_iterative_bdd(
@@ -436,6 +485,69 @@ def build_wide_layout(kind):
 wide_layout = cache(build_wide_layout)
 
 
+chain_layout = cache(
+    lambda blocks: build_staircase_layout(ComponentCodeSpec(7, 2, 1, 0), blocks, 6)
+)
+
+
+def gf2_null_space(m):
+    """A basis, one row per vector, of the null space of a binary matrix,
+    by reduction to row echelon form."""
+    m = np.array(m, dtype=np.uint8) & 1
+    pivots = []
+    for c in range(m.shape[1]):
+        r = len(pivots)
+        if r == m.shape[0]:
+            break
+        hit = r + np.flatnonzero(m[r:, c])
+        if not hit.size:
+            continue
+        m[[r, hit[0]]] = m[[hit[0], r]]
+        others = np.flatnonzero(m[:, c])
+        m[others[others != r]] ^= m[r]
+        pivots.append(c)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), m.shape[1]), dtype=np.uint8)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        basis[i, pivots] = m[: len(pivots), f]
+    return basis
+
+
+def nonzero_codeword(layout, rng):
+    """A random nonzero codeword of the layout, zero on its pinned bits.
+
+    On a product, the outer product of two component codewords.  On a
+    staircase, blocks j and j+1 of outer(x, y) and outer(y, w), where
+    [x | w] is a component codeword and both [y | 0] and [0 | y] are:
+    each type's rows are then a codeword or zero.  None where no such y
+    exists (the (16,7) code's halves are too short)."""
+    code = layout.code
+
+    def word():
+        while True:
+            w = code.encode(rng.integers(0, 2, code.k))
+            if w.any():
+                return w
+
+    if layout.kind == "product":
+        return np.outer(word(), word()).ravel().astype(np.uint8)
+    a = code.n // 2
+    h = code.parity_check_matrix()
+    basis = gf2_null_space(np.concatenate([h[:, :a], h[:, a:]]))
+    if not basis.size:
+        return None
+    y = np.zeros(a, dtype=np.uint8)
+    while not y.any():
+        y = rng.integers(0, 2, len(basis)) @ basis & 1
+    xw = word()
+    j = int(rng.integers(1, layout.num_types - 2))  # blocks j, j+1 are real
+    frame = np.zeros(layout.n_bits, dtype=np.uint8)
+    frame[j * a * a : (j + 1) * a * a] = np.outer(xw[:a], y).ravel()
+    frame[(j + 1) * a * a : (j + 2) * a * a] = np.outer(y, xw[a:]).ravel()
+    return frame
+
+
 def noisy_frame(layout, rng, p, pins=False):
     """BSC(p) errors, off the pinned bits unless ``pins``."""
     frame = rng.random(layout.n_bits) < p
@@ -733,6 +845,36 @@ class TestBatchedIterative:
         for _ in range(3):
             self.check(layout, noisy_frame(layout, rng, rng.uniform(0.015, 0.03)), 4, reduced)
 
+    def test_refuted_and_accepted_rows_in_one_half_iteration(self, sc16):
+        # row 2 of block 1 holds 4 errors that BDD of type 1's codeword 2
+        # explains by flipping two bits of the pinned block 0; codeword 6
+        # holds one error.  Only codeword 6's syndrome may be cleared: the
+        # columns then clear row 2's errors, which leaves codeword 2 at 0
+        code, a = sc16.code, sc16.code.n // 2
+        frame = np.zeros(sc16.n_bits, dtype=np.uint8)
+        frame[a * a + 2 * a + np.array([0, 1, 2, 5])] = 1
+        frame[a * a + 6 * a + 3] = 1
+        syn = frame_syndromes(sc16, frame)
+        assert sc16.cw_pinned[2, list(code.decode_packed(syn[2]))].all()
+        assert not sc16.cw_pinned[6, list(code.decode_packed(syn[6]))].any()
+        self.check(sc16, frame, 4, 0)
+        out, stats = iterative_bdd(sc16, frame, 4)
+        assert not out.any() and stats.syndromes_zero
+        assert (stats.half_iterations, stats.corrections) == (2, 5)
+
+    @pytest.mark.parametrize("args", [(4, 2, 0, 0), (7, 2, 1, 0)])
+    def test_reduced_phase_refuses_heavy_rows(self, args):
+        # two errors in row 3: budget t - 1 refuses the row, and the
+        # columns clear one error each
+        layout = build_product_layout(ComponentCodeSpec(*args))
+        assert layout.code.has_table
+        frame = grid_frame(layout, [(3, 1), (3, 5)])
+        for reduced, half_iterations in ((0, 1), (1, 2)):
+            self.check(layout, frame, 2, reduced)
+            out, stats = iterative_bdd(layout, frame, 2, reduced)
+            assert not out.any() and stats.corrections == 2
+            assert stats.half_iterations == half_iterations
+
     def test_replay_product(self, pc15, replays):
         rng = np.random.default_rng(70)
         for _ in range(40):
@@ -799,6 +941,80 @@ class TestBatchedIterative:
             layout, p_max = wide_layout(kind), 0.025
         frame = noisy_frame(layout, np.random.default_rng(seed), p * p_max, pins)
         self.check(layout, frame, ell, min(reduced, ell))
+
+
+class TestGenieAgainstReference:
+    """genie_decode against reference_genie_decode, the whole-frame genie
+    it replaced: equal frames and DecodeStats, without a reference and
+    against a nonzero codeword (the zero frame on sc16, whose chain has no
+    other codeword of nonzero_codeword's form)."""
+
+    @staticmethod
+    def layout(kind):
+        """The layout of ``kind`` and its largest crossover probability."""
+        if kind == "pc15":
+            return build_product_layout(CODE15), 0.25
+        if kind == "sc16":
+            return build_staircase_layout(CODE16, 6, 3), 0.1
+        return chain_layout(int(kind[2:])), 0.03
+
+    @staticmethod
+    def check(layout, frame, truth, ell):
+        got_frame, got = genie_decode(layout, frame, truth, ell)
+        want_frame, want = reference_genie_decode(layout, frame, truth, ell)
+        assert np.array_equal(got_frame, want_frame)
+        assert got_frame.dtype == want_frame.dtype
+        assert got == want
+
+    @staticmethod
+    def reference(layout, rng):
+        truth = nonzero_codeword(layout, rng)
+        if truth is None:
+            return np.zeros(layout.n_bits, dtype=np.uint8)
+        assert not any(frame_syndromes(layout, truth))
+        return truth
+
+    @pytest.mark.parametrize("kind", ["pc15", "sc16", "sc12", "sc24"])
+    def test_layouts(self, kind):
+        layout, p_max = self.layout(kind)
+        rng = np.random.default_rng(40)
+        trials = 12 if kind in ("pc15", "sc16") else 4
+        for i in range(trials):
+            p = p_max * (i + 1) / trials
+            frame = noisy_frame(layout, rng, p)
+            self.check(layout, frame, None, 6)
+            truth = self.reference(layout, rng)
+            self.check(layout, frame ^ truth, truth, 6)
+
+    @given(
+        kind=st.sampled_from(["pc15", "sc16", "sc12", "sc24"]),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        ell=st.integers(1, 6),
+        pins=st.booleans(),
+        truth=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fuzz(self, kind, p, seed, ell, pins, truth):
+        layout, p_max = self.layout(kind)
+        rng = np.random.default_rng(seed)
+        frame = noisy_frame(layout, rng, p * p_max, pins)
+        ref = self.reference(layout, rng) if truth else None
+        self.check(layout, frame if ref is None else frame ^ ref, ref, ell)
+
+    def test_in_bitflip_pp(self, pc15, monkeypatch):
+        rng = np.random.default_rng(91)
+        states = []
+        while len(states) < 25:
+            state = anchor_decode_state(pc15, noisy_frame(pc15, rng, 0.15), 3)
+            if not state.all_syndromes_zero():
+                states.append(state)
+        got = [bitflip_iterate_pp(state, 9, variant="genie") for state in states]
+        monkeypatch.setattr(gpcdec.postprocess, "genie_decode", reference_genie_decode)
+        for state, res in zip(states, got):
+            want = bitflip_iterate_pp(state, 9, variant="genie")
+            assert np.array_equal(res.frame, want.frame)
+            assert replace(res, frame=None) == replace(want, frame=None)
 
 
 class TestAnchorPrefetch:
@@ -888,6 +1104,7 @@ class TestMemo:
 
         copy = pickle.loads(pickle.dumps(layout))
         assert all(not copy.code.memo(b) for b in range(code.t + 1))
+        assert copy.code._table is None
         for budget in range(code.t + 1):
             for s in syns:
                 assert copy.code.decode_packed(s, budget) == code.decode_packed(s, budget)

@@ -406,6 +406,36 @@ class TestIncidence:
                 self._layout(code15, cw_bits, n * n)
             assert str(got.value) == str(want.value)
 
+    def test_spans_of_the_builders(self, code15):
+        lay = build_product_layout(code15)
+        assert lay.type_spans.tolist() == [[0, lay.n_bits]] * 2
+        code = build_component_code(4, 2, 1, 0)
+        sc = build_staircase_layout(code, 5, 3)
+        block = sc.n_bits // 5
+        assert sc.type_spans.tolist() == [[ty * block, (ty + 2) * block] for ty in range(4)]
+
+    def test_types_sharing_a_bit_refused(self, code15):
+        # row 2 takes bit x = (1, 4) in place of its own y = (2, 9), and
+        # column 4 takes y in place of x: every bit keeps two owners, but
+        # x lies on two rows and y on two columns
+        n = code15.n
+        grid = np.arange(n * n).reshape(n, n)
+        cw_bits = np.concatenate([grid, grid.T])
+        x, y = 1 * n + 4, 2 * n + 9
+        cw_bits[2, 9], cw_bits[n + 4, 1] = x, y
+        with pytest.raises(ValueError, match="adjacent types"):
+            self._layout(code15, cw_bits, n * n)
+
+    def test_type_with_a_gap_refused(self, code15):
+        # column 10 takes a bit past the grid in place of bit (6, 10),
+        # which keeps its row alone: the columns' bits leave a gap
+        n = code15.n
+        grid = np.arange(n * n).reshape(n, n)
+        cw_bits = np.concatenate([grid, grid.T])
+        cw_bits[n + 10, 6] = n * n
+        with pytest.raises(ValueError, match="fill one span"):
+            self._layout(code15, cw_bits, n * n + 1)
+
     def test_uncovered_bit(self, code15):
         n = code15.n
         with pytest.raises(ValueError, match="uncovered bit"):

@@ -40,9 +40,9 @@ Both paths sit behind one memo per budget, ``memo(budget)``, indexed
 by the packed syndrome and reading ``_MISS`` before its decode.  A table
 code keeps a list of 2^(nu*t+e) slots; the first miss in a block of
 ``_BLOCK`` (1024) fills the block from a slice of the table.  A wider
-code keeps a dict of at most ``_BDD_CACHE_CAP`` entries, filled one
-syndrome per miss.  Each budget's memo is allocated on its first miss,
-and a pickled code drops its memos and table and arrives cold.
+code keeps a dict, cleared when it would pass ``_BDD_CACHE_CAP`` entries.
+Each budget's memo is allocated on its first miss, and a pickled code
+drops its memos and table and arrives cold.
 
 ``decode_batch`` decodes an array of syndromes in one pass with the same
 results: a gather of table rows, the t=2 and t=3 closed forms over
@@ -495,8 +495,8 @@ class ComponentCodeSpec:
         checked: a negative list index would wrap.  When the syndrome has
         at most 20 bits, a miss fills the whole block of ``_BLOCK`` memo
         slots holding it from the dense decode table; wider syndromes solve
-        the error locator and are kept while the budget's dict holds fewer
-        than ``_BDD_CACHE_CAP`` entries.
+        the error locator and are kept in the budget's dict, which is
+        cleared when it holds ``_BDD_CACHE_CAP`` entries.
         """
         if budget is None:
             budget = self.t
@@ -508,24 +508,23 @@ class ComponentCodeSpec:
         hit = memo[packed]
         if hit is not _MISS:
             return hit
-        if memo is _NO_MEMO:
-            memo = self._writable_memo(budget)
+        memo = self._writable_memo(budget, 1)
         if self.has_table:
             self._fill_block(memo, packed, budget)
             return memo[packed]
-        result = self._decode_algebraic(packed, budget)
-        if len(memo) < _BDD_CACHE_CAP:
-            memo[packed] = result
+        memo[packed] = result = self._decode_algebraic(packed, budget)
         return result
 
-    def _writable_memo(self, budget: int):
-        """The budget's memo, allocated on its first miss: a list of
-        _MISS slots over every syndrome when the code has a table, a
-        _DictMemo otherwise."""
+    def _writable_memo(self, budget: int, room: int):
+        """The budget's memo, allocated on its first miss: a list of _MISS
+        slots over every syndrome with a table, else a _DictMemo, cleared
+        when it has no room for ``room`` more entries."""
         memo = self._memos[budget]
         if memo is _NO_MEMO:
             memo = [_MISS] * (1 << self.packed_bits) if self.has_table else _DictMemo()
             self._memos[budget] = memo
+        elif not self.has_table and len(memo) + room > _BDD_CACHE_CAP:
+            memo.clear()
         return memo
 
     def decode_batch(
@@ -579,7 +578,8 @@ class ComponentCodeSpec:
     def prefetch(self, packed: Iterable[int], budget: int) -> None:
         """Memoize, in one decode_batch call, the decodes of the given
         syndromes that miss ``memo(budget)``.  On a code without a table
-        the budget's size cap still holds.
+        at most ``_BDD_CACHE_CAP`` of them are decoded, and the memo is
+        cleared first if they would not fit.
 
         A dict memo is probed with ``in``, which skips its per-key
         ``__missing__`` call, and only the rows that decoded are turned
@@ -591,13 +591,12 @@ class ComponentCodeSpec:
         if self.has_table:
             miss = [syn for syn in syns if memo[syn] is _MISS]
         else:
-            miss = [syn for syn in syns if syn not in memo]
-            del miss[max(0, _BDD_CACHE_CAP - len(memo)) :]
+            miss = [syn for syn in syns if syn not in memo][:_BDD_CACHE_CAP]
         if not miss:
             return
         miss = np.array(miss, dtype=np.int64)
         pos, ok = self.decode_batch(miss, budget)
-        memo = self._writable_memo(budget)
+        memo = self._writable_memo(budget, miss.size)
         for syn in miss[~ok].tolist():
             memo[syn] = None
         pos = pos[ok]

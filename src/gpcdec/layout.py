@@ -87,10 +87,11 @@ class GpcLayout:
     inside the span of its unpinned bits is refused.
 
     The anchor status machine reads scalar items, which numpy serves
-    slowly, so the layout also holds ``flat_cw_bits``, ``flat_partner_cw``
-    and ``flat_partner_pos``: flat ``array('i')`` copies of the three index
-    arrays, indexed ``c * n + p``, and ``pin_masks[c]``, the int whose bit
-    p is set when position p of codeword c is pinned.
+    slowly, so each index array is held once, in a flat ``array('i')``
+    indexed ``c * n + p`` (``flat_cw_bits``, ``flat_partner_cw``,
+    ``flat_partner_pos``) of which the numpy array is an int32 view, and
+    ``pin_masks[c]`` is the int whose bit p is set when position p of
+    codeword c is pinned.  A pickle holds only what built the layout.
     """
 
     def __init__(
@@ -116,43 +117,62 @@ class GpcLayout:
         self.n_cw = num_types * per_type
         self.n_bits = n_bits
         self.window = window
-        self.cw_bits = np.ascontiguousarray(cw_bits, dtype=np.int32)
         self.pinned = pinned
         self.counted = ~pinned
         self.sent = _sent_span(pinned)
         self.has_pinned = len(self.sent) < n_bits
-        self._build_incidence()
+        self._build_incidence(cw_bits)
         self._plans: dict[tuple[int, int], tuple[tuple[HalfIteration, ...], ...]] = {}
 
-    def _build_incidence(self):
-        n = self.code.n
-        bit_cw, bit_pos = _bit_incidence(self.cw_bits, self.n_bits)
-        self.bit_cw = bit_cw
-        self.bit_pos = bit_pos
-        # partner lookup: the other codeword through each position
-        pc = np.full((self.n_cw, n), -1, dtype=np.int32)
-        pp = np.full((self.n_cw, n), -1, dtype=np.int32)
-        b0 = self.cw_bits  # (n_cw, n) bit at each slot
-        covered = bit_cw[b0, 1] >= 0
-        first_is_self = bit_cw[b0, 0] == np.arange(self.n_cw, dtype=np.int32)[:, None]
-        other = np.where(first_is_self, bit_cw[b0, 1], bit_cw[b0, 0])
-        other_pos = np.where(first_is_self, bit_pos[b0, 1], bit_pos[b0, 0])
-        pc[covered] = other[covered]
-        pp[covered] = other_pos[covered]
-        self.partner_cw = pc
-        self.partner_pos = pp
-        ty = bit_cw // self.per_type
-        if ((ty[:, 1] - ty[:, 0] != 1) & (bit_cw[:, 1] >= 0)).any():
+    def __reduce__(self):
+        args = (self.kind, self.code, self.num_types, self.per_type, self.n_bits)
+        return GpcLayout, (*args, self.cw_bits, self.pinned, self.window)
+
+    def _build_incidence(self, cw_bits: np.ndarray):
+        n, n_bits = self.code.n, self.n_bits
+        self.flat_cw_bits, self.cw_bits = _int_buffer(self.n_cw, n)
+        self.cw_bits[...] = cw_bits
+        flat = self.cw_bits.ravel()
+        # each bit's first and second slot, c * n + p in row-major order,
+        # fill its row of bit_pos; a bit with one owner has one slot twice
+        slots = np.arange(flat.size, dtype=np.int32)
+        self.bit_pos = own = np.full((n_bits, 2), (flat.size, -1), dtype=np.int32)
+        lo, hi = own[:, 0], own[:, 1]
+        np.minimum.at(lo, flat, slots)
+        np.maximum.at(hi, flat, slots)
+        single = lo == hi
+        if 2 * np.count_nonzero(hi >= 0) - np.count_nonzero(single) < flat.size:
+            # some bit has a third slot: name the first, as a slot scan would
+            fill = np.bincount(flat, minlength=n_bits)
+            order = np.argsort(flat, kind="stable")
+            third = order[(np.cumsum(fill) - fill)[fill > 2] + 2]
+            raise ValueError(f"bit {flat[third.min()]} covered more than twice")
+        if hi.min(initial=0) < 0:
+            raise ValueError("uncovered bit in layout")
+        # through bit b, slot hi[b]'s partner is slot lo[b] and back; a lone
+        # owner's slot gets -1, so partner_cw -1
+        self.flat_partner_cw, self.partner_cw = _int_buffer(self.n_cw, n)
+        self.flat_partner_pos, self.partner_pos = _int_buffer(self.n_cw, n)
+        pair = self.partner_pos.ravel()
+        pair[hi] = lo
+        hi[single] = -1
+        pair[lo] = hi
+        # divmod by n in place; floor division by a scalar beats np.divmod
+        pair -= np.floor_divide(pair, n, out=self.partner_cw.ravel()) * n
+        pair[lo[single]] = -1
+        self.bit_cw = own // n
+        own -= self.bit_cw * n
+        own[single, 1] = -1
+        owners = self.bit_cw // self.per_type
+        if ((owners[:, 1] - owners[:, 0] != 1) & ~single).any():
             raise ValueError("a bit's two codewords must lie in adjacent types")
         by_type = self.cw_bits.reshape(self.num_types, -1)
         lo, hi = by_type.min(axis=1), by_type.max(axis=1) + 1
         self.type_spans = np.stack([lo, hi], axis=1)
         if (hi - lo != by_type.shape[1]).any():
             raise ValueError("the bits of a codeword type must fill one span")
-        self.cw_pinned = self.pinned[self.cw_bits]
-        self.flat_cw_bits = _flat_ints(self.cw_bits)
-        self.flat_partner_cw = _flat_ints(pc)
-        self.flat_partner_pos = _flat_ints(pp)
+        self.cw_pinned = (self.pinned[self.cw_bits] if self.has_pinned
+                          else np.zeros((self.n_cw, n), dtype=bool))
         self.pin_masks = _pin_masks(self.cw_pinned)
 
     # --- id translation ----------------------------------------------------
@@ -265,46 +285,20 @@ def _sent_span(pinned: np.ndarray) -> range:
     return range(lo, hi)
 
 
-def _flat_ints(a: np.ndarray) -> array:
-    """Row-major copy of an int array as a flat ``array('i')``, whose items
-    read back as Python ints."""
-    return array("i", np.ascontiguousarray(a, dtype=np.intc).tobytes())
+def _int_buffer(rows: int, cols: int) -> tuple[array, np.ndarray]:
+    """A zeroed flat ``array('i')`` and a ``(rows, cols)`` int32 view of it."""
+    flat = array("i", [0]) * (rows * cols)
+    return flat, np.frombuffer(flat, dtype=np.int32).reshape(rows, cols)
 
 
 def _pin_masks(cw_pinned: np.ndarray) -> list[int]:
     """Per codeword, the int whose bit p is set when position p is pinned."""
     masks = [0] * cw_pinned.shape[0]
-    packed = np.packbits(cw_pinned, axis=1, bitorder="little")
-    for c in np.flatnonzero(cw_pinned.any(axis=1)).tolist():
-        masks[c] = int.from_bytes(packed[c].tobytes(), "little")
+    rows = np.flatnonzero(cw_pinned.any(axis=1))
+    packed = np.packbits(cw_pinned[rows], axis=1, bitorder="little")
+    for c, row in zip(rows.tolist(), packed):
+        masks[c] = int.from_bytes(row.tobytes(), "little")
     return masks
-
-
-def _bit_incidence(cw_bits: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """bit_cw and bit_pos of a codeword-to-bit map: the slots through each
-    bit in row-major order of ``cw_bits``, -1 where a bit has one owner."""
-    n = cw_bits.shape[1]
-    flat = cw_bits.ravel()
-    fill = np.bincount(flat, minlength=n_bits)
-    if fill.max(initial=0) > 2:
-        # name the bit whose third slot comes first, as a slot-by-slot scan would
-        order = np.argsort(flat, kind="stable")
-        third = order[(np.cumsum(fill) - fill)[fill > 2] + 2]
-        raise ValueError(f"bit {flat[third.min()]} covered more than twice")
-    if (fill == 0).any():
-        raise ValueError("uncovered bit in layout")
-    # with at most two slots per bit, the first and second are the min and max
-    slots = np.arange(flat.size, dtype=np.int32)
-    lo = np.full(n_bits, flat.size, dtype=np.int32)
-    hi = np.full(n_bits, -1, dtype=np.int32)
-    np.minimum.at(lo, flat, slots)
-    np.maximum.at(hi, flat, slots)
-    two = fill == 2
-    bit_cw = np.full((n_bits, 2), -1, dtype=np.int32)
-    bit_pos = np.full((n_bits, 2), -1, dtype=np.int32)
-    bit_cw[:, 0], bit_pos[:, 0] = np.divmod(lo, n)
-    bit_cw[two, 1], bit_pos[two, 1] = np.divmod(hi[two], n)
-    return bit_cw, bit_pos
 
 
 def code_rate(code: ComponentCodeSpec, kind: str) -> float:
@@ -364,8 +358,8 @@ def build_staircase_layout(
     cw_bits = np.empty((num_types, a, n), dtype=np.int32)
     cw_bits[:, :, :a] = base + pos * a + r  # column r of B_{m-1}
     cw_bits[:, :, a:] = base + a * a + r * a + pos  # row r of B_m
-    blk = np.arange(n_bits, dtype=np.int64) // (a * a)
-    pinned = (blk == 0) | (blk == num_blocks - 1)
+    pinned = np.zeros(n_bits, dtype=bool)
+    pinned[: a * a] = pinned[-a * a :] = True  # the termination blocks
     return GpcLayout(
         "staircase", code, num_types, a, n_bits, cw_bits.reshape(-1, n), pinned,
         window=window,

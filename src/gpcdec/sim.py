@@ -20,7 +20,8 @@ finishes, and batches past a likely stop only when no other is left and a
 worker would idle.  Each point's results are still consumed in batch
 order and stopped by its own rule; a held-back batch it turns out to need
 is submitted then, and its batches in flight past the stop are cancelled
-and never counted.
+and never counted.  When the sweep ends, batches still running stop at
+their next frame, and the pool is reaped before ``run_sweep`` returns.
 """
 
 import operator
@@ -28,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import ceil
+from multiprocessing import RawValue
 from time import perf_counter
 
 import numpy as np
@@ -294,6 +296,8 @@ def _simulate_batch(layout: GpcLayout, cfg: TrialConfig, batch: int, collect: bo
     bit_errors = frame_errors = 0
     recs = [] if collect else None
     for index in range(lo, hi):
+        if _POOL_CTX and _POOL_CTX[2].value:
+            break
         b, fe, rec = _decode_frame(layout, cfg, index, collect)
         bit_errors += b
         frame_errors += fe
@@ -316,17 +320,18 @@ class _Deferred:
         return True
 
 
-# worker-process context, set once per process by the pool initializer
+# worker-process context, set once per process by the pool initializer:
+# the configs, collect, and the sweep's flag that ends batches it won't read
 _POOL_CTX = None
 
 
-def _pool_init(cfgs, collect):
+def _pool_init(*ctx):
     global _POOL_CTX
-    _POOL_CTX = (cfgs, collect)
+    _POOL_CTX = ctx
 
 
 def _pool_batch(point: int, batch: int):
-    cfgs, collect = _POOL_CTX
+    cfgs, collect, _ = _POOL_CTX
     cfg = cfgs[point]
     return _simulate_batch(cfg.layout, cfg, batch, collect)
 
@@ -340,15 +345,17 @@ def _batch_runner(cfgs, collect: bool):
     if workers == 1:
         yield lambda point, batch: _Deferred(cfgs[point], batch, collect)
         return
+    stop = RawValue("b", 0)
     pool = ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(cfgs, collect)
+        max_workers=workers, initializer=_pool_init, initargs=(cfgs, collect, stop)
     )
     try:
         yield lambda point, batch: pool.submit(_pool_batch, point, batch)
     finally:
-        # batches already running when the last point stops are left to
-        # finish in the background; their results are never read
-        pool.shutdown(wait=False, cancel_futures=True)
+        # batches still running past the last stop end at their next frame,
+        # and the pool is reaped: no worker or pool thread outlives the sweep
+        stop.value = 1
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _likely_stop(cfg: TrialConfig, batches: int, frame_errors: int, end: int) -> int:

@@ -730,14 +730,25 @@ class TestDecodeBatch:
         for s, got in code.memo(2).items():
             assert got == code._decode_algebraic(s, 2)
         assert all(not code.memo(budget) for budget in (0, 1, 3))
-        # each budget's memo has its own size cap: only the room left in
-        # that budget's dict is filled, by prefetch or by decode_packed
+        # each budget's memo has its own size cap, which it never passes:
+        # prefetch decodes at most the cap and clears a memo its decodes
+        # would not fit, decode_packed clears a full one, and what either
+        # decoded is memoized when it returns
         monkeypatch.setattr("gpcdec.bch._BDD_CACHE_CAP", 7)
         code.prefetch(packed, 3)
-        assert len(code.memo(3)) == 7
-        code.prefetch(packed, 3)
-        code.decode_packed(min(set(range(len(packed) + 1)) - set(packed)), 3)
-        assert len(code.memo(3)) == 7
+        memo = code.memo(3)
+        assert len(memo) == 7
+        code.prefetch(packed, 3)  # 393 misses, 7 decoded after a clear
+        assert len(memo) == 7 and set(memo) < set(packed)
+        fresh = min(set(range(len(packed) + 1)) - set(packed))
+        code.decode_packed(fresh, 3)
+        assert list(memo) == [fresh]
+        code.prefetch(packed[:3], 3)
+        assert set(memo) == {fresh, *packed[:3]}
+        code.prefetch(packed[3:10], 3)
+        assert set(memo) == set(packed[3:10])
+        for s, got in memo.items():
+            assert got == code._decode_algebraic(s, 3)
         code.prefetch(packed, 1)
         assert len(code.memo(1)) == 7
         assert set(code.memo(2)) == set(packed)

@@ -38,6 +38,31 @@ def reference_incidence(cw_bits, n_bits):
     return bit_cw, bit_pos
 
 
+def reference_partners(cw_bits, n_bits):
+    """partner_cw/partner_pos by the per-slot loop: the other (codeword,
+    position) of each slot's bit in reference_incidence, -1 for none."""
+    bit_cw, bit_pos = (a.tolist() for a in reference_incidence(cw_bits, n_bits))
+    partner_cw = np.full(cw_bits.shape, -1, dtype=np.int32)
+    partner_pos = np.full(cw_bits.shape, -1, dtype=np.int32)
+    for c, row in enumerate(cw_bits.tolist()):
+        for p, b in enumerate(row):
+            k = 1 if (bit_cw[b][0], bit_pos[b][0]) == (c, p) else 0
+            partner_cw[c, p], partner_pos[c, p] = bit_cw[b][k], bit_pos[b][k]
+    return partner_cw, partner_pos
+
+
+def hand_made_layout(code, num_blocks, window, seed):
+    """A staircase chain's incidence relabelled by hand: each type's
+    codewords shuffled and every codeword's positions reversed.  The
+    termination blocks' bits keep one owner each."""
+    sc = build_staircase_layout(code, num_blocks, window)
+    rng = np.random.default_rng(seed)
+    order = np.concatenate([ty * sc.per_type + rng.permutation(sc.per_type)
+                            for ty in range(sc.num_types)])
+    return GpcLayout("staircase", code, sc.num_types, sc.per_type, sc.n_bits,
+                     sc.cw_bits[order, ::-1], sc.pinned, window)
+
+
 def reference_staircase_cw_bits(code, num_blocks):
     """cw_bits of a staircase chain by the row-by-row loop: codeword
     (m, r) runs down column r of block m-1, then across row r of block m."""
@@ -331,12 +356,45 @@ class TestIterationPlan:
 class TestFlatViews:
     """The flat int views and pinned masks the anchor status machine reads."""
 
-    def test_views_match_arrays(self, pc, sc):
-        for lay in (pc, sc):
+    def test_views_match_arrays(self, pc, sc, code16):
+        for lay in (pc, sc, hand_made_layout(code16, 4, 3, 1)):
             for name in ("cw_bits", "partner_cw", "partner_pos"):
-                flat = getattr(lay, "flat_" + name)
+                flat, arr = getattr(lay, "flat_" + name), getattr(lay, name)
                 assert flat.typecode == "i"
-                assert flat.tolist() == getattr(lay, name).ravel().tolist()
+                assert arr.dtype == np.int32 and arr.flags.c_contiguous
+                assert arr.shape == (lay.n_cw, lay.code.n)
+                assert flat.tolist() == arr.ravel().tolist()
+                assert np.shares_memory(arr, flat)
+            for name in ("bit_cw", "bit_pos"):
+                arr = getattr(lay, name)
+                assert arr.dtype == np.int32 and arr.flags.c_contiguous
+                assert arr.shape == (lay.n_bits, 2)
+
+    def test_pickled_layout_decodes_the_same(self, pc, sc):
+        import pickle
+
+        from gpcdec.engine import anchor_decode_state, genie_decode, iterative_bdd
+
+        rng = np.random.default_rng(7)
+        for lay in (pc, sc):
+            copy = pickle.loads(pickle.dumps(lay))
+            for name in ("cw_bits", "partner_cw", "partner_pos"):
+                assert np.array_equal(getattr(copy, name), getattr(lay, name))
+                assert np.shares_memory(getattr(copy, name), getattr(copy, "flat_" + name))
+            for name in ("bit_cw", "bit_pos", "type_spans", "pinned", "cw_pinned"):
+                assert np.array_equal(getattr(copy, name), getattr(lay, name))
+            assert copy.pin_masks == lay.pin_masks and copy.sent == lay.sent
+            for _ in range(4):
+                frame = ((rng.random(lay.n_bits) < 0.06) & ~lay.pinned).astype(np.uint8)
+                for a, b in (
+                    (iterative_bdd(lay, frame, 4), iterative_bdd(copy, frame, 4)),
+                    (genie_decode(lay, frame, None, 4), genie_decode(copy, frame, None, 4)),
+                ):
+                    assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+                a = anchor_decode_state(lay, frame, 4, 1)
+                b = anchor_decode_state(copy, frame, 4, 1)
+                assert np.array_equal(a.frame, b.frame) and a.stats == b.stats
+                assert a.status == b.status
 
     def test_pin_masks_equal_cw_pinned(self, pc, sc):
         assert pc.pin_masks == [0] * pc.n_cw
@@ -357,7 +415,7 @@ class TestFlatViews:
         def refuse(*_):
             raise AssertionError("layout view rebuilt after construction")
 
-        monkeypatch.setattr(gpcdec.layout, "_flat_ints", refuse)
+        monkeypatch.setattr(gpcdec.layout, "_int_buffer", refuse)
         monkeypatch.setattr(gpcdec.layout, "_pin_masks", refuse)
         rng = np.random.default_rng(3)
         for _ in range(3):
@@ -382,9 +440,32 @@ class TestIncidence:
             lay = build_product_layout(code)
         else:
             lay = build_staircase_layout(code, blocks, 3)
+        self.check(lay)
+
+    @staticmethod
+    def check(lay):
         bit_cw, bit_pos = reference_incidence(lay.cw_bits, lay.n_bits)
         assert np.array_equal(lay.bit_cw, bit_cw) and lay.bit_cw.dtype == np.int32
         assert np.array_equal(lay.bit_pos, bit_pos) and lay.bit_pos.dtype == np.int32
+        partner_cw, partner_pos = reference_partners(lay.cw_bits, lay.n_bits)
+        assert np.array_equal(lay.partner_cw, partner_cw)
+        assert np.array_equal(lay.partner_pos, partner_pos)
+
+    @pytest.mark.parametrize("args", [(4, 2, 0, 0), (4, 2, 1, 0), (7, 2, 1, 0), (8, 3, 0, 0)])
+    def test_products_match_reference_loops(self, args):
+        # 15, 16, 128 and 255 bits a side
+        self.check(build_product_layout(build_component_code(*args)))
+
+    @pytest.mark.parametrize("args", [(4, 2, 1, 0), (7, 2, 1, 0)])
+    @pytest.mark.parametrize("blocks", [3, 5, 7, 12])
+    def test_staircases_match_reference_loops(self, args, blocks):
+        self.check(build_staircase_layout(build_component_code(*args), blocks, 3))
+
+    @pytest.mark.parametrize("blocks,window,seed", [(3, 2, 0), (4, 3, 1), (6, 4, 2)])
+    def test_hand_made_single_owners_match_reference_loops(self, code16, blocks, window, seed):
+        lay = hand_made_layout(code16, blocks, window, seed)
+        assert (lay.bit_cw[:, 1] < 0).any() and (lay.partner_cw < 0).any()
+        self.check(lay)
 
     def _layout(self, code, cw_bits, n_bits):
         pinned = np.zeros(n_bits, dtype=bool)

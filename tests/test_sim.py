@@ -534,7 +534,6 @@ class TestRunSweep:
         the pool fills with the last point's batches up to its fourth,
         which that point, stopping after 3, never counts."""
         import multiprocessing
-        from multiprocessing.connection import wait
 
         decoded = multiprocessing.Value("q", 0)  # shared with the forked workers
         orig = gpcdec.sim._simulate_batch
@@ -547,18 +546,34 @@ class TestRunSweep:
             return out
 
         monkeypatch.setattr(gpcdec.sim, "_simulate_batch", spy)
-        before = set(multiprocessing.active_children())
         records = run_sweep(stop_configs(pc15, 2, seed=1))
-        for proc in set(multiprocessing.active_children()) - before:
-            # batches still running when the last point stopped.  The
-            # pool's manager thread reaps the same workers, so join and
-            # is_alive race its waitpid; the sentinel reads exit alone.
-            assert wait([proc.sentinel], 60)
         counted = sum(r.frames for r in records)
         assert [r.frames for r in records] == [400, 400, 112, 48]
         queued_past = sum(min(3, 25 - r.frames // 16) * 16 for r in records)
         assert queued_past == 96
         assert counted <= decoded.value <= counted + 16
+
+    def test_no_worker_or_pool_thread_outlives_the_sweep(self, pc15, monkeypatch):
+        """Every point stops early, and frames slow enough that batches
+        are still running when the last one does.  They stop at their next
+        frame, and the pool is shut down and reaped inside run_sweep: no
+        child process and no thread is left when it returns."""
+        import multiprocessing
+        import threading
+
+        orig = gpcdec.sim._decode_frame
+
+        def slow(*args):
+            time.sleep(0.002)
+            return orig(*args)
+
+        monkeypatch.setattr(gpcdec.sim, "_decode_frame", slow)
+        children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        records = run_sweep(stop_configs(pc15, 2))
+        assert all(r.frames < 400 for r in records[1:])
+        assert set(multiprocessing.active_children()) == children
+        assert set(threading.enumerate()) == threads
 
     def test_one_point_equals_run_trials(self, pc15):
         for cfg in sweep_configs(pc15, 2):

@@ -2,9 +2,11 @@
 
 A component code is parameterized by (nu, t, e, s):
 
-- base code: primitive BCH of length 2^nu - 1 correcting t errors, with
-  generator polynomial lcm(m_1, m_3, ..., m_{2t-1}); its degree must equal
-  nu*t so that k = 2^nu - 1 - nu*t - s holds exactly
+- base code: primitive BCH of length 2^nu - 1 correcting t errors, whose
+  generator lcm(m_1, m_3, ..., m_{2t-1}) has as roots the alpha^j over the
+  distinct cyclotomic cosets of 1, 3, ..., 2t-1 mod 2^nu - 1; their total
+  size, the generator's degree, must equal nu*t so that
+  k = 2^nu - 1 - nu*t - s holds exactly
 - e in {0, 1, 2} extra parity bits: e=1 appends one overall parity bit,
   e=2 appends two bits checking the odd- and even-indexed positions
   separately; either extension raises the design distance from 2t+1 to 2t+2
@@ -16,12 +18,15 @@ weight <= t is unique for a given syndrome, so the decoder either returns
 exactly that pattern or fails.  Errors on the extension bits are correctable
 and count toward the weight budget.
 
-A syndrome has one form, the packed int of ``syndrome_packed``: the e
-parity bits in the low bits, then S_1, S_3, ... in nu-bit lanes.  BDD has
-one result form: ``decode_packed`` returns the error support as a tuple
-of ascending positions, or None on failure, and ``decode_batch`` returns
-the same supports as rows of an array.  Both refuse a budget outside
-[0, t].
+The code is defined by its parity-check columns: ``contrib_packed[pos]``
+is the syndrome of a single error at pos, and a word's syndrome is the
+XOR of the columns of its set positions (``engine.frame_syndromes``
+forms it for every codeword of a frame).  A syndrome has that one form,
+the packed int: the e parity bits in the low bits, then S_1, S_3, ... in
+nu-bit lanes.  BDD has one result form: ``decode_packed`` returns the
+error support as a tuple of ascending positions, or None on failure, and
+``decode_batch`` returns the same supports as rows of an array.  Both
+refuse a budget outside [0, t].
 
 Which method serves a code depends on its packed syndrome width nu*t + e:
 
@@ -67,11 +72,11 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .galois import FieldArrays, FieldTable, build_field
+from .galois import FieldArrays, build_field
 
 _BDD_CACHE_CAP = 1 << 21
 _TABLE_BITS = 20  # widest packed syndrome with a dense decode table (4 MiB)
@@ -91,32 +96,6 @@ class _DictMemo(dict):
 
 # every budget's memo until its first miss; never written
 _NO_MEMO = _DictMemo()
-
-
-def _minimal_poly(f: FieldTable, exponent: int) -> tuple[int, frozenset[int]]:
-    """Minimal polynomial of alpha^exponent as a GF(2) bitmask, plus its
-    conjugacy orbit of exponents."""
-    m = f.order - 1
-    orbit = []
-    cur = exponent % m
-    while cur not in orbit:
-        orbit.append(cur)
-        cur = cur * 2 % m
-    # poly = prod (x + alpha^i) over the orbit, computed in the field
-    coeffs = [1]
-    for i in orbit:
-        root = f.exp_table[i]
-        nxt = [0] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            nxt[d + 1] ^= c
-            nxt[d] ^= f.mul(c, root)
-        coeffs = nxt
-    mask = 0
-    for d, c in enumerate(coeffs):
-        if c not in (0, 1):  # conjugate-closed products always land in GF(2)
-            raise AssertionError("minimal polynomial has non-binary coefficient")
-        mask |= c << d
-    return mask, frozenset(orbit)
 
 
 class _IntOps:
@@ -204,10 +183,10 @@ class ComponentCodeSpec:
     n : transmitted length 2^nu - 1 + e - s
     k : dimension 2^nu - 1 - nu*t - s
     d_min : 2t+1 for e=0, 2t+2 otherwise
-    gen_poly : generator polynomial bitmask of degree nu*t
     """
 
     def __init__(self, nu: int, t: int, e: int = 0, s: int = 0):
+        nu, t, e, s = map(operator.index, (nu, t, e, s))
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
         if e not in (0, 1, 2):
@@ -217,24 +196,14 @@ class ComponentCodeSpec:
         f = build_field(nu)
         n0 = f.order - 1
 
-        gen = 1
-        seen: set[frozenset[int]] = set()
+        # the generator's roots: alpha^j over the cosets {m 2^i mod n0}
+        roots: set[int] = set()
         for m in range(1, 2 * t, 2):
-            mask, orbit = _minimal_poly(f, m)
-            if orbit in seen:
-                continue
-            seen.add(orbit)
-            # gen *= mask over GF(2)
-            acc = 0
-            mm = mask
-            shift = 0
-            while mm:
-                if mm & 1:
-                    acc ^= gen << shift
-                mm >>= 1
-                shift += 1
-            gen = acc
-        r0 = gen.bit_length() - 1
+            j = m % n0
+            while j not in roots:  # cosets are disjoint: a new one is all new
+                roots.add(j)
+                j = j * 2 % n0
+        r0 = len(roots)
         if r0 != nu * t:
             raise ValueError(
                 f"unsupported (nu={nu}, t={t}): generator degree {r0} != nu*t={nu * t}"
@@ -253,8 +222,6 @@ class ComponentCodeSpec:
         self.n = self.n_core + e
         self.k = k
         self.d_min = 2 * t + 1 if e == 0 else 2 * t + 2
-        self.gen_poly = gen
-        self.r0 = r0
 
         # parity_mask[pos] = bitmask of extension checks toggled by flipping pos
         if e == 0:
@@ -286,10 +253,9 @@ class ComponentCodeSpec:
         self._pmask_np = np.array(pmask + [0], dtype=np.int64)
 
         # built on first use: (the field's antilog, Chien index matrix) for
-        # Berlekamp-Massey, the dense decode table, the encoder's byte table
+        # Berlekamp-Massey, the dense decode table
         self._chien: tuple[np.ndarray, np.ndarray] | None = None
         self._table: np.ndarray | None = None
-        self._rem_table: list[int] | None = None
         self._memos: list = [_NO_MEMO] * (t + 1)  # by budget, see memo()
         self._pcm: np.ndarray | None = None
         self._contrib_packed_np: np.ndarray | None = None
@@ -322,61 +288,6 @@ class ComponentCodeSpec:
             f"n={self.n}, k={self.k}, d_min={self.d_min})"
         )
 
-    # --- encoding ------------------------------------------------------
-
-    def encode(self, message: Sequence[int]) -> np.ndarray:
-        """Systematic encoding: message bits land at positions r0..r0+k-1."""
-        msg = np.asarray(message, dtype=np.uint8)
-        if msg.shape != (self.k,):
-            raise ValueError(f"message must have length k={self.k}, got {msg.shape}")
-        table = self._rem_table
-        if table is None:
-            table = self._rem_table = self._remainder_table()
-        # parity = m(x) x^r0 mod g(x), reduced a byte at a time from the top
-        # message byte down, as in a table-driven CRC
-        r0 = self.r0
-        low = (1 << r0) - 1
-        rem = 0
-        for byte in reversed(np.packbits(msg, bitorder="little").tobytes()):
-            s = rem << 8
-            rem = table[byte ^ (s >> r0)] ^ (s & low)
-        parity = np.frombuffer(rem.to_bytes((r0 + 7) // 8, "little"), np.uint8)
-        word = np.zeros(self.n, dtype=np.uint8)
-        word[:r0] = np.unpackbits(parity, count=r0, bitorder="little")
-        word[r0 : self.n_core] = msg
-        if self.e == 1:
-            word[self.n_core] = int(word[: self.n_core].sum()) & 1
-        elif self.e == 2:
-            word[self.n_core] = int(word[1 : self.n_core : 2].sum()) & 1
-            word[self.n_core + 1] = int(word[0 : self.n_core : 2].sum()) & 1
-        return word
-
-    def _remainder_table(self) -> list[int]:
-        """rem[b] = b(x) x^r0 mod g(x) for every byte b, by linearity over
-        the bits of b."""
-        g, r0 = self.gen_poly, self.r0
-        by_bit = []
-        v = g ^ (1 << r0)  # x^r0 mod g
-        for _ in range(8):
-            by_bit.append(v)
-            v <<= 1
-            if v >> r0 & 1:
-                v ^= g
-        rem = [0] * 256
-        for b in range(1, 256):
-            low = b & -b
-            rem[b] = rem[b ^ low] ^ by_bit[low.bit_length() - 1]
-        return rem
-
-    # --- syndromes -----------------------------------------------------
-
-    def syndrome(self, word: Sequence[int]) -> int:
-        """Packed syndrome of a received word (see syndrome_packed)."""
-        w = np.asarray(word, dtype=np.uint8)
-        if w.shape != (self.n,):
-            raise ValueError(f"word must have length n={self.n}, got {w.shape}")
-        return self.syndrome_packed(np.flatnonzero(w).tolist())
-
     # --- bounded-distance decoding --------------------------------------
 
     def _solve_core(self, odd: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -402,14 +313,16 @@ class ComponentCodeSpec:
         return core, reduce(ops.maximum, core) < self.n_core
 
     def _solve_core_bm(self, odd: tuple[int, ...]) -> tuple[int, ...] | None:
-        """Berlekamp-Massey over the 2t syndromes plus a vectorized root search."""
-        f = self.field
+        """Berlekamp-Massey over the 2t syndromes plus a vectorized root
+        search.  Products are reads of the sentinel tables of
+        ``FieldTable.lists``, so a zero factor reads 0."""
+        f = self.field.lists()
+        exp, log = f.exp, f.log
         t = self.t
         syn = [0] * (2 * t)  # S_1 .. S_2t
-        for i, v in enumerate(odd):
-            syn[2 * i] = v
+        syn[::2] = odd
         for mm in range(2, 2 * t + 1, 2):
-            syn[mm - 1] = f.mul(syn[mm // 2 - 1], syn[mm // 2 - 1])
+            syn[mm - 1] = exp[2 * log[syn[mm // 2 - 1]]]
 
         lam = [1]
         prev = [1]
@@ -418,20 +331,15 @@ class ComponentCodeSpec:
         b = 1
         for step in range(2 * t):
             d = syn[step]
-            for i in range(1, ll + 1):
-                if i < len(lam) and lam[i]:
-                    d ^= f.mul(lam[i], syn[step - i])
+            for i in range(1, min(ll + 1, len(lam))):
+                d ^= exp[log[lam[i]] + log[syn[step - i]]]
             if d == 0:
                 gap += 1
                 continue
-            scale = f.div(d, b)
-            cand = lam[:]
-            shift = [0] * gap + prev
-            if len(shift) > len(cand):
-                cand += [0] * (len(shift) - len(cand))
-            for i, c in enumerate(shift):
-                if c:
-                    cand[i] ^= f.mul(scale, c)
+            scale = log[d] + f.nlog[b]  # log of d / b
+            cand = lam + [0] * (gap + len(prev) - len(lam))
+            for i, c in enumerate(prev, gap):
+                cand[i] ^= exp[scale + log[c]]
             if 2 * ll <= step:
                 prev = lam
                 ll = step + 1 - ll
@@ -451,9 +359,8 @@ class ComponentCodeSpec:
             m = self.n0
             # entry [i-1, j] = exponent of alpha^{-j*i}
             idx = (m - np.outer(np.arange(1, t + 1), np.arange(m)) % m) % m
-            self._chien = (f.arrays().exp, idx)
+            self._chien = (self.field.arrays().exp, idx)
         exp_np, chien_idx = self._chien
-        log = f.log_table
         vals = np.full(self.n0, lam[0], dtype=np.int64)
         for i in range(1, deg + 1):
             if lam[i]:
@@ -464,14 +371,6 @@ class ComponentCodeSpec:
         if roots.size and int(roots[-1]) >= self.n_core:
             return None
         return tuple(int(r) for r in roots)
-
-    def syndrome_packed(self, positions: Iterable[int]) -> int:
-        """Single-int syndrome of an error pattern given by its support."""
-        acc = 0
-        contrib = self.contrib_packed
-        for pos in positions:
-            acc ^= contrib[pos]
-        return acc
 
     def memo(self, budget: int):
         """The memo of decodes at ``budget``, indexed by packed syndrome;

@@ -83,9 +83,9 @@ class DecodeStats:
 
 
 def frame_syndromes(layout: GpcLayout, frame: np.ndarray) -> list[int]:
-    """Single-int syndrome of every codeword (see bch.syndrome_packed),
-    computed by scattering the contributions of the set bits.  The frame
-    is checked as ``_set_bits`` checks it."""
+    """Packed syndrome of every codeword: the XOR of the code's
+    ``contrib_packed`` columns of its set bits, scattered over the frame.
+    The frame is checked as ``_set_bits`` checks it."""
     return _syndrome_vector(layout, frame)[: layout.n_cw].tolist()
 
 

@@ -9,15 +9,17 @@ polynomials with nonzero constant term.  For reference, the search yields
           x11+x2+1 x12+x6+x4+x+1
 
 Field elements are plain Python ints in [0, 2^nu): the integer's bits are the
-polynomial coefficients.  Addition is XOR; multiplication and inversion go
-through the tables.  ``FieldTable.arrays`` holds numpy copies of the tables,
-plus the root tables the BCH decoders read, and ``FieldTable.lists`` the
-same tables as Python lists, so one expression can run over an array of
-elements or over a single one.  Both are built once per field.
+polynomial coefficients.  Addition is XOR; a product or quotient is one
+read of a sentinel antilog table (see ``FieldArrays``).  ``FieldTable.arrays``
+holds those tables, plus the root tables the BCH decoders read, as numpy
+arrays, and ``FieldTable.lists`` the same tables as Python lists, so one
+expression can run over an array of elements or over a single one.  Both
+are built once per field.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -101,31 +103,6 @@ class FieldTable:
         """Number of field elements 2^nu."""
         return 1 << self.nu
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        m = self.order - 1
-        return self.exp_table[(self.log_table[a] + self.log_table[b]) % m]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(2^nu)")
-        m = self.order - 1
-        return self.exp_table[(m - self.log_table[a]) % m]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of 0 in GF(2^nu)")
-            return 0
-        m = self.order - 1
-        return self.exp_table[(self.log_table[a] * e) % m]
-
     def arrays(self) -> FieldArrays:
         """The field's numpy tables, built on first use and shared by every
         code over this field."""
@@ -189,6 +166,7 @@ def build_field(nu: int) -> FieldTable:
     nu (smallest integer bitmask among monic degree-nu polynomials), found by
     exhaustive search with an order check on x.
     """
+    nu = operator.index(nu)
     if not NU_MIN <= nu <= NU_MAX:
         raise ValueError(f"nu must be in [{NU_MIN}, {NU_MAX}], got {nu}")
     cached = _FIELD_CACHE.get(nu)

@@ -1,9 +1,11 @@
 """Component-code tests.
 
 The oracles here are deliberately independent of the implementation:
-codebooks are enumerated exhaustively from the systematic encoder, minimum
-distances are measured rather than asserted from formulas, and erasure
-decoding is cross-checked against brute force over all completions.
+codebooks are enumerated exhaustively from the systematic encoder of
+``bch_oracle``, which builds the code from its generator polynomial,
+minimum distances are measured rather than asserted from formulas, and
+erasure decoding is cross-checked against brute force over all
+completions.
 """
 
 import functools
@@ -15,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bch_oracle import encode, generator_poly, pdeg, pmod, support_syndrome, word_syndrome
 from gpcdec.bch import _TABLE_BITS, ComponentCodeSpec, build_component_code
 from gpcdec.engine import genie_decode
+from gpcdec.galois import build_field
 from gpcdec.layout import build_product_layout
 
 
@@ -28,7 +32,7 @@ def enumerate_codebook(code: ComponentCodeSpec) -> np.ndarray:
     """All 2^k codewords as a (2^k, n) uint8 array, via the encoder."""
     assert code.k <= 16, "exhaustive oracle only for small codes"
     msgs = ((np.arange(1 << code.k)[:, None] >> np.arange(code.k)) & 1).astype(np.uint8)
-    return np.array([code.encode(m) for m in msgs], dtype=np.uint8)
+    return np.array([encode(code, m) for m in msgs], dtype=np.uint8)
 
 
 def codebook_min_distance(book: np.ndarray) -> int:
@@ -58,13 +62,25 @@ def pack(code, odd, ext):
     return ext | sum(v << (code.e + i * code.nu) for i, v in enumerate(odd))
 
 
-def reference_poly_mod(a: int, m: int) -> int:
-    """Bit-serial remainder of a(x) mod m(x), the encoder's former
-    reduction."""
-    dm = m.bit_length() - 1
-    while a.bit_length() - 1 >= dm:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
+def expected_column_bits(code, alpha) -> np.ndarray:
+    """contrib_packed as an (n, packed_bits) bit matrix, packed bit j in
+    column j, from the syndrome's definition: core position pos adds
+    alpha^(pos*(2i+1)) to the nu-bit lane of S_(2i+1), above the e parity
+    bits; e=1 checks every position, e=2 the odd core positions plus the
+    first extension bit (bit 0) and the rest (bit 1)."""
+    nu, e, n_core = code.nu, code.e, code.n_core
+    bits = np.zeros((code.n, code.packed_bits), dtype=np.uint8)
+    pos = np.arange(n_core)
+    for i in range(code.t):
+        lane = alpha[pos * (2 * i + 1) % len(alpha)]
+        bits[:n_core, e + i * nu : e + (i + 1) * nu] = lane[:, None] >> np.arange(nu) & 1
+    if e == 1:
+        bits[:, 0] = 1
+    elif e == 2:
+        bits[:n_core, 0] = pos % 2
+        bits[:n_core, 1] = 1 - pos % 2
+        bits[n_core:, :2] = np.eye(2, dtype=np.uint8)
+    return bits
 
 
 def reference_build_table(code) -> np.ndarray:
@@ -103,7 +119,7 @@ def brute_force_erasure(code, word, erasures):
         cand = word.copy()
         for pos, b in zip(erasures, bits):
             cand[pos] = b
-        if code.syndrome(cand) == 0:
+        if word_syndrome(code, cand) == 0:
             hits.append(cand)
     return hits[0] if len(hits) == 1 else None
 
@@ -147,7 +163,7 @@ def reference_erasure_decode(code, word, erasures):
 
 def erasure_complete(code, word, erasures):
     """The word completed by erasure_decode on its packed syndrome, or None."""
-    flips = code.erasure_decode(code.syndrome(word), erasures)
+    flips = code.erasure_decode(word_syndrome(code, word), erasures)
     if flips is None:
         return None
     out = np.array(word, dtype=np.uint8)
@@ -178,13 +194,12 @@ class TestParameters:
         code = build_component_code(nu, t, e, s)
         assert (code.n, code.k, code.d_min) == (n, k, dmin)
         assert code.n_core == (1 << nu) - 1 - s
-        assert code.r0 == nu * t
+        assert pdeg(generator_poly(nu, t)) == nu * t
 
     def test_classic_generator(self):
         # the (15,7) double-error-correcting code; generator 721 octal,
         # g(x) = x^8 + x^7 + x^6 + x^4 + 1
-        code = build_component_code(4, 2, 0, 0)
-        assert code.gen_poly == 0b111010001
+        assert generator_poly(4, 2) == 0b111010001
 
     def test_degenerate_generator_rejected(self):
         # minimal polynomials of alpha and alpha^3 coincide for some (nu, t),
@@ -201,6 +216,69 @@ class TestParameters:
             build_component_code(4, 2, 0, -1)
         with pytest.raises(ValueError):
             build_component_code(4, 2, 0, 9)  # k would drop below 1
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_float_parameters_refused(self, field):
+        args = [9, 7, 1, 3]
+        args[field] = float(args[field])
+        with pytest.raises(TypeError):
+            build_component_code(*args)
+
+    @pytest.mark.parametrize(
+        "args,supports",
+        [((9, 7, 0, 0), [(3, 70), (0, 1, 2, 3, 4, 5, 500)]),
+         ((7, 2, 1, 0), [(3, 70), (5, 127)]), ((8, 2, 1, 61), [(0, 194)])],
+    )
+    def test_numpy_int_parameters(self, args, supports):
+        # (9,7,0,0) packs 63 bits: a numpy packed_bits would overflow 1 << 63
+        want = build_component_code(*args)
+        for kind in (np.int64, np.int32, np.uint8):
+            code = build_component_code(*map(kind, args))
+            for name in ("nu", "t", "e", "s", "n", "k", "packed_bits"):
+                assert type(getattr(code, name)) is int, name
+                assert getattr(code, name) == getattr(want, name), name
+            assert code.contrib_packed == want.contrib_packed
+            for support in supports:
+                syn = support_syndrome(code, support)
+                assert code.decode_packed(syn) == want.decode_packed(syn) == support
+
+    def test_coset_degree_decides_acceptance(self):
+        """The library's generator degree, the total size of the distinct
+        cyclotomic cosets of 1, 3, ..., 2t-1, against the degree of the
+        oracle's generator polynomial, for every t with nu*t < 2^nu - 1
+        and the first t past it.  Accepted codes have the dimensions and
+        parity-check columns of the generator's code; refused ones the
+        message naming the degree."""
+        accepted = 0
+        for nu in range(3, 13):
+            n0 = (1 << nu) - 1
+            prim = build_field(nu).prim_poly
+            alpha = [1]  # alpha^j, by the oracle's reduction
+            for _ in range(n0 - 1):
+                alpha.append(pmod(alpha[-1] << 1, prim))
+            alpha = np.array(alpha)
+            for t in range(1, n0 // nu + 2):
+                degree = pdeg(generator_poly(nu, t))
+                if degree != nu * t:
+                    with pytest.raises(ValueError) as err:
+                        build_component_code(nu, t)
+                    assert str(err.value) == (
+                        f"unsupported (nu={nu}, t={t}): generator degree {degree} != nu*t={nu * t}"
+                    )
+                    continue
+                accepted += 1
+                k0 = n0 - degree
+                # unshortened, and shortened to one information bit
+                for e, s in ((0, 0), (1 + t % 2, k0 - 1)):
+                    code = build_component_code(nu, t, e, s)
+                    assert (code.n, code.k) == (n0 + e - s, k0 - s)
+                    assert code.d_min == 2 * t + 1 + (e > 0)
+                    assert code.packed_bits == e + nu * t
+                    # the parity-check matrix is contrib_packed's bits, its
+                    # parity rows moved below the syndrome lanes
+                    got = np.roll(code.parity_check_matrix(), code.e, axis=0).T
+                    assert np.array_equal(got, expected_column_bits(code, alpha))
+        assert accepted == 124
 
     def test_shortening_reduces_length_only(self):
         full = build_component_code(8, 2, 1, 0)
@@ -236,8 +314,9 @@ class TestEncoder:
         code = build_component_code(4, 2, 0, 0)
         rng = np.random.default_rng(1)
         msg = rng.integers(0, 2, size=code.k).astype(np.uint8)
-        word = code.encode(msg)
-        assert np.array_equal(word[code.r0 : code.r0 + code.k], msg)
+        word = encode(code, msg)
+        r = code.nu * code.t
+        assert np.array_equal(word[r : r + code.k], msg)
 
     def test_all_codewords_have_zero_syndrome(self):
         for args in [(4, 2, 1, 0), (7, 2, 1, 0), (8, 2, 1, 61)]:
@@ -245,7 +324,7 @@ class TestEncoder:
             rng = np.random.default_rng(2)
             for _ in range(20):
                 msg = rng.integers(0, 2, size=code.k).astype(np.uint8)
-                assert code.syndrome(code.encode(msg)) == 0
+                assert word_syndrome(code, encode(code, msg)) == 0
 
     def test_parity_check_matrix_annihilates_codewords(self):
         code = build_component_code(4, 2, 2, 0)
@@ -254,24 +333,10 @@ class TestEncoder:
         book = enumerate_codebook(code)
         assert not ((pcm @ book.T) & 1).any()
 
-    @pytest.mark.parametrize("args", [(4, 2, 0, 0), (8, 2, 1, 61), (8, 3, 0, 0), (9, 7, 0, 0)])
-    def test_matches_bit_serial_reduction(self, args):
-        # the byte-table reduction must give the codewords of the
-        # bit-serial one; (9,7,0,0) has 63 parity bits, past one int64
-        code = build_component_code(*args)
-        rng = np.random.default_rng(4)
-        msgs = [np.zeros(code.k, np.uint8), np.ones(code.k, np.uint8)]
-        msgs += [rng.integers(0, 2, size=code.k).astype(np.uint8) for _ in range(50)]
-        for msg in msgs:
-            poly = sum(int(b) << i for i, b in enumerate(msg)) << code.r0
-            cw = poly ^ reference_poly_mod(poly, code.gen_poly)
-            want = [(cw >> i) & 1 for i in range(code.n_core)]
-            assert code.encode(msg)[: code.n_core].tolist() == want
-
     def test_encode_rejects_wrong_length(self):
         code = build_component_code(4, 2, 0, 0)
         with pytest.raises(ValueError):
-            code.encode(np.zeros(code.k + 1, dtype=np.uint8))
+            encode(code, np.zeros(code.k + 1, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +348,7 @@ class TestSyndrome:
         code = build_component_code(7, 2, 1, 0)
         seen = set()
         for pos in range(code.n):
-            key = code.syndrome_packed((pos,))
+            key = support_syndrome(code, (pos,))
             assert key not in seen
             seen.add(key)
 
@@ -299,7 +364,7 @@ class TestSyndrome:
             wa[p] ^= 1
         for p in b:
             wb[p] ^= 1
-        assert code.syndrome(wa) ^ code.syndrome(wb) == code.syndrome(wa ^ wb)
+        assert word_syndrome(code, wa) ^ word_syndrome(code, wb) == word_syndrome(code, wa ^ wb)
 
     @pytest.mark.parametrize("args", [(4, 2, 2, 0), (8, 3, 0, 0), (9, 7, 0, 0)])
     def test_syndrome_matches_parity_check_matrix(self, args):
@@ -309,18 +374,18 @@ class TestSyndrome:
         rng = np.random.default_rng(3)
         for _ in range(20):
             word = rng.integers(0, 2, size=code.n).astype(np.uint8)
-            syn = code.syndrome(word)
+            syn = word_syndrome(code, word)
             bits = (pcm @ word) & 1
             for i, v in enumerate(odd_syndromes(code, syn)):
                 assert v == sum(int(b) << j for j, b in enumerate(bits[i * code.nu : (i + 1) * code.nu]))
             ext = [int(b) for b in bits[code.nu * code.t :]]
             assert syn & ((1 << code.e) - 1) == sum(b << i for i, b in enumerate(ext))
             msg = rng.integers(0, 2, size=code.k)
-            assert code.syndrome(code.encode(msg)) == 0
+            assert word_syndrome(code, encode(code, msg)) == 0
 
     def test_zero_word_zero_syndrome(self):
         code = build_component_code(8, 3, 0, 0)
-        assert code.syndrome(np.zeros(code.n, dtype=np.uint8)) == 0
+        assert word_syndrome(code, np.zeros(code.n, dtype=np.uint8)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +404,7 @@ class TestBddExhaustive:
         decode = decoder(code, self.path)
         for wgt in range(code.t + 1):
             for pos in itertools.combinations(range(code.n), wgt):
-                assert decode(code.syndrome_packed(pos), code.t) == pos
+                assert decode(support_syndrome(code, pos), code.t) == pos
 
     def test_weight_3_always_fails_when_extended(self):
         # with d_min = 6 a weight-3 error is never within t=2 of a codeword
@@ -347,7 +412,7 @@ class TestBddExhaustive:
             code = build_component_code(4, 2, e, 0)
             decode = decoder(code, self.path)
             for pos in itertools.combinations(range(code.n), 3):
-                assert decode(code.syndrome_packed(pos), code.t) is None
+                assert decode(support_syndrome(code, pos), code.t) is None
 
     def test_weight_3_miscorrections_land_on_codebook(self):
         # for the unextended code (d_min = 5) some weight-3 patterns decode;
@@ -357,7 +422,7 @@ class TestBddExhaustive:
         book_set = {tuple(c) for c in enumerate_codebook(code).tolist()}
         n_misses = 0
         for pos in itertools.combinations(range(code.n), 3):
-            out = decode(code.syndrome_packed(pos), code.t)
+            out = decode(support_syndrome(code, pos), code.t)
             if out is None:
                 continue
             n_misses += 1
@@ -390,7 +455,7 @@ class TestBddExhaustive:
             ((), 0, ()),
             (one, 0, None),
         ]:
-            assert decode(code.syndrome_packed(pos), budget) == want
+            assert decode(support_syndrome(code, pos), budget) == want
 
 
 class TestBddExhaustiveAlgebraic(TestBddExhaustive):
@@ -404,12 +469,12 @@ class TestBddRandomized:
         rng = np.random.default_rng(hash(args) % 2**32)
         for _ in range(40):
             msg = rng.integers(0, 2, size=code.k).astype(np.uint8)
-            word = code.encode(msg)
+            word = encode(code, msg)
             wgt = int(rng.integers(0, code.t + 1))
             pos = rng.choice(code.n, size=wgt, replace=False)
             rcv = word.copy()
             rcv[pos] ^= 1
-            out = code.decode_packed(code.syndrome(rcv))
+            out = code.decode_packed(word_syndrome(code, rcv))
             assert out == tuple(sorted(pos.tolist()))
             fixed = rcv.copy()
             for p in out:
@@ -464,7 +529,7 @@ class TestTripleErrorSolver:
         table = {}
         for wgt in range(code.t + 1):
             for pos in itertools.combinations(range(code.n), wgt):
-                table[code.syndrome_packed(pos)] = pos
+                table[support_syndrome(code, pos)] = pos
         assert len(table) == sum(comb(code.n, w) for w in range(code.t + 1))
         return table
 
@@ -497,7 +562,7 @@ class TestTripleErrorSolver:
         odds = [tuple(int(v) for v in rng.integers(0, 256, size=3)) for _ in range(1500)]
         for wgt in (1, 2, 3, 4):
             for _ in range(300):
-                packed = code.syndrome_packed(rng.choice(code.n, size=wgt, replace=False).tolist())
+                packed = support_syndrome(code, rng.choice(code.n, size=wgt, replace=False).tolist())
                 odds.append(odd_syndromes(code, packed))
         decoded = 0
         for odd in odds:
@@ -535,9 +600,9 @@ class TestDecodeTable:
         builds = []
         build = code._build_table
         monkeypatch.setattr(code, "_build_table", lambda: builds.append(1) or build())
-        assert code.decode_packed(code.syndrome_packed((3, 70))) == (3, 70)
-        assert code.decode_packed(code.syndrome_packed((5,)), 1) == (5,)
-        assert code.decode_packed(code.syndrome_packed((3, 70))) == (3, 70)
+        assert code.decode_packed(support_syndrome(code, (3, 70))) == (3, 70)
+        assert code.decode_packed(support_syndrome(code, (5,)), 1) == (5,)
+        assert code.decode_packed(support_syndrome(code, (3, 70))) == (3, 70)
         assert len(builds) == 1
         # n = 128 positions fit int8: one byte per position, t per syndrome
         assert code._table.dtype == np.int8
@@ -549,7 +614,7 @@ class TestDecodeTable:
         rng = np.random.default_rng(14)
         for _ in range(50):
             pos = tuple(sorted(rng.choice(code.n, size=3, replace=False).tolist()))
-            assert code.decode_packed(code.syndrome_packed(pos)) == pos
+            assert code.decode_packed(support_syndrome(code, pos)) == pos
         assert code._table is None
 
     @pytest.mark.parametrize("args", [(4, 2, 1, 0), (8, 3, 0, 0)])
@@ -580,7 +645,7 @@ class TestDecodeTable:
         # a weight-(t+1) pattern with an extension error, which the
         # algebraic path of (8,3,1,0) would return under budget t+1
         code = build_component_code(*args)
-        packed = code.syndrome_packed([3, 17, 40, code.n_core])
+        packed = support_syndrome(code, [3, 17, 40, code.n_core])
         for budget in budgets:
             with pytest.raises(ValueError, match="budget"):
                 code.decode_packed(packed, budget)
@@ -623,11 +688,11 @@ class TestDecodeTable:
     def test_chien_tables_only_for_berlekamp_massey(self):
         for args in [(7, 2, 1, 0), (8, 3, 0, 0)]:
             code = build_component_code(*args)
-            code.decode_packed(code.syndrome_packed((1, 2)))
+            code.decode_packed(support_syndrome(code, (1, 2)))
             assert code._chien is None
         code = build_component_code(8, 4, 2, 0)
         assert code._chien is None
-        assert code.decode_packed(code.syndrome_packed((1, 2, 3, 4))) == (1, 2, 3, 4)
+        assert code.decode_packed(support_syndrome(code, (1, 2, 3, 4))) == (1, 2, 3, 4)
         assert code._chien[1].shape == (code.t, code.n0)
 
 
@@ -687,7 +752,7 @@ class TestDecodeBatch:
         rng = np.random.default_rng(sum(args))
         size = 300 if code.t >= 4 else 3000
         planted = [
-            code.syndrome_packed(rng.choice(code.n, int(w), replace=False).tolist())
+            support_syndrome(code, rng.choice(code.n, int(w), replace=False).tolist())
             for w in rng.integers(0, code.t + 1, size)
         ]
         packed = np.concatenate(
@@ -762,8 +827,8 @@ class TestIdealizedBdd:
     def product_codeword(code, rng):
         """A random codeword of the n x n product of ``code``."""
         msg = rng.integers(0, 2, size=(code.k, code.k)).astype(np.uint8)
-        rows = np.array([code.encode(m) for m in msg])
-        return np.array([code.encode(rows[:, j]) for j in range(code.n)]).T.ravel()
+        rows = np.array([encode(code, m) for m in msg])
+        return np.array([encode(code, rows[:, j]) for j in range(code.n)]).T.ravel()
 
     def test_corrects_within_radius_flags_beyond(self):
         code = build_component_code(4, 2, 1, 0)
@@ -789,7 +854,7 @@ class TestIdealizedBdd:
         code = build_component_code(4, 2, 0, 0)
         lay = build_product_layout(code)
         for pos in itertools.combinations(range(code.n), 3):
-            if code.decode_packed(code.syndrome_packed(pos)) is not None:
+            if code.decode_packed(support_syndrome(code, pos)) is not None:
                 break
         else:
             pytest.fail("no miscorrecting pattern found")
@@ -830,7 +895,7 @@ def low_weight_codeword(code, rng):
     to."""
     while True:
         probe = rng.choice(code.n, size=code.d_min - code.t, replace=False).tolist()
-        out = code.decode_packed(code.syndrome_packed(probe))
+        out = code.decode_packed(support_syndrome(code, probe))
         if out is not None:
             return sorted(set(probe) ^ set(out))
 
@@ -843,7 +908,7 @@ def erasure_problem(code, rng, n_er, kind):
     word."""
     n_er = min(n_er, code.n)
     msg = rng.integers(0, 2, size=code.k).astype(np.uint8)
-    word = code.encode(msg)
+    word = encode(code, msg)
     if kind == "dependent":
         supp = low_weight_codeword(code, rng)
         rest = np.setdiff1d(np.arange(code.n), supp)
@@ -861,7 +926,7 @@ def erasure_problem(code, rng, n_er, kind):
 
 
 def assert_matches_reference(code, word, erasures):
-    got = code.erasure_decode(code.syndrome(word), erasures)
+    got = code.erasure_decode(word_syndrome(code, word), erasures)
     want = reference_erasure_decode(code, word, erasures)
     if want is None:
         assert got is None
@@ -876,7 +941,7 @@ class TestErasureDecode:
         rng = np.random.default_rng(11)
         for _ in range(60):
             msg = rng.integers(0, 2, size=code.k).astype(np.uint8)
-            word = code.encode(msg)
+            word = encode(code, msg)
             n_er = int(rng.integers(0, 9))
             erasures = sorted(rng.choice(code.n, size=n_er, replace=False).tolist())
             rcv = word.copy()
@@ -890,7 +955,7 @@ class TestErasureDecode:
 
     def test_up_to_dmin_minus_1_erasures_always_recoverable(self):
         code = build_component_code(4, 2, 1, 0)
-        word = code.encode(np.arange(code.k, dtype=np.uint8) % 2)
+        word = encode(code, np.arange(code.k, dtype=np.uint8) % 2)
         rng = np.random.default_rng(12)
         for _ in range(100):
             erasures = sorted(rng.choice(code.n, size=code.d_min - 1, replace=False).tolist())
@@ -901,21 +966,21 @@ class TestErasureDecode:
 
     def test_errors_outside_erasures_are_detected(self):
         code = build_component_code(4, 2, 1, 0)
-        word = code.encode(np.ones(code.k, dtype=np.uint8))
+        word = encode(code, np.ones(code.k, dtype=np.uint8))
         rcv = word.copy()
         rcv[0] ^= 1  # unerased error makes the system inconsistent
         erasures = [4, 7]
         got = erasure_complete(code, rcv, erasures)
         # either inconsistent (None) or a valid codeword different from word
         if got is not None:
-            assert code.syndrome(got) == 0
+            assert word_syndrome(code, got) == 0
 
     def test_no_erasures_is_a_syndrome_check(self):
         code = build_component_code(4, 2, 0, 0)
-        word = code.encode(np.zeros(code.k, dtype=np.uint8))
-        assert code.erasure_decode(code.syndrome(word), []) == ()
+        word = encode(code, np.zeros(code.k, dtype=np.uint8))
+        assert code.erasure_decode(word_syndrome(code, word), []) == ()
         word[3] ^= 1
-        assert code.erasure_decode(code.syndrome(word), []) is None
+        assert code.erasure_decode(word_syndrome(code, word), []) is None
 
     @pytest.mark.parametrize("args", ERASURE_CODES)
     def test_matches_reference(self, args):
@@ -929,7 +994,7 @@ class TestErasureDecode:
                 for _ in range(6):
                     word, erasures = erasure_problem(code, rng, n_er, kind)
                     assert_matches_reference(code, word, erasures)
-                    flipped += bool(code.erasure_decode(code.syndrome(word), erasures))
+                    flipped += bool(code.erasure_decode(word_syndrome(code, word), erasures))
         # planted problems below d_min erasures always solve, most by flips
         assert flipped >= 3 * (code.d_min - 1)
 
@@ -950,12 +1015,12 @@ class TestErasureDecode:
     def test_dependent_columns_have_no_unique_completion(self):
         code = erasure_code((8, 2, 1, 61))
         rng = np.random.default_rng(3)
-        word = code.encode(np.zeros(code.k, dtype=np.uint8))
+        word = encode(code, np.zeros(code.k, dtype=np.uint8))
         supp = low_weight_codeword(code, rng)
         assert code.erasure_decode(0, supp) is None
         # more erasures than parity checks: dependent before any elimination
         wide = list(range(code.packed_bits + 1))
-        assert code.erasure_decode(code.syndrome(word), wide) is None
+        assert code.erasure_decode(word_syndrome(code, word), wide) is None
         assert reference_erasure_decode(code, word, wide) is None
 
     @pytest.mark.parametrize("args", ERASURE_CODES)
@@ -973,14 +1038,14 @@ class TestErasureDecode:
             for kind in ("planted", "random"):
                 for _ in range(4):
                     word, erasures = erasure_problem(code, rng, n_er, kind)
-                    solved = code.erasure_decode(code.syndrome(word), erasures)
+                    solved = code.erasure_decode(word_syndrome(code, word), erasures)
                     assert solved is None or code.erasures_solvable(len(erasures))
 
     def test_syndrome_out_of_range_rejected(self):
         code = erasure_code((4, 2, 1, 0))
         top = (1 << code.packed_bits) - 1
         code.erasure_decode(top, [0, 1])  # widest valid syndrome
-        syn = code.syndrome_packed([0, 1])
+        syn = support_syndrome(code, [0, 1])
         assert code.erasure_decode(np.int64(syn), [0, 1]) == (0, 1)
         with pytest.raises(TypeError):
             code.erasure_decode(float(syn), [0, 1])

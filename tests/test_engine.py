@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bch_oracle import encode, support_syndrome
 import gpcdec.engine
 import gpcdec.postprocess
 from gpcdec.bch import _BLOCK, _MISS, ComponentCodeSpec
@@ -84,7 +85,7 @@ def naive_iterative(layout, frame, ell, reduced_t_iters=0):
             for c in cws:
                 bits = layout.cw_bits[c]
                 positions = [p for p in range(code.n) if work[bits[p]]]
-                out = code.decode_packed(code.syndrome_packed(positions), budget)
+                out = code.decode_packed(support_syndrome(code, positions), budget)
                 if out is None:
                     continue
                 if pinned and any(layout.cw_pinned[c, p] for p in out):
@@ -526,7 +527,7 @@ def nonzero_codeword(layout, rng):
 
     def word():
         while True:
-            w = code.encode(rng.integers(0, 2, code.k))
+            w = encode(code, rng.integers(0, 2, code.k))
             if w.any():
                 return w
 
@@ -568,7 +569,7 @@ class TestFrameSyndromes:
             for c in range(pc15.n_cw):
                 bits = pc15.cw_bits[c]
                 pos = [p for p in range(CODE15.n) if frame[bits[p]]]
-                assert got[c] == CODE15.syndrome_packed(pos)
+                assert got[c] == support_syndrome(CODE15, pos)
 
     def test_staircase_ignores_absent_partners(self, sc16):
         # every bit of the first and last block belongs to one codeword only
@@ -578,7 +579,7 @@ class TestFrameSyndromes:
         for c in range(sc16.n_cw):
             bits = sc16.cw_bits[c]
             pos = [p for p in range(CODE16.n) if frame[bits[p]]]
-            assert got[c] == CODE16.syndrome_packed(pos)
+            assert got[c] == support_syndrome(CODE16, pos)
 
     def test_frame_length_checked(self, pc15):
         # a short frame read as zero-padded; a long one raised IndexError
@@ -1085,7 +1086,7 @@ class TestMemo:
     def test_budget_below_t_stores_none_for_heavier_supports(self):
         code = ComponentCodeSpec(7, 2, 1, 0)
         for budget, support in [(1, (3, 70)), (1, (5, code.n_core)), (0, (0,))]:
-            packed = code.syndrome_packed(support)
+            packed = support_syndrome(code, support)
             assert code.decode_packed(packed, budget) is None
             assert code.memo(budget)[packed] is None
             assert code.decode_packed(packed) == support
@@ -1442,7 +1443,7 @@ class TestStaircaseDecoding:
         cw = 0
         bits = sc16.cw_bits[cw]
         assert sc16.pinned[bits[:8]].all() and not sc16.pinned[bits[8:]].any()
-        out = CODE16.decode_packed(CODE16.syndrome_packed([8, 9, 10, 13]), 2)
+        out = CODE16.decode_packed(support_syndrome(CODE16, [8, 9, 10, 13]), 2)
         assert out == (4, 5)  # sanity: plain BDD would land in the pinned half
         frame = np.zeros(sc16.n_bits, dtype=np.uint8)
         frame[bits[[8, 9, 10, 13]]] = 1

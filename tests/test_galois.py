@@ -1,9 +1,11 @@
 """Field-table tests against an independent GF(2)[x] oracle.
 
-The oracle does polynomial arithmetic with its own shift/xor routines,
-checks irreducibility by trial division and primitivity by computing the
-order of x from the factorization of 2^nu - 1.  Nothing here reuses the
-library's table construction.
+The oracle does polynomial arithmetic with the shift/xor routines of
+``bch_oracle``, checks irreducibility by trial division and primitivity
+by computing the order of x from the factorization of 2^nu - 1.  Nothing
+here reuses the library's table construction.  The arithmetic under test
+is the one the decoders run: products and quotients as one read of the
+sentinel tables of ``FieldTable.lists`` and ``FieldTable.arrays``.
 """
 
 from __future__ import annotations
@@ -13,41 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bch_oracle import pdeg, pmod, pmul, ppow_mod
 from gpcdec.galois import LOG_TERMS, FieldTable, build_field
 
 # --- oracle: polynomial arithmetic over GF(2) -------------------------------
 
 
-def pdeg(a: int) -> int:
-    return a.bit_length() - 1
+def oracle_mul(f, a: int, b: int) -> int:
+    """a*b in the field f by polynomial arithmetic."""
+    return pmod(pmul(a, b), f.prim_poly)
 
 
-def pmul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
-def pmod(a: int, m: int) -> int:
-    dm = pdeg(m)
-    while pdeg(a) >= dm:
-        a ^= m << (pdeg(a) - dm)
-    return a
-
-
-def ppow_mod(base: int, e: int, m: int) -> int:
-    out = 1
-    base = pmod(base, m)
-    while e:
-        if e & 1:
-            out = pmod(pmul(out, base), m)
-        base = pmod(pmul(base, base), m)
-        e >>= 1
-    return out
+def table_mul(tables, a: int, b: int) -> int:
+    """a*b as the decoders form it: one read of the sentinel antilog."""
+    return tables.exp[tables.log[a] + tables.log[b]]
 
 
 def oracle_irreducible(p: int) -> bool:
@@ -131,35 +112,42 @@ def test_tables_roundtrip(nu):
 @pytest.mark.parametrize("nu", [4, 6, 8])
 def test_mul_matches_polynomial_oracle(nu):
     f = build_field(nu)
+    tab = f.lists()
     q = f.order
     step = max(1, q // 37)
     for a in range(0, q, step):
         for b in range(0, q, step):
-            assert f.mul(a, b) == pmod(pmul(a, b), f.prim_poly)
+            assert table_mul(tab, a, b) == oracle_mul(f, a, b)
 
 
 def test_mul_examples_nu4():
     f = build_field(4)
+    tab = f.lists()
     a3, a5 = f.exp_table[3], f.exp_table[5]
-    assert f.mul(a3, a5) == f.exp_table[8]
-    assert f.mul(0, 7) == 0
-    assert f.mul(1, 13) == 13
+    assert table_mul(tab, a3, a5) == f.exp_table[8]
+    assert table_mul(tab, 0, 7) == 0
+    assert table_mul(tab, 1, 13) == 13
 
 
 @pytest.mark.parametrize("nu", [4, 8])
 def test_fermat(nu):
+    # a^(q-1) = 1, by q-2 table products of a with itself
     f = build_field(nu)
+    tab = f.lists()
     for a in range(1, f.order):
-        assert f.pow(a, f.order - 1) == 1
+        x = a
+        for _ in range(f.order - 2):
+            x = table_mul(tab, x, a)
+        assert x == 1
 
 
 @pytest.mark.parametrize("nu", [4, 5])
 def test_inverse(nu):
     f = build_field(nu)
+    tab = f.lists()
     for a in range(1, f.order):
-        assert f.mul(a, f.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+        assert oracle_mul(f, a, tab.exp[tab.nlog[a]]) == 1
+        assert tab.exp[tab.log[a] + tab.nlog[a]] == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,18 +159,20 @@ def test_inverse(nu):
 )
 def test_distributivity(nu, a, b, c):
     f = build_field(nu)
+    tab = f.lists()
     q = f.order
     a, b, c = a % q, b % q, c % q
-    assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
-    assert f.mul(a, b) == f.mul(b, a)
+    assert table_mul(tab, a, b ^ c) == table_mul(tab, a, b) ^ table_mul(tab, a, c)
+    assert table_mul(tab, a, b) == table_mul(tab, b, a)
 
 
 @pytest.mark.parametrize("nu", [4, 8])
 def test_solve_quadratic_exhaustive(nu):
     f = build_field(nu)
     quad = f.arrays().quad
+    value = [oracle_mul(f, y, y) ^ y for y in range(f.order)]
     for c in range(f.order):
-        brute = [y for y in range(f.order) if f.mul(y, y) ^ y == c]
+        brute = [y for y in range(f.order) if value[y] == c]
         y = int(quad[c])
         if brute:
             assert y in brute and len(brute) == 2
@@ -194,8 +184,9 @@ def test_solve_quadratic_exhaustive(nu):
 def test_solve_cubic_exhaustive(nu):
     f = build_field(nu)
     cubic = f.arrays().cubic
+    value = [oracle_mul(f, z, oracle_mul(f, z, z)) ^ z for z in range(f.order)]
     for c in range(f.order):
-        brute = [z for z in range(f.order) if f.mul(z, f.mul(z, z)) ^ z == c]
+        brute = [z for z in range(f.order) if value[z] == c]
         got = cubic[:, c].tolist()
         if len(brute) == 3:
             assert got == brute
@@ -212,7 +203,7 @@ def test_cube_roots_exhaustive(nu):
     cbrt = f.arrays().cbrt
     roots = {a: [] for a in range(f.order)}
     for y in range(1, f.order):
-        roots[f.pow(y, 3)].append(y)
+        roots[ppow_mod(y, 3, f.prim_poly)].append(y)
     for a in range(f.order):
         got = cbrt[:, a].tolist()
         if len(roots[a]) == 3:
@@ -235,11 +226,13 @@ def test_arrays_match_scalar_arithmetic(nu):
     prod = a.exp[a.log[x] + a.log[y]]
     quot = a.exp[a.log[x] + a.nlog[y]]
     for i in range(q):
-        assert prod[i].tolist() == [f.mul(i, j) for j in range(q)]
-        assert quot[i].tolist() == [f.div(i, j) if j else 0 for j in range(q)]
-        # the widest log combination the decoders form
-        assert a.exp[LOG_TERMS * a.log[i]] == f.pow(i, LOG_TERMS)
-        assert f.mul(int(a.sqrt[i]), int(a.sqrt[i])) == i
+        assert prod[i].tolist() == [oracle_mul(f, i, j) for j in range(q)]
+        row = quot[i].tolist()  # i / j times j is i, and i / 0 reads 0
+        assert row[0] == 0 and all(oracle_mul(f, row[j], j) == i for j in range(1, q))
+        # powers up to the widest log combination the decoders form
+        for e in range(1, LOG_TERMS + 1):
+            assert a.exp[e * a.log[i]] == ppow_mod(i, e, f.prim_poly)
+        assert oracle_mul(f, int(a.sqrt[i]), int(a.sqrt[i])) == i
     assert a.exp.size == LOG_TERMS * a.zero + 1 and a.exp[-1] == 0
 
 
@@ -274,3 +267,10 @@ def test_tables_leave_hash_and_equality_alone():
 
 def test_build_field_cached():
     assert build_field(7) is build_field(7)
+
+
+def test_build_field_takes_integers_only():
+    f = build_field(7)
+    with pytest.raises(TypeError):
+        build_field(7.0)  # would read the cached GF(2^7)
+    assert build_field(np.int64(7)) is f

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bch_oracle import support_syndrome
 from gpcdec.bch import build_component_code
 from gpcdec.layout import (
     CodewordId,
@@ -537,4 +538,4 @@ class TestSyndromeWidth:
         assert code.packed_bits == 62
         assert build_product_layout(code).n_bits == code.n * code.n
         assert code.contrib_packed_np.tolist() == code.contrib_packed
-        assert code.decode_packed(code.syndrome_packed((3, 70))) == (3, 70)
+        assert code.decode_packed(support_syndrome(code, (3, 70))) == (3, 70)

@@ -16,6 +16,7 @@ from math import ceil
 import numpy as np
 import pytest
 
+from bch_oracle import encode
 import gpcdec.sim
 from gpcdec import (
     anchor_decode,
@@ -668,8 +669,8 @@ class TestInvariants:
         k, n = code.k, code.n
         rng = np.random.default_rng(99)
         msg = rng.integers(0, 2, size=(k, k), dtype=np.uint8)
-        rows = np.array([code.encode(m) for m in msg])
-        grid = np.array([code.encode(rows[:, l]) for l in range(n)]).T
+        rows = np.array([encode(code, m) for m in msg])
+        grid = np.array([encode(code, rows[:, l]) for l in range(n)]).T
         cw = np.ascontiguousarray(grid, dtype=np.uint8).reshape(-1)
         assert cw.any()
         assert not any(frame_syndromes(pc15, cw))

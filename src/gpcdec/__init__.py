@@ -3,12 +3,14 @@
 Library layout:
 
 - galois: GF(2^nu) tables
-- bch: component BCH codes (build/encode/packed syndrome/BDD/erasures)
+- bch: component BCH codes (parity-check columns, packed-syndrome BDD,
+  erasures)
 - layout: product and staircase code geometry and schedules
 - engine: iterative, genie (idealized) and anchor-based decoders
 - postprocess: stall-pattern post-processing (bit-flip and algebraic-erasure)
 - analysis: density evolution, error-floor estimates, miscorrection
-  probability, net coding gain
+  probability, net coding gain; loads scipy on first use, so a process
+  that only decodes never imports it
 - sim: BSC Monte Carlo harness with deterministic parallelism
 - cli: command-line front end
 """

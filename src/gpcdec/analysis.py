@@ -10,15 +10,17 @@ Four independent estimates live here:
 * net coding gain over uncoded transmission on the BSC/AWGN mapping.
 
 Everything is a pure function; big integers and Fractions are used where
-doubles would overflow or round.
+doubles would overflow or round.  scipy is imported on the first call of
+``poisson_tail`` or ``qfunc_inv``, the only functions that use it, so a
+process that only decodes never loads it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+import operator
 
 import numpy as np
-from scipy.special import gammainc, ndtri
 
 from .bch import ComponentCodeSpec
 
@@ -45,12 +47,17 @@ def poisson_tail(t: int, lam: float) -> float:
 
     Equals the regularized lower incomplete gamma function P(t, lam),
     which scipy evaluates to near machine precision; the naive
-    1 - exp(-lam)*sum(...) form loses digits for small lam.
+    1 - exp(-lam)*sum(...) form loses digits for small lam.  ``t`` must
+    be an integer: gammainc would take a float as a gamma shape, and
+    P(X >= 2.5) is P(X >= 3), not P(2.5, lam).  A NaN ``lam`` is refused.
     """
+    t = operator.index(t)
     if t < 1:
         raise ValueError("t must be >= 1")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be >= 0")
+    from scipy.special import gammainc
+
     return float(gammainc(t, lam))
 
 
@@ -209,6 +216,8 @@ def qfunc_inv(y: float) -> float:
     """Inverse Gaussian tail function Q^{-1}(y)."""
     if not 0 < y < 1:
         raise ValueError("argument must be in (0, 1)")
+    from scipy.special import ndtri
+
     return float(-ndtri(y))
 
 

@@ -45,7 +45,9 @@ Both paths sit behind one memo per budget, ``memo(budget)``, indexed
 by the packed syndrome and reading ``_MISS`` before its decode.  A table
 code keeps a list of 2^(nu*t+e) slots; the first miss in a block of
 ``_BLOCK`` (1024) fills the block from a slice of the table.  A wider
-code keeps a dict, cleared when it would pass ``_BDD_CACHE_CAP`` entries.
+code keeps a dict, cleared when it would pass ``_BDD_CACHE_CAP`` (2^21)
+entries, so its size stays bounded over a long run; the cap decides only
+which decodes are remembered, never what a decode returns.
 Each budget's memo is allocated on its first miss, and a pickled code
 drops its memos and table and arrives cold.
 
@@ -78,6 +80,10 @@ import numpy as np
 
 from .galois import FieldArrays, build_field
 
+# Entries of one budget's dict memo before it is cleared (some 100 B each).
+# A sweep decodes the same seeded frames with each decoder and nested error
+# patterns across its p points, so it keeps hitting old entries: at 2^16,
+# `repro --figures pc842 --max-frames 300 --workers 1` ran 2.2x slower.
 _BDD_CACHE_CAP = 1 << 21
 _TABLE_BITS = 20  # widest packed syndrome with a dense decode table (4 MiB)
 _BLOCK = 1 << 10  # memo slots a table code fills per miss

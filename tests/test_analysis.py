@@ -73,6 +73,21 @@ class TestPoissonTail:
             poisson_tail(0, 1.0)
         with pytest.raises(ValueError):
             poisson_tail(2, -0.1)
+        with pytest.raises(ValueError, match="lambda"):
+            poisson_tail(2, math.nan)
+
+    def test_integer_t_only(self):
+        # P(X >= 2.5) is P(X >= 3), not the incomplete gamma at shape 2.5,
+        # so a float t is refused rather than read as a shape
+        for t in (2.5, 3.0):
+            with pytest.raises(TypeError):
+                poisson_tail(t, 1.0)
+        assert poisson_tail(3, 1.0) == pytest.approx(1 - 2.5 / math.e, rel=1e-12)
+        assert poisson_tail(np.int64(3), 1.0) == poisson_tail(3, 1.0)
+        model = DeModel(2, np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]),
+                        ((1,), (2,)), 128, 2.5)
+        with pytest.raises(TypeError):
+            density_evolution(model, 0.01, 4)
 
 
 class TestDeModels:

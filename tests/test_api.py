@@ -1,12 +1,15 @@
 """The package surface: the README example runs as written, ``gpcdec``
 exports exactly the names in its ``__all__``, every name a submodule
-lists in its ``__all__`` exists, and the benchmark's check and trace
-wrappers still reach the calls they wrap."""
+lists in its ``__all__`` exists, the benchmark's check and trace
+wrappers still reach the calls they wrap, and a decoding process never
+loads scipy."""
 
 import importlib
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -107,3 +110,44 @@ def test_benchmark_hooks_reach_the_code():
         calls[key] = calls.get(key, 0) + count
     assert calls.get("decode_cw", 0) > 0
     assert calls.get("erasure_decode", 0) > 0
+
+
+# Runs in a fresh interpreter: every decoder and post-processor, and one
+# staircase simulate through the CLI, must leave scipy unloaded; the two
+# analysis functions that use it load it on their first call.
+_LEAN_PROCESS = """
+import sys
+import gpcdec, gpcdec.cli
+from gpcdec.analysis import poisson_tail, qfunc_inv
+
+layout = gpcdec.build_product_layout(gpcdec.build_component_code(4, 2, 1, 0))
+runs = (("iterative", "none"), ("anchor", "none"), ("genie", "none"),
+        ("anchor", "erasure"), ("anchor", "bitflip"))
+pp_runs = 0
+for variant, pp in runs:
+    cfg = gpcdec.TrialConfig(layout=layout, variant=variant, pp=pp, p=0.18, ell=4,
+                             min_frame_errors=10**6, max_frames=24, seed=1)
+    rec = gpcdec.run_trials(cfg, collect_frame_stats=True)
+    pp_runs += sum("pp_success" in r for r in rec.frame_stats)
+assert pp_runs > 0
+assert gpcdec.cli.main([
+    "simulate", "--kind", "staircase", "--nu", "4", "--t", "2", "--e", "1",
+    "--num-blocks", "5", "--decoder", "anchor", "--p", "0.05", "--ell", "4",
+    "--max-frames", "16", "--workers", "1", "--output", sys.argv[1],
+]) == 0
+assert "scipy" not in sys.modules
+assert abs(poisson_tail(3, 1.0) - 0.0803013970713942) < 1e-15
+assert abs(qfunc_inv(1e-3) - 3.090232306167813) < 1e-14
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_decoding_never_loads_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = tmp_path / "sc.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEAN_PROCESS, str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().count("\n") == 2

@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bch_oracle import encode, generator_poly, pdeg, pmod, support_syndrome, word_syndrome
+import gpcdec.bch
 from gpcdec.bch import _TABLE_BITS, ComponentCodeSpec, build_component_code
-from gpcdec.engine import genie_decode
+from gpcdec.engine import anchor_decode, genie_decode, iterative_bdd
 from gpcdec.galois import build_field
 from gpcdec.layout import build_product_layout
 
@@ -817,6 +818,41 @@ class TestDecodeBatch:
         code.prefetch(packed, 1)
         assert len(code.memo(1)) == 7
         assert set(code.memo(2)) == set(packed)
+
+    @pytest.mark.parametrize("args, decoder, p", [
+        ((8, 3, 0, 0), "anchor", 0.017),
+        ((8, 4, 2, 0), "iterative", 0.022),
+        ((8, 4, 2, 0), "anchor", 0.022),
+    ])
+    def test_memo_cap_never_changes_a_decode(self, args, decoder, p, monkeypatch):
+        """The cap decides only which decodes are remembered: frames
+        decoded with a 7-entry memo equal those decoded at the default
+        cap, stats included, and no budget's dict ever passes the cap."""
+        def run():
+            layout = build_product_layout(build_component_code(*args))
+            rng = np.random.default_rng(17)
+            out = []
+            for _ in range(3):
+                frame = (rng.random(layout.n_bits) < p).astype(np.uint8)
+                if decoder == "anchor":
+                    out.append(anchor_decode(layout, frame, 6))
+                else:
+                    out.append(iterative_bdd(layout, frame, 6))
+            return out
+
+        default = run()
+        sizes = []
+
+        def setitem(memo, packed, result):
+            dict.__setitem__(memo, packed, result)
+            sizes.append(len(memo))
+
+        monkeypatch.setattr(gpcdec.bch, "_BDD_CACHE_CAP", 7)
+        monkeypatch.setattr(gpcdec.bch._DictMemo, "__setitem__", setitem)
+        capped = run()
+        assert sizes and max(sizes) <= 7
+        for (frame, stats), (want, want_stats) in zip(capped, default):
+            assert np.array_equal(frame, want) and stats == want_stats
 
 
 class TestIdealizedBdd:

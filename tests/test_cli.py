@@ -6,6 +6,10 @@ code path as the installed console script, including exit codes.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -683,3 +687,17 @@ class TestRepro:
             ["repro", "--outdir", str(tmp_path), "--figures", "fig9"],
             capsys,
         )
+
+
+def test_python_m_gpcdec_runs_the_cli(tmp_path):
+    """``python -m gpcdec`` is the console command: a subprocess writes the
+    bytes an in-process ``main`` writes for the same arguments."""
+    src = Path(gpcdec.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpcdec", *SIM_ARGS, "--output", str(tmp_path / "m.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(SIM_ARGS + ["--output", str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()

@@ -71,6 +71,7 @@ class DeModel:
     for staircase codes), so the Poisson mean seen by type i is
     c * sum_j coupling[i,j] * x_j with c = p*n.  ``schedule`` lists the
     active (1-based) type sets of the half-iterations of one iteration.
+    ``n`` and ``t`` must be integers of at least 1.
     """
 
     num_types: int
@@ -86,6 +87,12 @@ class DeModel:
             raise ValueError("eta must be L x L")
         if not np.array_equal(eta, eta.T) or eta.diagonal().any():
             raise ValueError("eta must be symmetric with zero diagonal")
+        if np.shape(self.coupling) != eta.shape:
+            raise ValueError("coupling must be L x L")
+        if operator.index(self.n) < 1:
+            raise ValueError("n must be >= 1")
+        if operator.index(self.t) < 1:
+            raise ValueError("t must be >= 1")
         for active in self.schedule:
             for i in active:
                 if not 1 <= i <= self.num_types:
@@ -144,7 +151,12 @@ def de_crossing_p(
 ) -> float:
     """Smallest p (to within tol) where the DE prediction reaches
     target_ber.  The prediction is continuous and nondecreasing in p for
-    finite ell, so plain bisection applies."""
+    finite ell, so plain bisection applies.  It stops early once lo and
+    hi are adjacent floats, where no midpoint lies between them."""
+    if not 0 < target_ber < 1:
+        raise ValueError("target BER must be in (0, 1)")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and > 0")
     if density_evolution(model, p_hi, ell) < target_ber:
         raise ValueError("target BER not reached below p_hi")
     if density_evolution(model, p_lo, ell) > target_ber:
@@ -152,6 +164,8 @@ def de_crossing_p(
     lo, hi = p_lo, p_hi
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            break
         if density_evolution(model, mid, ell) < target_ber:
             lo = mid
         else:
@@ -161,18 +175,26 @@ def de_crossing_p(
 
 @dataclass(frozen=True)
 class FloorModel:
-    """Minimal stopping-set family behind an error-floor estimate."""
+    """Minimal stopping-set family behind an error-floor estimate.  Every
+    field must be an integer of at least 1."""
 
     n: int
     t: int
     s_min: int
     multiplicity: int
 
+    def __post_init__(self):
+        for name in ("n", "t", "s_min", "multiplicity"):
+            if operator.index(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
 
 def stall_floor_model(n: int, t: int) -> FloorModel:
     """Minimal uncorrectable pattern of iterative BDD without
     miscorrections: a (t+1) x (t+1) error grid, placeable in any choice
     of t+1 rows and t+1 columns."""
+    if operator.index(t) + 1 > operator.index(n):
+        raise ValueError("a (t+1) x (t+1) grid needs t + 1 <= n")
     return FloorModel(n, t, (t + 1) ** 2, math.comb(n, t + 1) ** 2)
 
 
@@ -180,6 +202,8 @@ def pp_floor_model(n: int) -> FloorModel:
     """Dominant stopping sets surviving algebraic-erasure post-processing
     for t = 2 extended component codes: 18 errors arranged 3-per-row and
     3-per-column on a 6 x 6 support, in one of 297200 arrangements."""
+    if operator.index(n) < 6:
+        raise ValueError("a 6 x 6 support needs n >= 6")
     return FloorModel(n, 2, 18, 297200 * math.comb(n, 6) ** 2)
 
 

@@ -32,7 +32,10 @@ half-iterations:
   backtrack an anchor and change later syndromes of the same type.  A
   visit's BDD reads the code's memo (``ComponentCodeSpec.memo``), which
   ``decode_packed`` fills on a miss, or in one batch per half-iteration
-  on wide t = 2 and t = 3 codes (``ComponentCodeSpec.prefetch``).
+  on wide t = 2 and t = 3 codes (``ComponentCodeSpec.prefetch``).  A
+  successful decode returns the support whose parity-check columns XOR
+  to the codeword's syndrome, so a visit that applies it sets that
+  syndrome to 0 and folds each flip only into the partner's.
 
 Per-codeword status values: 0 = anchor, 1 = eligible for decoding,
 2 = decoding failed, 3 = frozen.  The only status transitions are
@@ -69,7 +72,7 @@ __all__ = [
 ANCHOR, ELIGIBLE, FAILED, FROZEN = 0, 1, 2, 3
 
 # the flips of a half-iteration that had nothing to decode
-_NO_BITS = np.zeros(0, dtype=np.int32)
+_NO_BITS = np.zeros(0, dtype=np.intp)
 
 @dataclass
 class DecodeStats:
@@ -112,8 +115,8 @@ def _set_bits(layout: GpcLayout, frame: np.ndarray) -> np.ndarray:
         raw = frame.view(np.uint8)
         if raw.size and raw.max() > 1:
             raise ValueError("frame bits must be 0 or 1")
-        return np.flatnonzero(raw.view(bool))
-    bits = np.flatnonzero(frame)
+        return raw.view(bool).nonzero()[0]
+    bits = frame.nonzero()[0]
     if bits.size and (frame[bits] != 1).any():
         raise ValueError("frame bits must be 0 or 1")
     return bits
@@ -121,16 +124,19 @@ def _set_bits(layout: GpcLayout, frame: np.ndarray) -> np.ndarray:
 
 def _fold_bits(layout: GpcLayout, acc: np.ndarray, bits: np.ndarray) -> None:
     """XOR the syndrome contributions of the given bits into both owners'
-    slots of ``acc``."""
+    slots of ``acc``.  The rows are gathered with ``take``, several times
+    cheaper than fancy indexing; an absent partner's -1 owner and -1
+    position wrap as they would under indexing, into the last slot."""
     if bits.size:
-        owners = layout.bit_cw[bits]  # (m, 2), -1 for absent partners
-        contribs = layout.code.contrib_packed_np[layout.bit_pos[bits]]
+        owners = layout.bit_cw.take(bits, axis=0)  # (m, 2), -1 for absent partners
+        contribs = layout.code.contrib_packed_np.take(layout.bit_pos.take(bits, axis=0))
         np.bitwise_xor.at(acc, owners.ravel(), contribs.ravel())
 
 
 class _ConflictSets(dict):
     """Conflict sets L by codeword.  Only non-empty sets are stored; any
-    other codeword reads as an empty frozenset."""
+    other codeword reads as an empty frozenset.  The decoder itself reads
+    them with ``get``, which skips the ``__missing__`` call."""
 
     def __missing__(self, c: int) -> frozenset:
         return frozenset()
@@ -149,14 +155,14 @@ class DecoderState:
     ``visit_all`` is the status machine of Alg. 2: it visits the eligible
     codewords of a range in ascending order, each with one ``decode_cw``
     call.  The flips of a successful decode are applied inline: frame
-    bit, both syndromes, ``nonzero_count`` and the partner's return to
-    eligibility.  Only a decode whose flips reach an anchor -- the rare
-    case -- first goes through ``_check_anchors``, which freezes the
-    codeword (no flip is applied) or marks anchors; marked anchors are
-    backtracked after the flips (``backtrack``, Alg. 3, which reverses
-    an anchor's flips through ``error_correction``, Alg. 4).  Every
-    status change is a plain write of ``status[c]``.  A budget reset is
-    ``reset_failed``.
+    bit, the partner's syndrome, ``nonzero_count`` and the partner's
+    return to eligibility; the codeword's own syndrome becomes 0.  Only
+    a decode whose flips reach an anchor -- the rare case -- first goes
+    through ``_check_anchors``, which freezes the codeword (no flip is
+    applied) or marks anchors; marked anchors are backtracked after the
+    flips (``backtrack``, Alg. 3, which reverses an anchor's flips
+    through ``error_correction``, Alg. 4).  Every status change is a
+    plain write of ``status[c]``.  A budget reset is ``reset_failed``.
 
     The frame is a numpy view over a bytearray, and the layout's index
     arrays are read through its flat ``array('i')`` views.  The frame is
@@ -184,14 +190,6 @@ class DecoderState:
         self._pin_masks = layout.pin_masks
 
     # --- primitives --------------------------------------------------------
-
-    def _update_syndrome(self, c: int, pos: int) -> None:
-        """Fold the flip of position ``pos`` into codeword c's syndrome."""
-        old = self.syn[c]
-        new = old ^ self.code.contrib_packed[pos]
-        self.syn[c] = new
-        if (old == 0) != (new == 0):
-            self.nonzero_count += 1 if old == 0 else -1
 
     def _dissolve(self, c: int) -> list[int]:
         """Drop codeword c's conflicts on both sides; returns, ascending,
@@ -240,18 +238,23 @@ class DecoderState:
         """Flip the bit at position ``pos`` of codeword ``c`` unless both
         incident codewords are anchors (an anchor's decision is trusted
         against a backtracked one)."""
-        layout = self.layout
+        layout, status = self.layout, self.status
         i = c * self.code.n + pos
         k = layout.flat_partner_cw[i]
-        if self.status[c] == ANCHOR and self.status[k] == ANCHOR:
+        if status[c] == ANCHOR and status[k] == ANCHOR:
             return
         self._buf[layout.flat_cw_bits[i]] ^= 1
-        self._update_syndrome(c, pos)
-        self._update_syndrome(k, layout.flat_partner_pos[i])
+        syn, contrib = self.syn, self.code.contrib_packed
+        old = syn[c]
+        new = syn[c] = old ^ contrib[pos]
+        nonzero = (not old) - (not new)
+        old = syn[k]
+        new = syn[k] = old ^ contrib[layout.flat_partner_pos[i]]
+        self.nonzero_count += nonzero + (not old) - (not new)
         self.stats.corrections += 1
-        st = self.status[k]
+        st = status[k]
         if st >= FAILED:  # FAILED or FROZEN: eligible again
-            self.status[k] = ELIGIBLE
+            status[k] = ELIGIBLE
             self.live_types[k // self._per] = True
             if st == FROZEN:
                 self._dissolve(k)
@@ -307,8 +310,7 @@ class DecoderState:
             if status[c] != ELIGIBLE:
                 continue
             visited = True
-            s = syn[c]
-            if not s:
+            if not syn[c]:
                 # decodes to itself: an anchor with no stored error locations
                 status[c] = ANCHOR
                 anchor_pos[c] = ()
@@ -329,7 +331,6 @@ class DecoderState:
             for p in out:
                 i = base + p
                 buf[cw_bits[i]] ^= 1
-                s ^= contrib[p]
                 k = partner_cw[i]
                 old = syn[k]
                 new = syn[k] = old ^ contrib[partner_pos[i]]
@@ -340,9 +341,8 @@ class DecoderState:
                     live[k // per] = True
                     if st == FROZEN:
                         self._dissolve(k)
-            syn[c] = s
-            if not s:
-                nonzero -= 1
+            syn[c] = 0  # a decoded support's syndrome is its codeword's
+            nonzero -= 1
             corrections += len(out)
             status[c] = ANCHOR
             anchor_pos[c] = out
@@ -372,14 +372,14 @@ class DecoderState:
             k = partner_cw[base + pos]
             if status[k] != ANCHOR:
                 continue
-            if len(conflicts[k]) >= self.delta:
+            if len(conflicts.get(k, ())) >= self.delta:
                 if k not in marked:
                     marked.append(k)  # mark for backtracking
             else:
                 if status[c] != FROZEN:
                     status[c] = FROZEN
                     self.stats.frozen_events += 1
-                if k not in conflicts[c]:
+                if k not in conflicts.get(c, ()):
                     conflicts.setdefault(c, set()).add(k)
                     conflicts.setdefault(k, set()).add(c)
         return None if status[c] == FROZEN else marked
@@ -469,7 +469,7 @@ def iterative_bdd(
 
     def half_iteration(cws: range, budget: int, _reset: bool) -> int:
         seg = syn[cws.start : cws.stop]
-        rows = np.flatnonzero(seg)
+        rows = seg.nonzero()[0]
         if not rows.size:
             flips.append(_NO_BITS)
             return 0
@@ -479,7 +479,7 @@ def iterative_bdd(
         if pinned_types[cws.start // per_type]:
             ok &= ~(cw_pinned[slots] & ok).any(axis=1, keepdims=True)
         i = slots[ok]
-        bits = cw_bits[i]
+        bits = cw_bits[i].astype(np.intp)  # an int32 index is cast at every use
         work[bits] ^= 1
         seg[rows[ok[:, 0]]] = 0  # a support's syndrome is its codeword's
         np.bitwise_xor.at(acc, partner_cw[i], contrib[partner_pos[i]])
@@ -487,11 +487,11 @@ def iterative_bdd(
         flips.append(bits)
         return bits.size
 
-    _run_schedule(
-        layout, ell, reduced_t_iters, stats, half_iteration, lambda: not syn.any(),
-        (flips, flip),
-    )
-    stats.syndromes_zero = not syn.any()
+    def finished() -> bool:
+        return not np.count_nonzero(syn)  # 2-4x cheaper than syn.any()
+
+    _run_schedule(layout, ell, reduced_t_iters, stats, half_iteration, finished, (flips, flip))
+    stats.syndromes_zero = finished()
     return work, stats
 
 
@@ -525,9 +525,10 @@ def genie_decode(
         if any(syn):
             raise ValueError("true_frame is not a valid codeword of the GPC")
         bits = np.flatnonzero(frame.astype(bool) ^ ref.astype(bool))
-    owners = layout.bit_cw[bits]  # (m, 2), -1 for absent partners
+    owners = layout.bit_cw.take(bits, axis=0)  # (m, 2), -1 for absent partners
     odd = (owners[:, 0] // per_type & 1).astype(bool)
-    by_parity = np.where(odd, owners[:, ::-1].T, owners.T)
+    # intp, so the half-iterations' bincount and gathers cast nothing
+    by_parity = np.where(odd, owners[:, ::-1].T, owners.T).astype(np.intp)
     live = np.ones(bits.size, dtype=bool)
     # stale[ty + 1]: an adjacent type corrected since type ty's last
     # half-iteration; ty's own corrections leave it none to correct
@@ -541,9 +542,9 @@ def genie_decode(
         if not stale[ty + 1]:
             return False
         stale[ty + 1] = False
-        a, b = np.searchsorted(bits, layout.type_spans[ty])
-        idx = np.flatnonzero(live[a:b]) + a
-        rows = by_parity[ty & 1, idx] - cws.start
+        a, b = bits.searchsorted(layout.type_spans[ty])
+        idx = live[a:b].nonzero()[0] + a
+        rows = by_parity[ty & 1].take(idx) - cws.start
         cnt = np.bincount(rows, minlength=per_type)
         fix = idx[cnt[rows] <= t]
         if not fix.size:

@@ -19,6 +19,7 @@ import pytest
 from gpcdec.bch import ComponentCodeSpec
 from gpcdec.analysis import (
     DeModel,
+    FloorModel,
     de_crossing_p,
     de_product_model,
     de_staircase_model,
@@ -84,10 +85,10 @@ class TestPoissonTail:
                 poisson_tail(t, 1.0)
         assert poisson_tail(3, 1.0) == pytest.approx(1 - 2.5 / math.e, rel=1e-12)
         assert poisson_tail(np.int64(3), 1.0) == poisson_tail(3, 1.0)
-        model = DeModel(2, np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]),
-                        ((1,), (2,)), 128, 2.5)
+        # a DeModel refuses the float t at construction, before any run
         with pytest.raises(TypeError):
-            density_evolution(model, 0.01, 4)
+            DeModel(2, np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]),
+                    ((1,), (2,)), 128, 2.5)
 
 
 class TestDeModels:
@@ -120,6 +121,24 @@ class TestDeModels:
         eta3 = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             DeModel(2, eta3, eta3, ((3,),), 15, 2)
+
+    def test_coupling_must_match_the_types(self):
+        eta = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for coupling in (np.ones((3, 3)), np.ones(2), np.ones((2, 3))):
+            with pytest.raises(ValueError, match="coupling must be L x L"):
+                DeModel(2, eta, coupling, ((1,), (2,)), 15, 2)
+
+    def test_n_and_t_must_be_positive_integers(self):
+        eta = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for n, t in ((15.0, 2), (15, 2.5), (15, 2.0)):
+            with pytest.raises(TypeError):
+                DeModel(2, eta, eta, ((1,), (2,)), n, t)
+        for n, t, what in ((0, 2, "n"), (-15, 2, "n"), (15, 0, "t"), (15, -1, "t")):
+            with pytest.raises(ValueError, match=f"{what} must be >= 1"):
+                DeModel(2, eta, eta, ((1,), (2,)), n, t)
+        m = DeModel(2, eta, eta, ((1,), (2,)), np.int64(128), np.int64(2))
+        assert density_evolution(m, 0.0262, 10) == density_evolution(
+            de_product_model(ComponentCodeSpec(7, 2, 1, 0)), 0.0262, 10)
 
 
 class TestDensityEvolution:
@@ -162,6 +181,28 @@ class TestDensityEvolution:
         assert density_evolution(m, p, 10) == pytest.approx(1e-3, rel=0.02)
         with pytest.raises(ValueError):
             de_crossing_p(m, 10, 1e-3, p_hi=0.01)
+
+    def test_crossing_refuses_a_target_outside_the_unit_interval(self):
+        m = de_product_model(ComponentCodeSpec(7, 2, 1, 0))
+        for target in (math.nan, 0.0, 1.0, -1e-3, math.inf):
+            with pytest.raises(ValueError, match="target BER must be in"):
+                de_crossing_p(m, 10, target)
+
+    def test_crossing_refuses_a_tolerance_it_cannot_meet(self):
+        m = de_product_model(ComponentCodeSpec(7, 2, 1, 0))
+        for tol in (0.0, -1e-7, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                de_crossing_p(m, 10, 1e-3, tol=tol)
+
+    def test_crossing_stops_at_adjacent_floats(self):
+        # a tol below the float spacing at p* cannot be met; bisection
+        # ends when no midpoint is left between lo and hi
+        m = de_product_model(ComponentCodeSpec(7, 2, 1, 0))
+        coarse = de_crossing_p(m, 10, 1e-3)
+        for tol in (1e-300, 5e-324):
+            p = de_crossing_p(m, 10, 1e-3, tol=tol)
+            assert abs(p - coarse) < 1e-7
+            assert density_evolution(m, p, 10) == pytest.approx(1e-3, rel=1e-6)
 
     def test_domain_errors(self):
         m = de_product_model(ComponentCodeSpec(7, 2, 1, 0))
@@ -215,6 +256,30 @@ class TestErrorFloor:
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 error_floor(fm, bad)
+
+    def test_floor_model_fields_checked_at_construction(self):
+        assert FloorModel(128, 2, 9, 1).s_min == 9
+        for field in range(4):
+            for bad, exc in ((0, ValueError), (-1, ValueError), (2.5, TypeError),
+                             (3.0, TypeError)):
+                args = [128, 2, 9, 1]
+                args[field] = bad
+                with pytest.raises(exc):
+                    FloorModel(*args)
+
+    def test_grid_larger_than_the_code_refused(self):
+        # a (t+1) x (t+1) grid needs t + 1 rows; comb(n, t+1) would be 0
+        for n, t in ((3, 5), (0, 2), (2, 2)):
+            with pytest.raises(ValueError, match=r"t \+ 1 <= n"):
+                stall_floor_model(n, t)
+        for n, t in ((128, 0), (128, -1)):
+            with pytest.raises(ValueError, match="t must be >= 1"):
+                stall_floor_model(n, t)
+        assert stall_floor_model(3, 2).multiplicity == 1
+        assert error_floor_log10(stall_floor_model(3, 2), 0.1) == pytest.approx(-9.0)
+        with pytest.raises(ValueError, match="n >= 6"):
+            pp_floor_model(5)
+        assert pp_floor_model(6).multiplicity == 297200
 
 
 class TestMiscorrectionProbability:

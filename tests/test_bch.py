@@ -908,6 +908,58 @@ class TestIdealizedBdd:
             genie_decode(lay, bad, bad, 4)
 
 
+def support_syndromes(code, pos):
+    """The XOR of the parity-check columns of each row of a decode_batch
+    ``pos`` array, whose -1 padding adds nothing."""
+    cols = np.where(pos >= 0, code.contrib_packed_np[pos], 0)
+    return np.bitwise_xor.reduce(cols, axis=1)
+
+
+class TestDecodedSupportSyndrome:
+    """Every decode that succeeds returns a support whose columns XOR back
+    to the syndrome it was given: the anchor decoder sets a decoded
+    codeword's syndrome to 0 on that basis, without folding its flips.
+    The support also has distinct positions, ascending, at most the
+    budget of them."""
+
+    @staticmethod
+    def check(code, syn, budget, out):
+        if out is None:
+            return
+        assert support_syndrome(code, out) == syn, (syn, budget, out)
+        assert list(out) == sorted(set(out)) and len(out) <= budget
+
+    @pytest.mark.parametrize("args", [(7, 2, 1, 0), (8, 2, 1, 61)])
+    def test_every_syndrome_and_budget(self, args):
+        code = build_component_code(*args)
+        packed = np.arange(1 << code.packed_bits)
+        for budget in range(code.t + 1):
+            decoded = 0
+            for syn in packed.tolist():
+                out = code.decode_packed(syn, budget)
+                self.check(code, syn, budget, out)
+                decoded += out is not None
+            pos, ok = code.decode_batch(packed, budget)
+            assert np.array_equal(support_syndromes(code, pos)[ok], packed[ok])
+            assert ok.sum() == decoded == sum(comb(code.n, w) for w in range(budget + 1))
+
+    @pytest.mark.parametrize("args", [(8, 3, 0, 0), (8, 4, 2, 0)])
+    def test_random_and_planted_syndromes(self, args):
+        code = build_component_code(*args)
+        rng = np.random.default_rng(sum(args) + 26)
+        planted = [
+            support_syndrome(code, rng.choice(code.n, int(w), replace=False).tolist())
+            for w in rng.integers(0, code.t + 1, 4000)
+        ]
+        packed = np.concatenate([rng.integers(0, 1 << code.packed_bits, 4000), planted])
+        for budget in (code.t, code.t - 1):
+            for syn in packed.tolist():
+                self.check(code, syn, budget, code.decode_packed(syn, budget))
+            pos, ok = code.decode_batch(packed, budget)
+            assert np.array_equal(support_syndromes(code, pos)[ok], packed[ok])
+            assert ok[4000:].sum() >= 1000  # the planted supports mostly decode
+
+
 # ---------------------------------------------------------------------------
 # erasure decoding
 

@@ -572,14 +572,23 @@ class TestFrameSyndromes:
                 assert got[c] == support_syndrome(CODE15, pos)
 
     def test_staircase_ignores_absent_partners(self, sc16):
-        # every bit of the first and last block belongs to one codeword only
+        # every bit of the first and last block belongs to one codeword
+        # only; its absent partner's contribution lands in no codeword.
+        # An odd number of set pinned bits keeps that visible, since an
+        # even number of the same absent-partner column would cancel
         rng = np.random.default_rng(12)
-        frame = (rng.random(sc16.n_bits) < 0.05).astype(np.uint8)
-        got = frame_syndromes(sc16, frame)
-        for c in range(sc16.n_cw):
-            bits = sc16.cw_bits[c]
-            pos = [p for p in range(CODE16.n) if frame[bits[p]]]
-            assert got[c] == support_syndrome(CODE16, pos)
+        pinned = np.flatnonzero(sc16.pinned)
+        assert (sc16.bit_cw[pinned, 1] == -1).all()
+        for count in (None, 1, 3):
+            frame = (rng.random(sc16.n_bits) < 0.05).astype(np.uint8)
+            if count is not None:
+                frame[pinned] = 0
+                frame[rng.choice(pinned, count, replace=False)] = 1
+            got = frame_syndromes(sc16, frame)
+            for c in range(sc16.n_cw):
+                bits = sc16.cw_bits[c]
+                pos = [p for p in range(CODE16.n) if frame[bits[p]]]
+                assert got[c] == support_syndrome(CODE16, pos)
 
     def test_frame_length_checked(self, pc15):
         # a short frame read as zero-padded; a long one raised IndexError
@@ -1162,6 +1171,41 @@ class TestAnchorAgainstReference:
             layout, p_max = wide_layout(kind), 0.03
         frame = noisy_frame(layout, np.random.default_rng(seed), p * p_max, pins)
         self.check(layout, frame, ell, delta, min(reduced, ell))
+
+
+class TestAnchorSyndromeBookkeeping:
+    """A visit sets a decoded codeword's syndrome to 0 instead of folding
+    its flips into it.  After whole runs on the paper's sizes, the kept
+    syndromes and nonzero_count equal those recomputed from the frame,
+    on staircase frames with errors on pinned bits too."""
+
+    @staticmethod
+    def check(layout, frame, delta, reduced):
+        state = anchor_decode_state(layout, frame, 10, delta, reduced)
+        syn = frame_syndromes(layout, state.frame)
+        assert state.syn == syn
+        assert state.nonzero_count == sum(1 for s in syn if s)
+        return state.stats
+
+    def test_product_and_staircase(self):
+        product = build_product_layout(ComponentCodeSpec(7, 2, 1, 0))
+        chain = chain_layout(12)
+        rng = np.random.default_rng(26)
+        backtracks = stalls = pinned = 0
+        for i in range(12):
+            delta, reduced = i % 3, i % 2
+            stats = self.check(product, noisy_frame(product, rng, rng.uniform(0.017, 0.03)),
+                               delta, reduced)
+            backtracks += stats.backtracks
+            stalls += not stats.syndromes_zero
+            frame = noisy_frame(chain, rng, rng.uniform(0.02, 0.026), pins=i % 2)
+            pinned += bool(frame[chain.pinned].any())
+            stats = self.check(chain, frame, delta, reduced)
+            backtracks += stats.backtracks
+            stalls += not stats.syndromes_zero
+        # sanity: backtracks reversed flips, some frames stalled with
+        # nonzero syndromes left, and pinned bits were set
+        assert backtracks and stalls and pinned
 
 
 class TestDecodingBehaviour:

@@ -104,10 +104,12 @@ def flip(work, bit):
     """Toggle one frame bit of a DecoderState and fold it into its
     incident syndromes, bypassing the status machine."""
     work._buf[bit] ^= 1
-    layout = work.layout
+    layout, syn = work.layout, work.syn
     for c, pos in zip(layout.bit_cw[bit].tolist(), layout.bit_pos[bit].tolist()):
         if c >= 0:
-            work._update_syndrome(c, pos)
+            old = syn[c]
+            syn[c] ^= layout.code.contrib_packed[pos]
+            work.nonzero_count += (not old) - (not syn[c])
 
 
 def on_rebuilt_state(fixpoint):

@@ -5,7 +5,7 @@ Library layout:
 - galois: GF(2^nu) tables
 - bch: component BCH codes (parity-check columns, packed-syndrome BDD,
   erasures)
-- layout: product and staircase code geometry and schedules
+- layout: product and staircase code geometry and decoding windows
 - engine: iterative, genie (idealized) and anchor-based decoders
 - postprocess: stall-pattern post-processing (bit-flip and algebraic-erasure)
 - analysis: density evolution, error-floor estimates, miscorrection

@@ -122,21 +122,26 @@ def density_evolution(model: DeModel, p: float, ell: int) -> float:
 
     Runs x_i <- PoissonTail_{>=t}(c * sum_j coupling[i,j] * x_j) for the
     active types of each half-iteration, from x = 1, then evaluates
-    p * (x eta x^T) / ||eta||_F^2.
+    p * (x eta x^T) / ||eta||_F^2.  An iteration is a function of x
+    alone, so once one leaves x bit-identical every later one would too,
+    and the iterations stop there.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
-    if ell < 1:
+    if operator.index(ell) < 1:
         raise ValueError("ell must be >= 1")
     c = p * model.n
     t = model.t
     coupling = model.coupling
     x = np.ones(model.num_types)
     for _ in range(ell):
+        before = x.tobytes()
         for active in model.schedule:
             lam = c * (coupling @ x)
             for i in active:
                 x[i - 1] = poisson_tail(t, lam[i - 1])
+        if x.tobytes() == before:
+            break
     quad = float(x @ model.eta @ x)
     return p * quad / float(model.eta.sum())
 

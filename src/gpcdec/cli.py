@@ -208,6 +208,9 @@ def _build_layout(parser, opts, code):
         parser.error(str(exc))
 
 
+_MAX_GRID = 10**6  # points of a --p-sweep grid
+
+
 def _p_grid(parser, opts):
     p, sweep = opts["p"], opts["p_sweep"]
     if (p is None) == (sweep is None):
@@ -223,6 +226,8 @@ def _p_grid(parser, opts):
         parser.error("--p-sweep must look like START:STOP:NUM")
     if not (0 < lo <= hi and num >= 1):
         parser.error("--p-sweep needs 0 < START <= STOP and NUM >= 1")
+    if num > _MAX_GRID:
+        parser.error(f"--p-sweep takes at most {_MAX_GRID} points")
     return [float(x) for x in np.geomspace(lo, hi, num)]
 
 

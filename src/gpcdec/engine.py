@@ -1,16 +1,18 @@
 """Frame decoders for generalized product codes.
 
 The three decoders differ only in what one half-iteration does.  One
-driver, ``_run_schedule``, walks the layout's ``window_plans`` for all
-three: it calls the decoder's half-iteration on each scheduled codeword
-type, counts half-iterations, ends the frame once the decoder reports it
-finished (every syndrome zero; for the genie, no error left), and leaves
-a window position once a full sweep changed nothing and no budget reset
-is still ahead, or, for iterative BDD, once a sweep's flips cancel: the
-rest of the plan would replay that sweep, which the driver accounts
-without decoding.  An anchor half-iteration depends on statuses as well
-as the frame, and the genie cannot cycle, so neither replays.  The
-half-iterations:
+function, ``_run_schedule``, computes the schedule for all three, entry by
+entry, from the layout's ``window_ranges``: at each window position, ell
+sweeps over the types it decodes.  It calls the decoder's half-iteration
+on each scheduled codeword type, counts half-iterations, ends the frame
+once the decoder reports it finished (every syndrome zero; for the
+genie, no error left), and leaves a window position once a full sweep
+changed nothing and no budget reset is still ahead, or, for iterative
+BDD, once a sweep's flips cancel: the rest of the position's schedule
+would replay that sweep, which it accounts without decoding.  So
+a frame costs the half-iterations it runs, whatever ell is.  An anchor
+half-iteration depends on statuses as well as the frame, and the genie
+cannot cycle, so neither replays.  The half-iterations:
 
 * ``iterative_bdd``: conventional iterative bounded-distance decoding.
   Every scheduled codeword is BDD-decoded and corrections are applied
@@ -446,7 +448,7 @@ def iterative_bdd(
     failure; only the types whose spans reach a pinned bit check.
 
     BDD is a pure function of the syndrome and the budget, so a
-    half-iteration is a pure function of the frame and its plan entry:
+    half-iteration is a pure function of the frame and its schedule entry:
     once a sweep's flips cancel, the driver's replay (``_run_schedule``)
     accounts the rest of the window position without decoding.
     """
@@ -515,7 +517,7 @@ def genie_decode(
     binary search, or none while no correction changed them.
     """
     t, per_type = layout.code.t, layout.per_type
-    layout.window_plans(ell)
+    check_schedule(ell)
     bits = _set_bits(layout, frame)
     if true_frame is not None:
         ref = np.asarray(true_frame)
@@ -563,6 +565,19 @@ def genie_decode(
     return out, stats
 
 
+def check_schedule(ell: int, reduced_t_iters: int = 0) -> tuple[int, int]:
+    """The schedule's arguments as ints: ell sweeps per window position,
+    of which the first ``reduced_t_iters`` decode with budget t-1.  A
+    non-integer is refused as a TypeError, ell below 1 or a reduced phase
+    outside [0, ell] as a ValueError."""
+    ell, reduced_t_iters = operator.index(ell), operator.index(reduced_t_iters)
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    if not 0 <= reduced_t_iters <= ell:
+        raise ValueError("reduced_t_iters must lie in [0, ell]")
+    return ell, reduced_t_iters
+
+
 def _run_schedule(
     layout: GpcLayout,
     ell: int,
@@ -575,23 +590,31 @@ def _run_schedule(
     """Run ``half_iteration(cw_indices, budget, reset_failed)`` over the
     schedule, counting half-iterations in ``stats``.
 
+    At each window position the schedule is ell sweeps over the
+    position's type ranges (``GpcLayout.window_ranges``), of ``sweep``
+    entries each.  Entry i, computed when it runs, decodes
+    ``ranges[i % sweep]`` with budget t-1 while ``i < reduced_t_iters *
+    sweep`` and t after that; failed statuses reset before entry
+    ``reduced_t_iters * sweep`` when the reduced phase neither is empty
+    nor fills the schedule.
+
     The schedule ends once ``finished()`` holds after a half-iteration.  A
     window position ends early once a full sweep reports no change and no
-    budget reset is still ahead in its plan: the remaining sweeps would
-    repeat that sweep verbatim.
+    budget reset is still ahead: the remaining sweeps would repeat that
+    sweep verbatim.
 
     ``replay`` is ``(flips, flip)`` for a decoder whose half-iteration is
-    a pure function of the frame and its plan entry (iterative BDD).  Its
-    half-iteration returns how many bits it flipped and appends them, as
-    an array of distinct bits, to ``flips``, which the driver empties at
-    each window position; ``flip(bits)`` flips distinct bits of the frame.
+    a pure function of the frame and its schedule entry (iterative BDD).
+    Its half-iteration returns how many bits it flipped and appends them,
+    as an array of distinct bits, to ``flips``, which is emptied at each
+    window position; ``flip(bits)`` flips distinct bits of the frame.
     After a half-iteration that flipped something, a sweep or more past
-    the plan's last budget reset, the driver checks whether the flips of
-    the last sweep cancel (on a product: both passes flipped the same
-    bits).  If so, the frame is back in its state of one sweep earlier.
-    Past the last reset every plan entry equals the one a sweep before it
-    (same type range and budget, no reset), so the rest of the plan
-    replays that sweep: it can neither finish nor stall, its
+    the budget reset, the flips of the last sweep are checked for
+    cancelling (on a product: both passes flipped the same bits).  If
+    they cancel, the frame is back in its state of one sweep earlier.
+    Past the reset every entry equals the one a sweep before it (same
+    type range and budget, no reset), so the rest of the position's
+    schedule replays that sweep: it can neither finish nor stall, its
     half-iterations and corrections are added arithmetically, the flips
     of its leftover partial sweep are applied, and the window position is
     left.  Detection costs an int comparison per half-iteration: every
@@ -599,32 +622,34 @@ def _run_schedule(
     that cancel over a sweep are as many on odd types as on even ones,
     and only then are the flips compared.
     """
-    sweep = layout.sweep_len
-    per_type = layout.per_type
-    plans = layout.window_plans(ell, reduced_t_iters)
-    last_reset = layout.last_reset(ell, reduced_t_iters)
-    for plan in plans:
+    ell, reduced_t_iters = check_schedule(ell, reduced_t_iters)
+    t, per_type = layout.code.t, layout.per_type
+    for ranges in layout.window_ranges:
+        sweep = len(ranges)
+        reduced_end = reduced_t_iters * sweep
+        reset_at = reduced_end if 0 < reduced_t_iters < ell else -1
         stuck = 0
         if replay is not None:
             flips, flip = replay
             flips.clear()
             balance = [0]  # flips on odd- minus even-indexed types, before each entry
-        for i, (cws, budget, reset) in enumerate(plan):
-            changed = half_iteration(cws, budget, reset)
+        for i in range(ell * sweep):
+            cws = ranges[i % sweep]
+            changed = half_iteration(cws, t - 1 if i < reduced_end else t, i == reset_at)
             stats.half_iterations += 1
             if finished():
                 return
             stuck = 0 if changed else stuck + 1
-            if stuck >= sweep and i > last_reset:
+            if stuck >= sweep and i > reset_at:
                 break  # fixpoint within this window position
             if replay is not None:
                 b = balance[-1] + (changed if cws.start // per_type & 1 else -changed)
                 balance.append(b)
                 if (
                     changed
-                    and i - last_reset >= sweep
+                    and i - reset_at >= sweep
                     and b == balance[i + 1 - sweep]
-                    and _replay(flips[-sweep:], len(plan) - 1 - i, flip, stats)
+                    and _replay(flips[-sweep:], ell * sweep - 1 - i, flip, stats)
                 ):
                     break
 
@@ -636,8 +661,9 @@ def _replay(
     stats: DecodeStats,
 ) -> bool:
     """If the flips of the last sweep, ``cycle``, cancel, account the
-    ``rest`` half-iterations left in the plan as repeats of that sweep and
-    return True; otherwise change nothing and return False."""
+    ``rest`` half-iterations left at the window position as repeats of
+    that sweep and return True; otherwise change nothing and return
+    False."""
     both = np.sort(np.concatenate(cycle))
     if both.size % 2 or (both[::2] != both[1::2]).any():
         return False  # some bit flipped an odd number of times

@@ -3,8 +3,8 @@
 A generalized product code (GPC) protects every bit with exactly two
 component codewords.  This module captures that incidence structure --
 which two codewords own each bit, at which positions -- together with the
-iteration schedule, independently of any decoding logic.  Two builders are
-provided:
+codeword types each window position decodes, independently of any decoding
+logic.  Two functions build one:
 
 * ``build_product_layout``: the classic n x n product code.  Rows are
   codeword type 1, columns type 2, and the bit in row j / column l sits at
@@ -19,7 +19,6 @@ The layout is immutable after construction and holds only index arrays, so
 it can be shared freely between decoding processes.
 """
 
-import operator
 from array import array
 from typing import NamedTuple
 
@@ -43,18 +42,8 @@ class CodewordId(NamedTuple):
     index_j: int
 
 
-class HalfIteration(NamedTuple):
-    """One scheduled pass: the contiguous, ascending range of codeword
-    indices of one type, the BDD budget to use, and whether failed
-    statuses reset before the pass."""
-
-    cw_indices: range
-    budget: int
-    reset_failed: bool
-
-
 class GpcLayout:
-    """Static bit/codeword incidence plus the decoding schedule.
+    """Static bit/codeword incidence plus the types the schedule decodes.
 
     Internal codeword indices are ``0 .. n_cw-1`` with all codewords of a
     type contiguous; bit indices are ``0 .. n_bits-1``.  Arrays:
@@ -85,6 +74,13 @@ class GpcLayout:
     last block), and ``has_pinned`` says whether any bit is, so
     per-frame code need not scan the masks.  A mask that pins bits
     inside the span of its unpinned bits is refused.
+
+    ``window_ranges[w]`` holds, in decoding order, the codeword index
+    ranges of the types that window position w decodes, one shared
+    ``range`` per type: both types of a product, at its one position; on
+    a staircase, the ``window - 1`` types whose two blocks lie inside a
+    window that starts at block w.  The schedule repeats that sweep ell
+    times per position (``engine._run_schedule``).
 
     The anchor status machine reads scalar items, which numpy serves
     slowly, so each index array is held once, in a flat ``array('i')``
@@ -122,7 +118,11 @@ class GpcLayout:
         self.sent = _sent_span(pinned)
         self.has_pinned = len(self.sent) < n_bits
         self._build_incidence(cw_bits)
-        self._plans: dict[tuple[int, int], tuple[tuple[HalfIteration, ...], ...]] = {}
+        ranges = [range(ty * per_type, (ty + 1) * per_type) for ty in range(num_types)]
+        sweep = num_types if kind == "product" else window - 1
+        self.window_ranges = tuple(
+            tuple(ranges[w : w + sweep]) for w in range(num_types - sweep + 1)
+        )
 
     def __reduce__(self):
         args = (self.kind, self.code, self.num_types, self.per_type, self.n_bits)
@@ -188,75 +188,6 @@ class GpcLayout:
             raise ValueError(f"codeword index {index} out of range")
         return CodewordId(index // self.per_type + 1, index % self.per_type + 1)
 
-    # --- schedule ------------------------------------------------------------
-
-    def _window_types(self) -> list[list[int]]:
-        """Decodable types per window position: a window anchored at block w0
-        spans blocks w0 .. w0+window-1 and can decode exactly the types whose
-        two blocks both lie inside."""
-        if self.kind == "product":
-            return [[1, 2]]
-        num_blocks = self.num_types + 1
-        w = self.window
-        return [
-            list(range(w0 + 1, w0 + w)) for w0 in range(num_blocks - w + 1)
-        ]
-
-    def window_plans(
-        self, ell: int, reduced_t_iters: int = 0
-    ) -> tuple[tuple[HalfIteration, ...], ...]:
-        """Half-iteration plans grouped by window position.
-
-        A product code is a single window position holding ell sweeps of
-        (rows, columns).  A staircase yields one plan per window position:
-        ell sweeps over the types inside the window, after which the window
-        advances one block.  The first ``reduced_t_iters`` sweeps of each
-        plan decode with budget t-1; the entry right after the reduced phase
-        carries ``reset_failed`` so the engine re-enables failed codewords.
-        A decoder may abandon a plan early once a full sweep changes
-        nothing, since the remaining sweeps would repeat it verbatim.
-
-        Plans are built once per (ell, reduced_t_iters) and shared by every
-        frame; each type's index range is one shared ``range``.  Every
-        decoder goes through here, so this is where a schedule that is no
-        integer is refused (TypeError).
-        """
-        ell, reduced_t_iters = operator.index(ell), operator.index(reduced_t_iters)
-        key = (ell, reduced_t_iters)
-        plans = self._plans.get(key)
-        if plans is not None:
-            return plans
-        if ell < 1:
-            raise ValueError("ell must be >= 1")
-        if not 0 <= reduced_t_iters <= ell:
-            raise ValueError("reduced_t_iters must lie in [0, ell]")
-        t = self.code.t
-        per = self.per_type
-        ranges = {ty: range((ty - 1) * per, ty * per) for ty in range(1, self.num_types + 1)}
-        out = []
-        for types in self._window_types():
-            plan = []
-            for it in range(1, ell + 1):
-                budget = t - 1 if it <= reduced_t_iters else t
-                reset = it == reduced_t_iters + 1 and reduced_t_iters > 0
-                for k, ty in enumerate(types):
-                    plan.append(HalfIteration(ranges[ty], budget, reset and k == 0))
-            out.append(tuple(plan))
-        plans = self._plans[key] = tuple(out)
-        return plans
-
-    def last_reset(self, ell: int, reduced_t_iters: int) -> int:
-        """Index of the entry of each plan of ``window_plans(ell,
-        reduced_t_iters)`` that carries ``reset_failed``, the first after
-        the reduced sweeps, or -1 where no plan has one (no reduced
-        phase, or one that fills the plan)."""
-        return reduced_t_iters * self.sweep_len if 0 < reduced_t_iters < ell else -1
-
-    @property
-    def sweep_len(self) -> int:
-        """Half-iterations per sweep: types decoded together in one pass."""
-        return 2 if self.kind == "product" else self.window - 1
-
     # --- bookkeeping ---------------------------------------------------------
 
     @property
@@ -272,6 +203,9 @@ class GpcLayout:
             f"GpcLayout({self.kind}, n={self.code.n}, types={self.num_types}, "
             f"bits={self.n_bits})"
         )
+
+
+_INT32_MAX = 2**31 - 1
 
 
 def _sent_span(pinned: np.ndarray) -> range:
@@ -350,6 +284,14 @@ def build_staircase_layout(
         raise ValueError("need at least one real block (num_blocks >= 3)")
     n_bits = num_blocks * a * a
     num_types = num_blocks - 1
+    # bit and slot indices are int32, so a chain whose bits or codeword
+    # slots they cannot number is refused before anything is allocated
+    for size, what in ((n_bits, "bits"), (num_types * a * n, "codeword slots")):
+        if size > _INT32_MAX:
+            raise ValueError(
+                f"staircase of {num_blocks} blocks has {size} {what}; "
+                f"at most {_INT32_MAX} fit the int32 indices"
+            )
     # codeword (m, r) is row (m-1)*a + r of cw_bits; type m spans blocks
     # m-1 and m, and block m-1 starts at bit base
     base = (np.arange(num_types, dtype=np.int32) * a * a)[:, None, None]

@@ -38,6 +38,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .engine import (
     DecoderState,
     anchor_decode_state,
+    check_schedule,
     genie_decode,
     iterative_bdd,
 )
@@ -95,12 +96,9 @@ class TrialConfig:
             raise ValueError(f"pp must be one of {PP_MODES}")
         if not 0.0 < self.p < 0.5:
             raise ValueError("p must lie in (0, 0.5)")
-        if operator.index(self.ell) < 1:
-            raise ValueError("ell must be >= 1")
+        check_schedule(self.ell, self.reduced_t_iters)
         if operator.index(self.delta) < 0:
             raise ValueError("delta must be >= 0")
-        if not 0 <= operator.index(self.reduced_t_iters) <= self.ell:
-            raise ValueError("reduced_t_iters must lie in [0, ell]")
         if self.pp_extra_iters is not None and operator.index(self.pp_extra_iters) < 1:
             raise ValueError("pp_extra_iters must be >= 1")
         if operator.index(self.min_frame_errors) < 1 or operator.index(self.max_frames) < 1:

@@ -212,6 +212,56 @@ class TestDensityEvolution:
             density_evolution(m, 0.01, 0)
 
 
+def reference_density_evolution(model, p, ell):
+    """density_evolution without its stop at a fixed point: every one of
+    the ell iterations runs."""
+    x = np.ones(model.num_types)
+    for _ in range(ell):
+        for active in model.schedule:
+            lam = p * model.n * (model.coupling @ x)
+            for i in active:
+                x[i - 1] = poisson_tail(model.t, lam[i - 1])
+    return p * float(x @ model.eta @ x) / float(model.eta.sum())
+
+
+class TestDensityEvolutionFixedPoint:
+    """density_evolution stops once an iteration leaves x bit-identical,
+    which changes no output."""
+
+    MODELS = {
+        "product": lambda: de_product_model(ComponentCodeSpec(7, 2, 1, 0)),
+        "staircase": lambda: de_staircase_model(ComponentCodeSpec(7, 2, 1, 0), 11),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_equals_every_iteration_run(self, kind):
+        m = self.MODELS[kind]()
+        for p in (0.01, 0.02, 0.0262, 0.05, 0.3):
+            for ell in (1, 2, 5, 70):
+                assert density_evolution(m, p, ell) == reference_density_evolution(m, p, ell)
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_huge_ell_returns_the_fixed_point(self, kind, monkeypatch):
+        import gpcdec.analysis
+
+        m = self.MODELS[kind]()
+        calls = []
+        tail = gpcdec.analysis.poisson_tail
+        monkeypatch.setattr(gpcdec.analysis, "poisson_tail",
+                            lambda t, lam: calls.append(1) or tail(t, lam))
+        for p in (0.01, 0.02, 0.0262, 0.05, 0.3):
+            assert density_evolution(m, p, 10**8) == density_evolution(m, p, 1000)
+        # at most 100 iterations per call, each one poisson_tail per type
+        assert len(calls) <= 10 * 100 * m.num_types
+
+    def test_ell_must_be_an_integer(self):
+        m = self.MODELS["product"]()
+        for ell in (2.0, 2.5):
+            with pytest.raises(TypeError):
+                density_evolution(m, 0.02, ell)
+        assert density_evolution(m, 0.02, np.int64(4)) == density_evolution(m, 0.02, 4)
+
+
 class TestErrorFloor:
     def test_base_model_counts(self):
         fm = stall_floor_model(128, 2)

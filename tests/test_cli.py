@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,34 @@ class TestSimulate:
         assert message in err
         assert decoded == []
 
+    def test_staircase_beyond_int32_indices_refused(self, capsys, decoded):
+        # 10^8 blocks of side 64 hold 4.1e11 bits; the layout used to ask
+        # numpy for 2.98 TiB and die in a traceback
+        err = usage_error(
+            ["simulate", "--kind", "staircase", "--nu", "7", "--t", "2", "--e", "1",
+             "--num-blocks", "100000000", "--window", "6", "--p", "0.02"],
+            capsys,
+        )
+        assert err.strip().splitlines()[-1].endswith(
+            "staircase of 100000000 blocks has 409600000000 bits; "
+            "at most 2147483647 fit the int32 indices")
+        assert decoded == []
+
+    def test_huge_ell_decodes_the_frames_it_runs(self, capsys, tmp_path):
+        # the schedule is computed as it runs: ell 10^11 used to build a
+        # plan of 2 * 10^11 entries before the first frame
+        path = tmp_path / "out.csv"
+        start = time.perf_counter()
+        code, _, _ = run(
+            ["simulate", "--nu", "4", "--t", "2", "--e", "1", "--ell", "100000000000",
+             "--p", "0.001", "--max-frames", "2", "--workers", "1",
+             "--output", str(path)],
+            capsys,
+        )
+        assert code == 0 and time.perf_counter() - start < 10
+        row = path.read_text().splitlines()[1].split(",")
+        assert row[2] == "2" and row[7] == "100000000000"
+
 
 # a subcommand missing one of its required options, and what the error
 # names (simulate without --nu or a p grid: TestSimulate)
@@ -511,6 +540,30 @@ class TestAnalysisCommands:
         err = usage_error(
             ["floor", "--nu", "7", "--t", "2", "--e", "1", *grid], capsys)
         assert "p must be in (0, 1)" in err
+
+    @pytest.mark.parametrize("command", ["floor", "de", "simulate"])
+    def test_p_grid_above_its_cap_refused(self, capsys, command):
+        # 10^11 points used to end in numpy's 745 GiB _ArrayMemoryError
+        for num in ("100000000000", "1000001"):
+            err = usage_error(
+                [command, "--nu", "7", "--t", "2", "--e", "1",
+                 "--p-sweep", f"1e-3:1e-2:{num}"], capsys)
+            assert err.strip().splitlines()[-1].endswith(
+                "--p-sweep takes at most 1000000 points")
+
+    def test_de_stops_at_its_fixed_point(self, capsys):
+        # ell 10^8 used to run every iteration; the fixed point comes
+        # within a few dozen, so the rows equal those of ell 1000
+        argv = ["de", "--nu", "7", "--t", "2", "--e", "1", "--p-sweep", "1e-2:3e-1:6"]
+        rows = {}
+        for ell in ("1000", "100000000"):
+            start = time.perf_counter()
+            code, out, _ = run(argv + ["--ell", ell], capsys)
+            assert code == 0 and time.perf_counter() - start < 10
+            lines = out.strip().split("\n")
+            assert all(line.endswith("," + ell) for line in lines[1:])
+            rows[ell] = [line.rsplit(",", 1)[0] for line in lines]
+        assert rows["1000"] == rows["100000000"] and len(rows["1000"]) == 7
 
     def test_ncg_rate_flag(self, capsys):
         code, out, _ = run(

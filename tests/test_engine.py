@@ -21,6 +21,7 @@ with that reference, one codeword at a time.  The helpers ``step``,
 """
 
 import pickle
+import time
 from dataclasses import replace
 from functools import cache
 
@@ -30,8 +31,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bch_oracle import encode, support_syndrome
+from schedule_oracle import last_reset, sweep_len, window_plans
 import gpcdec.engine
 import gpcdec.postprocess
+import gpcdec.sim
 from gpcdec.bch import _BLOCK, _MISS, ComponentCodeSpec
 from gpcdec.layout import CodewordId, GpcLayout, build_product_layout, build_staircase_layout
 from gpcdec.engine import (
@@ -80,7 +83,7 @@ def naive_iterative(layout, frame, ell, reduced_t_iters=0):
     code = layout.code
     work = frame.astype(np.uint8, copy=True)
     pinned = layout.pinned.any()
-    for plan in layout.window_plans(ell, reduced_t_iters):
+    for plan in window_plans(layout, ell, reduced_t_iters):
         for cws, budget, _reset in plan:
             for c in cws:
                 bits = layout.cw_bits[c]
@@ -98,7 +101,7 @@ def naive_iterative(layout, frame, ell, reduced_t_iters=0):
 def naive_genie(layout, frame, ell):
     t = layout.code.t
     err = frame.astype(bool, copy=True)
-    for plan in layout.window_plans(ell):
+    for plan in window_plans(layout, ell):
         for cws, _budget, _reset in plan:
             for c in cws:
                 idx = layout.cw_bits[c]
@@ -112,7 +115,7 @@ def reference_genie_decode(layout, frame, true_frame, ell):
     """The former genie_decode: every half-iteration rescans the whole
     frame's error array for the bits of its type."""
     t = layout.code.t
-    layout.window_plans(ell)
+    window_plans(layout, ell)  # refuses the schedule as genie_decode does
     gpcdec.engine._set_bits(layout, frame)
     err = frame.astype(bool)
     if true_frame is not None:
@@ -196,12 +199,10 @@ def reference_iterative_bdd(
         elif old:
             nonzero_count -= 1
 
-    sweep = layout.sweep_len
+    sweep = sweep_len(layout)
     done = False
-    for plan in layout.window_plans(ell, reduced_t_iters):
-        last_reset = max(
-            (i for i, h in enumerate(plan) if h.reset_failed), default=-1
-        )
+    for plan in window_plans(layout, ell, reduced_t_iters):
+        reset_at = last_reset(plan)
         stuck = 0
         for i, (cws, budget, reset) in enumerate(plan):
             if reset:
@@ -235,7 +236,7 @@ def reference_iterative_bdd(
                 done = True
                 break
             stuck = stuck + 1 if stats.corrections == flips_before else 0
-            if stuck >= sweep and i > last_reset:
+            if stuck >= sweep and i > reset_at:
                 break  # syndrome fixpoint within this window position
         if done:
             break
@@ -383,11 +384,9 @@ def reference_anchor_decode_state(layout, frame, ell, delta=1, reduced_t_iters=0
     codeword, a half-iteration counting as a change when any status,
     conflict or frame bit changed."""
     state = ReferenceState(layout, frame, delta)
-    sweep = layout.sweep_len
-    for plan in layout.window_plans(ell, reduced_t_iters):
-        last_reset = max(
-            (i for i, h in enumerate(plan) if h.reset_failed), default=-1
-        )
+    sweep = sweep_len(layout)
+    for plan in window_plans(layout, ell, reduced_t_iters):
+        reset_at = last_reset(plan)
         stuck = 0
         for i, (cws, budget, reset) in enumerate(plan):
             if reset:
@@ -401,7 +400,7 @@ def reference_anchor_decode_state(layout, frame, ell, delta=1, reduced_t_iters=0
                 state.stats.syndromes_zero = True
                 return state
             stuck = 0 if state.change_counter != before else stuck + 1
-            if stuck >= sweep and i > last_reset:
+            if stuck >= sweep and i > reset_at:
                 break
     return state
 
@@ -457,7 +456,7 @@ def lockstep(layout, frame, ell, delta, reduced):
     anchor_decode_state.  After every visit the two states must agree on
     everything a visit can change, and the decoder's invariants hold."""
     fast, ref = DecoderState(layout, frame, delta), ReferenceState(layout, frame, delta)
-    for plan in layout.window_plans(ell, reduced):
+    for plan in window_plans(layout, ell, reduced):
         for cws, budget, reset in plan:
             if reset:
                 fast.reset_failed()
@@ -1027,6 +1026,33 @@ class TestGenieAgainstReference:
             assert replace(res, frame=None) == replace(want, frame=None)
 
 
+class TestGenieNestedFrames:
+    """One frame index draws every bit from the same raw Philox word at
+    every p, so its error patterns are nested in p.  A genie correction
+    clears a codeword holding at most t errors, which a subset of them
+    holds too, and the schedule's early exits only skip half-iterations
+    that change nothing: so the residual is nested as well."""
+
+    @given(
+        kind=st.sampled_from(["pc15", "sc16"]),
+        seed=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 2**64 - 1),
+        p=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=2, max_size=2, unique=True),
+        ell=st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_residual_monotone(self, kind, seed, index, p, ell):
+        # up to p = 0.3, where about one frame in ten keeps a residual
+        layout, _ = TestGenieAgainstReference.layout(kind)
+        p1, p2 = sorted(0.3 * x for x in p)
+        low, high = (gpcdec.sim._sample_frame(layout, gpcdec.sim.frame_rng(seed, index), q)
+                     for q in (p1, p2))
+        assert not (low & ~high).any()  # the errors are nested
+        got_low, _ = genie_decode(layout, low, None, ell)
+        got_high, _ = genie_decode(layout, high, None, ell)
+        assert not (got_low & ~got_high).any()
+
+
 class TestAnchorPrefetch:
     """Anchor decoding on wide t = 3 codes memoizes each half-iteration's
     eligible syndromes in one batch up front; the outcome must not depend
@@ -1311,6 +1337,44 @@ class TestDecodingBehaviour:
                     decode(pc15, frame, 3, reduced_t_iters=0.5)
         with pytest.raises(TypeError):
             DecoderState(pc15, np.zeros(pc15.n_bits, np.uint8), delta=1.5)
+
+    @pytest.mark.parametrize("kind", ["pc15", "pc128", "sc16", "sc12"])
+    def test_a_frame_costs_its_work_whatever_ell(self, kind):
+        """The schedule is computed as it runs, so ell costs nothing by
+        itself.  A frame whose decode ends alike at ell 10 and 12 (it
+        converged or stalled at every window position) ends alike at
+        ell 10^9 too, with equal frame and DecodeStats, in well under a
+        second; the frames that replay an iterative cycle at 10^9 are
+        accounted arithmetically and take no longer."""
+        layout, ps = {
+            "pc15": (build_product_layout(CODE15), (0.05, 0.1, 0.18)),
+            "pc128": (build_product_layout(ComponentCodeSpec(7, 2, 1, 0)), (0.018, 0.022)),
+            "sc16": (build_staircase_layout(CODE16, 6, 3), (0.03, 0.06)),
+            "sc12": (chain_layout(12), (0.021, 0.0235)),
+        }[kind]
+        decoders = (
+            lambda frame, ell: iterative_bdd(layout, frame, ell),
+            lambda frame, ell: iterative_bdd(layout, frame, ell, 1),
+            lambda frame, ell: anchor_decode(layout, frame, ell),
+            lambda frame, ell: anchor_decode(layout, frame, ell, reduced_t_iters=1),
+            lambda frame, ell: genie_decode(layout, frame, None, ell),
+        )
+        rng = np.random.default_rng(61)
+        same, slowest = 0, 0.0
+        for p in ps:
+            for _ in range(4):
+                frame = noisy_frame(layout, rng, p)
+                for decode in decoders:
+                    out, stats = decode(frame, 10)
+                    start = time.perf_counter()
+                    big = decode(frame, 10**9)
+                    slowest = max(slowest, time.perf_counter() - start)
+                    again = decode(frame, 12)
+                    if np.array_equal(again[0], out) and again[1] == stats:
+                        assert np.array_equal(big[0], out) and big[1] == stats
+                        same += 1
+        assert same >= 10
+        assert slowest < 0.5
 
     def test_anchor_not_worse_than_iterative_in_aggregate(self):
         code = ComponentCodeSpec(7, 2, 1, 0)

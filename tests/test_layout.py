@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import schedule_oracle
 from bch_oracle import support_syndrome
 from gpcdec.bch import build_component_code
+from gpcdec.engine import DecodeStats, _run_schedule, check_schedule
 from gpcdec.layout import (
     CodewordId,
     GpcLayout,
@@ -79,8 +81,26 @@ def reference_staircase_cw_bits(code, num_blocks):
 
 
 def flat_plan(layout, ell, reduced_t_iters=0):
-    """window_plans flattened: one entry per half-iteration."""
-    return [h for plan in layout.window_plans(ell, reduced_t_iters) for h in plan]
+    """The oracle's window_plans flattened: one entry per half-iteration."""
+    return [h for plan in schedule_oracle.window_plans(layout, ell, reduced_t_iters)
+            for h in plan]
+
+
+def walk(layout, ell, reduced_t_iters=0):
+    """The schedule as ``_run_schedule`` computes it: every (cw_indices, budget,
+    reset_failed) that ``_run_schedule`` passes to a half-iteration that
+    always reports a change, so no window position ends early; and the
+    half-iterations it counted."""
+    seen = []
+    stats = DecodeStats()
+
+    def half_iteration(cws, budget, reset):
+        seen.append(schedule_oracle.HalfIteration(cws, budget, reset))
+        return 1
+
+    _run_schedule(layout, ell, reduced_t_iters, stats, half_iteration, lambda: False)
+    assert stats.half_iterations == len(seen)
+    return seen
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +164,9 @@ class TestProductLayout:
                 assert pc.cw_bits[q, qp] == pc.cw_bits[c, p]
 
     def test_schedule_alternates_types(self, pc):
-        (sched,) = pc.window_plans(1)
+        (ranges,) = pc.window_ranges
+        sched = walk(pc, 1)
+        assert [h.cw_indices for h in sched] == list(ranges)
         assert len(sched) == 2
         assert list(sched[0].cw_indices) == list(range(15))
         assert list(sched[1].cw_indices) == list(range(15, 30))
@@ -227,15 +249,21 @@ class TestStaircaseLayout:
 
     def test_window_schedule(self, sc):
         # 5 blocks, window 3: positions cover types (1,2), (2,3), (3,4)
-        assert sc._window_types() == [[1, 2], [2, 3], [3, 4]]
-        sched = flat_plan(sc, 1)
+        assert schedule_oracle.window_types(sc) == [[1, 2], [2, 3], [3, 4]]
+        per = sc.per_type
+        assert sc.window_ranges == tuple(
+            tuple(range((ty - 1) * per, ty * per) for ty in types)
+            for types in ([1, 2], [2, 3], [3, 4])
+        )
+        sched = walk(sc, 1)
         assert len(sched) == 6
         seen = [c for h in sched for c in h.cw_indices]
         assert set(seen) == set(range(sc.n_cw))
 
     def test_degenerate_window_is_product_like(self, code16):
         lay = build_staircase_layout(code16, num_blocks=3, window=3)
-        assert lay._window_types() == [[1, 2]]
+        assert schedule_oracle.window_types(lay) == [[1, 2]]
+        assert lay.window_ranges == ((range(0, 8), range(8, 16)),)
         assert lay.num_types == 2
         # one real block: every data bit covered by one type-1 and one type-2
         data = np.nonzero(~lay.pinned)[0]
@@ -255,6 +283,23 @@ class TestStaircaseLayout:
         with pytest.raises(ValueError):
             build_staircase_layout(code16, 2, 2)  # no real block
 
+    def test_sizes_beyond_int32_indices_refused(self):
+        """Bit and slot indices are int32: a chain whose bits, or whose
+        codeword slots (n per codeword), pass 2^31 - 1 is refused before
+        anything is allocated.  600 blocks of side 2048 used to wrap to
+        negative bit indices; blocks of side 64 reach the slot limit
+        first, at 262145 blocks."""
+        wide = build_component_code(12, 2, 1, 0)  # n = 4096, blocks of side 2048
+        code = build_component_code(7, 2, 1, 0)  # n = 128, blocks of side 64
+        for c, blocks, size, what in (
+            (wide, 600, 600 * 2048**2, "bits"),
+            (code, 600000, 600000 * 64**2, "bits"),
+            (code, 262145, 262144 * 64 * 128, "codeword slots"),
+        ):
+            with pytest.raises(ValueError, match=f"has {size} {what}; at most 2147483647"):
+                build_staircase_layout(c, blocks, 6)
+        assert 262144 * 64 * 128 == 2**31
+
     def test_rate(self, sc):
         # interior staircase rate 1 - 2(n-k)/n with n=16, k=7: negative rate
         # codes are silly but the formula is what it is
@@ -265,8 +310,12 @@ class TestStaircaseLayout:
 
 
 class TestIterationPlan:
+    """The schedule ``_run_schedule`` walks, against the stored plans of
+    ``schedule_oracle``."""
+
     def test_product_plan_budgets_and_reset(self, pc):
-        plan = list(pc.window_plans(ell=4, reduced_t_iters=2)[0])
+        plan = walk(pc, ell=4, reduced_t_iters=2)
+        assert plan == flat_plan(pc, 4, 2)
         assert len(plan) == 8
         budgets = [h.budget for h in plan]
         assert budgets == [1, 1, 1, 1, 2, 2, 2, 2]
@@ -274,12 +323,14 @@ class TestIterationPlan:
         assert resets == [False] * 4 + [True] + [False] * 3
 
     def test_no_reduced_phase_no_reset(self, pc):
-        plan = flat_plan(pc, 3)
+        plan = walk(pc, 3)
+        assert plan == flat_plan(pc, 3)
         assert all(h.budget == 2 for h in plan)
         assert not any(h.reset_failed for h in plan)
 
     def test_staircase_plan_structure(self, sc):
-        plan = flat_plan(sc, 2, 1)
+        plan = walk(sc, 2, 1)
+        assert plan == flat_plan(sc, 2, 1)
         # 3 window positions x 2 iterations x 2 types
         assert len(plan) == 12
         # window position boundaries restart the reduced phase
@@ -289,44 +340,84 @@ class TestIterationPlan:
         assert resets == [False, False, True, False] * 3
 
     def test_last_reset_equals_scan_of_plans(self, pc, sc):
-        """layout.last_reset against a scan of every plan for the entry
-        that carries reset_failed."""
+        """The entry of each window position where ``_run_schedule`` resets,
+        against a scan of every oracle plan for the entry that carries
+        reset_failed: the first after the reduced sweeps, or none where
+        the reduced phase is empty or fills the plan."""
         for lay in (pc, sc):
+            sweep = schedule_oracle.sweep_len(lay)
+            positions = len(schedule_oracle.window_types(lay))
             for ell in range(1, 7):
                 for reduced in range(ell + 1):
-                    want = {
-                        max((i for i, h in enumerate(plan) if h.reset_failed), default=-1)
-                        for plan in lay.window_plans(ell, reduced)
-                    }
-                    assert want == {lay.last_reset(ell, reduced)}, (lay, ell, reduced)
+                    want = {schedule_oracle.last_reset(plan)
+                            for plan in schedule_oracle.window_plans(lay, ell, reduced)}
+                    assert want == {reduced * sweep if 0 < reduced < ell else -1}
+                    plan = walk(lay, ell, reduced)
+                    got = {i % (ell * sweep) for i, h in enumerate(plan) if h.reset_failed}
+                    assert got == want - {-1}, (lay, ell, reduced)
+                    assert sum(h.reset_failed for h in plan) == positions * len(got)
+
+    @pytest.mark.parametrize(
+        "args,num_blocks,window",
+        [((4, 2, 0, 0), None, None), ((4, 2, 1, 0), 3, 2), ((4, 2, 1, 0), 3, 3),
+         ((4, 2, 1, 0), 5, 3), ((4, 2, 1, 0), 6, 4), ((4, 2, 1, 0), 6, 6),
+         ((5, 2, 1, 0), 8, 5)],
+    )
+    def test_walk_equals_oracle(self, args, num_blocks, window):
+        """Every entry ``_run_schedule`` computes, and the half-iterations it
+        counts, equal the oracle's stored plans, for ell 1-12 and every
+        reduced phase, on a product and on staircases whose window runs
+        from 2 blocks to the whole chain."""
+        code = build_component_code(*args)
+        if num_blocks is None:
+            lay = build_product_layout(code)
+        else:
+            lay = build_staircase_layout(code, num_blocks, window)
+        for ell in range(1, 13):
+            for reduced in range(ell + 1):
+                assert walk(lay, ell, reduced) == flat_plan(lay, ell, reduced), (ell, reduced)
 
     def test_visit_order_ascending(self, sc):
-        for h in flat_plan(sc, 3, 1):
+        for h in walk(sc, 3, 1):
             assert (np.diff(h.cw_indices) > 0).all()
 
     def test_bad_arguments(self, pc):
-        with pytest.raises(ValueError):
-            pc.window_plans(0)
-        with pytest.raises(ValueError):
-            pc.window_plans(2, 3)
+        """``_run_schedule`` refuses the schedule through check_schedule, with
+        the oracle's errors and messages."""
+        for ell, reduced, error, match in (
+            (0, 0, ValueError, "ell must be >= 1"),
+            (2, 3, ValueError, r"reduced_t_iters must lie in \[0, ell\]"),
+            (2, -1, ValueError, r"reduced_t_iters must lie in \[0, ell\]"),
+            (2.0, 0, TypeError, None),
+            (2, 1.0, TypeError, None),
+        ):
+            for check in (
+                lambda: check_schedule(ell, reduced),
+                lambda: walk(pc, ell, reduced),
+                lambda: schedule_oracle.window_plans(pc, ell, reduced),
+            ):
+                with pytest.raises(error, match=match):
+                    check()
+        assert check_schedule(np.int64(3), np.int32(1)) == (3, 1)
 
-    def test_plans_built_once_per_arguments(self, sc):
-        plans = sc.window_plans(3, 1)
-        assert sc.window_plans(3, 1) is plans
-        assert sc.window_plans(3) is not plans
-        # every plan visits one type through one shared, contiguous range
-        per = sc.per_type
-        ranges = {h.cw_indices for plan in plans for h in plan}
-        assert ranges == {range(ty * per, (ty + 1) * per) for ty in range(sc.num_types)}
-        by_start = {}
-        for plan in plans:
-            for h in plan:
-                assert by_start.setdefault(h.cw_indices.start, h.cw_indices) is h.cw_indices
-        # bad arguments are still refused after good ones were cached
+    def test_window_ranges_shared_per_type(self, pc, sc):
+        """Every window position visits one type through one shared,
+        contiguous range, and the walk passes those very objects."""
+        for lay in (pc, sc):
+            per = lay.per_type
+            ranges = {r for position in lay.window_ranges for r in position}
+            assert ranges == {range(ty * per, (ty + 1) * per) for ty in range(lay.num_types)}
+            by_start = {}
+            for position in lay.window_ranges:
+                for r in position:
+                    assert by_start.setdefault(r.start, r) is r
+            for h in walk(lay, 3, 1):
+                assert by_start[h.cw_indices.start] is h.cw_indices
+        # bad arguments are still refused after good ones ran
         with pytest.raises(ValueError):
-            sc.window_plans(0)
+            walk(sc, 0)
         with pytest.raises(ValueError):
-            sc.window_plans(3, 4)
+            walk(sc, 3, 4)
 
     def test_mask_summaries(self, pc, sc):
         assert (pc.has_pinned, sc.has_pinned) == (False, True)

@@ -202,9 +202,10 @@ class ComponentCodeSpec:
         f = build_field(nu)
         n0 = f.order - 1
 
-        # the generator's roots: alpha^j over the cosets {m 2^i mod n0}
+        # the generator's roots: alpha^j over the cosets {m 2^i mod n0}; n0
+        # is odd, so the odd m below 2 n0 already reach every residue
         roots: set[int] = set()
-        for m in range(1, 2 * t, 2):
+        for m in range(1, min(2 * t, 2 * n0), 2):
             j = m % n0
             while j not in roots:  # cosets are disjoint: a new one is all new
                 roots.add(j)

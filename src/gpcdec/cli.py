@@ -25,7 +25,8 @@ flags and gives the defaults of the merge defaults < config file
 (``simulate`` only) < explicit flags; required options are checked once,
 after the merge.
 
-Exit codes: 0 success, 2 usage error, 3 runtime failure.
+Exit codes: 0 success, 2 usage error, 3 runtime failure (an unwritable
+output, or more memory than the host has).
 """
 
 import argparse
@@ -53,6 +54,7 @@ from .bch import build_component_code
 from .layout import build_product_layout, build_staircase_layout, code_rate
 from .sim import (
     CSV_HEADER,
+    MAX_WORKERS,
     PP_MODES,
     VARIANTS,
     TrialConfig,
@@ -129,7 +131,8 @@ _OPTIONS = {
                    "stop a point after this many frames"),
     "seed": (int, None, TrialConfig.seed, "master seed"),
     "batch_frames": (int, None, TrialConfig.batch_frames, "frames per stop-rule check"),
-    "workers": (int, None, None, "worker processes; the CPU count if unset"),
+    "workers": (int, None, None,
+                f"worker processes, at most {MAX_WORKERS}; the CPU count if unset"),
     "output": (str, None, "-", "CSV path, '-' for stdout"),
     "verbose_frames": (str, None, None,
                        "also write per-frame stats as JSON lines to this path"),
@@ -238,7 +241,7 @@ def _trial_configs(parser, opts, runs):
     layout = _build_layout(parser, opts, _build_code(parser, opts))
     trial = {f.name: opts[f.name] for f in fields(TrialConfig) if f.name in opts}
     if trial["workers"] is None:
-        trial["workers"] = os.cpu_count() or 1
+        trial["workers"] = min(os.cpu_count() or 1, MAX_WORKERS)
     try:
         return [
             TrialConfig(**{**trial, "layout": layout, "variant": variant,
@@ -403,6 +406,8 @@ def _cmd_repro(opts, parser):
             parser.error(f"{_flag(key)} must be >= {least}")
     if opts["seed"] >= 1 << 64:
         parser.error("--seed must be < 2**64")
+    if opts["workers"] is not None and opts["workers"] > MAX_WORKERS:
+        parser.error(f"--workers must be <= {MAX_WORKERS}")
     outdir = Path(opts["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -502,8 +507,8 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return _COMMANDS[ns.command][0](_options(ns, parser), parser)
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"gpcdec: error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+        print(f"gpcdec: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

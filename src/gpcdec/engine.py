@@ -135,15 +135,6 @@ def _fold_bits(layout: GpcLayout, acc: np.ndarray, bits: np.ndarray) -> None:
         np.bitwise_xor.at(acc, owners.ravel(), contribs.ravel())
 
 
-class _ConflictSets(dict):
-    """Conflict sets L by codeword.  Only non-empty sets are stored; any
-    other codeword reads as an empty frozenset.  The decoder itself reads
-    them with ``get``, which skips the ``__missing__`` call."""
-
-    def __missing__(self, c: int) -> frozenset:
-        return frozenset()
-
-
 class DecoderState:
     """Mutable per-frame state of the anchor decoding machine.
 
@@ -185,7 +176,7 @@ class DecoderState:
         self.status = [ELIGIBLE] * layout.n_cw
         self.live_types = [True] * layout.num_types
         self._per = layout.per_type
-        self.conflicts = _ConflictSets()
+        self.conflicts: dict[int, set[int]] = {}  # non-empty sets only
         self.anchor_pos: list[tuple[int, ...] | None] = [None] * layout.n_cw
         self.stats = DecodeStats()
         self._memos = layout.code._memos  # by budget: ComponentCodeSpec.memo

@@ -1,12 +1,7 @@
 """Binary extension field arithmetic GF(2^nu) via exp/log tables.
 
-Fields are built for 3 <= nu <= 12 from the lexicographically smallest
-primitive polynomial of degree nu, found by exhaustive search over monic
-polynomials with nonzero constant term.  For reference, the search yields
-
-    nu :  3     4      5      6      7      8        9       10      11      12
-    p(x): x3+x+1 x4+x+1 x5+x2+1 x6+x+1 x7+x+1 x8+x4+x3+x2+1 x9+x4+1 x10+x3+1
-          x11+x2+1 x12+x6+x4+x+1
+Fields are built for 3 <= nu <= 12, each from the lexicographically
+smallest primitive polynomial of its degree (``_PRIM_POLYS``).
 
 Field elements are plain Python ints in [0, 2^nu): the integer's bits are the
 polynomial coefficients.  Addition is XOR; a product or quotient is one
@@ -28,29 +23,20 @@ import numpy as np
 NU_MIN = 3
 NU_MAX = 12
 
-
-def _xtimes(value: int, poly: int, nu: int) -> int:
-    """Multiply by x modulo poly (one LFSR step)."""
-    value <<= 1
-    if value >> nu & 1:
-        value ^= poly
-    return value
-
-
-def _is_primitive(poly: int, nu: int) -> bool:
-    """True iff x has multiplicative order 2^nu - 1 modulo poly.
-
-    The order test subsumes irreducibility: if x generates 2^nu - 1 distinct
-    nonzero residues, every nonzero residue is a unit, so the quotient ring is
-    a field and poly is irreducible.
-    """
-    order = (1 << nu) - 1
-    cur = 1
-    for i in range(1, order + 1):
-        cur = _xtimes(cur, poly, nu)
-        if cur == 1:
-            return i == order
-    return False
+# the lexicographically smallest primitive polynomial of each degree, as
+# the bitmask of its coefficients
+_PRIM_POLYS = {
+    3: 0b1011,  # x^3 + x + 1
+    4: 0b10011,  # x^4 + x + 1
+    5: 0b100101,  # x^5 + x^2 + 1
+    6: 0b1000011,  # x^6 + x + 1
+    7: 0b10000011,  # x^7 + x + 1
+    8: 0b100011101,  # x^8 + x^4 + x^3 + x^2 + 1
+    9: 0b1000010001,  # x^9 + x^4 + 1
+    10: 0b10000001001,  # x^10 + x^3 + 1
+    11: 0b100000000101,  # x^11 + x^2 + 1
+    12: 0b1000001010011,  # x^12 + x^6 + x^4 + x + 1
+}
 
 
 # widest log combination the closed-form decoders index the antilog table
@@ -160,12 +146,8 @@ _FIELD_CACHE: dict[int, FieldTable] = {}
 
 
 def build_field(nu: int) -> FieldTable:
-    """Construct GF(2^nu) for 3 <= nu <= 12.
-
-    The primitive polynomial is the lexicographically smallest one of degree
-    nu (smallest integer bitmask among monic degree-nu polynomials), found by
-    exhaustive search with an order check on x.
-    """
+    """Construct GF(2^nu) for 3 <= nu <= 12 over ``_PRIM_POLYS[nu]``; x
+    generates the antilog table, one LFSR step at a time."""
     nu = operator.index(nu)
     if not NU_MIN <= nu <= NU_MAX:
         raise ValueError(f"nu must be in [{NU_MIN}, {NU_MAX}], got {nu}")
@@ -173,14 +155,7 @@ def build_field(nu: int) -> FieldTable:
     if cached is not None:
         return cached
 
-    poly = -1
-    for candidate in range((1 << nu) | 1, 1 << (nu + 1), 2):
-        if _is_primitive(candidate, nu):
-            poly = candidate
-            break
-    if poly < 0:  # unreachable: primitive polynomials exist for every degree
-        raise ValueError(f"no primitive polynomial of degree {nu}")
-
+    poly = _PRIM_POLYS[nu]
     q = 1 << nu
     exp = [0] * (q - 1)
     log = [-1] * q
@@ -188,7 +163,9 @@ def build_field(nu: int) -> FieldTable:
     for i in range(q - 1):
         exp[i] = cur
         log[cur] = i
-        cur = _xtimes(cur, poly, nu)
+        cur <<= 1  # times x, reduced modulo poly
+        if cur & q:
+            cur ^= poly
 
     table = FieldTable(nu=nu, prim_poly=poly, exp_table=tuple(exp), log_table=tuple(log))
     _FIELD_CACHE[nu] = table

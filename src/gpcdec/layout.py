@@ -194,10 +194,6 @@ class GpcLayout:
     def n_counted_bits(self) -> int:
         return len(self.sent)
 
-    @property
-    def rate(self) -> float:
-        return code_rate(self.code, self.kind)
-
     def __repr__(self):
         return (
             f"GpcLayout({self.kind}, n={self.code.n}, types={self.num_types}, "

@@ -62,6 +62,10 @@ PP_MODES = ("none", "bitflip", "erasure")
 
 CSV_HEADER = "variant,p,frames,bit_errors,frame_errors,ber,fer,ell,delta,seed"
 
+# most worker processes a run may start: a pool forks all of them at its
+# first batch, so an unchecked count would fork that many at once
+MAX_WORKERS = 256
+
 
 @dataclass(frozen=True, eq=False)
 class TrialConfig:
@@ -107,7 +111,9 @@ class TrialConfig:
             raise ValueError("batch_frames must be >= 1")
         if operator.index(self.workers) < 1:
             raise ValueError("workers must be >= 1")
-        _check_seed(self.seed)
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers must be <= {MAX_WORKERS}, got {self.workers}")
+        _check_word(self.seed, "seed")
         if self.variant == "genie" and self.reduced_t_iters:
             raise ValueError("the genie decoder takes no reduced_t_iters")
         if self.pp_extra_iters is not None and self.pp != "bitflip":
@@ -163,11 +169,11 @@ def format_csv_row(variant: str, p: float, frames: int, bit_errors: int,
     return ",".join(str(c) for c in cells)
 
 
-def _check_seed(seed: int) -> None:
-    """Refuse a seed that is no integer or does not fit a Philox key
-    word, where numpy would truncate it to another seed's key."""
-    if not 0 <= operator.index(seed) < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+def _check_word(value: int, name: str) -> None:
+    """Refuse a seed or frame index that is no integer or does not fit a
+    Philox key word, where numpy would truncate it to another one's key."""
+    if not 0 <= operator.index(value) < 1 << 64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
 
 
 class _FrameKey(ISeedSequence):
@@ -190,9 +196,10 @@ class _FrameKey(ISeedSequence):
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     """Counter-mode generator for one frame: the Philox key is the
     (master seed, frame index) pair, so streams never collide and any
-    worker reproduces any frame independently.  Both must fit 64 bits; a
-    wider seed would alias a narrower one."""
-    _check_seed(seed)
+    worker reproduces any frame independently.  Both must be integers
+    that fit 64 bits; a wider one would alias a narrower one."""
+    _check_word(seed, "seed")
+    _check_word(frame_index, "frame_index")
     key = np.array([seed, frame_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_FrameKey(key)))
 

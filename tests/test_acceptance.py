@@ -332,7 +332,7 @@ def test_09_state_machine_worked_examples(capsys):
         state.anchor_pos[col5] == (3,)
         and state.status[row] == FROZEN
         and state.status[col4] == ELIGIBLE
-        and state.conflicts[row] == set()
+        and state.conflicts.get(row, set()) == set()
         and state.stats.backtracks == 1
         and np.array_equal(
             state.frame,

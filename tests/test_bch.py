@@ -10,6 +10,7 @@ completions.
 
 import functools
 import itertools
+import time
 from math import comb
 
 import numpy as np
@@ -280,6 +281,17 @@ class TestParameters:
                     got = np.roll(code.parity_check_matrix(), code.e, axis=0).T
                     assert np.array_equal(got, expected_column_bits(code, alpha))
         assert accepted == 124
+
+    def test_huge_t_refused_at_once(self):
+        """The coset walk stops once every residue is reached, so a t far
+        past 2^nu - 1 is refused as fast as a small one, with the same
+        message (generator degree 2^nu - 1, every residue a root)."""
+        t = 10**30
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            build_component_code(4, t)
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == f"unsupported (nu=4, t={t}): generator degree 15 != nu*t={4 * t}"
 
     def test_shortening_reduces_length_only(self):
         full = build_component_code(8, 2, 1, 0)

@@ -255,6 +255,38 @@ class TestSimulate:
         err = usage_error(args, capsys)
         assert ("workers" if flag == "--workers" else "window") in err
 
+    def test_workers_above_cap_refused_before_any_point_runs(self, capsys, decoded):
+        cap = gpcdec.sim.MAX_WORKERS
+        err = usage_error(
+            ["simulate", "--nu", "4", "--t", "2", "--p", "0.1", "--max-frames", "4",
+             "--workers", str(cap + 1)],
+            capsys,
+        )
+        assert [line for line in err.splitlines() if "error" in line] == [
+            f"gpcdec: error: workers must be <= {cap}, got {cap + 1}"]
+        assert decoded == []
+
+    def test_default_workers_clamped_to_cap(self, capsys, monkeypatch):
+        # the sweep is stubbed out: nothing runs and no pool starts
+        seen = []
+        monkeypatch.setattr(gpcdec.cli.os, "cpu_count", lambda: 10**6)
+        monkeypatch.setattr(gpcdec.cli, "run_sweep", lambda cfgs, **kw: seen.extend(cfgs) or [])
+        code, _, _ = run(["simulate", "--nu", "4", "--t", "2", "--p", "0.1"], capsys)
+        assert code == 0
+        assert [cfg.workers for cfg in seen] == [gpcdec.sim.MAX_WORKERS]
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 6.10 GiB"),
+                                       MemoryError()])
+    def test_out_of_memory_is_runtime_failure(self, capsys, monkeypatch, error):
+        def build(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(gpcdec.cli, "build_product_layout", build)
+        code, out, err = run(SIM_ARGS, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"gpcdec: error: {str(error) or 'MemoryError'}\n"
+
     def test_unwritable_output_is_runtime_failure(self, capsys):
         code, _, err = run(
             SIM_ARGS + ["--output", "/nonexistent-dir/out.csv"], capsys)
@@ -580,8 +612,8 @@ class TestAnalysisCommands:
             capsys,
         )
         assert code == 0
-        from gpcdec.layout import build_product_layout
-        rate = build_product_layout(build_component_code(8, 3, 0, 0)).rate
+        from gpcdec.layout import code_rate
+        rate = code_rate(build_component_code(8, 3, 0, 0), "product")
         assert float(out) == ncg(rate, 1.31e-2, 1e-8)
 
     def test_de_product_refuses_num_blocks(self, capsys):
@@ -633,6 +665,14 @@ class TestAnalysisCommands:
                            "--p", "1e-2", "--p-out", "1e-8"], capsys)
         assert "staircase requires an even component code length" in err
 
+    def test_mcprob_huge_t_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        err = usage_error(["mcprob", "--nu", "4", "--t", str(10**12)], capsys)
+        assert time.perf_counter() - start < 1
+        assert err.splitlines()[-1] == (
+            f"gpcdec: error: unsupported (nu=4, t={10**12}): "
+            f"generator degree 15 != nu*t={4 * 10**12}")
+
     def test_mcprob(self, capsys):
         code, out, _ = run(["mcprob", "--nu", "7", "--t", "2", "--e", "1"],
                            capsys)
@@ -675,7 +715,9 @@ class TestRepro:
         ("--min-frame-errors", "0"),
         ("--seed", "-1"),
         ("--seed", str(2**64)),
-    ], ids=["workers", "max-frames", "min-frame-errors", "seed", "seed-over-64-bits"])
+        ("--workers", str(gpcdec.sim.MAX_WORKERS + 1)),
+    ], ids=["workers", "max-frames", "min-frame-errors", "seed", "seed-over-64-bits",
+            "workers-over-cap"])
     def test_zero_workers_refused_before_any_run(self, capsys, tmp_path, flag, value):
         outdir = tmp_path / "repro"
         args = {"--max-frames": "1", "--workers": "1", flag: value}

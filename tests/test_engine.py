@@ -627,7 +627,7 @@ class TestMiscorrectionAvoidance:
         assert state.status[row] == FROZEN
         assert state.conflicts[row] == {col_anchor}
         assert state.conflicts[col_anchor] == {row}
-        assert state.conflicts[col_failed] == set()
+        assert state.conflicts.get(col_failed, set()) == set()
         assert state.stats.corrections == 0
         assert state.stats.frozen_events == 1
         assert np.array_equal(state.frame, frame)
@@ -698,8 +698,8 @@ class TestBacktracking:
         assert state.status[row] == FROZEN
         assert state.anchor_pos[row] is None
         assert state.status[col4] == ELIGIBLE  # conflict-free again
-        assert state.conflicts[row] == set()
-        assert state.conflicts[col4] == set()
+        assert state.conflicts.get(row, set()) == set()
+        assert state.conflicts.get(col4, set()) == set()
         assert state.stats.backtracks == 1
         # 2 anchor flips + 1 from column 5 + 2 reversals
         assert state.stats.corrections == 5

@@ -172,8 +172,7 @@ class TestProductLayout:
         assert list(sched[1].cw_indices) == list(range(15, 30))
 
     def test_rate(self, pc):
-        assert pc.rate == pytest.approx((7 / 15) ** 2)
-        assert code_rate(pc.code, "product") == pc.rate
+        assert code_rate(pc.code, pc.kind) == pytest.approx((7 / 15) ** 2)
 
     def test_unknown_ids_rejected(self, pc):
         with pytest.raises(ValueError):
@@ -303,8 +302,7 @@ class TestStaircaseLayout:
     def test_rate(self, sc):
         # interior staircase rate 1 - 2(n-k)/n with n=16, k=7: negative rate
         # codes are silly but the formula is what it is
-        assert sc.rate == pytest.approx((2 * 7 - 16) / 16)
-        assert code_rate(sc.code, "staircase") == sc.rate
+        assert code_rate(sc.code, sc.kind) == pytest.approx((2 * 7 - 16) / 16)
         with pytest.raises(ValueError, match="even"):
             code_rate(build_component_code(4, 2), "staircase")  # n = 15 odd
 

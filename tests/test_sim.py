@@ -8,6 +8,7 @@ locked to catch accidental changes to any stage; the semantic properties
 invariance) are tested independently of those constants.
 """
 
+import math
 import signal
 import time
 from dataclasses import fields
@@ -30,6 +31,7 @@ from gpcdec.engine import DecodeStats, frame_syndromes
 from gpcdec.postprocess import PpResult
 from gpcdec.sim import (
     CSV_HEADER,
+    MAX_WORKERS,
     PP_MODES,
     BerRecord,
     TrialConfig,
@@ -149,6 +151,16 @@ class TestFrameRng:
         with pytest.raises(ValueError, match="seed"):
             frame_rng(seed, 0)
 
+    @pytest.mark.parametrize("index", [-1, 2**64, 5 + 2**64])
+    def test_index_outside_64_bits_refused(self, index):
+        with pytest.raises(ValueError, match="frame_index must lie in"):
+            frame_rng(0, index)
+
+    @pytest.mark.parametrize("index", [2.5, 2.0, math.inf, math.nan])
+    def test_non_integer_index_refused(self, index):
+        with pytest.raises(TypeError):
+            frame_rng(0, index)  # 2.5 drew frame 2's stream
+
     def test_non_integer_seed_refused(self):
         with pytest.raises(TypeError):
             frame_rng(1.5, 0)  # numpy would truncate it to seed 1's key
@@ -249,6 +261,7 @@ class TestTrialConfigValidation:
             {"max_frames": 0},
             {"batch_frames": 0},
             {"workers": 0},
+            {"workers": MAX_WORKERS + 1},  # checked by construction: none runs
             {"seed": -1},
             {"seed": 2**64},
             {"seed": 5 + 2**64},  # would alias seed 5 in a 64-bit key
@@ -257,6 +270,7 @@ class TestTrialConfigValidation:
             with pytest.raises(ValueError):
                 TrialConfig(**{**good, **kw})
         TrialConfig(**good, seed=2**64 - 1)
+        TrialConfig(**good, workers=MAX_WORKERS)
         # integer fields that are no integers: ell, max_frames, batch_frames
         # and workers crashed at the first frame; the rest ran rounded
         not_int = [

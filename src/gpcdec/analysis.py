@@ -24,6 +24,8 @@ import numpy as np
 
 from .bch import ComponentCodeSpec
 
+_DE_DENSE_BYTES = 1 << 28  # a staircase chain's dense eta plus coupling
+
 __all__ = [
     "DeModel",
     "FloorModel",
@@ -106,9 +108,14 @@ def de_product_model(code: ComponentCodeSpec) -> DeModel:
 
 def de_staircase_model(code: ComponentCodeSpec, num_types: int) -> DeModel:
     """Spatially-coupled chain of ``num_types`` codeword types; each type
-    shares half its bits with each neighbouring type."""
+    shares half its bits with each neighbouring type.  Its eta and
+    coupling are dense L x L float matrices, so a chain whose two would
+    pass ``_DE_DENSE_BYTES`` (256 MiB, 4096 types) is refused."""
     if num_types < 2:
         raise ValueError("need at least two coupled types")
+    if (need := 16 * num_types**2) > _DE_DENSE_BYTES:
+        raise ValueError(f"a chain of {num_types} coupled types needs {need >> 20} MiB of "
+                         f"dense eta and coupling, above the {_DE_DENSE_BYTES >> 20} MiB cap")
     eta = np.zeros((num_types, num_types))
     idx = np.arange(num_types - 1)
     eta[idx, idx + 1] = 1
@@ -122,9 +129,10 @@ def density_evolution(model: DeModel, p: float, ell: int) -> float:
 
     Runs x_i <- PoissonTail_{>=t}(c * sum_j coupling[i,j] * x_j) for the
     active types of each half-iteration, from x = 1, then evaluates
-    p * (x eta x^T) / ||eta||_F^2.  An iteration is a function of x
-    alone, so once one leaves x bit-identical every later one would too,
-    and the iterations stop there.
+    p * (x eta x^T) / ||eta||_F^2.  Only the active types' rows of the
+    coupling are read.  An iteration is a function of x alone, so once
+    one leaves x bit-identical every later one would too, and the
+    iterations stop there.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
@@ -137,9 +145,9 @@ def density_evolution(model: DeModel, p: float, ell: int) -> float:
     for _ in range(ell):
         before = x.tobytes()
         for active in model.schedule:
-            lam = c * (coupling @ x)
-            for i in active:
-                x[i - 1] = poisson_tail(t, lam[i - 1])
+            lam = [c * (coupling[i - 1] @ x) for i in active]
+            for i, mean in zip(active, lam):
+                x[i - 1] = poisson_tail(t, mean)
         if x.tobytes() == before:
             break
     quad = float(x @ model.eta @ x)

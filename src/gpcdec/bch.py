@@ -38,8 +38,8 @@ Which method serves a code depends on its packed syndrome width nu*t + e:
   syndrome 0 and a failure elsewhere
 - wider syndromes solve the error locator algebraically: closed form plus a
   quadratic table at t=2, Peterson's locator plus a cubic table at t=3,
-  Berlekamp-Massey plus a Chien search at t >= 4; the extension bits in
-  error are then the parity bits XOR the core errors' parity contribution
+  else Berlekamp-Massey plus a Chien search; the extension bits in error
+  are then the parity bits XOR the core errors' parity contribution
 
 Both paths sit behind one memo per budget, ``memo(budget)``, indexed
 by the packed syndrome and reading ``_MISS`` before its decode.  A table
@@ -52,15 +52,15 @@ Each budget's memo is allocated on its first miss, and a pickled code
 drops its memos and table and arrives cold.
 
 ``decode_batch`` decodes an array of syndromes in one pass with the same
-results: a gather of table rows, the t=2 and t=3 closed forms over
-arrays, or at t >= 4 a loop over the memoized scalar decoder.
-``prefetch`` uses it to fill the memo for a set of syndromes at once.
+results, leaving the memo untouched: a gather of table rows, or the
+algebraic solvers over arrays.  ``prefetch`` uses it to fill the memo
+for a set of syndromes at once.
 
-The t=2 and t=3 closed forms are written once, evaluating every branch
-and selecting with ``where``, ``minimum`` and ``maximum``: numpy's over
+Each algebraic solver is written once, evaluating every branch and
+selecting with ``where``, ``minimum`` and ``maximum``: numpy's over
 arrays with ``FieldTable.arrays`` for ``decode_batch``, or ``_IntOps``
 over one syndrome with the same tables as lists (``FieldTable.lists``)
-for a memo miss.
+for a memo miss.  The Chien search runs on numpy either way.
 
 The erasure solver takes the packed syndrome too: ``erasure_decode``
 eliminates over GF(2) on the packed columns ``contrib_packed`` and returns
@@ -87,6 +87,7 @@ from .galois import FieldArrays, build_field
 _BDD_CACHE_CAP = 1 << 21
 _TABLE_BITS = 20  # widest packed syndrome with a dense decode table (4 MiB)
 _BLOCK = 1 << 10  # memo slots a table code fills per miss
+_SEARCH_CELLS = 1 << 20  # (locator, position) pairs a Chien search chunk evaluates
 _MISS = object()
 
 
@@ -115,15 +116,6 @@ class _IntOps:
         return a if cond else b
 
 
-def _two_roots(ops, f: FieldArrays, s1, l1, c):
-    """Positions, ascending, of the roots S1*y and S1*(y+1) of the
-    two-error locator, where y^2 + y = c; the sentinel log where c has no
-    root (the table's 0)."""
-    x1 = f.exp[l1 + f.log[f.quad[c]]]
-    a, b = f.log[x1], f.log[x1 ^ s1]
-    return ops.minimum(a, b), ops.maximum(a, b)
-
-
 def _core_t2(ops, f: FieldArrays, s1, s3) -> tuple:
     """t=2 error locator: X1 + X2 = S1 and X1 X2 = (S3 + S1^3)/S1.  Returns
     the two core positions, ascending and -1 padded; a missing root reads
@@ -131,8 +123,10 @@ def _core_t2(ops, f: FieldArrays, s1, s3) -> tuple:
     exp, log, where = f.exp, f.log, ops.where
     l1 = log[s1]
     d = s3 ^ exp[3 * l1]
-    # two errors: x = S1 y with y^2 + y = D / S1^3
-    a, b = _two_roots(ops, f, s1, l1, exp[log[d] + 3 * f.nlog[s1]])
+    # two errors: x = S1 y and S1 (y + 1) with y^2 + y = D / S1^3
+    x1 = exp[l1 + log[f.quad[exp[log[d] + 3 * f.nlog[s1]]]]]
+    a, b = log[x1], log[x1 ^ s1]
+    a, b = ops.minimum(a, b), ops.maximum(a, b)
     one = d == 0
     none = (s1 | s3) == 0
     return where(none, -1, where(one, l1, a)), where(one, -1, b)
@@ -144,16 +138,17 @@ def _core_t3(ops, f: FieldArrays, s1, s3, s5) -> tuple:
     With D = S1^3 + S3 the locator x^3 + g1 x^2 + g2 x + g3 has g1 = S1,
     g2 = (S1^2 S3 + S5)/D and g3 = D + S1 g2.  D vanishes for at most one
     error, since D = (X1+X2)(X1+X3)(X2+X3) for three errors and
-    X1 X2 (X1+X2) for two; g3 = X1 X2 X3 vanishes for two.  Every branch
-    is evaluated, then each syndrome takes the one that holds.  Returns
-    the three core positions, ascending and -1 padded; a missing root
-    reads as the sentinel log."""
+    X1 X2 (X1+X2) for two.  g3 = X1 X2 X3 vanishes for two, and then the
+    third root is x = 0, whose log is the sentinel and sorts last.  Every
+    branch is evaluated, then each syndrome takes the one that holds.
+    Returns the three core positions, ascending and -1 padded; a missing
+    root reads as the sentinel log."""
     exp, log, where = f.exp, f.log, ops.where
     l1 = log[s1]
     d = s3 ^ exp[3 * l1]
     g2 = exp[log[s5 ^ exp[2 * l1 + log[s3]]] + f.nlog[d]]
-    # three errors: y^3 + p y + D with x = y + S1, y = sqrt(p) z and
-    # z^3 + z = D / p^(3/2); when p = 0, y runs over the cube roots of D
+    # y^3 + p y + D with x = y + S1, y = sqrt(p) z and z^3 + z = D / p^(3/2);
+    # when p = 0, y runs over the cube roots of D
     p = g2 ^ exp[2 * l1]
     r = f.sqrt[p]
     c, lr, dp = exp[log[d] + 3 * f.nlog[r]], log[r], d * (p == 0)
@@ -166,18 +161,52 @@ def _core_t3(ops, f: FieldArrays, s1, s3, s5) -> tuple:
     x1, x2 = ops.minimum(x1, x2), ops.maximum(x1, x2)
     x0, x1 = ops.minimum(x0, x1), ops.maximum(x0, x1)
     x0 = where(y0 == 0, f.zero, x0)  # fewer than three roots
-    # g3 = D + S1 g2 = 0: two errors
-    a, b = _two_roots(ops, f, s1, l1, exp[log[g2] + 2 * f.nlog[s1]])
-    two = exp[l1 + log[g2]] == d
     # D = 0: at most one error, and then S5 = S1^5
     one = d == 0
     single = where(s5 == exp[5 * l1], l1, f.zero)
     none = (s1 | s3 | s5) == 0
     return (
-        where(one, where(none, -1, single), where(two, a, x0)),
-        where(one, -1, where(two, b, x1)),
-        where(one | two, -1, x2),
+        where(one, where(none, -1, single), x0),
+        where(one, -1, x1),
+        where(one | (x2 == f.zero), -1, x2),
     )
+
+
+def _locator(ops, f: FieldArrays, odd) -> tuple:
+    """Binary, inversionless Berlekamp-Massey: the error locator of the odd
+    syndromes S_1, S_3, ..., S_(2t-1), as the logs of its t+1 coefficients,
+    lowest first (the sentinel for 0), and its length L.
+
+    S_2j = S_j^2 makes every second discrepancy 0 (Berlekamp, 1968), so t
+    of the 2t steps remain.  A step sets lambda <- b lambda + d x^m B with
+    b the last nonzero discrepancy (Sarwate and Shanbhag, 2001), which
+    scales lambda instead of dividing.  ``bx`` holds x^m B.  Both branches
+    of bx, L and b are evaluated and picked with ``where``.  Terms beyond
+    x^t are dropped: L never falls, so a locator that would need them has
+    L > t and fails."""
+    exp, log, where, zero = f.exp, f.log, ops.where, f.zero
+    t = len(odd)
+    ls = [0, log[odd[0]]]  # ls[k] = log S_k, and S_2j = S_j^2
+    for k in range(2, 2 * t):
+        ls.append(log[odd[k // 2]] if k & 1 else log[exp[2 * ls[k // 2]]])
+    # step 0 gives lambda = 1 + S1 x, of length 1 unless S1 = 0
+    one = odd[0] != 0
+    lam = [0, ls[1]] + [zero] * (t - 1)
+    bx = ([zero, zero, where(one, 0, zero), where(one, zero, 0)] + [zero] * t)[: t + 1]
+    ll, lb = where(one, 1, 0), where(one, ls[1], 0)
+    for r in range(1, t):
+        d = reduce(operator.xor, [  # lambda has degree <= 2r - 1 here
+            exp[lam[i] + ls[2 * r + 1 - i]] for i in range(min(2 * r, t + 1))
+        ])
+        ld = log[d]
+        swap = (d != 0) & (ll <= r)
+        lam, bx = (
+            [log[exp[lb + c] ^ exp[ld + x]] for c, x in zip(lam, bx)],
+            [zero, zero] + [where(swap, c, x) for c, x in zip(lam[: t - 1], bx)],
+        )
+        ll = where(swap, 2 * r + 1 - ll, ll)
+        lb = where(swap, ld, lb)
+    return lam, ll
 
 
 class ComponentCodeSpec:
@@ -253,15 +282,12 @@ class ComponentCodeSpec:
         ] + pmask[self.n_core :]
 
         self.has_table = self.packed_bits <= _TABLE_BITS
-        # decode_batch runs the t=2/t=3 closed forms over arrays; otherwise
-        # a code without a table loops over decode_packed
-        self.batch_closed_form = not self.has_table and t in (2, 3)
         # parity_mask plus a 0 read by the -1 padding of batched supports
         self._pmask_np = np.array(pmask + [0], dtype=np.int64)
 
-        # built on first use: (the field's antilog, Chien index matrix) for
-        # Berlekamp-Massey, the dense decode table
-        self._chien: tuple[np.ndarray, np.ndarray] | None = None
+        # built on first use: the root search's views of the antilog table
+        # (see _zeros), the dense decode table
+        self._powers: tuple[list, int] | None = None
         self._table: np.ndarray | None = None
         self._memos: list = [_NO_MEMO] * (t + 1)  # by budget, see memo()
         self._pcm: np.ndarray | None = None
@@ -278,11 +304,12 @@ class ComponentCodeSpec:
 
     def __getstate__(self) -> dict:
         """Pickle without the memos, whose _MISS would not survive, and
-        without the table, up to 4 MiB: the copy rebuilds both on first
-        use, as a new code does."""
+        without the table, up to 4 MiB, or the root search's views, which
+        pickle as full copies: the copy rebuilds them on first use, as a
+        new code does."""
         state = self.__dict__.copy()
         del state["_memos"]
-        state["_table"] = None
+        state["_table"] = state["_powers"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -297,87 +324,27 @@ class ComponentCodeSpec:
 
     # --- bounded-distance decoding --------------------------------------
 
-    def _solve_core(self, odd: tuple[int, ...]) -> tuple[int, ...] | None:
-        """Unique error pattern of weight <= t on the core positions matching
-        the odd-power syndromes, or None.  Shortened positions are rejected.
-
-        t=2 and t=3 run the closed form on Python ints; other t run
-        Berlekamp-Massey and a Chien search.  decode_packed reaches this
-        only for syndromes wider than 20 bits; narrower ones read the dense
-        decode table, for which this is the test oracle."""
-        if self.t in (2, 3):
-            core, ok = self._closed_form(_IntOps, self.field.lists(), odd)
-            return tuple(x for x in core if x >= 0) if ok else None
-        if not any(odd):
-            return ()
-        return self._solve_core_bm(odd)
-
-    def _closed_form(self, ops, f: FieldArrays, odd) -> tuple:
-        """The t=2 or t=3 closed form under ``ops`` (numpy or _IntOps): the
-        core positions, ascending and -1 padded, and whether every one lies
-        below n_core, which the sentinel log of a missing root does not."""
-        core = (_core_t2 if self.t == 2 else _core_t3)(ops, f, *odd)
-        return core, reduce(ops.maximum, core) < self.n_core
-
-    def _solve_core_bm(self, odd: tuple[int, ...]) -> tuple[int, ...] | None:
-        """Berlekamp-Massey over the 2t syndromes plus a vectorized root
-        search.  Products are reads of the sentinel tables of
-        ``FieldTable.lists``, so a zero factor reads 0."""
-        f = self.field.lists()
-        exp, log = f.exp, f.log
-        t = self.t
-        syn = [0] * (2 * t)  # S_1 .. S_2t
-        syn[::2] = odd
-        for mm in range(2, 2 * t + 1, 2):
-            syn[mm - 1] = exp[2 * log[syn[mm // 2 - 1]]]
-
-        lam = [1]
-        prev = [1]
-        ll = 0
-        gap = 1
-        b = 1
-        for step in range(2 * t):
-            d = syn[step]
-            for i in range(1, min(ll + 1, len(lam))):
-                d ^= exp[log[lam[i]] + log[syn[step - i]]]
-            if d == 0:
-                gap += 1
-                continue
-            scale = log[d] + f.nlog[b]  # log of d / b
-            cand = lam + [0] * (gap + len(prev) - len(lam))
-            for i, c in enumerate(prev, gap):
-                cand[i] ^= exp[scale + log[c]]
-            if 2 * ll <= step:
-                prev = lam
-                ll = step + 1 - ll
-                b = d
-                gap = 1
-            else:
-                gap += 1
-            lam = cand
-        while lam and lam[-1] == 0:
-            lam.pop()
-        deg = len(lam) - 1
-        if deg > t or deg != ll:
-            return None
-
-        # evaluate lambda at alpha^{-j} for all j at once
-        if self._chien is None:
-            m = self.n0
-            # entry [i-1, j] = exponent of alpha^{-j*i}
-            idx = (m - np.outer(np.arange(1, t + 1), np.arange(m)) % m) % m
-            self._chien = (self.field.arrays().exp, idx)
-        exp_np, chien_idx = self._chien
-        vals = np.full(self.n0, lam[0], dtype=np.int64)
-        for i in range(1, deg + 1):
-            if lam[i]:
-                vals ^= exp_np[log[lam[i]] + chien_idx[i - 1]]
-        roots = np.nonzero(vals == 0)[0]
-        if len(roots) != deg:
-            return None
-        if roots.size and int(roots[-1]) >= self.n_core:
-            return None
-        return tuple(int(r) for r in roots)
+    def _zeros(self, ops, f: FieldArrays, lam) -> np.ndarray:
+        """Chien search over the core positions: whether the locator with
+        coefficient logs ``lam`` vanishes at alpha^-j, an error at j, as a
+        (B, n_core) array for B locators or (n_core,) for one.  Row
+        log(lam_i) + i of ``views[i]``, a window of a periodic antilog
+        table read backwards with stride i, holds lam_i alpha^(-i j) for
+        every j, and a zero coefficient reads a row of zeros: each
+        coefficient costs one gather of whole rows."""
+        if self._powers is None:
+            t, m, n_core = self.t, self.n0, self.n_core
+            table = np.zeros((2 * t + 1) * m, dtype=np.uint16)
+            table[: (t + 1) * m] = np.tile(self.field.arrays().exp[:m], t + 1)
+            views = [np.broadcast_to(table[:, None], (table.size, n_core))]
+            for i in range(1, t + 1):
+                window = np.lib.stride_tricks.sliding_window_view(table, i * (m - 1) + 1)
+                views.append(window[:, ::-i][:, :n_core])  # [k, j] = table[k + i (m-1-j)]
+            self._powers = views, (t + 1) * m
+        views, zero_row = self._powers
+        zero, where = f.zero, ops.where
+        rows = (where(c == zero, zero_row, c + i) for i, c in enumerate(lam))
+        return reduce(operator.xor, map(operator.getitem, views, rows)) == 0
 
     def memo(self, budget: int):
         """The memo of decodes at ``budget``, indexed by packed syndrome;
@@ -441,9 +408,8 @@ class ComponentCodeSpec:
         Returns ``(pos, ok)``: ``ok[i]`` is False where decode_packed would
         return None, and ``pos[i]`` is an integer row of t ascending
         positions padded with -1 holding what it would return otherwise
-        (all -1 on failure): table rows (int8 or int16), or the t=2 and
-        t=3 closed forms over arrays, both leaving the memo untouched, or
-        at t >= 4 a loop over decode_packed.
+        (all -1 on failure): table rows (int8 or int16), or the algebraic
+        solvers over arrays.  The memo is left untouched.
         """
         if budget is None:
             budget = self.t
@@ -455,17 +421,7 @@ class ComponentCodeSpec:
         if self.has_table:  # failed rows are all -1, and so is syndrome 0's
             pos = self.decode_rows(packed, budget)
             return pos, (pos[:, 0] >= 0) | (packed == 0)
-        if self.batch_closed_form:
-            pos, ok = self._batch_solve(packed)
-        else:
-            pos = np.full((packed.size, self.t), -1, dtype=np.int64)
-            ok = np.zeros(packed.size, dtype=bool)
-            for i, syn in enumerate(packed.tolist()):
-                got = self.decode_packed(syn, budget)
-                if got is not None:
-                    pos[i, : len(got)] = got
-                    ok[i] = True
-            return pos, ok
+        pos, ok = self._batch_solve(packed)
         if budget < self.t:  # rows ascend: weight <= budget iff pos[budget] < 0
             ok &= pos[:, budget] < 0
         pos[~ok] = -1
@@ -563,15 +519,26 @@ class ComponentCodeSpec:
 
     def _decode_algebraic(self, packed: int, budget: int) -> tuple[int, ...] | None:
         """Miss path for wider syndromes, and the decode table's test
-        oracle: solve the core positions from the odd syndromes, then add
-        the extension bits the parity checks leave in error, within the
-        budget."""
-        e = self.e
+        oracle: solve the core positions on Python ints, by the closed form
+        or by Berlekamp-Massey and the Chien search of one locator,
+        rejecting shortened positions; then add the extension bits the
+        parity checks leave in error, within the budget."""
+        e, t, f = self.e, self.t, self.field.lists()
         mask = (1 << self.nu) - 1
-        odd = tuple((packed >> (e + i * self.nu)) & mask for i in range(self.t))
-        core = self._solve_core(odd)
-        if core is None:
-            return None
+        odd = [(packed >> (e + i * self.nu)) & mask for i in range(t)]
+        if t in (2, 3):
+            core = (_core_t2 if t == 2 else _core_t3)(_IntOps, f, *odd)
+            if max(core) >= self.n_core:
+                return None
+            core = tuple(x for x in core if x >= 0)
+        else:
+            lam, ll = _locator(_IntOps, f, odd)
+            if ll > t:
+                return None
+            # lambda has degree <= L: the Chien search skips the zero terms
+            core = tuple(np.flatnonzero(self._zeros(_IntOps, f, lam[: ll + 1])).tolist())
+            if len(core) != ll:
+                return None
         # extension bit i is in error iff bit i of h is set (see _batch_solve)
         h = packed & ((1 << e) - 1)
         pmask = self.parity_mask
@@ -581,14 +548,33 @@ class ComponentCodeSpec:
         return out if len(out) <= budget else None
 
     def _batch_solve(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """decode_batch for wider syndromes at t=2 and t=3: the closed form
-        over arrays, then the extension bits.  Positions are built as
-        (t, B), one contiguous row per support slot."""
+        """decode_batch for wider syndromes: the closed form, or
+        Berlekamp-Massey and the Chien search on row chunks of at most
+        ``_SEARCH_CELLS`` cells, over arrays, then the extension bits.  A
+        locator of length L decodes when it has L roots among the core
+        positions.  Positions are built as (t, B), a row per support slot."""
         e, nu, t, n_core = self.e, self.nu, self.t, self.n_core
         mask = (1 << nu) - 1
         odd = [packed >> (e + i * nu) & mask for i in range(t)]
-        core, ok = self._closed_form(np, self.field.arrays(), odd)
-        core = np.where(ok, core, -1)
+        f = self.field.arrays()
+        if t in (2, 3):
+            core = (_core_t2 if t == 2 else _core_t3)(np, f, *odd)
+            ok = np.max(core, axis=0) < n_core
+            core = np.where(ok, core, -1)
+        else:
+            lam, ll = _locator(np, f, odd)
+            lam = np.array(np.broadcast_arrays(*lam))  # at t = 1, lambda_0 is an int
+            core, ok = np.full((t, packed.size), -1), ll == 0
+            live = np.flatnonzero((ll > 0) & (ll <= t))
+            step = _SEARCH_CELLS // n_core + 1
+            for rows in np.split(live, range(step, live.size, step)):
+                hit = self._zeros(np, f, lam[:, rows])
+                count = np.count_nonzero(hit, axis=1)
+                good = count == ll[rows]
+                count, cols = count[good], rows[good]
+                r, j = np.nonzero(hit[good])  # ascending j within each row
+                core[np.arange(r.size) - np.repeat(np.cumsum(count) - count, count), cols[r]] = j
+                ok[cols] = True
         if not e:
             return core.T, ok
         # the parity checks fix which extension bits are in error: they have

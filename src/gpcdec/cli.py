@@ -423,20 +423,24 @@ def _cmd_repro(opts, parser):
         "figures": {},
     }
     defaults = {key: _OPTIONS[key][2] for key in _SIMULATE}
+    swept = []
     for key in keys:
         fig = _FIGURES[key]
         sim = {**defaults, **opts, **fig["options"]}
-        sim["grid"] = grid = _p_grid(parser, sim)
+        sim["grid"] = _p_grid(parser, sim)
         cfgs = _trial_configs(parser, sim, fig["runs"])
         rows = [CSV_HEADER]
         for rec in run_sweep(cfgs):
             label = rec.variant if rec.pp == "none" else f"{rec.variant}+{rec.pp}"
             rows.append(rec.csv_row(label))
+        swept.append((key, fig, sim, cfgs[0].layout.code, rows))
+    # a curve loads scipy (18 MiB), which a later sweep's pool would copy
+    for key, fig, sim, code, rows in swept:
         for curve in fig["curves"]:
-            bers = _curve(parser, sim, cfgs[0].layout.code, curve.removesuffix("-floor"))
+            bers = _curve(parser, sim, code, curve.removesuffix("-floor"))
             rows += [
                 format_csv_row(curve, p, 0, 0, 0, ber, 0.0, sim["ell"], sim["delta"], 0)
-                for p, ber in zip(grid, bers)
+                for p, ber in zip(sim["grid"], bers)
             ]
         csv_path = outdir / f"{key}.csv"
         csv_path.write_text("\n".join(rows) + "\n")
@@ -449,7 +453,7 @@ def _cmd_repro(opts, parser):
                if sim["kind"] == "staircase" else {}),
             "ell": sim["ell"],
             "delta": sim["delta"],
-            "p_grid": grid,
+            "p_grid": sim["grid"],
             "runs": [list(r) for r in fig["runs"]],
         }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -34,7 +34,7 @@ cannot cycle, so neither replays.  The half-iterations:
   backtrack an anchor and change later syndromes of the same type.  A
   visit's BDD reads the code's memo (``ComponentCodeSpec.memo``), which
   ``decode_packed`` fills on a miss, or in one batch per half-iteration
-  on wide t = 2 and t = 3 codes (``ComponentCodeSpec.prefetch``).  A
+  on every code without a decode table (``ComponentCodeSpec.prefetch``).  A
   successful decode returns the support whose parity-check columns XOR
   to the codeword's syndrome, so a visit that applies it sets that
   syndrome to 0 and folds each flip only into the partner's.
@@ -399,10 +399,11 @@ def anchor_decode_state(
     """Like anchor_decode but returns the full decoder state, for callers
     that need the anchor bookkeeping afterwards (post-processing).  A
     half-iteration re-enables failed codewords at a budget reset, memoizes
-    the eligible syndromes on wide codes, then runs ``visit_all``."""
+    the eligible syndromes on codes without a table, then runs
+    ``visit_all``."""
     state = DecoderState(layout, frame, delta)
     status, syn = state.status, state.syn
-    prefetch = layout.code.batch_closed_form
+    prefetch = not layout.code.has_table
 
     def half_iteration(cws: range, budget: int, reset: bool) -> bool:
         if reset:

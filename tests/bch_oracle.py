@@ -6,7 +6,11 @@ a second way, by its generator polynomial lcm(m_1, m_3, ..., m_(2t-1)),
 with GF(2)[x] arithmetic of its own: the minimal polynomials, the
 generator, a bit-serial systematic encoder, and the syndromes of a word
 and of an error support.  Of the library it reads only a field's
-primitive polynomial and a code's parameters and columns.
+primitive polynomial and tables and a code's parameters and columns.
+
+It also decodes a syndrome a second way: the textbook Berlekamp-Massey
+over all 2t syndromes, with a division per update, and a Chien search
+by an index matrix of its own.
 """
 
 from __future__ import annotations
@@ -137,3 +141,86 @@ def word_syndrome(code, word) -> int:
     if w.shape != (code.n,):
         raise ValueError(f"word must have length n={code.n}, got {w.shape}")
     return support_syndrome(code, np.flatnonzero(w).tolist())
+
+
+# --- decoding by the textbook Berlekamp-Massey ----------------------------------
+
+
+@functools.cache
+def _chien_index(n0: int, t: int) -> np.ndarray:
+    """Entry [i-1, j] is the exponent of alpha^(-j*i) mod n0."""
+    return (n0 - np.outer(np.arange(1, t + 1), np.arange(n0)) % n0) % n0
+
+
+def solve_core_bm(code, odd) -> tuple[int, ...] | None:
+    """The unique core error pattern of weight <= t with the odd-power
+    syndromes ``odd``, or None: Berlekamp-Massey over the 2t syndromes
+    S_1 .. S_2t (S_2j = S_j^2), then a root search over every core
+    position, rejecting a root among the shortened positions.  Products
+    read the field's sentinel tables, so a zero factor reads 0."""
+    f = code.field.lists()
+    exp, log = f.exp, f.log
+    t = code.t
+    syn = [0] * (2 * t)  # S_1 .. S_2t
+    syn[::2] = odd
+    for mm in range(2, 2 * t + 1, 2):
+        syn[mm - 1] = exp[2 * log[syn[mm // 2 - 1]]]
+
+    lam = [1]
+    prev = [1]
+    ll = 0
+    gap = 1
+    b = 1
+    for step in range(2 * t):
+        d = syn[step]
+        for i in range(1, min(ll + 1, len(lam))):
+            d ^= exp[log[lam[i]] + log[syn[step - i]]]
+        if d == 0:
+            gap += 1
+            continue
+        scale = log[d] + f.nlog[b]  # log of d / b
+        cand = lam + [0] * (gap + len(prev) - len(lam))
+        for i, c in enumerate(prev, gap):
+            cand[i] ^= exp[scale + log[c]]
+        if 2 * ll <= step:
+            prev = lam
+            ll = step + 1 - ll
+            b = d
+            gap = 1
+        else:
+            gap += 1
+        lam = cand
+    while lam and lam[-1] == 0:
+        lam.pop()
+    deg = len(lam) - 1
+    if deg > t or deg != ll:
+        return None
+
+    # evaluate lambda at alpha^{-j} for all j at once
+    exp_np, chien_idx = code.field.arrays().exp, _chien_index(code.n0, t)
+    vals = np.full(code.n0, lam[0], dtype=np.int64)
+    for i in range(1, deg + 1):
+        if lam[i]:
+            vals ^= exp_np[log[lam[i]] + chien_idx[i - 1]]
+    roots = np.nonzero(vals == 0)[0]
+    if len(roots) != deg:
+        return None
+    if roots.size and int(roots[-1]) >= code.n_core:
+        return None
+    return tuple(int(r) for r in roots)
+
+
+def decode_bm(code, packed: int, budget: int) -> tuple[int, ...] | None:
+    """BDD of a packed syndrome through solve_core_bm: the core errors,
+    then each extension bit whose parity check the core errors leave
+    unmet, or None past ``budget``."""
+    mask = (1 << code.nu) - 1
+    odd = tuple(packed >> (code.e + i * code.nu) & mask for i in range(code.t))
+    core = solve_core_bm(code, odd)
+    if core is None:
+        return None
+    h = packed & ((1 << code.e) - 1)
+    for pos in core:
+        h ^= code.parity_mask[pos]
+    out = core + tuple(code.n_core + i for i in range(code.e) if h >> i & 1)
+    return out if len(out) <= budget else None

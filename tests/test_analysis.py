@@ -109,6 +109,20 @@ class TestDeModels:
         assert np.array_equal(m.coupling, want / 2)
         assert m.schedule == ((1,), (2,), (3,), (4,), (5,), (6,))
 
+    def test_staircase_model_refuses_a_chain_past_the_dense_cap(self, monkeypatch):
+        # two dense L x L float64 matrices: 4096 types take 256 MiB, 4097
+        # pass the cap; the refusal comes before any allocation
+        code = ComponentCodeSpec(4, 2, 1, 0)
+        for num_types in (4097, 10**30):
+            with pytest.raises(ValueError, match=r"MiB of dense eta and coupling, above"):
+                de_staircase_model(code, num_types)
+        with pytest.raises(ValueError, match=r"4097 coupled types needs 256 MiB"):
+            de_staircase_model(code, 4097)
+        monkeypatch.setattr("gpcdec.analysis._DE_DENSE_BYTES", 2 * 8 * 36)
+        assert de_staircase_model(code, 6).num_types == 6
+        with pytest.raises(ValueError, match="7 coupled types"):
+            de_staircase_model(code, 7)
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             de_staircase_model(ComponentCodeSpec(4, 2, 1, 0), 1)

@@ -2,7 +2,7 @@
 exports exactly the names in its ``__all__``, every name a submodule
 lists in its ``__all__`` exists, the benchmark's check and trace
 wrappers still reach the calls they wrap, and a decoding process never
-loads scipy."""
+loads scipy, nor does repro before its last sweep."""
 
 import importlib
 import os
@@ -140,6 +140,41 @@ assert abs(poisson_tail(3, 1.0) - 0.0803013970713942) < 1e-15
 assert abs(qfunc_inv(1e-3) - 3.090232306167813) < 1e-14
 assert "scipy.special" in sys.modules
 """
+
+
+# Runs in a fresh interpreter: repro runs every dataset's sweep before any
+# analytic curve loads scipy, so no sweep's pool forks a process holding it.
+_REPRO_SWEEPS_FIRST = """
+import sys
+import gpcdec.cli
+
+loaded = []
+sweep = gpcdec.cli.run_sweep
+
+def run_sweep(cfgs):
+    loaded.append("scipy" in sys.modules)
+    return sweep(cfgs)
+
+gpcdec.cli.run_sweep = run_sweep
+assert gpcdec.cli.main([
+    "repro", "--figures", "pc721", "pc8261", "--max-frames", "2",
+    "--min-frame-errors", "1", "--workers", "1", "--outdir", sys.argv[1],
+]) == 0
+assert loaded == [False, False], loaded
+assert "scipy" in sys.modules
+"""
+
+
+def test_repro_sweeps_before_scipy_loads(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPRO_SWEEPS_FIRST, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "manifest.json", "pc721.csv", "pc8261.csv"
+    ]
 
 
 def test_decoding_never_loads_scipy(tmp_path):

@@ -18,7 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bch_oracle import encode, generator_poly, pdeg, pmod, support_syndrome, word_syndrome
+from bch_oracle import (
+    decode_bm, encode, generator_poly, pdeg, pmod, solve_core_bm, support_syndrome,
+    word_syndrome,
+)
 import gpcdec.bch
 from gpcdec.bch import _TABLE_BITS, ComponentCodeSpec, build_component_code
 from gpcdec.engine import anchor_decode, genie_decode, iterative_bdd
@@ -500,13 +503,15 @@ class TestBddRandomized:
         code = build_component_code(4, 2, 0, 0)
         for s1 in range(16):
             for s3 in range(16):
-                assert code._solve_core((s1, s3)) == code._solve_core_bm((s1, s3))
+                packed = pack(code, (s1, s3), 0)
+                assert code._decode_algebraic(packed, 2) == decode_bm(code, packed, 2)
 
         big = build_component_code(8, 2, 1, 61)
         rng = np.random.default_rng(5)
         for _ in range(400):
             odd = (int(rng.integers(0, 256)), int(rng.integers(0, 256)))
-            assert big._solve_core(odd) == big._solve_core_bm(odd)
+            packed = pack(big, odd, int(rng.integers(0, 2)))
+            assert big._decode_algebraic(packed, 2) == decode_bm(big, packed, 2)
 
     def test_shortened_positions_never_reported(self):
         # random syndromes whose locator roots fall in the shortened range
@@ -546,20 +551,20 @@ class TestTripleErrorSolver:
         assert len(table) == sum(comb(code.n, w) for w in range(code.t + 1))
         return table
 
-    CODES = [(5, 3, 0, 0), (6, 3, 0, 0), (6, 3, 1, 0), (6, 3, 0, 20)]
+    CODES = [(5, 3, 0, 0), (6, 3, 0, 0), (6, 3, 1, 0), (6, 3, 0, 20), (5, 3, 1, 0)]
 
     def check_every_syndrome(self, args, path):
         code = build_component_code(*args)
         decode = decoder(code, path)
         table = self.brute_force_table(code)
-        for budget in (2, 3):
+        for budget in range(code.t + 1):
             want = {k: v for k, v in table.items() if len(v) <= budget}
             for packed in range(1 << code.packed_bits):
                 assert decode(packed, budget) == want.get(packed), packed
         # the table path memoizes in one fixed-size list per budget, so
         # its memory is bounded without clearing; the algebraic one not at all
-        sizes = [len(code.memo(budget)) for budget in (2, 3)]
-        assert sizes == [1 << code.packed_bits] * 2 if path == "table" else [0, 0]
+        sizes = [len(code.memo(budget)) for budget in range(code.t + 1)]
+        assert sizes == [1 << code.packed_bits if path == "table" else 0] * 4
 
     @pytest.mark.parametrize("args", CODES)
     def test_every_syndrome_matches_brute_force(self, args):
@@ -579,8 +584,8 @@ class TestTripleErrorSolver:
                 odds.append(odd_syndromes(code, packed))
         decoded = 0
         for odd in odds:
-            got = code._solve_core(odd)
-            assert got == code._solve_core_bm(odd), odd
+            got = code._decode_algebraic(pack(code, odd, 0), 3)
+            assert got == solve_core_bm(code, odd), odd
             decoded += got is not None
         assert decoded >= 900  # every planted weight <= 3 pattern, at least
 
@@ -702,11 +707,15 @@ class TestDecodeTable:
         for args in [(7, 2, 1, 0), (8, 3, 0, 0)]:
             code = build_component_code(*args)
             code.decode_packed(support_syndrome(code, (1, 2)))
-            assert code._chien is None
+            code.decode_batch(np.arange(1000))
+            assert code._powers is None
         code = build_component_code(8, 4, 2, 0)
-        assert code._chien is None
+        assert code._powers is None
         assert code.decode_packed(support_syndrome(code, (1, 2, 3, 4))) == (1, 2, 3, 4)
-        assert code._chien[1].shape == (code.t, code.n0)
+        views, _ = code._powers
+        assert [v.shape[1] for v in views] == [code.n_core] * (code.t + 1)
+        # views of one small table, however many rows they span
+        assert all(v.base is not None for v in views)
 
 
 class TestDecodeBatch:
@@ -735,20 +744,20 @@ class TestDecodeBatch:
     @pytest.mark.parametrize(
         "args",
         [(7, 3, 0, 0), (7, 3, 1, 0), (6, 3, 0, 0), (6, 3, 2, 0), (4, 2, 2, 0),
-         (7, 2, 1, 0)],
+         (7, 2, 1, 0), (5, 4, 0, 0), (6, 1, 1, 0)],
     )
     def test_closed_forms_match_table_on_every_syndrome(self, args):
-        # the closed forms run on a code told to use them; the oracle is
-        # the same code reading the dense table, built at any width.
-        # (7,3,*) are wider than 20 bits; nu = 6 has cube roots, so the
-        # p = 0 branch there finds three roots
+        # the algebraic solvers run on a code told it has no table; the
+        # oracle is the same code reading the dense table, built at any
+        # width.  (7,3,*) are wider than 20 bits; nu = 6 has cube roots, so
+        # the p = 0 branch there finds three roots
         code = build_component_code(*args)
         oracle = build_component_code(*args)
-        code.has_table, code.batch_closed_form = False, True
+        code.has_table = False
         oracle.has_table = True
         for lo in range(0, 1 << code.packed_bits, 1 << 16):
             chunk = np.arange(lo, min(lo + (1 << 16), 1 << code.packed_bits))
-            for budget in (code.t, code.t - 1):
+            for budget in range(code.t + 1):
                 got = code.decode_batch(chunk, budget)
                 want = oracle.decode_batch(chunk, budget)
                 assert np.array_equal(got[1], want[1]), lo
@@ -757,9 +766,14 @@ class TestDecodeBatch:
         assert all(not code.memo(budget) for budget in range(code.t + 1))
 
     @pytest.mark.parametrize(
-        "args", [(8, 3, 0, 0), (8, 3, 2, 0), (10, 2, 1, 0), (8, 4, 2, 0)]
+        "args",
+        [(8, 3, 0, 0), (8, 3, 2, 0), (10, 2, 1, 0), (8, 4, 2, 0), (6, 4, 1, 0),
+         (8, 5, 0, 0), (12, 4, 0, 3000)],
     )
     def test_random_and_planted_syndromes_match_algebra(self, args):
+        """The batch path against the scalar miss path, and both against
+        the textbook Berlekamp-Massey of the test oracle; (12,4,0,3000)
+        is shortened, so roots among its shortened positions fail."""
         code = build_component_code(*args)
         assert code.packed_bits > _TABLE_BITS
         rng = np.random.default_rng(sum(args))
@@ -773,15 +787,15 @@ class TestDecodeBatch:
         )
         for budget in range(code.t + 1):
             pos, ok = code.decode_batch(packed, budget)
-            want_pos, want_ok = batch_rows(
-                lambda s: code._decode_algebraic(s, budget), packed.tolist(), code.t
-            )
+            want = [decode_bm(code, s, budget) for s in packed.tolist()]
+            assert [code._decode_algebraic(s, budget) for s in packed.tolist()] == want
+            want_pos, want_ok = batch_rows(want.__getitem__, range(len(want)), code.t)
             assert np.array_equal(ok, want_ok)
             assert np.array_equal(pos, want_pos)
             assert ok[size:].all() or budget < code.t
 
-    def test_pure_below_t4(self):
-        for args in [(7, 2, 1, 0), (8, 3, 0, 0)]:
+    def test_pure(self):
+        for args in [(7, 2, 1, 0), (8, 3, 0, 0), (8, 4, 2, 0)]:
             code = build_component_code(*args)
             code.decode_batch(np.arange(1000), code.t)
             assert all(not code.memo(budget) for budget in range(code.t + 1))
@@ -862,7 +876,9 @@ class TestDecodeBatch:
         monkeypatch.setattr(gpcdec.bch, "_BDD_CACHE_CAP", 7)
         monkeypatch.setattr(gpcdec.bch._DictMemo, "__setitem__", setitem)
         capped = run()
-        assert sizes and max(sizes) <= 7
+        # anchor decoding fills the memo; iterative BDD decodes each
+        # half-iteration in one batch, which never writes it
+        assert max(sizes, default=0) <= 7 and bool(sizes) == (decoder == "anchor")
         for (frame, stats), (want, want_stats) in zip(capped, default):
             assert np.array_equal(frame, want) and stats == want_stats
 

@@ -473,12 +473,14 @@ def lockstep(layout, frame, ell, delta, reduced):
 
 def build_wide_layout(kind):
     """Layouts whose syndromes are too wide for a decode table, each on a
-    new code, so its memo starts empty: t = 3 at 24 and 25 bits, and the
-    t = 4 product, where decode_batch loops over decode_packed."""
+    new code, so its memo starts empty: t = 3 at 24 and 25 bits, and
+    t = 4 products at 34 and 25 bits, where BDD runs Berlekamp-Massey."""
     if kind == "product":
         return build_product_layout(ComponentCodeSpec(8, 3, 0, 0))
     if kind == "t4":
         return build_product_layout(ComponentCodeSpec(8, 4, 2, 0))
+    if kind == "t4-small":
+        return build_product_layout(ComponentCodeSpec(6, 4, 1, 0))
     return build_staircase_layout(ComponentCodeSpec(8, 3, 0, 1), num_blocks=5, window=3)
 
 
@@ -1054,21 +1056,23 @@ class TestGenieNestedFrames:
 
 
 class TestAnchorPrefetch:
-    """Anchor decoding on wide t = 3 codes memoizes each half-iteration's
-    eligible syndromes in one batch up front; the outcome must not depend
-    on it."""
+    """Anchor decoding on codes without a decode table memoizes each
+    half-iteration's eligible syndromes in one batch up front; the outcome
+    must not depend on it.  The n = 64 code of "t4-small" needs more
+    noise, and more frames, to fill its memo and backtrack."""
 
     @staticmethod
     def run(kind):
         layout = build_wide_layout(kind)
+        p, frames = (0.06, 9) if kind == "t4-small" else (0.02, 3)
         rng = np.random.default_rng(61)
         states = []
-        for reduced in (0, 1, 2):
-            frame = noisy_frame(layout, rng, 0.02)
-            states.append(anchor_decode_state(layout, frame, 5, 1, reduced))
+        for i in range(frames):
+            frame = noisy_frame(layout, rng, p)
+            states.append(anchor_decode_state(layout, frame, 5, 1, i % 3))
         return layout.code, states
 
-    @pytest.mark.parametrize("kind", ["product", "staircase"])
+    @pytest.mark.parametrize("kind", ["product", "staircase", "t4-small"])
     def test_prefetch_is_transparent(self, kind, monkeypatch):
         code, states = self.run(kind)
         memos = {budget: code.memo(budget) for budget in range(code.t + 1)}
@@ -1174,7 +1178,9 @@ class TestAnchorAgainstReference:
         assert delta == 2 or backtracks  # sanity: the backtrack path ran
 
     @given(
-        kind=st.sampled_from(["pc15", "sc16", "sc16-long", "product", "staircase"]),
+        kind=st.sampled_from(
+            ["pc15", "sc16", "sc16-long", "product", "staircase", "t4-small"]
+        ),
         p=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
         ell=st.integers(1, 6),
@@ -1194,7 +1200,7 @@ class TestAnchorAgainstReference:
         elif kind == "sc16-long":
             layout, p_max = build_staircase_layout(CODE16, 8, 4), 0.1
         else:
-            layout, p_max = wide_layout(kind), 0.03
+            layout, p_max = wide_layout(kind), 0.08 if kind == "t4-small" else 0.03
         frame = noisy_frame(layout, np.random.default_rng(seed), p * p_max, pins)
         self.check(layout, frame, ell, delta, min(reduced, ell))
 
